@@ -10,15 +10,15 @@ from .errors import (ConfigError, EigenDecompositionError, ExceptionalPointError
                      OnBoundaryError, PropagatorOverflowError,
                      TrackingAmbiguityError)
 from .model import (Boundary, BlochMatrix, DisorderConfig, DisorderTarget,
-                    LatticeParams, PhaseModulation, build_bloch, build_real_space,
-                    chiral_operator, chiral_residual, parity_operator, pt_residual)
+                    LatticeParams, build_bloch, build_real_space, chiral_operator,
+                    chiral_residual, parity_operator, pt_residual)
 from .spectra import (BlochEigensystem, EdgeProfile, GapReport, SpectralReport,
                       ZeroModeInfo, bloch_eigensystem, edge_profile, eig,
                       exact_generalized_zero_mode, exact_zero_mode, gap_report,
                       geometric_multiplicity, smallest_singular_values,
                       spectral_report, zero_mode_analysis)
-from .topology import (WindingResult, band_coefficients, count_enclosed_eps,
-                       track_band, winding_number)
+from .topology import (TrackedBand, WindingResult, band_coefficients,
+                       count_enclosed_eps, track_band, winding_number)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -177,10 +177,9 @@ def cmd_winding(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
                                boundary=Boundary.PERIODIC)
         tracked = track_band(params, samples=samples)
         res = winding_number(tracked)
-        ks = [t.k for t in tracked]
         csv_path = out / f"winding_{i}.csv"
         write_csv(csv_path, ["k", "sigma_x_expect", "sigma_z_expect"],
-                  [(k, x, z) for k, (x, z) in zip(ks, res.trajectory)])
+                  [(k, x, z) for k, (x, z) in zip(tracked.ks, res.trajectory)])
         files.append(csv_path)
         summary.append({
             "label": ps.get("label", f"set_{i}"),
@@ -242,12 +241,17 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
             raise ConfigError(f"disorder: unknown target {name!r}")
         target = _TARGET_ALIASES[name]
         rows = []
+        # The base-seed sweep is seed 0 of the transition statistics too.
+        first_split = None
         for d in d_grid:
             dis = DisorderConfig.from_seed(target, float(d), base_seed, params.n_cells)
             H = build_real_space(params, disorder=dis)
             w = np.sort_complex(np.linalg.eigvals(H))
             scale = np.linalg.norm(H, 2)
-            present = bool(np.abs(w).min() < zm_tol * scale)
+            min_abs = np.abs(w).min()
+            if first_split is None and min_abs > trans_tol:
+                first_split = float(d)
+            present = bool(min_abs < zm_tol * scale)
             side = ""
             if present:
                 _, _, vh = np.linalg.svd(H)
@@ -259,9 +263,10 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
                              "im_E_over_gamma", "zero_mode_present", "zero_mode_side"],
                   rows)
         files.append(csv_path)
-        transitions = [disorder_transition(params, target, d_grid, base_seed + i,
-                                           tol=trans_tol)
-                       for i in range(n_seeds)]
+        transitions = [first_split] if n_seeds > 0 else []
+        transitions += [disorder_transition(params, target, d_grid, base_seed + i,
+                                            tol=trans_tol)
+                        for i in range(1, n_seeds)]
         finite = [t for t in transitions if t is not None]
         summary[name] = {
             "per_seed_transitions": transitions,
@@ -317,9 +322,11 @@ def cmd_evolve(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     params = LatticeParams(v=float(body["v"]), r=float(body["r"]),
                            gamma=float(body["gamma"]), n_cells=int(body["n_cells"]),
                            boundary=Boundary.OPEN)
+    site = int(cfg.get("excite_site", 0))
+    if not 0 <= site < params.dim:
+        raise ConfigError(f"evolve: excite_site must lie in [0, {params.dim}), got {site}")
     H = build_real_space(params)
     psi0 = np.zeros(params.dim, dtype=complex)
-    site = int(cfg.get("excite_site", 0))
     psi0[site] = 1.0
     series = evolve(H, psi0, float(body["t_max"]), float(body["dt"]))
     kwargs = {}

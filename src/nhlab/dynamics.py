@@ -8,10 +8,10 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .errors import PropagatorOverflowError, TrackingAmbiguityError
+from .errors import PropagatorOverflowError
 from .model import LatticeParams, build_bloch
-from .spectra import bloch_eigensystem
-from .topology import band_coefficients
+from .spectra import bloch_eigensystem, fix_phase
+from .topology import band_coefficients, track_band
 
 # Cap on ||H||_1 * t before the matrix exponential is refused; gain can
 # amplify exponentially and overflow doubles well before this bites.
@@ -129,33 +129,29 @@ def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
     """Sweep the hopping phase phi from 0 to +-total_phase at fixed k.
 
     Transport mode parallel-transports the instantaneous u_{k,-}(phi)
-    eigenvector by overlap continuation (omega is ignored). Dynamical
-    mode integrates dpsi/dt = -i H_k(phi(t)) psi with phi = +-omega*t
-    and normalizes the state at readout. Overlaps are reported as
-    magnitudes of the expansion coefficients in the (u_+(0), u_-(0))
-    eigenbasis, normalized to unit total weight.
+    eigenvector with track_band over the momenta k + phi (omega is
+    ignored). Dynamical mode integrates dpsi/dt = -i H_k(phi(t)) psi
+    with phi = +-omega*t and normalizes the state at readout. Overlaps
+    are reported as magnitudes of the expansion coefficients in the
+    (u_+(0), u_-(0)) eigenbasis, normalized to unit total weight.
     """
     sign = 1.0 if direction is SweepDirection.FORWARD else -1.0
     start = bloch_eigensystem(params, k, 0.0)
     u_plus0, u_minus0 = start.vectors
-    psi = u_minus0.copy()
-    phis = sign * np.linspace(0.0, total_phase, samples)
     if mode is SweepMode.TRANSPORT:
-        for phi in phis[1:]:
-            es = bloch_eigensystem(params, k, float(phi))
-            overlaps = [abs(psi.conj() @ v) for v in es.vectors]
-            if abs(overlaps[0] - overlaps[1]) < 1e-3:
-                raise TrackingAmbiguityError(
-                    f"overlaps differ by {abs(overlaps[0] - overlaps[1]):.2g} "
-                    f"at phi={phi:.4f}; refine sampling"
-                )
-            psi = es.vectors[int(np.argmax(overlaps))]
+        tracked = track_band(params, start=k, span=sign * total_phase,
+                             samples=samples, branch=1)
+        psi = fix_phase(tracked.vectors[-1, :, 0])
     else:
+        if samples < 2:
+            raise ValueError("dynamical mode needs samples >= 2")
+        psi = u_minus0.copy()
         if total_phase > 0:
             if omega is None:
                 omega = abs(start.energies[0] - start.energies[1]) / 100.0
             if omega <= 0:
                 raise ValueError("omega must be > 0")
+            phis = sign * np.linspace(0.0, total_phase, samples)
             dt = (total_phase / omega) / (samples - 1)
             for i in range(samples - 1):
                 phi_mid = 0.5 * (phis[i] + phis[i + 1])

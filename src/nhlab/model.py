@@ -102,19 +102,6 @@ class DisorderConfig:
 
 
 @dataclass(frozen=True)
-class PhaseModulation:
-    """Static hopping phase phi, optionally ramped at rate omega."""
-
-    phi: float = 0.0
-    omega: float | None = None
-
-    def at(self, t: float) -> float:
-        if self.omega is None:
-            return self.phi
-        return self.phi + self.omega * t
-
-
-@dataclass(frozen=True)
 class BlochMatrix:
     """2x2 momentum-space Hamiltonian h_x sigma_x + (h_z + i gamma/2) sigma_z."""
 

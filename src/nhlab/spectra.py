@@ -59,6 +59,36 @@ class BlochEigensystem:
     theta: complex
 
 
+def bloch_branches(params: LatticeParams, ks: np.ndarray):
+    """Closed-form Bloch branches at an array of momenta k + phi.
+
+    Returns E (nk,), the principal square root of h_x^2 + (h_z + i gamma/2)^2,
+    and the unit-norm eigenvectors u_plus, u_minus (each (nk, 2)) of E and -E.
+    At an exceptional point (E = 0) the vectors are not finite; callers
+    that use them check E first.
+    """
+    ks = np.asarray(ks, dtype=float)
+    hx = (params.v + params.r * np.cos(ks)).astype(complex)
+    b = params.r * np.sin(ks) + 0.5j * params.gamma
+    E = np.sqrt(hx ** 2 + b ** 2)
+    # Half-angle components: b = E cos(t), hx = E sin(t). Pick the
+    # better-conditioned half-angle formula.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cb = b / E
+        use_c = np.abs(1.0 + cb) >= np.abs(1.0 - cb)
+        c = np.empty_like(E)
+        s = np.empty_like(E)
+        c[use_c] = np.sqrt((1.0 + cb[use_c]) / 2.0)
+        s[use_c] = hx[use_c] / (2.0 * E[use_c] * c[use_c])
+        s[~use_c] = np.sqrt((1.0 - cb[~use_c]) / 2.0)
+        c[~use_c] = hx[~use_c] / (2.0 * E[~use_c] * s[~use_c])
+        u_plus = np.stack([c, s], axis=1)
+        u_minus = np.stack([-s, c], axis=1)
+        u_plus = u_plus / np.linalg.norm(u_plus, axis=1, keepdims=True)
+        u_minus = u_minus / np.linalg.norm(u_minus, axis=1, keepdims=True)
+    return E, u_plus, u_minus
+
+
 def bloch_eigensystem(params: LatticeParams, k: float, phi: float = 0.0,
                       tol: float = 1e-8) -> BlochEigensystem:
     """Both Bloch branches in half-angle form.
@@ -67,30 +97,19 @@ def bloch_eigensystem(params: LatticeParams, k: float, phi: float = 0.0,
     (|E| < tol * ||H_k||), where the eigenvectors merge too.
     """
     bm = build_bloch(params, k, phi)
-    b = bm.h_z + 0.5j * params.gamma
-    hx = complex(bm.h_x)
-    E = np.sqrt(hx * hx + b * b)  # principal branch
+    E, u_plus, u_minus = bloch_branches(params, np.array([k + phi]))
+    E, u_plus, u_minus = complex(E[0]), u_plus[0], u_minus[0]
     scale = np.linalg.norm(bm.entries, 2)
     if abs(E) < tol * max(scale, 1e-300):
         raise ExceptionalPointError(
             f"eigenvalues coalesce at k={k}, phi={phi} (|E|={abs(E):.3g})"
         )
-    # Half-angle components: b = E cos(t), hx = E sin(t). Pick the
-    # better-conditioned half-angle formula.
-    cb = b / E
-    if abs(1.0 + cb) >= abs(1.0 - cb):
-        c = np.sqrt((1.0 + cb) / 2.0)
-        s = hx / (2.0 * E * c)
-    else:
-        s = np.sqrt((1.0 - cb) / 2.0)
-        c = hx / (2.0 * E * s)
-    u_plus = np.array([c, s], dtype=complex)
-    u_minus = np.array([-s, c], dtype=complex)
     # Complex mixing angle: tan(theta) = -hx / b.
+    c, s = u_plus
     theta = -2.0 * np.arctan(complex(s / c)) if c != 0 else complex(-np.pi)
     return BlochEigensystem(
         k=k,
-        energies=(complex(E), complex(-E)),
+        energies=(E, -E),
         vectors=(fix_phase(u_plus), fix_phase(u_minus)),
         theta=complex(theta),
     )
@@ -248,10 +267,7 @@ def gap_report(params: LatticeParams, k_samples: int = 4001,
     cf_real = abs(abs(v) - r) > g / 2
     cf_imag = abs(v) + r < g / 2
     if params.boundary is Boundary.PERIODIC:
-        ks = np.linspace(0.0, 2 * np.pi, k_samples)
-        hx = v + r * np.cos(ks)
-        b = r * np.sin(ks) + 0.5j * g
-        E = np.sqrt(hx ** 2 + b ** 2)
+        E, _, _ = bloch_branches(params, np.linspace(0.0, 2 * np.pi, k_samples))
         num_real = bool(np.abs(E.real).min() > numeric_tol)
         num_imag = bool(np.abs(E.imag).min() > numeric_tol)
         spectrum_real = bool(np.abs(E.imag).max() < reality_tol)

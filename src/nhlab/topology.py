@@ -1,4 +1,4 @@
-"""Exceptional-point geometry, band tracking over 4*pi, winding numbers."""
+"""Exceptional-point geometry, Bloch band tracking, winding numbers."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import GaplessTrajectoryError, OnBoundaryError, TrackingAmbiguityError
 from .model import SIGMA_X, SIGMA_Z, LatticeParams
-from .spectra import BlochEigensystem
+from .spectra import bloch_branches
 
 DEFAULT_SAMPLES = 4001
 AMBIGUITY_MARGIN = 1e-3
@@ -40,77 +40,66 @@ def count_enclosed_eps(params: LatticeParams, tol: float = 1e-9) -> int:
     return count
 
 
-def _closed_form_branches(params: LatticeParams, ks: np.ndarray, phi: float):
-    """Vectorized Bloch branches: energies and unit eigenvectors at each k."""
-    hx = (params.v + params.r * np.cos(ks + phi)).astype(complex)
-    b = params.r * np.sin(ks + phi) + 0.5j * params.gamma
-    E = np.sqrt(hx ** 2 + b ** 2)
-    if np.any(np.abs(E) < 1e-12):
-        raise OnBoundaryError("a sampled momentum sits at an exceptional point")
-    cb = b / E
-    use_c = np.abs(1.0 + cb) >= np.abs(1.0 - cb)
-    c = np.empty_like(E)
-    s = np.empty_like(E)
-    c[use_c] = np.sqrt((1.0 + cb[use_c]) / 2.0)
-    s[use_c] = hx[use_c] / (2.0 * E[use_c] * c[use_c])
-    s[~use_c] = np.sqrt((1.0 - cb[~use_c]) / 2.0)
-    c[~use_c] = hx[~use_c] / (2.0 * E[~use_c] * s[~use_c])
-    u_plus = np.stack([c, s])            # (2, nk)
-    u_minus = np.stack([-s, c])
-    u_plus = u_plus / np.linalg.norm(u_plus, axis=0, keepdims=True)
-    u_minus = u_minus / np.linalg.norm(u_minus, axis=0, keepdims=True)
-    return E, u_plus, u_minus
+@dataclass(frozen=True)
+class TrackedBand:
+    """Both Bloch branches along a momentum sweep, tracked branch first.
+
+    energies[i, 0] and vectors[i, :, 0] belong to the continuously
+    tracked branch at ks[i]; energies[i, 1] and vectors[i, :, 1] to the
+    other one. Vectors have unit norm.
+    """
+
+    ks: np.ndarray               # (nk,)
+    energies: np.ndarray         # (nk, 2)
+    vectors: np.ndarray          # (nk, 2, 2)
 
 
-def _continuation_branch(u_plus: np.ndarray, u_minus: np.ndarray) -> np.ndarray:
-    """Branch index (0 for +, 1 for -) per sample by overlap continuation."""
-    nk = u_plus.shape[1]
-    o_pp = np.abs(np.sum(u_plus[:, :-1].conj() * u_plus[:, 1:], axis=0))
-    o_pm = np.abs(np.sum(u_plus[:, :-1].conj() * u_minus[:, 1:], axis=0))
-    o_mp = np.abs(np.sum(u_minus[:, :-1].conj() * u_plus[:, 1:], axis=0))
-    o_mm = np.abs(np.sum(u_minus[:, :-1].conj() * u_minus[:, 1:], axis=0))
-    branch = np.empty(nk, dtype=np.int64)
-    branch[0] = 0
-    cur = 0
-    for i in range(nk - 1):
-        same = o_pp[i] if cur == 0 else o_mm[i]
-        cross = o_pm[i] if cur == 0 else o_mp[i]
-        if abs(same - cross) < AMBIGUITY_MARGIN:
+def _continuation_branch(pair: np.ndarray, start: int) -> np.ndarray:
+    """Branch index (0 for +, 1 for -) per sample by overlap continuation.
+
+    pair[i] holds the + and - eigenvectors at sample i as its columns.
+    """
+    # same[a][i] and cross[a][i]: overlap of branch a at sample i with
+    # branch a and with the other branch at sample i + 1.
+    overlaps = np.abs(np.einsum("nja,njb->nab", pair[:-1].conj(), pair[1:]))
+    same = overlaps[:, [0, 1], [0, 1]].T.tolist()
+    cross = overlaps[:, [0, 1], [1, 0]].T.tolist()
+    branch = [start]
+    cur = start
+    for i in range(len(pair) - 1):
+        s, c = same[cur][i], cross[cur][i]
+        if abs(s - c) < AMBIGUITY_MARGIN:
             raise TrackingAmbiguityError(
-                f"overlaps differ by {abs(same - cross):.2g} at step {i}; refine sampling"
+                f"overlaps differ by {abs(s - c):.2g} at step {i}; refine sampling"
             )
-        if cross > same:
+        if c > s:
             cur = 1 - cur
-        branch[i + 1] = cur
-    return branch
+        branch.append(cur)
+    return np.array(branch)
 
 
-def track_band(params: LatticeParams, phi: float = 0.0,
-               samples: int = DEFAULT_SAMPLES) -> list[BlochEigensystem]:
-    """Continuously tracked Bloch branch over k in [0, 4*pi].
+def track_band(params: LatticeParams, start: float = 0.0, span: float = 4 * np.pi,
+               samples: int = DEFAULT_SAMPLES, branch: int = 0) -> TrackedBand:
+    """Continuously tracked Bloch branch over k in start + [0, span].
 
-    Starts on the principal (+) branch at k=0 and follows it by maximum
-    eigenvector overlap. In each returned element the first
-    energy/vector slot holds the tracked branch; the second holds the
-    other one. The endpoint k = 4*pi is included so closure can be
-    checked directly.
+    H_k(phi) depends only on k + phi, so the same sweep serves a
+    momentum loop (winding) and a hopping-phase sweep at fixed k
+    (transport). Starts on the principal (+, branch=0) or the (-,
+    branch=1) branch and follows it by maximum eigenvector overlap. The
+    endpoint is included so closure can be checked directly.
     """
     if samples < 400:
         raise ValueError("samples must be >= 400")
-    ks = np.linspace(0.0, 4 * np.pi, samples)
-    E, u_plus, u_minus = _closed_form_branches(params, ks, phi)
-    branch = _continuation_branch(u_plus, u_minus)
-    out = []
-    for i, k in enumerate(ks):
-        if branch[i] == 0:
-            energies = (complex(E[i]), complex(-E[i]))
-            vectors = (u_plus[:, i].copy(), u_minus[:, i].copy())
-        else:
-            energies = (complex(-E[i]), complex(E[i]))
-            vectors = (u_minus[:, i].copy(), u_plus[:, i].copy())
-        out.append(BlochEigensystem(k=float(k), energies=energies,
-                                    vectors=vectors, theta=0j))
-    return out
+    ks = start + np.linspace(0.0, span, samples)
+    E, u_plus, u_minus = bloch_branches(params, ks)
+    if np.any(np.abs(E) < 1e-12):
+        raise OnBoundaryError("a sampled momentum sits at an exceptional point")
+    pair = np.stack([u_plus, u_minus], axis=2)                  # (nk, 2, 2)
+    current = _continuation_branch(pair, branch)
+    order = np.stack([current, 1 - current], axis=1)            # (nk, 2)
+    energies = np.take_along_axis(np.stack([E, -E], axis=1), order, axis=1)
+    vectors = np.take_along_axis(pair, order[:, None, :], axis=2)
+    return TrackedBand(ks=ks, energies=energies, vectors=vectors)
 
 
 def band_coefficients(u: np.ndarray, basis_plus: np.ndarray,
@@ -125,7 +114,7 @@ def band_coefficients(u: np.ndarray, basis_plus: np.ndarray,
     return np.linalg.solve(B, u)
 
 
-def winding_number(tracked: list[BlochEigensystem],
+def winding_number(tracked: TrackedBand,
                    origin_tol: float = 1e-9,
                    realness_tol: float = 1e-12) -> WindingResult:
     """Winding of the (<sigma_x>, <sigma_z>) trajectory over the 4*pi sweep.
@@ -135,7 +124,9 @@ def winding_number(tracked: list[BlochEigensystem],
     about the origin is accumulated stepwise (each step must advance
     less than pi/2) and divided by 4*pi.
     """
-    U = np.stack([t.vectors[0] for t in tracked], axis=1)   # (2, nk)
+    if not np.isclose(tracked.ks[-1] - tracked.ks[0], 4 * np.pi):
+        raise ValueError("winding_number needs a band tracked over a 4*pi sweep")
+    U = tracked.vectors[:, :, 0].T                            # (2, nk)
     norms = np.sum(U.conj() * U, axis=0).real
     x_c = np.sum(U.conj() * (SIGMA_X @ U), axis=0)
     z_c = np.sum(U.conj() * (SIGMA_Z @ U), axis=0)
@@ -156,12 +147,10 @@ def winding_number(tracked: list[BlochEigensystem],
     quantized = round(2 * winding) / 2
     if abs(winding - quantized) > 0.01:
         raise AssertionError(f"winding {winding} is not a half-integer multiple")
-    # Closure at 2*pi: the Bloch matrix there equals the one at k=0, so
-    # the tracked vector is (up to phase) one of the two k=0 eigenvectors.
-    ks = np.array([t.k for t in tracked])
-    i2pi = int(np.argmin(np.abs(ks - 2 * np.pi)))
-    c = band_coefficients(tracked[i2pi].vectors[0],
-                          tracked[0].vectors[0], tracked[0].vectors[1])
+    # Closure at 2*pi: the Bloch matrix there equals the one at the start,
+    # so the tracked vector is (up to phase) one of the two start eigenvectors.
+    i2pi = int(np.argmin(np.abs(tracked.ks - tracked.ks[0] - 2 * np.pi)))
+    c = band_coefficients(tracked.vectors[i2pi, :, 0], *tracked.vectors[0].T)
     closure = "2pi" if abs(c[0]) >= abs(c[1]) else "4pi"
     return WindingResult(
         winding=quantized,

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from nhlab import ConfigError, LatticeParams, build_real_space
+from nhlab import ConfigError, DisorderTarget, LatticeParams, build_real_space
 from nhlab.cli import (cmd_disorder, cmd_spectrum, cmd_svd_scan, cmd_winding,
-                       load_config, main)
+                       disorder_transition, load_config, main)
 
 FIG2C_PARAM_SETS = [
     {"v": 0.3, "r": 0.18, "gamma": 1.0, "label": "zero_eps"},
@@ -159,6 +159,14 @@ class TestDisorder:
         assert len(entry["per_seed_transitions"]) == 3
         assert summary["n_seeds"] == 3
         assert summary["base_seed"] == 0
+        # seed 0 comes from the CSV sweep, the others from disorder_transition
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=10)
+        assert entry["per_seed_transitions"] == [
+            disorder_transition(p, DisorderTarget.HOPPING_V, np.array([0.0, 0.3, 0.8]), seed)
+            for seed in range(3)]
+        cmd_disorder(self._config(n_seeds=0), tmp_path)
+        summary = json.loads((tmp_path / "disorder_summary.json").read_text())
+        assert summary["targets"]["v"]["per_seed_transitions"] == []
 
     def test_r_disorder_never_splits(self, tmp_path):
         cmd_disorder(self._config(targets=["r"], d_grid=[0.5, 1.0]), tmp_path)
@@ -229,6 +237,14 @@ class TestEvolve:
         assert run("evolve", cfg_path, tmp_path / "out") == 2
         assert "unknown preset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("site", [99, -1, 10])
+    def test_excite_site_out_of_range(self, tmp_path, capsys, site):
+        # the preset chain has N = 5 cells, so sites 0..9
+        cfg_path = write_config(tmp_path, {"preset": "zero-mode-present",
+                                           "excite_site": site})
+        assert run("evolve", cfg_path, tmp_path / "out") == 2
+        assert "excite_site" in capsys.readouterr().err
+
 
 class TestSweepPhase:
     def test_one_ep_transport(self, tmp_path):
@@ -241,6 +257,15 @@ class TestSweepPhase:
         assert summary["eps_enclosed"] == 1
         assert summary["initial_band"] == "minus"
         assert summary["final_overlaps"]["plus"] > 1 - 1e-6
+
+    @pytest.mark.parametrize("mode,samples", [("dynamical", 1), ("transport", 1),
+                                              ("transport", 399)])
+    def test_too_few_samples_rejected(self, tmp_path, capsys, mode, samples):
+        cfg_path = write_config(tmp_path, {"v": 0.3, "r": 0.3, "gamma": 1.0,
+                                           "k": 0.0, "mode": mode,
+                                           "samples": samples})
+        assert run("sweep-phase", cfg_path, tmp_path / "out") == 2
+        assert "samples" in capsys.readouterr().err
 
 
 class TestMainPlumbing:

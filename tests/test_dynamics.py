@@ -207,12 +207,13 @@ class TestAdiabaticSweep:
         with pytest.raises(ValueError):
             adiabatic_sweep(p, mode=SweepMode.DYNAMICAL, omega=-1.0)
 
-    @given(st.floats(-1.0, 1.0), st.floats(0.1, 1.0), st.floats(0.2, 1.5))
+    @given(st.floats(-1.0, 1.0), st.floats(0.1, 1.0), st.floats(0.2, 1.5),
+           st.floats(-np.pi, np.pi))
     @settings(max_examples=15, deadline=None)
-    def test_transport_swap_iff_one_ep(self, v, r, gamma):
+    def test_transport_swap_iff_one_ep(self, v, r, gamma, k):
         p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=1)
         assume(all(abs(abs(s * gamma / 2 - v) - r) > 0.05 for s in (1, -1)))
         n_eps = count_enclosed_eps(p)
-        res = adiabatic_sweep(p, k=0.0, mode=SweepMode.TRANSPORT)
+        res = adiabatic_sweep(p, k=k, mode=SweepMode.TRANSPORT)
         swapped = res.final_overlaps["plus"] > res.final_overlaps["minus"]
         assert swapped == (n_eps == 1)

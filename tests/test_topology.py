@@ -4,9 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nhlab import (GaplessTrajectoryError, LatticeParams, OnBoundaryError,
-                   TrackingAmbiguityError, band_coefficients, count_enclosed_eps,
-                   track_band, winding_number)
-from nhlab.spectra import BlochEigensystem
+                   TrackedBand, TrackingAmbiguityError, band_coefficients,
+                   count_enclosed_eps, track_band, winding_number)
 
 # The three parameter sets of the periodic-chain phase diagram: zero, one
 # and two exceptional points enclosed by the (h_x, h_z) hopping circle.
@@ -67,25 +66,25 @@ class TestTrackBand:
     def test_length_and_span(self):
         p = FIG2C_SETS[0][0]
         tracked = track_band(p, samples=801)
-        assert len(tracked) == 801
-        assert tracked[0].k == 0.0
-        assert tracked[-1].k == pytest.approx(4 * np.pi)
+        assert tracked.ks.shape == (801,)
+        assert tracked.energies.shape == (801, 2)
+        assert tracked.vectors.shape == (801, 2, 2)
+        assert tracked.ks[0] == 0.0
+        assert tracked.ks[-1] == pytest.approx(4 * np.pi)
 
     def test_starts_on_principal_branch(self):
         for p, *_ in FIG2C_SETS:
-            first = track_band(p)[0]
-            E = first.energies[0]
-            assert E == pytest.approx(-first.energies[1])
+            first = track_band(p).energies[0]
+            E = first[0]
+            assert E == pytest.approx(-first[1])
             # principal square root: Re >= 0
             assert E.real >= 0 or abs(E.real) < 1e-12
 
     @pytest.mark.parametrize("params,n_eps,_w,_c", FIG2C_SETS)
     def test_closure_at_two_pi(self, params, n_eps, _w, _c):
         tracked = track_band(params)
-        ks = np.array([t.k for t in tracked])
-        i2pi = int(np.argmin(np.abs(ks - 2 * np.pi)))
-        c = normalized_coeffs(tracked[i2pi].vectors[0],
-                              tracked[0].vectors[0], tracked[0].vectors[1])
+        i2pi = int(np.argmin(np.abs(tracked.ks - 2 * np.pi)))
+        c = normalized_coeffs(tracked.vectors[i2pi, :, 0], *tracked.vectors[0].T)
         if n_eps == 1:
             # the two eigenvectors exchange values after one 2*pi period
             assert c[0] < 1e-3
@@ -97,7 +96,7 @@ class TestTrackBand:
     @pytest.mark.parametrize("params,n_eps,_w,_c", FIG2C_SETS)
     def test_closure_at_four_pi(self, params, n_eps, _w, _c):
         tracked = track_band(params)
-        overlap = abs(np.vdot(tracked[0].vectors[0], tracked[-1].vectors[0]))
+        overlap = abs(np.vdot(tracked.vectors[0, :, 0], tracked.vectors[-1, :, 0]))
         assert overlap > 1 - 1e-6
 
 
@@ -140,9 +139,9 @@ class TestWindingNumber:
     def test_gapless_trajectory_raises(self):
         # sigma_y eigenvector: <sigma_x> = <sigma_z> = 0 identically
         u = np.array([1.0, 1.0j]) / np.sqrt(2)
-        tracked = [BlochEigensystem(k=k, energies=(1 + 0j, -1 + 0j),
-                                    vectors=(u, u.conj()), theta=0j)
-                   for k in np.linspace(0, 4 * np.pi, 401)]
+        tracked = TrackedBand(ks=np.linspace(0, 4 * np.pi, 401),
+                              energies=np.tile([1 + 0j, -1 + 0j], (401, 1)),
+                              vectors=np.tile(np.column_stack([u, u.conj()]), (401, 1, 1)))
         with pytest.raises(GaplessTrajectoryError):
             winding_number(tracked)
 
@@ -150,11 +149,17 @@ class TestWindingNumber:
         # consecutive points separated by pi in trajectory angle
         ua = np.array([1.0, 1.0]) / np.sqrt(2)    # angle 0
         ub = np.array([1.0, -1.0]) / np.sqrt(2)   # angle pi
-        tracked = [BlochEigensystem(k=float(i), energies=(1 + 0j, -1 + 0j),
-                                    vectors=(ua if i % 2 == 0 else ub, ua), theta=0j)
-                   for i in range(5)]
+        tracked = TrackedBand(ks=np.linspace(0, 4 * np.pi, 5),
+                              energies=np.tile([1 + 0j, -1 + 0j], (5, 1)),
+                              vectors=np.stack([np.column_stack([ua if i % 2 == 0 else ub, ua])
+                                                for i in range(5)]))
         with pytest.raises(TrackingAmbiguityError):
             winding_number(tracked)
+
+    def test_rejects_sweep_other_than_four_pi(self):
+        # over 2*pi the two-EP circle would read as winding 1/2
+        with pytest.raises(ValueError):
+            winding_number(track_band(FIG2C_SETS[2][0], span=2 * np.pi))
 
     @given(clean_params_st)
     @settings(max_examples=40, deadline=None)
