@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import spectra
+from . import dynamics, spectra
 from .dynamics import SweepDirection, SweepMode, adiabatic_sweep, evolve, fourier_detect
 from .errors import ConfigError, NhlabError, NoZeroModeError
 from .model import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                     build_real_space)
-from .topology import count_enclosed_eps, track_band, winding_number
+from .topology import DEFAULT_SAMPLES, count_enclosed_eps, track_band, winding_number
 
 SCHEMA_VERSION = 1
 
@@ -53,9 +53,8 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_json(path: Path, obj) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 def write_svg(path: Path, xs, ys_list, labels=None, width=640, height=400) -> None:
@@ -86,6 +85,8 @@ def write_svg(path: Path, xs, ys_list, labels=None, width=640, height=400) -> No
 
 
 def _check_keys(cfg: dict, required: set[str], optional: set[str], where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {cfg!r}")
     keys = set(cfg)
     unknown = keys - required - optional - {"schema_version"}
     if unknown:
@@ -126,7 +127,7 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
                 {"zero_mode_tol"}, "spectrum")
     boundary = Boundary(cfg["boundary"])
     v_grid = _grid(cfg["v_grid"], "spectrum.v_grid")
-    tol = float(cfg.get("zero_mode_tol", 1e-8))
+    tol = float(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL))
     rows = []
     flags = []
     for v in v_grid:
@@ -136,7 +137,6 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
         w = np.sort_complex(np.linalg.eigvals(H))
         for i, e in enumerate(w):
             rows.append((v, i, e.real, e.imag))
-        scale = np.linalg.norm(H, 2)
         entry = {"v": float(v)}
         if boundary is Boundary.OPEN:
             try:
@@ -147,7 +147,7 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
             except NoZeroModeError:
                 entry["zero_mode_present"] = False
         else:
-            entry["zero_mode_present"] = bool(np.abs(w).min() < tol * scale)
+            entry["zero_mode_present"] = bool(np.abs(w).min() < tol * np.linalg.norm(H, 2))
         flags.append(entry)
     csv_path = out / "spectrum.csv"
     write_csv(csv_path, ["v_over_gamma", "index", "re_E_over_gamma", "im_E_over_gamma"], rows)
@@ -165,7 +165,7 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
 
 def cmd_winding(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     _check_keys(cfg, {"param_sets"}, {"samples"}, "winding")
-    samples = int(cfg.get("samples", 4001))
+    samples = int(cfg.get("samples", DEFAULT_SAMPLES))
     if not cfg["param_sets"]:
         raise ConfigError("winding: param_sets must be non-empty")
     summary = []
@@ -198,12 +198,7 @@ def cmd_winding(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     return files
 
 
-_TARGET_ALIASES = {
-    "r": DisorderTarget.HOPPING_R,
-    "v": DisorderTarget.HOPPING_V,
-    "gamma": DisorderTarget.GAIN_LOSS,
-    "onsite": DisorderTarget.ON_SITE,
-}
+_TARGET_ALIASES = {t.value: t for t in DisorderTarget}
 
 
 def disorder_transition(params: LatticeParams, target: DisorderTarget,
@@ -232,8 +227,12 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
     d_grid = _grid(cfg["d_grid"], "disorder.d_grid")
     base_seed = int(seed_override if seed_override is not None else cfg.get("seed", 0))
     n_seeds = int(cfg["n_seeds"])
+    if n_seeds < 0:
+        raise ConfigError(f"disorder: n_seeds must be >= 0, got {n_seeds}")
+    if not isinstance(cfg["targets"], list) or not cfg["targets"]:
+        raise ConfigError("disorder: targets must be a non-empty list")
     trans_tol = float(cfg.get("transition_tol", TRANSITION_TOL))
-    zm_tol = float(cfg.get("zero_mode_tol", 1e-8))
+    zm_tol = float(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL))
     files = []
     summary = {}
     for name in cfg["targets"]:
@@ -367,20 +366,17 @@ def cmd_sweep_phase(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     params = LatticeParams(v=float(cfg["v"]), r=float(cfg["r"]),
                            gamma=float(cfg["gamma"]), n_cells=1,
                            boundary=Boundary.PERIODIC)
-    result = adiabatic_sweep(
-        params,
-        k=float(cfg["k"]),
-        direction=SweepDirection(cfg.get("direction", "forward")),
-        omega=float(cfg["omega"]) if "omega" in cfg else None,
-        mode=SweepMode(cfg["mode"]),
-        samples=int(cfg.get("samples", 4001)),
-        total_phase=float(cfg.get("total_phase", 2 * np.pi)),
-    )
+    direction = SweepDirection(cfg.get("direction", dynamics.DEFAULT_DIRECTION))
+    # Keys left out of the config keep the library's defaults.
+    opts = {key: conv(cfg[key]) for key, conv in
+            (("omega", float), ("samples", int), ("total_phase", float)) if key in cfg}
+    result = adiabatic_sweep(params, k=float(cfg["k"]), direction=direction,
+                             mode=SweepMode(cfg["mode"]), **opts)
     json_path = out / "sweep_summary.json"
     write_json(json_path, {
         "params": {k: float(cfg[k]) for k in ("v", "r", "gamma", "k")},
         "mode": cfg["mode"],
-        "direction": cfg.get("direction", "forward"),
+        "direction": direction.value,
         "eps_enclosed": count_enclosed_eps(params),
         "initial_band": result.initial_band,
         "final_overlaps": result.final_overlaps,
@@ -412,14 +408,14 @@ def main(argv=None) -> int:
                         help="also write simple SVG line plots")
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.command != "disorder":
+            raise ConfigError(f"--seed applies to disorder only, not {args.command}")
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "disorder":
-            files = cmd_disorder(cfg, out, svg=args.svg, seed_override=args.seed)
-        else:
-            files = COMMANDS[args.command](cfg, out, svg=args.svg)
-    except (NhlabError, ValueError) as exc:
+        seed = {} if args.seed is None else {"seed_override": args.seed}
+        files = COMMANDS[args.command](cfg, out, svg=args.svg, **seed)
+    except (NhlabError, ValueError, TypeError) as exc:  # TypeError: ill-typed config value
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for f in files:

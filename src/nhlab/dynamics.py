@@ -11,7 +11,7 @@ import scipy.linalg
 from .errors import PropagatorOverflowError
 from .model import LatticeParams, build_bloch
 from .spectra import bloch_eigensystem, fix_phase
-from .topology import band_coefficients, track_band
+from .topology import DEFAULT_SAMPLES, band_coefficients, track_band
 
 # Cap on ||H||_1 * t before the matrix exponential is refused; gain can
 # amplify exponentially and overflow doubles well before this bites.
@@ -113,6 +113,9 @@ class SweepMode(str, Enum):
     DYNAMICAL = "dynamical"
 
 
+DEFAULT_DIRECTION = SweepDirection.FORWARD
+
+
 @dataclass(frozen=True)
 class SweepResult:
     initial_band: str            # "minus" (the swept branch)
@@ -121,22 +124,23 @@ class SweepResult:
 
 
 def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
-                    direction: SweepDirection = SweepDirection.FORWARD,
+                    direction: SweepDirection = DEFAULT_DIRECTION,
                     omega: float | None = None,
                     mode: SweepMode = SweepMode.TRANSPORT,
-                    samples: int = 4001,
+                    samples: int = DEFAULT_SAMPLES,
                     total_phase: float = 2 * np.pi) -> SweepResult:
     """Sweep the hopping phase phi from 0 to +-total_phase at fixed k.
 
     Transport mode parallel-transports the instantaneous u_{k,-}(phi)
     eigenvector with track_band over the momenta k + phi (omega is
     ignored). Dynamical mode integrates dpsi/dt = -i H_k(phi(t)) psi
-    with phi = +-omega*t and normalizes the state at readout. Overlaps
+    with phi = +-omega*t, one batched expm over all midpoint Bloch matrices,
+    renormalizing the state after each step so gain cannot overflow it. Overlaps
     are reported as magnitudes of the expansion coefficients in the
     (u_+(0), u_-(0)) eigenbasis, normalized to unit total weight.
     """
     sign = 1.0 if direction is SweepDirection.FORWARD else -1.0
-    start = bloch_eigensystem(params, k, 0.0)
+    start = bloch_eigensystem(params, k)
     u_plus0, u_minus0 = start.vectors
     if mode is SweepMode.TRANSPORT:
         tracked = track_band(params, start=k, span=sign * total_phase,
@@ -153,11 +157,10 @@ def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
                 raise ValueError("omega must be > 0")
             phis = sign * np.linspace(0.0, total_phase, samples)
             dt = (total_phase / omega) / (samples - 1)
-            for i in range(samples - 1):
-                phi_mid = 0.5 * (phis[i] + phis[i + 1])
-                Hk = build_bloch(params, k, float(phi_mid)).entries
-                psi = scipy.linalg.expm(-1j * Hk * dt) @ psi
-            psi = psi / np.linalg.norm(psi)
+            Hk = build_bloch(params, k, 0.5 * (phis[:-1] + phis[1:])).entries
+            for U in scipy.linalg.expm(-1j * Hk * dt):
+                psi = U @ psi
+                psi = psi / np.linalg.norm(psi)
     c = band_coefficients(psi, u_plus0, u_minus0)
     w = np.abs(c)
     w = w / np.linalg.norm(w)

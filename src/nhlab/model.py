@@ -111,16 +111,18 @@ class BlochMatrix:
     entries: np.ndarray = field(repr=False)
 
 
-def build_bloch(params: LatticeParams, k: float, phi: float = 0.0) -> BlochMatrix:
+def build_bloch(params: LatticeParams, k: float | np.ndarray,
+                phi: float | np.ndarray = 0.0) -> BlochMatrix:
     """Bloch matrix at momentum k with hopping phase phi.
 
     h_x = v + r cos(k + phi), h_z = r sin(k + phi); increasing phi at
-    fixed k sweeps through the Brillouin zone.
+    fixed k sweeps through the Brillouin zone. k and phi may be arrays:
+    h_x and h_z then take the shape of k + phi, entries that shape + (2, 2).
     """
     h_x = params.v + params.r * np.cos(k + phi)
     h_z = params.r * np.sin(k + phi)
     b = h_z + 0.5j * params.gamma
-    entries = np.array([[b, h_x], [h_x, -b]], dtype=complex)
+    entries = np.stack([b, h_x, h_x, -b], axis=-1).reshape(np.shape(h_x) + (2, 2))
     return BlochMatrix(k=k, h_x=h_x, h_z=h_z, entries=entries)
 
 

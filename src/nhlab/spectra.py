@@ -9,9 +9,13 @@ import numpy as np
 from .errors import EigenDecompositionError, ExceptionalPointError, NoZeroModeError
 from .model import Boundary, LatticeParams, build_bloch, build_real_space, chiral_residual
 
-# Two eigenvalues belong to the same cluster when they are closer than
-# this fraction of ||H||_2.
-CLUSTER_TOL = 1e-8
+CLUSTER_TOL = 1e-8      # eigenvalues closer than CLUSTER_TOL * ||H||_2 share a cluster
+ZERO_MODE_TOL = 1e-8    # zero mode present iff sigma_min < ZERO_MODE_TOL * sigma_max
+REALITY_TOL = 1e-8      # real iff max |Im E| < REALITY_TOL * ||H||_2 (absolute on k grids)
+EP_TOL = 1e-8           # Bloch EP iff |E| < EP_TOL * ||H_k||_2
+GAP_K_SAMPLES = 4001    # gap_report checks this many momenta in [0, 2*pi] and calls
+GAP_TOL = 1e-4          # a gap open iff min |Re E| (|Im E|) there exceeds GAP_TOL
+EDGE_WEIGHT = 0.9       # state at an edge iff the ceil(N/4) cells there hold more weight
 
 
 def fix_phase(u: np.ndarray) -> np.ndarray:
@@ -60,16 +64,15 @@ class BlochEigensystem:
 
 
 def bloch_branches(params: LatticeParams, ks: np.ndarray):
-    """Closed-form Bloch branches at an array of momenta k + phi.
+    """Closed-form branches of the build_bloch matrices at an array of momenta.
 
     Returns E (nk,), the principal square root of h_x^2 + (h_z + i gamma/2)^2,
     and the unit-norm eigenvectors u_plus, u_minus (each (nk, 2)) of E and -E.
     At an exceptional point (E = 0) the vectors are not finite; callers
     that use them check E first.
     """
-    ks = np.asarray(ks, dtype=float)
-    hx = (params.v + params.r * np.cos(ks)).astype(complex)
-    b = params.r * np.sin(ks) + 0.5j * params.gamma
+    m = build_bloch(params, np.asarray(ks, dtype=float)).entries
+    hx, b = m[:, 0, 1], m[:, 0, 0]
     E = np.sqrt(hx ** 2 + b ** 2)
     # Half-angle components: b = E cos(t), hx = E sin(t). Pick the
     # better-conditioned half-angle formula.
@@ -89,21 +92,17 @@ def bloch_branches(params: LatticeParams, ks: np.ndarray):
     return E, u_plus, u_minus
 
 
-def bloch_eigensystem(params: LatticeParams, k: float, phi: float = 0.0,
-                      tol: float = 1e-8) -> BlochEigensystem:
+def bloch_eigensystem(params: LatticeParams, k: float) -> BlochEigensystem:
     """Both Bloch branches in half-angle form.
 
     Raises ExceptionalPointError when the two eigenvalues coalesce
-    (|E| < tol * ||H_k||), where the eigenvectors merge too.
+    (|E| < EP_TOL * ||H_k||), where the eigenvectors merge too.
     """
-    bm = build_bloch(params, k, phi)
-    E, u_plus, u_minus = bloch_branches(params, np.array([k + phi]))
+    E, u_plus, u_minus = bloch_branches(params, np.array([k]))
     E, u_plus, u_minus = complex(E[0]), u_plus[0], u_minus[0]
-    scale = np.linalg.norm(bm.entries, 2)
-    if abs(E) < tol * max(scale, 1e-300):
-        raise ExceptionalPointError(
-            f"eigenvalues coalesce at k={k}, phi={phi} (|E|={abs(E):.3g})"
-        )
+    scale = np.linalg.norm(build_bloch(params, k).entries, 2)
+    if abs(E) < EP_TOL * max(scale, 1e-300):
+        raise ExceptionalPointError(f"eigenvalues coalesce at k={k} (|E|={abs(E):.3g})")
     # Complex mixing angle: tan(theta) = -hx / b.
     c, s = u_plus
     theta = -2.0 * np.arctan(complex(s / c)) if c != 0 else complex(-np.pi)
@@ -150,7 +149,7 @@ class ZeroModeInfo:
     geometric_multiplicity: int
 
 
-def zero_mode_analysis(H: np.ndarray, tol: float = 1e-8,
+def zero_mode_analysis(H: np.ndarray, tol: float = ZERO_MODE_TOL,
                        require_chiral: bool = True) -> ZeroModeInfo:
     """Eigenvector and generalized eigenvector of the E=0 cluster.
 
@@ -169,14 +168,13 @@ def zero_mode_analysis(H: np.ndarray, tol: float = 1e-8,
     H = np.asarray(H, dtype=complex)
     if require_chiral and chiral_residual(H) > 1e-12 * max(np.abs(H).max(), 1.0):
         raise ValueError("zero_mode_analysis requires a chiral matrix")
-    scale = np.linalg.norm(H, 2)
     _, s, vh = np.linalg.svd(H)
     if not s[-1] < tol * s[0]:
         raise NoZeroModeError(f"sigma_min = {s[-1]:.3g} >= {tol * s[0]:.3g}")
     u0 = fix_phase(vh[-1].conj())
     geo = int(np.sum(s < tol * s[0]))
     w = np.linalg.eigvals(H)
-    radius = min(max(tol * scale, 2.0 * np.abs(w).min()), 1e-3 * scale)
+    radius = min(max(tol * s[0], 2.0 * np.abs(w).min()), 1e-3 * s[0])
     alg = int(np.sum(np.abs(w) <= radius))
     u0_prime, *_ = np.linalg.lstsq(H, u0, rcond=tol)
     return ZeroModeInfo(
@@ -204,8 +202,7 @@ class SpectralReport:
     zero_cluster: ZeroModeInfo | None
 
 
-def spectral_report(H: np.ndarray, cluster_tol: float = CLUSTER_TOL,
-                    reality_tol: float = 1e-8) -> SpectralReport:
+def spectral_report(H: np.ndarray) -> SpectralReport:
     """Full spectrum with clustered multiplicities and zero-mode data.
 
     real_gap is the distance of the non-zero-cluster spectrum from
@@ -215,7 +212,7 @@ def spectral_report(H: np.ndarray, cluster_tol: float = CLUSTER_TOL,
     scale = np.linalg.norm(H, 2)
     w, _ = eig(H)
     clusters = []
-    thresh = cluster_tol * max(scale, 1e-300)
+    thresh = CLUSTER_TOL * max(scale, 1e-300)
     order = np.lexsort((w.imag, w.real))
     ws = w[order]
     groups: list[list[complex]] = []
@@ -231,16 +228,16 @@ def spectral_report(H: np.ndarray, cluster_tol: float = CLUSTER_TOL,
     for g in groups:
         rep = complex(np.mean(g))
         clusters.append(Cluster(value=rep, algebraic=len(g),
-                                geometric=geometric_multiplicity(H, rep, tol=cluster_tol)))
+                                geometric=geometric_multiplicity(H, rep, tol=CLUSTER_TOL)))
     zero = None
     if any(abs(c.value) < thresh for c in clusters):
-        zero = zero_mode_analysis(H, tol=cluster_tol, require_chiral=False)
+        zero = zero_mode_analysis(H, tol=CLUSTER_TOL, require_chiral=False)
     band_re = [abs(c.value.real) for c in clusters if abs(c.value) >= thresh]
     return SpectralReport(
         eigenvalues=w,
         clusters=clusters,
         real_gap=float(min(band_re)) if band_re else 0.0,
-        is_real=bool(np.abs(w.imag).max() < reality_tol * max(scale, 1e-300)),
+        is_real=bool(np.abs(w.imag).max() < REALITY_TOL * max(scale, 1e-300)),
         zero_cluster=zero,
     )
 
@@ -254,8 +251,7 @@ class GapReport:
     numeric_imag_gap: bool | None = None
 
 
-def gap_report(params: LatticeParams, k_samples: int = 4001,
-               numeric_tol: float = 1e-4, reality_tol: float = 1e-8) -> GapReport:
+def gap_report(params: LatticeParams) -> GapReport:
     """Band-gap and spectrum-reality flags.
 
     Periodic chains: closed-form criteria (real part gapped iff
@@ -267,15 +263,15 @@ def gap_report(params: LatticeParams, k_samples: int = 4001,
     cf_real = abs(abs(v) - r) > g / 2
     cf_imag = abs(v) + r < g / 2
     if params.boundary is Boundary.PERIODIC:
-        E, _, _ = bloch_branches(params, np.linspace(0.0, 2 * np.pi, k_samples))
-        num_real = bool(np.abs(E.real).min() > numeric_tol)
-        num_imag = bool(np.abs(E.imag).min() > numeric_tol)
-        spectrum_real = bool(np.abs(E.imag).max() < reality_tol)
+        E, _, _ = bloch_branches(params, np.linspace(0.0, 2 * np.pi, GAP_K_SAMPLES))
+        num_real = bool(np.abs(E.real).min() > GAP_TOL)
+        num_imag = bool(np.abs(E.imag).min() > GAP_TOL)
+        spectrum_real = bool(np.abs(E.imag).max() < REALITY_TOL)
         return GapReport(cf_real, cf_imag, spectrum_real, num_real, num_imag)
     H = build_real_space(params)
     w = np.linalg.eigvals(H)
     scale = np.linalg.norm(H, 2)
-    spectrum_real = bool(np.abs(w.imag).max() < reality_tol * scale)
+    spectrum_real = bool(np.abs(w.imag).max() < REALITY_TOL * scale)
     return GapReport(cf_real, cf_imag, spectrum_real)
 
 
@@ -285,7 +281,7 @@ class EdgeProfile:
     weights: np.ndarray          # per-unit-cell probability
 
 
-def edge_profile(u: np.ndarray, weight_threshold: float = 0.9) -> EdgeProfile:
+def edge_profile(u: np.ndarray) -> EdgeProfile:
     """Per-cell weights |alpha_n|^2 + |beta_n|^2 and which edge holds them."""
     u = np.asarray(u, dtype=complex)
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
@@ -293,9 +289,9 @@ def edge_profile(u: np.ndarray, weight_threshold: float = 0.9) -> EdgeProfile:
     w = np.abs(u[0::2]) ** 2 + np.abs(u[1::2]) ** 2
     n = len(w)
     edge = int(np.ceil(n / 4))
-    if w[:edge].sum() > weight_threshold:
+    if w[:edge].sum() > EDGE_WEIGHT:
         side = "left"
-    elif w[n - edge:].sum() > weight_threshold:
+    elif w[n - edge:].sum() > EDGE_WEIGHT:
         side = "right"
     else:
         side = "delocalized"

@@ -11,7 +11,10 @@ from .model import SIGMA_X, SIGMA_Z, LatticeParams
 from .spectra import bloch_branches
 
 DEFAULT_SAMPLES = 4001
-AMBIGUITY_MARGIN = 1e-3
+AMBIGUITY_MARGIN = 1e-3   # overlap continuation refuses steps whose overlaps differ less
+EP_BOUNDARY_TOL = 1e-9    # a hopping circle this close to an EP passes through it
+ORIGIN_TOL = 1e-9         # winding undefined if the trajectory comes this close to 0
+REALNESS_TOL = 1e-12      # allowed |Im| of the <sigma_x>, <sigma_z> expectation values
 
 
 @dataclass(frozen=True)
@@ -22,7 +25,7 @@ class WindingResult:
     eps_enclosed: int
 
 
-def count_enclosed_eps(params: LatticeParams, tol: float = 1e-9) -> int:
+def count_enclosed_eps(params: LatticeParams) -> int:
     """How many of the exceptional points (+-gamma/2, 0) the hopping circle encloses.
 
     The circle has center (v, 0) and radius r in the (h_x, h_z) plane.
@@ -31,7 +34,7 @@ def count_enclosed_eps(params: LatticeParams, tol: float = 1e-9) -> int:
     count = 0
     for s in (+1.0, -1.0):
         dist = abs(s * params.gamma / 2 - params.v)
-        if abs(dist - params.r) < tol:
+        if abs(dist - params.r) < EP_BOUNDARY_TOL:
             raise OnBoundaryError(
                 f"trajectory passes through EP at ({s * params.gamma / 2}, 0)"
             )
@@ -114,9 +117,7 @@ def band_coefficients(u: np.ndarray, basis_plus: np.ndarray,
     return np.linalg.solve(B, u)
 
 
-def winding_number(tracked: TrackedBand,
-                   origin_tol: float = 1e-9,
-                   realness_tol: float = 1e-12) -> WindingResult:
+def winding_number(tracked: TrackedBand) -> WindingResult:
     """Winding of the (<sigma_x>, <sigma_z>) trajectory over the 4*pi sweep.
 
     Expectation values use the right-eigenvector self-expectation
@@ -130,12 +131,12 @@ def winding_number(tracked: TrackedBand,
     norms = np.sum(U.conj() * U, axis=0).real
     x_c = np.sum(U.conj() * (SIGMA_X @ U), axis=0)
     z_c = np.sum(U.conj() * (SIGMA_Z @ U), axis=0)
-    if np.abs(x_c.imag).max() > realness_tol or np.abs(z_c.imag).max() > realness_tol:
+    if np.abs(x_c.imag).max() > REALNESS_TOL or np.abs(z_c.imag).max() > REALNESS_TOL:
         raise AssertionError("expectation values of Hermitian operators must be real")
     x = x_c.real / norms
     z = z_c.real / norms
     radii = np.hypot(x, z)
-    if radii.min() < origin_tol:
+    if radii.min() < ORIGIN_TOL:
         raise GaplessTrajectoryError("trajectory touches the origin; winding undefined")
     ang = np.arctan2(z, x)
     dang = np.diff(ang)

@@ -5,7 +5,7 @@ import pytest
 
 from nhlab import ConfigError, DisorderTarget, LatticeParams, build_real_space
 from nhlab.cli import (cmd_disorder, cmd_spectrum, cmd_svd_scan, cmd_winding,
-                       disorder_transition, load_config, main)
+                       disorder_transition, load_config, main, write_json)
 
 FIG2C_PARAM_SETS = [
     {"v": 0.3, "r": 0.18, "gamma": 1.0, "label": "zero_eps"},
@@ -267,11 +267,47 @@ class TestSweepPhase:
         assert run("sweep-phase", cfg_path, tmp_path / "out") == 2
         assert "samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("omega", [1e-3, 1e-4])
+    def test_slow_dynamical_sweep_stays_finite(self, tmp_path, omega):
+        # A slow sweep amplifies the state over a long time; it must not overflow.
+        cfg_path = write_config(tmp_path, {"v": 0.3, "r": 0.3, "gamma": 1.0,
+                                           "k": 0.0, "mode": "dynamical",
+                                           "omega": omega})
+        out = tmp_path / "out"
+        assert run("sweep-phase", cfg_path, out) == 0
+        w = json.loads((out / "sweep_summary.json").read_text())["final_overlaps"]
+        assert np.all(np.isfinite([w["plus"], w["minus"]]))
+        assert w["plus"] ** 2 + w["minus"] ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+SPECTRUM_CFG = {"boundary": "open", "n_cells": 4, "r": 0.5, "gamma": 1.0, "v_grid": [0.5]}
+DISORDER_CFG = {"n_cells": 4, "r": 0.5, "v": 0.5, "gamma": 1.0, "targets": ["v"],
+                "d_grid": [0.3], "n_seeds": 2}
+
 
 class TestMainPlumbing:
     def test_bad_config_path_exits_2(self, tmp_path, capsys):
         assert run("spectrum", tmp_path / "missing.json", tmp_path / "out") == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,cfg,extra", [
+        ("spectrum", SPECTRUM_CFG | {"n_cells": None}, ()),
+        ("spectrum", SPECTRUM_CFG | {"v_grid": {"start": 0.0, "stop": 1.0, "num": "3"}}, ()),
+        ("winding", {"param_sets": [1]}, ()),
+        ("disorder", DISORDER_CFG | {"n_seeds": -3}, ()),
+        ("disorder", DISORDER_CFG | {"targets": "v"}, ()),
+        ("disorder", DISORDER_CFG | {"targets": []}, ()),
+        ("spectrum", SPECTRUM_CFG, ("--seed", "5")),
+    ], ids=["null-n_cells", "string-num", "non-object-param-set", "negative-n_seeds",
+            "string-targets", "empty-targets", "seed-outside-disorder"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, command, cfg, extra):
+        cfg_path = write_config(tmp_path, cfg)
+        assert run(command, cfg_path, tmp_path / "out", *extra) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_json_artifacts_reject_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "x.json", {"x": float("nan")})
 
     def test_success_prints_artifacts(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"boundary": "open", "n_cells": 4,

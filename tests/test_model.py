@@ -57,11 +57,16 @@ class TestBuildBloch:
             m = build_bloch(p, k).entries
             np.testing.assert_array_equal(m, m.conj().T)
 
-    @given(params_st, st.floats(-7.0, 7.0), st.floats(-3.0, 3.0))
+    @given(params_st, st.floats(-7.0, 7.0), st.floats(-3.0, 3.0),
+           st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
-    def test_phi_shift_identity(self, p, k, phi):
+    def test_phi_shift_identity(self, p, k, phi, ks):
         np.testing.assert_array_equal(build_bloch(p, k, phi).entries,
                                       build_bloch(p, k + phi, 0.0).entries)
+        # An array of momenta builds the stack of the scalar matrices, bit for bit.
+        ks = np.array(ks)
+        np.testing.assert_array_equal(build_bloch(p, ks, phi).entries,
+                                      np.stack([build_bloch(p, q, phi).entries for q in ks]))
 
 
 class TestBuildRealSpace:
