@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -207,12 +208,14 @@ def disorder_transition(params: LatticeParams, target: DisorderTarget,
     """First disorder strength on the grid where the zero mode has split.
 
     The criterion is min |E| > tol (in gamma units); returns None when
-    the mode survives the whole grid.
+    the mode survives the whole grid. The seed's draws are made once and
+    scaled by each d; min |E| comes from spectra.smallest_abs_eigenvalue,
+    in real arithmetic unless the target is onsite.
     """
+    draws = DisorderConfig.from_seed(target, 0.0, seed, params.n_cells)
     for d in d_grid:
-        dis = DisorderConfig.from_seed(target, float(d), seed, params.n_cells)
-        w = np.linalg.eigvals(build_real_space(params, disorder=dis))
-        if np.abs(w).min() > tol:
+        H = build_real_space(params, disorder=replace(draws, strength=float(d)))
+        if spectra.smallest_abs_eigenvalue(H) > tol:
             return float(d)
     return None
 
@@ -231,20 +234,21 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
         raise ConfigError(f"disorder: n_seeds must be >= 0, got {n_seeds}")
     if not isinstance(cfg["targets"], list) or not cfg["targets"]:
         raise ConfigError("disorder: targets must be a non-empty list")
+    unknown = [name for name in cfg["targets"] if name not in _TARGET_ALIASES]
+    if unknown:
+        raise ConfigError(f"disorder: unknown targets {unknown}")
     trans_tol = float(cfg.get("transition_tol", TRANSITION_TOL))
     zm_tol = float(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL))
     files = []
     summary = {}
     for name in cfg["targets"]:
-        if name not in _TARGET_ALIASES:
-            raise ConfigError(f"disorder: unknown target {name!r}")
         target = _TARGET_ALIASES[name]
         rows = []
         # The base-seed sweep is seed 0 of the transition statistics too.
         first_split = None
+        draws = DisorderConfig.from_seed(target, 0.0, base_seed, params.n_cells)
         for d in d_grid:
-            dis = DisorderConfig.from_seed(target, float(d), base_seed, params.n_cells)
-            H = build_real_space(params, disorder=dis)
+            H = build_real_space(params, disorder=replace(draws, strength=float(d)))
             w = np.sort_complex(np.linalg.eigvals(H))
             scale = np.linalg.norm(H, 2)
             min_abs = np.abs(w).min()
@@ -407,16 +411,23 @@ def main(argv=None) -> int:
     parser.add_argument("--svg", action="store_true",
                         help="also write simple SVG line plots")
     args = parser.parse_args(argv)
+    out = Path(args.out)
+    # Directories this run creates, deepest first; a failed run that wrote
+    # nothing into them removes them again.
+    created = [d for d in (out, *out.parents) if not d.exists()]
     try:
         if args.seed is not None and args.command != "disorder":
             raise ConfigError(f"--seed applies to disorder only, not {args.command}")
         cfg = load_config(args.config)
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         seed = {} if args.seed is None else {"seed_override": args.seed}
         files = COMMANDS[args.command](cfg, out, svg=args.svg, **seed)
     except (NhlabError, ValueError, TypeError) as exc:  # TypeError: ill-typed config value
         print(f"error: {exc}", file=sys.stderr)
+        for d in created:
+            if not d.is_dir() or any(d.iterdir()):
+                break
+            d.rmdir()
         return 2
     for f in files:
         print(f)

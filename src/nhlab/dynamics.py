@@ -135,7 +135,10 @@ def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
     eigenvector with track_band over the momenta k + phi (omega is
     ignored). Dynamical mode integrates dpsi/dt = -i H_k(phi(t)) psi
     with phi = +-omega*t, one batched expm over all midpoint Bloch matrices,
-    renormalizing the state after each step so gain cannot overflow it. Overlaps
+    renormalizing the state after each step so gain cannot overflow it. As in
+    propagator, a step with ||H_k||_1 * dt above NORM_T_CAP raises
+    PropagatorOverflowError; its substeps is the number of steps (samples - 1)
+    the sweep needs. Overlaps
     are reported as magnitudes of the expansion coefficients in the
     (u_+(0), u_-(0)) eigenbasis, normalized to unit total weight.
     """
@@ -158,6 +161,10 @@ def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
             phis = sign * np.linspace(0.0, total_phase, samples)
             dt = (total_phase / omega) / (samples - 1)
             Hk = build_bloch(params, k, 0.5 * (phis[:-1] + phis[1:])).entries
+            norm_t = float(np.linalg.norm(Hk, 1, axis=(-2, -1)).max()) * dt
+            if norm_t > NORM_T_CAP:
+                raise PropagatorOverflowError(
+                    norm_t, NORM_T_CAP, int(np.ceil((samples - 1) * norm_t / NORM_T_CAP)))
             for U in scipy.linalg.expm(-1j * Hk * dt):
                 psi = U @ psi
                 psi = psi / np.linalg.norm(psi)

@@ -170,29 +170,31 @@ def build_real_space(params: LatticeParams,
     n = params.n_cells
     rn, rn_cross, vn, gn, onsite = _per_cell_values(params, disorder)
     dim = 2 * n
-    H = np.zeros((dim, dim), dtype=complex)
-    ai = lambda c: 2 * c        # alpha index of cell c (0-based)
-    bi = lambda c: 2 * c + 1
-    for c in range(n):
-        H[ai(c), ai(c)] += 0.5j * gn[c] + onsite[c]
-        H[bi(c), bi(c)] += -0.5j * gn[c] + onsite[c]
-        H[ai(c), bi(c)] += vn[c]
-        H[bi(c), ai(c)] += vn[c]
+    # Cell c adds to its (alpha, alpha), (beta, beta), (alpha, beta) and
+    # (beta, alpha) entries. Bond c links cell c, alpha index ac, to cell
+    # c + 1, alpha index ac + 2 mod 2N; it adds four same-sublattice hops,
+    # then four cross hops.
+    a = 2 * np.arange(n)[:, None]       # alpha index of each cell; beta is a + 1
+    ac = a[:n - 1] if params.boundary is Boundary.OPEN else a
+    r_same, r_cross = rn[:len(ac), None], rn_cross[:len(ac), None]
     fwd = np.exp(-1j * phi)     # phase on n+1 <- n amplitudes
     bwd = np.exp(1j * phi)
-    bonds = range(n - 1) if params.boundary is Boundary.OPEN else range(n)
-    for c in bonds:
-        m = (c + 1) % n
-        r_same = rn[c]
-        r_cross = rn_cross[c]
-        H[ai(m), ai(c)] += 0.5j * r_same * fwd
-        H[ai(c), ai(m)] += -0.5j * r_same * bwd
-        H[bi(m), bi(c)] += -0.5j * r_same * fwd
-        H[bi(c), bi(m)] += 0.5j * r_same * bwd
-        H[bi(m), ai(c)] += 0.5 * r_cross * fwd
-        H[ai(c), bi(m)] += 0.5 * r_cross * bwd
-        H[ai(m), bi(c)] += 0.5 * r_cross * fwd
-        H[bi(c), ai(m)] += 0.5 * r_cross * bwd
+    phase = np.array([fwd, bwd, fwd, bwd])
+    cell_vals = np.empty((n, 4), dtype=complex)
+    cell_vals[:, 0] = 0.5j * gn + onsite
+    cell_vals[:, 1] = -0.5j * gn + onsite
+    cell_vals[:, 2:] = vn[:, None]
+    bond_vals = np.concatenate([np.array([0.5j, -0.5j, -0.5j, 0.5j]) * r_same * phase,
+                                0.5 * r_cross * phase], axis=1)
+    # np.add.at sums cell by cell, then bond by bond, entry by entry, so the
+    # overlapping entries of periodic N <= 2 chains add up in that order,
+    # and a -0.0 value lands as 0 + -0.0 = +0.0.
+    rows = np.concatenate([(a + [0, 1, 0, 1]).ravel(),
+                           ((ac + [2, 0, 3, 1, 3, 0, 2, 1]) % dim).ravel()])
+    cols = np.concatenate([(a + [0, 1, 1, 0]).ravel(),
+                           ((ac + [0, 2, 1, 3, 0, 3, 1, 2]) % dim).ravel()])
+    H = np.zeros((dim, dim), dtype=complex)
+    np.add.at(H, (rows, cols), np.concatenate([cell_vals.ravel(), bond_vals.ravel()]))
     if decay_offset:
         H -= 1j * decay_offset * np.eye(dim)
     return H

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from nhlab import ConfigError, DisorderTarget, LatticeParams, build_real_space
-from nhlab.cli import (cmd_disorder, cmd_spectrum, cmd_svd_scan, cmd_winding,
-                       disorder_transition, load_config, main, write_json)
+from nhlab import (ConfigError, DisorderConfig, DisorderTarget, LatticeParams,
+                   build_real_space)
+from nhlab.cli import (TRANSITION_TOL, cmd_disorder, cmd_spectrum, cmd_svd_scan,
+                       cmd_winding, disorder_transition, load_config, main, write_json)
 
 FIG2C_PARAM_SETS = [
     {"v": 0.3, "r": 0.18, "gamma": 1.0, "label": "zero_eps"},
@@ -193,6 +194,28 @@ class TestDisorder:
         with pytest.raises(ConfigError):
             cmd_disorder(self._config(targets=["bogus"]), tmp_path)
 
+    def test_unknown_target_rejected_before_any_sweep(self, tmp_path):
+        with pytest.raises(ConfigError, match="bogus"):
+            cmd_disorder(self._config(targets=["v", "bogus"]), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_V, DisorderTarget.GAIN_LOSS])
+    def test_transition_matches_complex_solves(self, target):
+        # Each d: fresh draws and min |E| from complex LAPACK on H itself.
+        params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
+        d_grid = np.round(np.arange(0.05, 2.01, 0.05), 10)
+
+        def reference(seed):
+            for d in d_grid:
+                dis = DisorderConfig.from_seed(target, float(d), seed, 30)
+                w = np.linalg.eigvals(build_real_space(params, disorder=dis))
+                if np.abs(w).min() > TRANSITION_TOL:
+                    return float(d)
+            return None
+
+        for seed in range(20):
+            assert disorder_transition(params, target, d_grid, seed) == reference(seed)
+
 
 class TestSvdScan:
     def test_n1_matches_closed_form(self, tmp_path):
@@ -267,6 +290,16 @@ class TestSweepPhase:
         assert run("sweep-phase", cfg_path, tmp_path / "out") == 2
         assert "samples" in capsys.readouterr().err
 
+    def test_too_slow_dynamical_sweep_rejected(self, tmp_path, capsys):
+        # At omega 1e-6 one of the 4000 steps has ||H_k||_1 dt of about 1700.
+        cfg_path = write_config(tmp_path, {"v": 0.3, "r": 0.3, "gamma": 1.0,
+                                           "k": 0.0, "mode": "dynamical",
+                                           "omega": 1e-6})
+        assert run("sweep-phase", cfg_path, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "exceeds cap" in err and "substeps" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("omega", [1e-3, 1e-4])
     def test_slow_dynamical_sweep_stays_finite(self, tmp_path, omega):
         # A slow sweep amplifies the state over a long time; it must not overflow.
@@ -304,6 +337,27 @@ class TestMainPlumbing:
         cfg_path = write_config(tmp_path, cfg)
         assert run(command, cfg_path, tmp_path / "out", *extra) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("spectrum", SPECTRUM_CFG | {"n_cells": None}),
+        ("disorder", DISORDER_CFG | {"targets": ["v", "bogus"]}),
+    ], ids=["bad-value", "bad-second-target"])
+    def test_rejected_run_leaves_no_directory(self, tmp_path, command, cfg):
+        cfg_path = write_config(tmp_path, cfg)
+        assert run(command, cfg_path, tmp_path / "new" / "out") == 2
+        assert not (tmp_path / "new").exists()
+
+    def test_rejected_run_keeps_existing_directory(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        cfg_path = write_config(tmp_path, SPECTRUM_CFG | {"n_cells": None})
+        assert run("spectrum", cfg_path, out) == 2
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run("spectrum", cfg_path, empty) == 2
+        assert empty.is_dir()
 
     def test_json_artifacts_reject_nan(self, tmp_path):
         with pytest.raises(ValueError):

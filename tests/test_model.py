@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                    build_bloch, build_real_space, chiral_operator, chiral_residual,
                    parity_operator, pt_residual)
-from nhlab.model import SIGMA_X, SIGMA_Y, SIGMA_Z
+from nhlab.model import SIGMA_X, SIGMA_Y, SIGMA_Z, _per_cell_values
 
 from conftest import assert_multisets_close
 
@@ -35,6 +35,54 @@ class TestLatticeParams:
 
     def test_dim(self):
         assert LatticeParams(v=0.1, r=1.0, gamma=0.5, n_cells=7).dim == 14
+
+
+def loop_build_real_space(params, disorder=None, phi=0.0, decay_offset=0.0):
+    """Reference builder: adds every on-site term, then every bond, entry by entry."""
+    n = params.n_cells
+    rn, rn_cross, vn, gn, onsite = _per_cell_values(params, disorder)
+    dim = 2 * n
+    H = np.zeros((dim, dim), dtype=complex)
+    ai = lambda c: 2 * c        # alpha index of cell c (0-based)
+    bi = lambda c: 2 * c + 1
+    for c in range(n):
+        H[ai(c), ai(c)] += 0.5j * gn[c] + onsite[c]
+        H[bi(c), bi(c)] += -0.5j * gn[c] + onsite[c]
+        H[ai(c), bi(c)] += vn[c]
+        H[bi(c), ai(c)] += vn[c]
+    fwd = np.exp(-1j * phi)
+    bwd = np.exp(1j * phi)
+    bonds = range(n - 1) if params.boundary is Boundary.OPEN else range(n)
+    for c in bonds:
+        m = (c + 1) % n
+        r_same = rn[c]
+        r_cross = rn_cross[c]
+        H[ai(m), ai(c)] += 0.5j * r_same * fwd
+        H[ai(c), ai(m)] += -0.5j * r_same * bwd
+        H[bi(m), bi(c)] += -0.5j * r_same * fwd
+        H[bi(c), bi(m)] += 0.5j * r_same * bwd
+        H[bi(m), ai(c)] += 0.5 * r_cross * fwd
+        H[ai(c), bi(m)] += 0.5 * r_cross * bwd
+        H[ai(m), bi(c)] += 0.5 * r_cross * fwd
+        H[bi(c), ai(m)] += 0.5 * r_cross * bwd
+    if decay_offset:
+        H -= 1j * decay_offset * np.eye(dim)
+    return H
+
+
+@st.composite
+def disorder_st(draw, n_cells):
+    """None, or a config of any target; r may carry independent cross draws."""
+    target = draw(st.sampled_from([None, *DisorderTarget]))
+    if target is None:
+        return None
+    unit = st.floats(-1.0, 1.0)
+    draws = np.array(draw(st.lists(unit, min_size=n_cells, max_size=n_cells)))
+    cross = None
+    if target is DisorderTarget.HOPPING_R and draw(st.booleans()):
+        cross = np.array(draw(st.lists(unit, min_size=n_cells, max_size=n_cells)))
+    return DisorderConfig(target=target, strength=draw(st.floats(0.0, 2.5)), seed=0,
+                          draws=draws, cross_draws=cross)
 
 
 class TestBuildBloch:
@@ -129,6 +177,25 @@ class TestBuildRealSpace:
                           boundary=p.boundary)
         H = build_real_space(p, phi=phi)
         np.testing.assert_allclose(H, H.conj().T, atol=1e-15)
+
+    @given(params_st, st.data(), st.sampled_from([0.0, -0.0, 0.77, -2.5]),
+           st.sampled_from([0.0, 0.25]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_builder_bit_for_bit(self, p, data, phi, decay_offset):
+        # tobytes compares signed zeros too; periodic N <= 2 chains sum
+        # overlapping bonds, which must add up in the loop's order.
+        dis = data.draw(disorder_st(p.n_cells))
+        got = build_real_space(p, disorder=dis, phi=phi, decay_offset=decay_offset)
+        ref = loop_build_real_space(p, disorder=dis, phi=phi, decay_offset=decay_offset)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_short_periodic_chains_match_loop_builder(self, n):
+        p = LatticeParams(v=0.3, r=0.7, gamma=0.9, n_cells=n, boundary=Boundary.PERIODIC)
+        dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_R, 0.6, 4, n)
+        for phi in (0.0, 0.4):
+            assert (build_real_space(p, disorder=dis, phi=phi).tobytes()
+                    == loop_build_real_space(p, disorder=dis, phi=phi).tobytes())
 
     def test_decay_offset_shifts_spectrum(self):
         p = LatticeParams(v=0.3, r=0.5, gamma=0.8, n_cells=4)

@@ -1,13 +1,17 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nhlab import (Boundary, ExceptionalPointError, LatticeParams, NoZeroModeError,
-                   bloch_eigensystem, build_bloch, build_real_space, chiral_operator,
-                   edge_profile, eig, exact_generalized_zero_mode, exact_zero_mode,
-                   gap_report, geometric_multiplicity, smallest_singular_values,
-                   spectral_report, zero_mode_analysis)
+from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointError,
+                   LatticeParams, NoZeroModeError, bloch_eigensystem, build_bloch,
+                   build_real_space, chiral_operator, edge_profile, eig,
+                   exact_generalized_zero_mode, exact_zero_mode, gap_report,
+                   geometric_multiplicity, smallest_abs_eigenvalue,
+                   smallest_singular_values, spectral_report, zero_mode_analysis)
 from nhlab.spectra import fix_phase
 
 from conftest import assert_multisets_close
@@ -160,6 +164,62 @@ class TestSmallestSingularValues:
         s = np.linalg.svd(H, compute_uv=False)
         gram = np.sort(np.sqrt(np.abs(np.linalg.eigvalsh(H.conj().T @ H))))[::-1]
         np.testing.assert_allclose(s, gram, atol=1e-10)
+
+
+@contextmanager
+def eigvals_dtypes():
+    """Record the dtype of each matrix handed to np.linalg.eigvals."""
+    seen, solve = [], np.linalg.eigvals
+    np.linalg.eigvals = lambda a: seen.append(np.asarray(a).dtype) or solve(a)
+    try:
+        yield seen
+    finally:
+        np.linalg.eigvals = solve
+
+
+class TestSmallestAbsEigenvalue:
+    @given(st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
+           st.integers(1, 8), st.sampled_from([None, DisorderTarget.HOPPING_R,
+                                               DisorderTarget.HOPPING_V,
+                                               DisorderTarget.GAIN_LOSS]),
+           st.floats(0.0, 1.5), st.integers(0, 1000), st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_chiral_chains_solve_real_matrix(self, v, r, gamma, n, target, d, seed,
+                                             decay_offset):
+        p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n)
+        dis = None if target is None else DisorderConfig.from_seed(target, d, seed, n)
+        H = build_real_space(p, disorder=dis, decay_offset=decay_offset)
+        # eigenvalue condition numbers |x||y| / |y^H x| of the complex problem
+        w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+        kappa = 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
+        assume(kappa.max() < 1e8)   # near-defective spectra scatter by sqrt(eps)
+        with eigvals_dtypes() as seen:
+            got = smallest_abs_eigenvalue(H)
+        assert seen == [np.dtype(float)]
+        # Both solvers are backward stable: they differ by at most a few
+        # eps * ||H|| per unit of eigenvalue condition number.
+        tol = 20 * H.shape[0] * np.finfo(float).eps * np.linalg.norm(H, 2) * kappa.max()
+        assert abs(got - np.abs(np.linalg.eigvals(H)).min()) <= tol
+
+    def test_clean_chain_takes_real_path(self, defective_params):
+        # The defective zero pair scatters by about sqrt(eps) in either solver.
+        H = build_real_space(defective_params)
+        with eigvals_dtypes() as seen:
+            assert smallest_abs_eigenvalue(H) < 1e-6
+        assert seen == [np.dtype(float)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_onsite_and_phase_fall_back_bit_for_bit(self, seed):
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=12)
+        onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, seed, 12)
+        v_dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_V, 0.3, seed, 12)
+        for H in (build_real_space(p, disorder=onsite),
+                  build_real_space(p, disorder=v_dis, phi=0.4),
+                  build_real_space(p, phi=-1.1)):
+            with eigvals_dtypes() as seen:
+                got = smallest_abs_eigenvalue(H)
+            assert seen == [np.dtype(complex)]
+            assert got == float(np.abs(np.linalg.eigvals(H)).min())
 
 
 class TestZeroModeAnalysis:
