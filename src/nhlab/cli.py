@@ -9,8 +9,8 @@ normally set gamma = 1.0; the value must still be given explicitly.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,18 +39,14 @@ EVOLVE_PRESETS = {
 TRANSITION_TOL = 1e-6
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """Stream {header: 1-D array} columns as CSV rows with LF endings; floats get
+    17 significant digits, so they read back bit for bit, other values str."""
+    cells = [map("{:.17g}".format, col.tolist()) if col.dtype.kind == "f"
+             else map(str, col.tolist()) for col in columns.values()]
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def write_json(path: Path, obj) -> None:
@@ -97,6 +93,29 @@ def _check_keys(cfg: dict, required: set[str], optional: set[str], where: str) -
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _integer(value, where: str) -> int:
+    """A JSON integer config value; floats, bools and strings are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number config value as a float; bools and strings are refused."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond float range
+        pass
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _non_empty_list(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list")
+    return value
+
+
 def load_config(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -114,30 +133,40 @@ def _grid(spec, where: str) -> np.ndarray:
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{where}: grid must be non-empty")
-        return np.asarray(spec, dtype=float)
+        return np.array([_number(x, f"{where}[{i}]") for i, x in enumerate(spec)])
     if isinstance(spec, dict):
         _check_keys(spec, {"start", "stop", "num"}, set(), where)
-        if spec["num"] < 1:
+        num = _integer(spec["num"], f"{where}.num")
+        if num < 1:
             raise ConfigError(f"{where}: num must be >= 1")
-        return np.linspace(spec["start"], spec["stop"], int(spec["num"]))
+        return np.linspace(_number(spec["start"], f"{where}.start"),
+                           _number(spec["stop"], f"{where}.stop"), num)
     raise ConfigError(f"{where}: grid must be a list or {{start, stop, num}}")
+
+
+def _sheet(grid_header: str, grid: np.ndarray, energies: np.ndarray) -> dict:
+    """CSV columns of one sorted spectrum (a row of energies) per grid value."""
+    n, dim = energies.shape
+    return {grid_header: np.repeat(grid, dim), "index": np.tile(np.arange(dim), n),
+            "re_E_over_gamma": energies.real.ravel(),
+            "im_E_over_gamma": energies.imag.ravel()}
 
 
 def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     _check_keys(cfg, {"boundary", "n_cells", "r", "gamma", "v_grid"},
                 {"zero_mode_tol"}, "spectrum")
     boundary = Boundary(cfg["boundary"])
+    n_cells = _integer(cfg["n_cells"], "spectrum.n_cells")
+    r, gamma = (_number(cfg[k], f"spectrum.{k}") for k in ("r", "gamma"))
     v_grid = _grid(cfg["v_grid"], "spectrum.v_grid")
-    tol = float(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL))
-    rows = []
+    tol = _number(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL), "spectrum.zero_mode_tol")
+    base = LatticeParams(v=float(v_grid[0]), r=r, gamma=gamma, n_cells=n_cells,
+                         boundary=boundary)
+    energies = np.empty((len(v_grid), base.dim), dtype=complex)
     flags = []
-    for v in v_grid:
-        params = LatticeParams(v=float(v), r=float(cfg["r"]), gamma=float(cfg["gamma"]),
-                               n_cells=int(cfg["n_cells"]), boundary=boundary)
-        H = build_real_space(params)
-        w = np.sort_complex(np.linalg.eigvals(H))
-        for i, e in enumerate(w):
-            rows.append((v, i, e.real, e.imag))
+    for v, w in zip(v_grid, energies):
+        H = build_real_space(replace(base, v=float(v)))
+        w[:] = np.sort_complex(np.linalg.eigvals(H))
         entry = {"v": float(v)}
         if boundary is Boundary.OPEN:
             try:
@@ -151,37 +180,31 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
             entry["zero_mode_present"] = bool(np.abs(w).min() < tol * np.linalg.norm(H, 2))
         flags.append(entry)
     csv_path = out / "spectrum.csv"
-    write_csv(csv_path, ["v_over_gamma", "index", "re_E_over_gamma", "im_E_over_gamma"], rows)
+    write_csv(csv_path, _sheet("v_over_gamma", v_grid, energies))
     json_path = out / "zero_modes.json"
     write_json(json_path, {"zero_mode_tol": tol, "tracks": flags})
     files = [csv_path, json_path]
     if svg:
-        dim = 2 * int(cfg["n_cells"])
-        res = np.array([r[2] for r in rows]).reshape(len(v_grid), dim)
         svg_path = out / "spectrum.svg"
-        write_svg(svg_path, v_grid, list(res.T))
+        write_svg(svg_path, v_grid, list(energies.real.T))
         files.append(svg_path)
     return files
 
 
 def cmd_winding(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     _check_keys(cfg, {"param_sets"}, {"samples"}, "winding")
-    samples = int(cfg.get("samples", DEFAULT_SAMPLES))
-    if not cfg["param_sets"]:
-        raise ConfigError("winding: param_sets must be non-empty")
+    samples = _integer(cfg.get("samples", DEFAULT_SAMPLES), "winding.samples")
     summary = []
-    files = []
-    for i, ps in enumerate(cfg["param_sets"]):
-        _check_keys(ps, {"v", "r", "gamma"}, {"label"}, f"winding.param_sets[{i}]")
-        params = LatticeParams(v=float(ps["v"]), r=float(ps["r"]),
-                               gamma=float(ps["gamma"]), n_cells=1,
-                               boundary=Boundary.PERIODIC)
+    trajectories = []
+    # Every set is solved before any file is written, so a failing set leaves none.
+    for i, ps in enumerate(_non_empty_list(cfg["param_sets"], "winding.param_sets")):
+        where = f"winding.param_sets[{i}]"
+        _check_keys(ps, {"v", "r", "gamma"}, {"label"}, where)
+        v, r, gamma = (_number(ps[k], f"{where}.{k}") for k in ("v", "r", "gamma"))
+        params = LatticeParams(v=v, r=r, gamma=gamma, n_cells=1, boundary=Boundary.PERIODIC)
         tracked = track_band(params, samples=samples)
         res = winding_number(tracked)
-        csv_path = out / f"winding_{i}.csv"
-        write_csv(csv_path, ["k", "sigma_x_expect", "sigma_z_expect"],
-                  [(k, x, z) for k, (x, z) in zip(tracked.ks, res.trajectory)])
-        files.append(csv_path)
+        trajectories.append((tracked.ks, *res.trajectory.T))
         summary.append({
             "label": ps.get("label", f"set_{i}"),
             "v": ps["v"], "r": ps["r"], "gamma": ps["gamma"],
@@ -189,9 +212,14 @@ def cmd_winding(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
             "closure_period": res.closure_period,
             "eps_enclosed": count_enclosed_eps(params),
         })
+    files = []
+    for i, (ks, x, z) in enumerate(trajectories):
+        csv_path = out / f"winding_{i}.csv"
+        write_csv(csv_path, {"k": ks, "sigma_x_expect": x, "sigma_z_expect": z})
+        files.append(csv_path)
         if svg:
             svg_path = out / f"winding_{i}.svg"
-            write_svg(svg_path, res.trajectory[:, 0], [res.trajectory[:, 1]])
+            write_svg(svg_path, x, [z])
             files.append(svg_path)
     json_path = out / "winding_summary.json"
     write_json(json_path, {"samples": samples, "results": summary})
@@ -224,47 +252,47 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
                  seed_override: int | None = None) -> list[Path]:
     _check_keys(cfg, {"n_cells", "r", "v", "gamma", "targets", "d_grid", "n_seeds"},
                 {"seed", "transition_tol", "zero_mode_tol"}, "disorder")
-    params = LatticeParams(v=float(cfg["v"]), r=float(cfg["r"]),
-                           gamma=float(cfg["gamma"]), n_cells=int(cfg["n_cells"]),
+    v, r, gamma = (_number(cfg[k], f"disorder.{k}") for k in ("v", "r", "gamma"))
+    params = LatticeParams(v=v, r=r, gamma=gamma,
+                           n_cells=_integer(cfg["n_cells"], "disorder.n_cells"),
                            boundary=Boundary.OPEN)
     d_grid = _grid(cfg["d_grid"], "disorder.d_grid")
-    base_seed = int(seed_override if seed_override is not None else cfg.get("seed", 0))
-    n_seeds = int(cfg["n_seeds"])
+    base_seed = _integer(cfg.get("seed", 0), "disorder.seed")
+    if seed_override is not None:
+        base_seed = seed_override
+    n_seeds = _integer(cfg["n_seeds"], "disorder.n_seeds")
     if n_seeds < 0:
         raise ConfigError(f"disorder: n_seeds must be >= 0, got {n_seeds}")
-    if not isinstance(cfg["targets"], list) or not cfg["targets"]:
-        raise ConfigError("disorder: targets must be a non-empty list")
-    unknown = [name for name in cfg["targets"] if name not in _TARGET_ALIASES]
+    targets = _non_empty_list(cfg["targets"], "disorder.targets")
+    unknown = [name for name in targets if name not in _TARGET_ALIASES]
     if unknown:
         raise ConfigError(f"disorder: unknown targets {unknown}")
-    trans_tol = float(cfg.get("transition_tol", TRANSITION_TOL))
-    zm_tol = float(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL))
+    trans_tol = _number(cfg.get("transition_tol", TRANSITION_TOL), "disorder.transition_tol")
+    zm_tol = _number(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL), "disorder.zero_mode_tol")
     files = []
     summary = {}
-    for name in cfg["targets"]:
+    for name in targets:
         target = _TARGET_ALIASES[name]
-        rows = []
+        energies = np.empty((len(d_grid), params.dim), dtype=complex)
+        present = np.zeros(len(d_grid), dtype=int)
+        side = np.full(len(d_grid), "", dtype=object)
         # The base-seed sweep is seed 0 of the transition statistics too.
         first_split = None
         draws = DisorderConfig.from_seed(target, 0.0, base_seed, params.n_cells)
-        for d in d_grid:
+        for j, d in enumerate(d_grid):
             H = build_real_space(params, disorder=replace(draws, strength=float(d)))
-            w = np.sort_complex(np.linalg.eigvals(H))
-            scale = np.linalg.norm(H, 2)
-            min_abs = np.abs(w).min()
+            energies[j] = np.sort_complex(np.linalg.eigvals(H))
+            min_abs = np.abs(energies[j]).min()
             if first_split is None and min_abs > trans_tol:
                 first_split = float(d)
-            present = bool(min_abs < zm_tol * scale)
-            side = ""
-            if present:
+            present[j] = min_abs < zm_tol * np.linalg.norm(H, 2)
+            if present[j]:
                 _, _, vh = np.linalg.svd(H)
-                side = spectra.edge_profile(spectra.fix_phase(vh[-1].conj())).side
-            for i, e in enumerate(w):
-                rows.append((d, i, e.real, e.imag, int(present), side))
+                side[j] = spectra.edge_profile(spectra.fix_phase(vh[-1].conj())).side
         csv_path = out / f"disorder_{name}.csv"
-        write_csv(csv_path, ["d_over_gamma", "index", "re_E_over_gamma",
-                             "im_E_over_gamma", "zero_mode_present", "zero_mode_side"],
-                  rows)
+        write_csv(csv_path, _sheet("d_over_gamma", d_grid, energies)
+                  | {"zero_mode_present": np.repeat(present, params.dim),
+                     "zero_mode_side": np.repeat(side, params.dim)})
         files.append(csv_path)
         transitions = [first_split] if n_seeds > 0 else []
         transitions += [disorder_transition(params, target, d_grid, base_seed + i,
@@ -285,27 +313,25 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
 
 def cmd_svd_scan(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     _check_keys(cfg, {"n_list", "v_grid", "r", "gamma"}, set(), "svd-scan")
+    r, gamma = (_number(cfg[k], f"svd-scan.{k}") for k in ("r", "gamma"))
     v_grid = _grid(cfg["v_grid"], "svd-scan.v_grid")
-    if not cfg["n_list"]:
-        raise ConfigError("svd-scan: n_list must be non-empty")
-    rows = []
-    for n in cfg["n_list"]:
-        for v in v_grid:
-            params = LatticeParams(v=float(v), r=float(cfg["r"]),
-                                   gamma=float(cfg["gamma"]), n_cells=int(n),
+    n_list = [_integer(n, f"svd-scan.n_list[{i}]")
+              for i, n in enumerate(_non_empty_list(cfg["n_list"], "svd-scan.n_list"))]
+    sigma = np.empty((len(n_list), len(v_grid), 2))
+    for n, sigma_n in zip(n_list, sigma):
+        for v, sigma_nv in zip(v_grid, sigma_n):
+            params = LatticeParams(v=float(v), r=r, gamma=gamma, n_cells=n,
                                    boundary=Boundary.OPEN)
-            s = spectra.smallest_singular_values(build_real_space(params), count=2)
-            rows.append((int(n), v, s[0], s[1]))
+            sigma_nv[:] = spectra.smallest_singular_values(build_real_space(params), count=2)
     csv_path = out / "svd_scan.csv"
-    write_csv(csv_path, ["N", "v_over_gamma", "sigma_min", "sigma_2nd"], rows)
+    write_csv(csv_path, {"N": np.repeat(n_list, len(v_grid)),
+                         "v_over_gamma": np.tile(v_grid, len(n_list)),
+                         "sigma_min": sigma[..., 0].ravel(), "sigma_2nd": sigma[..., 1].ravel()})
     files = [csv_path]
     if svg:
         svg_path = out / "svd_scan.svg"
-        by_n = {}
-        for n, v, s0, _ in rows:
-            by_n.setdefault(n, []).append(np.log10(max(s0, 1e-300)))
-        write_svg(svg_path, v_grid, list(by_n.values()),
-                  labels=[f"N={n}" for n in by_n])
+        write_svg(svg_path, v_grid, list(np.log10(np.maximum(sigma[..., 0], 1e-300))),
+                  labels=[f"N={n}" for n in n_list])
         files.append(svg_path)
     return files
 
@@ -317,42 +343,39 @@ def cmd_evolve(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
         if cfg["preset"] not in EVOLVE_PRESETS:
             raise ConfigError(f"evolve: unknown preset {cfg['preset']!r}; "
                               f"choose from {sorted(EVOLVE_PRESETS)}")
-        body = dict(EVOLVE_PRESETS[cfg["preset"]])
+        body = EVOLVE_PRESETS[cfg["preset"]]
     else:
         _check_keys(cfg, {"n_cells", "v", "r", "gamma", "t_max", "dt"},
                     {"excite_site", "threshold", "freq_window"}, "evolve")
-        body = {k: cfg[k] for k in ("n_cells", "v", "r", "gamma", "t_max", "dt")}
-    params = LatticeParams(v=float(body["v"]), r=float(body["r"]),
-                           gamma=float(body["gamma"]), n_cells=int(body["n_cells"]),
+        body = cfg
+    nums = {k: _number(body[k], f"evolve.{k}") for k in ("v", "r", "gamma", "t_max", "dt")}
+    params = LatticeParams(v=nums["v"], r=nums["r"], gamma=nums["gamma"],
+                           n_cells=_integer(body["n_cells"], "evolve.n_cells"),
                            boundary=Boundary.OPEN)
-    site = int(cfg.get("excite_site", 0))
+    site = _integer(cfg.get("excite_site", 0), "evolve.excite_site")
     if not 0 <= site < params.dim:
         raise ConfigError(f"evolve: excite_site must lie in [0, {params.dim}), got {site}")
+    # Keys left out of the config keep the library's defaults.
+    detect = {k: _number(cfg[k], f"evolve.{k}") for k in ("threshold", "freq_window")
+              if k in cfg}
     H = build_real_space(params)
     psi0 = np.zeros(params.dim, dtype=complex)
     psi0[site] = 1.0
-    series = evolve(H, psi0, float(body["t_max"]), float(body["dt"]))
-    kwargs = {}
-    if "threshold" in cfg:
-        kwargs["threshold"] = float(cfg["threshold"])
-    if "freq_window" in cfg:
-        kwargs["freq_window"] = float(cfg["freq_window"])
-    report = fourier_detect(series, site=site, **kwargs)
-    pop_rows = [(t, c, series.cell_populations[i, c])
-                for i, t in enumerate(series.times)
-                for c in range(params.n_cells)]
+    series = evolve(H, psi0, nums["t_max"], nums["dt"])
+    report = fourier_detect(series, site=site, **detect)
     pop_path = out / "populations.csv"
-    write_csv(pop_path, ["t_gamma", "cell", "population"], pop_rows)
+    write_csv(pop_path, {"t_gamma": np.repeat(series.times, params.n_cells),
+                         "cell": np.tile(np.arange(params.n_cells), len(series.times)),
+                         "population": series.cell_populations.ravel()})
     site_path = out / "site_series.csv"
-    write_csv(site_path, ["t_gamma", "re_amplitude", "im_amplitude"],
-              [(t, s.real, s.imag) for t, s in zip(series.times, series.states[:, site])])
+    write_csv(site_path, {"t_gamma": series.times, "re_amplitude": series.states[:, site].real,
+                          "im_amplitude": series.states[:, site].imag})
     fourier_path = out / "fourier.csv"
-    write_csv(fourier_path, ["freq_over_gamma", "magnitude"],
-              list(zip(report.frequencies, report.magnitudes)))
+    write_csv(fourier_path, {"freq_over_gamma": report.frequencies,
+                             "magnitude": report.magnitudes})
     json_path = out / "evolve_summary.json"
     write_json(json_path, {
-        "params": {k: float(body[k]) for k in ("v", "r", "gamma", "t_max", "dt")}
-        | {"n_cells": int(body["n_cells"]), "excite_site": site},
+        "params": nums | {"n_cells": params.n_cells, "excite_site": site},
         "zero_peak": report.zero_peak,
         "peak_ratio": report.peak_ratio,
     })
@@ -367,18 +390,19 @@ def cmd_evolve(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
 def cmd_sweep_phase(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     _check_keys(cfg, {"v", "r", "gamma", "k", "mode"},
                 {"direction", "omega", "samples", "total_phase"}, "sweep-phase")
-    params = LatticeParams(v=float(cfg["v"]), r=float(cfg["r"]),
-                           gamma=float(cfg["gamma"]), n_cells=1,
+    nums = {k: _number(cfg[k], f"sweep-phase.{k}") for k in ("v", "r", "gamma", "k")}
+    params = LatticeParams(v=nums["v"], r=nums["r"], gamma=nums["gamma"], n_cells=1,
                            boundary=Boundary.PERIODIC)
     direction = SweepDirection(cfg.get("direction", dynamics.DEFAULT_DIRECTION))
     # Keys left out of the config keep the library's defaults.
-    opts = {key: conv(cfg[key]) for key, conv in
-            (("omega", float), ("samples", int), ("total_phase", float)) if key in cfg}
-    result = adiabatic_sweep(params, k=float(cfg["k"]), direction=direction,
+    opts = {key: read(cfg[key], f"sweep-phase.{key}") for key, read in
+            (("omega", _number), ("samples", _integer), ("total_phase", _number))
+            if key in cfg}
+    result = adiabatic_sweep(params, k=nums["k"], direction=direction,
                              mode=SweepMode(cfg["mode"]), **opts)
     json_path = out / "sweep_summary.json"
     write_json(json_path, {
-        "params": {k: float(cfg[k]) for k in ("v", "r", "gamma", "k")},
+        "params": nums,
         "mode": cfg["mode"],
         "direction": direction.value,
         "eps_enclosed": count_enclosed_eps(params),

@@ -1,12 +1,16 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhlab import (ConfigError, DisorderConfig, DisorderTarget, LatticeParams,
                    build_real_space)
 from nhlab.cli import (TRANSITION_TOL, cmd_disorder, cmd_spectrum, cmd_svd_scan,
-                       cmd_winding, disorder_transition, load_config, main, write_json)
+                       cmd_winding, disorder_transition, load_config, main, write_csv,
+                       write_json)
 
 FIG2C_PARAM_SETS = [
     {"v": 0.3, "r": 0.18, "gamma": 1.0, "label": "zero_eps"},
@@ -68,6 +72,52 @@ class TestConfigLoading:
         cfg = {"boundary": "open", "n_cells": 4, "gamma": 1.0, "v_grid": [0.5]}
         with pytest.raises(ConfigError, match="r"):
             cmd_spectrum(cfg, tmp_path)
+
+
+def row_write_csv(path, header, rows):
+    """The per-row writer write_csv replaced; the reference it must match byte for byte."""
+    def fmt(x):
+        if isinstance(x, (float, np.floating)):
+            return format(float(x), ".17g")
+        return str(x)
+
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([fmt(x) for x in row])
+
+
+CSV_CELLS = {
+    "float": (st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 0.1, 1.7e308, -1.7e308]),
+                        st.floats()), [float]),
+    "int": (st.integers(-2**63, 2**63 - 1), [np.int64]),
+    "side": (st.sampled_from(["left", "right", "delocalized", ""]), [object, str]),
+}
+
+
+@st.composite
+def csv_columns(draw):
+    # csv quotes a row that is a single empty field; every table the CLI
+    # writes has two or more columns.
+    n_rows = draw(st.integers(0, 20))
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_CELLS)), min_size=2, max_size=6))
+    columns = {}
+    for i, kind in enumerate(kinds):
+        cells, dtypes = CSV_CELLS[kind]
+        values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        columns[f"{kind}_{i}"] = np.array(values, dtype=draw(st.sampled_from(dtypes)))
+    return columns
+
+
+class TestWriteCsv:
+    @given(csv_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_writer_byte_for_byte(self, tmp_path_factory, columns):
+        out = tmp_path_factory.mktemp("csv")
+        write_csv(out / "columns.csv", columns)
+        row_write_csv(out / "rows.csv", list(columns), zip(*columns.values()))
+        assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
 class TestSpectrum:
@@ -316,6 +366,7 @@ class TestSweepPhase:
 SPECTRUM_CFG = {"boundary": "open", "n_cells": 4, "r": 0.5, "gamma": 1.0, "v_grid": [0.5]}
 DISORDER_CFG = {"n_cells": 4, "r": 0.5, "v": 0.5, "gamma": 1.0, "targets": ["v"],
                 "d_grid": [0.3], "n_seeds": 2}
+SVD_SCAN_CFG = {"n_list": [2, 3], "v_grid": [0.0, 0.5, 1.0], "r": 0.5, "gamma": 1.0}
 
 
 class TestMainPlumbing:
@@ -323,25 +374,58 @@ class TestMainPlumbing:
         assert run("spectrum", tmp_path / "missing.json", tmp_path / "out") == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,cfg,extra", [
-        ("spectrum", SPECTRUM_CFG | {"n_cells": None}, ()),
-        ("spectrum", SPECTRUM_CFG | {"v_grid": {"start": 0.0, "stop": 1.0, "num": "3"}}, ()),
-        ("winding", {"param_sets": [1]}, ()),
-        ("disorder", DISORDER_CFG | {"n_seeds": -3}, ()),
-        ("disorder", DISORDER_CFG | {"targets": "v"}, ()),
-        ("disorder", DISORDER_CFG | {"targets": []}, ()),
-        ("spectrum", SPECTRUM_CFG, ("--seed", "5")),
+    @pytest.mark.parametrize("command,cfg,extra,key", [
+        ("spectrum", SPECTRUM_CFG | {"n_cells": None}, (), "spectrum.n_cells"),
+        ("spectrum", SPECTRUM_CFG | {"v_grid": {"start": 0.0, "stop": 1.0, "num": "3"}}, (),
+         "spectrum.v_grid.num"),
+        ("winding", {"param_sets": [1]}, (), "winding.param_sets[0]"),
+        ("disorder", DISORDER_CFG | {"n_seeds": -3}, (), "n_seeds"),
+        ("disorder", DISORDER_CFG | {"targets": "v"}, (), "targets"),
+        ("disorder", DISORDER_CFG | {"targets": []}, (), "targets"),
+        ("spectrum", SPECTRUM_CFG, ("--seed", "5"), "--seed"),
+        # Integer keys refuse floats and bools rather than truncating them.
+        ("spectrum", SPECTRUM_CFG | {"n_cells": 2.7}, (), "spectrum.n_cells"),
+        ("spectrum", SPECTRUM_CFG | {"n_cells": True}, (), "spectrum.n_cells"),
+        ("disorder", DISORDER_CFG | {"n_seeds": 2.5}, (), "disorder.n_seeds"),
+        ("disorder", DISORDER_CFG | {"seed": 1.9}, (), "disorder.seed"),
+        ("winding", {"param_sets": [FIG2C_PARAM_SETS[0]], "samples": 2000.9}, (),
+         "winding.samples"),
+        ("evolve", {"preset": "zero-mode-present", "excite_site": 1.5}, (),
+         "evolve.excite_site"),
+        ("spectrum", SPECTRUM_CFG | {"v_grid": {"start": 0.0, "stop": 1.0, "num": 2.5}}, (),
+         "spectrum.v_grid.num"),
+        ("svd-scan", SVD_SCAN_CFG | {"n_list": [2.5]}, (), "svd-scan.n_list[0]"),
+        # Number keys refuse strings and non-finite values.
+        ("spectrum", SPECTRUM_CFG | {"r": "0.5"}, (), "spectrum.r"),
+        ("spectrum", SPECTRUM_CFG | {"v_grid": ["0.5"]}, (), "spectrum.v_grid[0]"),
+        ("spectrum", SPECTRUM_CFG | {"zero_mode_tol": "1e-8"}, (), "spectrum.zero_mode_tol"),
+        ("evolve", {"preset": "zero-mode-present", "threshold": float("nan")}, (),
+         "evolve.threshold"),
+        ("spectrum", SPECTRUM_CFG | {"zero_mode_tol": float("nan")}, (),
+         "spectrum.zero_mode_tol"),
+        ("disorder", DISORDER_CFG | {"transition_tol": float("nan")}, (),
+         "disorder.transition_tol"),
+        ("spectrum", SPECTRUM_CFG | {"r": 10 ** 400}, (), "spectrum.r"),
     ], ids=["null-n_cells", "string-num", "non-object-param-set", "negative-n_seeds",
-            "string-targets", "empty-targets", "seed-outside-disorder"])
-    def test_malformed_input_exits_2(self, tmp_path, capsys, command, cfg, extra):
+            "string-targets", "empty-targets", "seed-outside-disorder",
+            "float-n_cells", "bool-n_cells", "float-n_seeds", "float-seed", "float-samples",
+            "float-excite_site", "float-num", "float-n_list", "string-r", "string-v_grid",
+            "string-zero_mode_tol", "nan-threshold", "nan-zero_mode_tol",
+            "nan-transition_tol", "huge-int-r"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, command, cfg, extra, key):
         cfg_path = write_config(tmp_path, cfg)
         assert run(command, cfg_path, tmp_path / "out", *extra) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,cfg", [
         ("spectrum", SPECTRUM_CFG | {"n_cells": None}),
         ("disorder", DISORDER_CFG | {"targets": ["v", "bogus"]}),
-    ], ids=["bad-value", "bad-second-target"])
+        # The second hopping circle passes through the exceptional point at gamma/2.
+        ("winding", {"param_sets": [{"v": 0.3, "r": 0.3, "gamma": 1.0},
+                                    {"v": 0.3, "r": 0.2, "gamma": 1.0}]}),
+    ], ids=["bad-value", "bad-second-target", "bad-second-param-set"])
     def test_rejected_run_leaves_no_directory(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)
         assert run(command, cfg_path, tmp_path / "new" / "out") == 2
@@ -383,11 +467,14 @@ class TestMainPlumbing:
         for name in ("spectrum.csv", "zero_modes.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_svg_flag(self, tmp_path):
-        cfg_path = write_config(tmp_path, {"boundary": "open", "n_cells": 4,
-                                           "r": 0.5, "gamma": 1.0,
-                                           "v_grid": [0.0, 0.5, 1.0]})
+    @pytest.mark.parametrize("command,cfg,name,curves", [
+        ("spectrum", SPECTRUM_CFG | {"v_grid": [0.0, 0.5, 1.0]}, "spectrum.svg", 8),
+        ("svd-scan", SVD_SCAN_CFG, "svd_scan.svg", 2),
+        ("winding", {"param_sets": [FIG2C_PARAM_SETS[1]], "samples": 401}, "winding_0.svg", 1),
+        ("evolve", {"preset": "zero-mode-present"}, "fourier.svg", 1),
+    ], ids=["spectrum", "svd-scan", "winding", "evolve"])
+    def test_svg_flag(self, tmp_path, command, cfg, name, curves):
         out = tmp_path / "out"
-        assert run("spectrum", cfg_path, out, "--svg") == 0
-        svg = (out / "spectrum.svg").read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
+        assert run(command, write_config(tmp_path, cfg), out, "--svg") == 0
+        svg = (out / name).read_text()
+        assert svg.startswith("<svg") and svg.count("<polyline") == curves
