@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,14 @@ def _number(value, where: str) -> float:
     raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
+def _choice(value, enum: type[Enum], where: str):
+    """The member of enum whose value a JSON string config value names."""
+    choices = [m.value for m in enum]
+    if isinstance(value, str) and value in choices:
+        return enum(value)
+    raise ConfigError(f"{where} must be one of {choices}, got {value!r}")
+
+
 def _non_empty_list(value, where: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a non-empty list")
@@ -155,7 +164,7 @@ def _sheet(grid_header: str, grid: np.ndarray, energies: np.ndarray) -> dict:
 def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     _check_keys(cfg, {"boundary", "n_cells", "r", "gamma", "v_grid"},
                 {"zero_mode_tol"}, "spectrum")
-    boundary = Boundary(cfg["boundary"])
+    boundary = _choice(cfg["boundary"], Boundary, "spectrum.boundary")
     n_cells = _integer(cfg["n_cells"], "spectrum.n_cells")
     r, gamma = (_number(cfg[k], f"spectrum.{k}") for k in ("r", "gamma"))
     v_grid = _grid(cfg["v_grid"], "spectrum.v_grid")
@@ -227,6 +236,7 @@ def cmd_winding(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     return files
 
 
+# Disorder targets by config name; bench/workloads.py maps names through it.
 _TARGET_ALIASES = {t.value: t for t in DisorderTarget}
 
 
@@ -263,16 +273,14 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
     n_seeds = _integer(cfg["n_seeds"], "disorder.n_seeds")
     if n_seeds < 0:
         raise ConfigError(f"disorder: n_seeds must be >= 0, got {n_seeds}")
-    targets = _non_empty_list(cfg["targets"], "disorder.targets")
-    unknown = [name for name in targets if name not in _TARGET_ALIASES]
-    if unknown:
-        raise ConfigError(f"disorder: unknown targets {unknown}")
+    targets = [_choice(name, DisorderTarget, f"disorder.targets[{i}]")
+               for i, name in enumerate(_non_empty_list(cfg["targets"], "disorder.targets"))]
     trans_tol = _number(cfg.get("transition_tol", TRANSITION_TOL), "disorder.transition_tol")
     zm_tol = _number(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL), "disorder.zero_mode_tol")
     files = []
     summary = {}
-    for name in targets:
-        target = _TARGET_ALIASES[name]
+    for target in targets:
+        name = target.value
         energies = np.empty((len(d_grid), params.dim), dtype=complex)
         present = np.zeros(len(d_grid), dtype=int)
         side = np.full(len(d_grid), "", dtype=object)
@@ -393,17 +401,19 @@ def cmd_sweep_phase(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     nums = {k: _number(cfg[k], f"sweep-phase.{k}") for k in ("v", "r", "gamma", "k")}
     params = LatticeParams(v=nums["v"], r=nums["r"], gamma=nums["gamma"], n_cells=1,
                            boundary=Boundary.PERIODIC)
-    direction = SweepDirection(cfg.get("direction", dynamics.DEFAULT_DIRECTION))
+    direction = _choice(cfg.get("direction", dynamics.DEFAULT_DIRECTION.value),
+                        SweepDirection, "sweep-phase.direction")
+    mode = _choice(cfg["mode"], SweepMode, "sweep-phase.mode")
     # Keys left out of the config keep the library's defaults.
     opts = {key: read(cfg[key], f"sweep-phase.{key}") for key, read in
             (("omega", _number), ("samples", _integer), ("total_phase", _number))
             if key in cfg}
     result = adiabatic_sweep(params, k=nums["k"], direction=direction,
-                             mode=SweepMode(cfg["mode"]), **opts)
+                             mode=mode, **opts)
     json_path = out / "sweep_summary.json"
     write_json(json_path, {
         "params": nums,
-        "mode": cfg["mode"],
+        "mode": mode.value,
         "direction": direction.value,
         "eps_enclosed": count_enclosed_eps(params),
         "initial_band": result.initial_band,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -134,17 +135,16 @@ def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
     Transport mode parallel-transports the instantaneous u_{k,-}(phi)
     eigenvector with track_band over the momenta k + phi (omega is
     ignored). Dynamical mode integrates dpsi/dt = -i H_k(phi(t)) psi
-    with phi = +-omega*t, one batched expm over all midpoint Bloch matrices,
-    renormalizing the state after each step so gain cannot overflow it. As in
-    propagator, a step with ||H_k||_1 * dt above NORM_T_CAP raises
+    with phi = +-omega*t, one closed-form 2x2 exponential per midpoint Bloch
+    matrix, renormalizing the state after each step so gain cannot overflow it.
+    As in propagator, a step with ||H_k||_1 * dt above NORM_T_CAP raises
     PropagatorOverflowError; its substeps is the number of steps (samples - 1)
-    the sweep needs. Overlaps
-    are reported as magnitudes of the expansion coefficients in the
-    (u_+(0), u_-(0)) eigenbasis, normalized to unit total weight.
+    the sweep needs. Overlaps are reported as magnitudes of the expansion
+    coefficients in the (u_+(0), u_-(0)) eigenbasis, normalized to unit total
+    weight.
     """
     sign = 1.0 if direction is SweepDirection.FORWARD else -1.0
-    start = bloch_eigensystem(params, k)
-    u_plus0, u_minus0 = start.vectors
+    E, u_plus0, u_minus0 = bloch_eigensystem(params, k)
     if mode is SweepMode.TRANSPORT:
         tracked = track_band(params, start=k, span=sign * total_phase,
                              samples=samples, branch=1)
@@ -152,10 +152,10 @@ def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
     else:
         if samples < 2:
             raise ValueError("dynamical mode needs samples >= 2")
-        psi = u_minus0.copy()
+        psi = u_minus0
         if total_phase > 0:
             if omega is None:
-                omega = abs(start.energies[0] - start.energies[1]) / 100.0
+                omega = abs(2 * E) / 100.0
             if omega <= 0:
                 raise ValueError("omega must be > 0")
             phis = sign * np.linspace(0.0, total_phase, samples)
@@ -165,9 +165,18 @@ def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
             if norm_t > NORM_T_CAP:
                 raise PropagatorOverflowError(
                     norm_t, NORM_T_CAP, int(np.ceil((samples - 1) * norm_t / NORM_T_CAP)))
-            for U in scipy.linalg.expm(-1j * Hk * dt):
-                psi = U @ psi
-                psi = psi / np.linalg.norm(psi)
+            # H_k^2 = (b^2 + h_x^2) I, so exp(-i H_k dt) = cos(x) I - i dt sinc(x) H_k
+            # with x = sqrt(b^2 + h_x^2) dt; both are even in x and finite at an EP.
+            x = np.sqrt(Hk[:, 0, 0] ** 2 + Hk[:, 0, 1] ** 2)[:, None, None] * dt
+            steps = np.cos(x) * np.eye(2) - 1j * dt * np.sinc(x / np.pi) * Hk
+            # Steps act on the state one at a time: a product of the matrices
+            # loses the decaying component that later steps amplify.
+            a, b = psi.tolist()
+            for (u00, u01), (u10, u11) in steps.tolist():
+                a, b = u00 * a + u01 * b, u10 * a + u11 * b
+                norm = math.hypot(a.real, a.imag, b.real, b.imag)
+                a, b = a / norm, b / norm
+            psi = np.array([a, b])
     c = band_coefficients(psi, u_plus0, u_minus0)
     w = np.abs(c)
     w = w / np.linalg.norm(w)

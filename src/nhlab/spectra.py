@@ -65,22 +65,6 @@ def smallest_abs_eigenvalue(H: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(M.real)).min())
 
 
-@dataclass(frozen=True)
-class BlochEigensystem:
-    """Closed-form eigensystem of the 2x2 Bloch matrix at one momentum.
-
-    energies = (E_+, E_-) with E_+ the principal square root of
-    h_x^2 + (h_z + i gamma/2)^2 and E_- = -E_+; vectors are the matching
-    unit-norm eigenvectors. theta is the complex half-angle parameter
-    with tan(theta) = -h_x / (h_z + i gamma/2).
-    """
-
-    k: float
-    energies: tuple[complex, complex]
-    vectors: tuple[np.ndarray, np.ndarray]
-    theta: complex
-
-
 def bloch_branches(params: LatticeParams, ks: np.ndarray):
     """Closed-form branches of the build_bloch matrices at an array of momenta.
 
@@ -110,26 +94,19 @@ def bloch_branches(params: LatticeParams, ks: np.ndarray):
     return E, u_plus, u_minus
 
 
-def bloch_eigensystem(params: LatticeParams, k: float) -> BlochEigensystem:
-    """Both Bloch branches in half-angle form.
+def bloch_eigensystem(params: LatticeParams,
+                      k: float) -> tuple[complex, np.ndarray, np.ndarray]:
+    """bloch_branches at one momentum: (E, u_plus, u_minus), vectors through fix_phase.
 
     Raises ExceptionalPointError when the two eigenvalues coalesce
     (|E| < EP_TOL * ||H_k||), where the eigenvectors merge too.
     """
     E, u_plus, u_minus = bloch_branches(params, np.array([k]))
-    E, u_plus, u_minus = complex(E[0]), u_plus[0], u_minus[0]
+    E = complex(E[0])
     scale = np.linalg.norm(build_bloch(params, k).entries, 2)
     if abs(E) < EP_TOL * max(scale, 1e-300):
         raise ExceptionalPointError(f"eigenvalues coalesce at k={k} (|E|={abs(E):.3g})")
-    # Complex mixing angle: tan(theta) = -hx / b.
-    c, s = u_plus
-    theta = -2.0 * np.arctan(complex(s / c)) if c != 0 else complex(-np.pi)
-    return BlochEigensystem(
-        k=k,
-        energies=(E, -E),
-        vectors=(fix_phase(u_plus), fix_phase(u_minus)),
-        theta=complex(theta),
-    )
+    return E, fix_phase(u_plus[0]), fix_phase(u_minus[0])
 
 
 def geometric_multiplicity(H: np.ndarray, lam: complex, tol: float | None = None) -> int:
@@ -229,24 +206,22 @@ def spectral_report(H: np.ndarray) -> SpectralReport:
     H = np.asarray(H, dtype=complex)
     scale = np.linalg.norm(H, 2)
     w, _ = eig(H)
-    clusters = []
     thresh = CLUSTER_TOL * max(scale, 1e-300)
-    order = np.lexsort((w.imag, w.real))
-    ws = w[order]
-    groups: list[list[complex]] = []
-    for val in ws:
-        placed = False
-        for g in groups:
-            if any(abs(val - x) < thresh for x in g):
-                g.append(val)
-                placed = True
-                break
-        if not placed:
-            groups.append([val])
-    for g in groups:
-        rep = complex(np.mean(g))
-        clusters.append(Cluster(value=rep, algebraic=len(g),
-                                geometric=geometric_multiplicity(H, rep, tol=CLUSTER_TOL)))
+    ws = w[np.lexsort((w.imag, w.real))]
+    # Single linkage: each eigenvalue takes the lowest sorted index it reaches
+    # through a chain of neighbours closer than thresh.
+    n = len(ws)
+    near = np.abs(ws[:, None] - ws[None, :]) < thresh
+    lab, prev = np.arange(n), None
+    while not np.array_equal(lab, prev):
+        lab, prev = np.where(near, lab, n).min(axis=1), lab
+    counts = np.bincount(lab, minlength=n)
+    clusters = []
+    for first in np.flatnonzero(lab == np.arange(n)):
+        rep = complex(np.mean(ws[lab == first]))
+        # 1 <= geometric <= algebraic, so a simple eigenvalue needs no SVD.
+        geo = 1 if counts[first] == 1 else geometric_multiplicity(H, rep, tol=CLUSTER_TOL)
+        clusters.append(Cluster(value=rep, algebraic=int(counts[first]), geometric=geo))
     zero = None
     if any(abs(c.value) < thresh for c in clusters):
         zero = zero_mode_analysis(H, tol=CLUSTER_TOL, require_chiral=False)

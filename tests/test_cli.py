@@ -367,6 +367,7 @@ SPECTRUM_CFG = {"boundary": "open", "n_cells": 4, "r": 0.5, "gamma": 1.0, "v_gri
 DISORDER_CFG = {"n_cells": 4, "r": 0.5, "v": 0.5, "gamma": 1.0, "targets": ["v"],
                 "d_grid": [0.3], "n_seeds": 2}
 SVD_SCAN_CFG = {"n_list": [2, 3], "v_grid": [0.0, 0.5, 1.0], "r": 0.5, "gamma": 1.0}
+SWEEP_CFG = {"v": 0.3, "r": 0.3, "gamma": 1.0, "k": 0.0, "mode": "transport"}
 
 
 class TestMainPlumbing:
@@ -406,12 +407,18 @@ class TestMainPlumbing:
         ("disorder", DISORDER_CFG | {"transition_tol": float("nan")}, (),
          "disorder.transition_tol"),
         ("spectrum", SPECTRUM_CFG | {"r": 10 ** 400}, (), "spectrum.r"),
+        # Enum-valued keys name the key too.
+        ("spectrum", SPECTRUM_CFG | {"boundary": "closed"}, (), "spectrum.boundary"),
+        ("sweep-phase", SWEEP_CFG | {"mode": "fast"}, (), "sweep-phase.mode"),
+        ("sweep-phase", SWEEP_CFG | {"direction": "up"}, (), "sweep-phase.direction"),
+        ("disorder", DISORDER_CFG | {"targets": ["v", ["v"]]}, (), "disorder.targets[1]"),
     ], ids=["null-n_cells", "string-num", "non-object-param-set", "negative-n_seeds",
             "string-targets", "empty-targets", "seed-outside-disorder",
             "float-n_cells", "bool-n_cells", "float-n_seeds", "float-seed", "float-samples",
             "float-excite_site", "float-num", "float-n_list", "string-r", "string-v_grid",
             "string-zero_mode_tol", "nan-threshold", "nan-zero_mode_tol",
-            "nan-transition_tol", "huge-int-r"])
+            "nan-transition_tol", "huge-int-r", "unknown-boundary", "unknown-mode",
+            "unknown-direction", "list-target"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, cfg, extra, key):
         cfg_path = write_config(tmp_path, cfg)
         assert run(command, cfg_path, tmp_path / "out", *extra) == 2

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nhlab import (Boundary, LatticeParams, PropagatorOverflowError, SweepDirection,
-                   SweepMode, TimeSeries, adiabatic_sweep, build_real_space,
-                   count_enclosed_eps, evolve, fourier_detect, propagator)
+from nhlab import (Boundary, ExceptionalPointError, LatticeParams,
+                   PropagatorOverflowError, SweepDirection, SweepMode, TimeSeries,
+                   adiabatic_sweep, band_coefficients, bloch_eigensystem, build_bloch,
+                   build_real_space, count_enclosed_eps, evolve, fourier_detect,
+                   propagator)
 from nhlab.spectra import exact_generalized_zero_mode, exact_zero_mode
 
 
@@ -117,8 +120,10 @@ class TestEvolve:
 
     @pytest.mark.parametrize("v", [0.5, 0.8, -0.6, 1.2])
     def test_real_spectrum_polynomial_boundedness(self, v):
-        # |v| >= gamma/2: spectrum real but defective; Jordan blocks of
-        # size up to n_cells - 1 allow at most t^(n_cells - 2) growth.
+        # |v| >= gamma/2, so every spectrum is real. Only v = 0.5 = gamma/2 is
+        # defective: its Jordan blocks of size up to n_cells - 1 allow at most
+        # t^(n_cells - 2) growth. At v = 0.8, -0.6 and 1.2 the spectrum is
+        # real and diagonalizable, so the norm stays bounded.
         p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=10)
         rng = np.random.default_rng(1)
         psi0 = rng.normal(size=20) + 1j * rng.normal(size=20)
@@ -167,6 +172,39 @@ class TestFourierDetect:
                                    np.sort(-rep.frequencies), atol=1e-9)
 
 
+def expm_sweep(params, k, direction, omega, samples):
+    """The dynamical sweep with one expm per step, applied to the state in order.
+
+    Returns the final overlaps and the sweep's condition number: the sum over
+    steps j of ||(1 - psi psi^H) Q_j|| / ||Q_j psi_j||, with psi_j the state
+    after step j, Q_j the product of the later steps and psi the final state.
+    A relative rounding error of eps in each step turns the final state by at
+    most about eps times that sum.
+    """
+    sign = 1.0 if direction is SweepDirection.FORWARD else -1.0
+    E, u_plus, u_minus = bloch_eigensystem(params, k)
+    if omega is None:
+        omega = abs(2 * E) / 100.0
+    phis = sign * np.linspace(0.0, 2 * np.pi, samples)
+    dt = (2 * np.pi / omega) / (samples - 1)
+    Hk = build_bloch(params, k, 0.5 * (phis[:-1] + phis[1:])).entries
+    steps = scipy.linalg.expm(-1j * Hk * dt)
+    psi, log_growth = u_minus, []
+    for U in steps:
+        psi = U @ psi
+        log_growth.append(np.log(np.linalg.norm(psi)))
+        psi = psi / np.linalg.norm(psi)
+    w = np.abs(band_coefficients(psi, u_plus, u_minus))
+    cond, Q, log_q, log_later = 0.0, np.eye(2), 0.0, 0.0
+    for U, g in zip(steps[::-1], log_growth[::-1]):
+        cond += np.exp(log_q - log_later) * np.linalg.norm(Q - np.outer(psi, psi.conj() @ Q))
+        log_later += g
+        Q = Q @ U
+        log_q += np.log(np.linalg.norm(Q))
+        Q = Q / np.linalg.norm(Q)
+    return w / np.linalg.norm(w), cond
+
+
 class TestAdiabaticSweep:
     def test_one_ep_transport_swaps_bands(self):
         p = LatticeParams(v=0.3, r=0.3, gamma=1.0, n_cells=1)
@@ -187,11 +225,10 @@ class TestAdiabaticSweep:
         assert res.final_overlaps["plus"] > 1 - 1e-6
 
     def test_zero_duration_sweep_unchanged(self):
-        from nhlab.spectra import bloch_eigensystem
         p = LatticeParams(v=0.3, r=0.3, gamma=1.0, n_cells=1)
         res = adiabatic_sweep(p, k=0.0, total_phase=0.0)
-        np.testing.assert_array_equal(res.final_state,
-                                      bloch_eigensystem(p, 0.0).vectors[1])
+        _, _, u_minus = bloch_eigensystem(p, 0.0)
+        np.testing.assert_array_equal(res.final_state, u_minus)
         assert res.final_overlaps["minus"] > 1 - 1e-12
 
     def test_dynamical_mode_normalized_output(self):
@@ -217,3 +254,37 @@ class TestAdiabaticSweep:
         res = adiabatic_sweep(p, k=k, mode=SweepMode.TRANSPORT)
         swapped = res.final_overlaps["plus"] > res.final_overlaps["minus"]
         assert swapped == (n_eps == 1)
+
+    @given(st.floats(-1.0, 1.0), st.floats(0.1, 1.0), st.floats(0.2, 1.5),
+           st.floats(-np.pi, np.pi), st.sampled_from(list(SweepDirection)),
+           st.one_of(st.none(), st.floats(1e-4, 2.0)), st.integers(2, 2001))
+    @settings(max_examples=30, deadline=None)
+    def test_dynamical_matches_expm_steps(self, v, r, gamma, k, direction, omega, samples):
+        p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=1)
+        try:
+            res = adiabatic_sweep(p, k=k, direction=direction, omega=omega,
+                                  mode=SweepMode.DYNAMICAL, samples=samples)
+        except (ExceptionalPointError, PropagatorOverflowError):
+            assume(False)
+        want, cond = expm_sweep(p, k, direction, omega, samples)
+        got = [res.final_overlaps["plus"], res.final_overlaps["minus"]]
+        # Gain and loss amplify each step's rounding error of a few eps (cond
+        # reaches 1e17 here); where they do, neither method pins the overlaps.
+        tol = 1e-10 + 10 * np.finfo(float).eps * cond
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("v,r,omega,samples", [
+        # v - r = gamma/2: the sweep from k = 0 passes the EP at k + phi = pi,
+        # where a midpoint lands (even samples) or which it straddles.
+        (0.8, 0.3, None, 4000), (0.8, 0.3, None, 4001),
+        # A product of the step matrices misses this one's final state by 0.8.
+        (0.3, 1.0, 1e-3, 4001),
+    ], ids=["ep-midpoint", "ep-straddled", "slow-two-eps"])
+    def test_dynamical_matches_expm_steps_fixed(self, v, r, omega, samples):
+        p = LatticeParams(v=v, r=r, gamma=1.0, n_cells=1)
+        res = adiabatic_sweep(p, k=0.0, omega=omega, mode=SweepMode.DYNAMICAL,
+                              samples=samples)
+        want, cond = expm_sweep(p, 0.0, SweepDirection.FORWARD, omega, samples)
+        assert np.finfo(float).eps * cond < 1e-10
+        got = [res.final_overlaps["plus"], res.final_overlaps["minus"]]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)

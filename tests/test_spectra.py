@@ -12,7 +12,8 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointErr
                    exact_generalized_zero_mode, exact_zero_mode, gap_report,
                    geometric_multiplicity, smallest_abs_eigenvalue,
                    smallest_singular_values, spectral_report, zero_mode_analysis)
-from nhlab.spectra import fix_phase
+from nhlab import spectra
+from nhlab.spectra import CLUSTER_TOL
 
 from conftest import assert_multisets_close
 
@@ -68,13 +69,11 @@ class TestBlochEigensystem:
     def test_pure_sigma_x(self):
         # gamma=0, k=pi: H = (v - r) sigma_x.
         p = LatticeParams(v=1.0, r=0.5, gamma=0.0, n_cells=1)
-        es = bloch_eigensystem(p, np.pi)
-        assert es.energies[0] == pytest.approx(0.5)
-        assert es.energies[1] == pytest.approx(-0.5)
-        np.testing.assert_allclose(es.vectors[0], np.array([1, 1]) / np.sqrt(2),
-                                   atol=1e-14)
-        np.testing.assert_allclose(np.abs(es.vectors[1]), np.ones(2) / np.sqrt(2),
-                                   atol=1e-14)
+        E, u_plus, u_minus = bloch_eigensystem(p, np.pi)
+        assert E == pytest.approx(0.5)
+        assert -E == pytest.approx(-0.5)
+        np.testing.assert_allclose(u_plus, np.array([1, 1]) / np.sqrt(2), atol=1e-14)
+        np.testing.assert_allclose(np.abs(u_minus), np.ones(2) / np.sqrt(2), atol=1e-14)
 
     def test_exceptional_point_raises(self):
         # v - r = gamma/2 at k = pi makes the square root vanish identically.
@@ -83,9 +82,13 @@ class TestBlochEigensystem:
             bloch_eigensystem(p, np.pi)
 
     def test_chiral_pairing_of_bands(self):
+        # sigma_y H_k sigma_y = -H_k maps the E branch onto the -E branch.
         p = LatticeParams(v=0.4, r=0.7, gamma=0.9, n_cells=1)
-        es = bloch_eigensystem(p, 1.3)
-        assert es.energies[0] == pytest.approx(-es.energies[1])
+        E, u_plus, u_minus = bloch_eigensystem(p, 1.3)
+        bm = build_bloch(p, 1.3).entries
+        assert np.linalg.norm(bm @ u_minus + E * u_minus) < 1e-12
+        sigma_y = np.array([[0, -1j], [1j, 0]])
+        assert abs(abs(np.vdot(sigma_y @ u_plus, u_minus)) - 1) < 1e-12
 
     @given(st.floats(-2, 2), st.floats(0.05, 2), st.floats(0, 2), st.floats(-7, 7))
     @settings(max_examples=80, deadline=None)
@@ -94,20 +97,13 @@ class TestBlochEigensystem:
         bm = build_bloch(p, k).entries
         scale = np.linalg.norm(bm, 2)
         try:
-            es = bloch_eigensystem(p, k)
+            E, u_plus, u_minus = bloch_eigensystem(p, k)
         except ExceptionalPointError:
             return
         w, _ = eig(bm)
-        assert_multisets_close(es.energies, w, tol=1e-12 * max(scale, 1))
-        for E, u in zip(es.energies, es.vectors):
-            assert np.linalg.norm(bm @ u - E * u) <= 1e-12 * max(scale, 1)
-
-    def test_theta_parametrizes_eigenvectors(self):
-        p = LatticeParams(v=0.4, r=0.7, gamma=0.9, n_cells=1)
-        es = bloch_eigensystem(p, 1.3)
-        t = es.theta
-        u_plus = np.array([np.cos(t / 2), -np.sin(t / 2)])
-        assert abs(abs(fix_phase(u_plus).conj() @ es.vectors[0]) - 1) < 1e-12
+        assert_multisets_close([E, -E], w, tol=1e-12 * max(scale, 1))
+        for e, u in ((E, u_plus), (-E, u_minus)):
+            assert np.linalg.norm(bm @ u - e * u) <= 1e-12 * max(scale, 1)
 
 
 class TestGeometricMultiplicity:
@@ -260,7 +256,71 @@ class TestZeroModeAnalysis:
             zero_mode_analysis(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
 
 
+def loop_clusters(H, w):
+    """Clusters of the eigenvalues w of H as spectral_report once found them.
+
+    Each sorted eigenvalue joins the first cluster that holds a member closer
+    than the threshold, and each cluster's geometric multiplicity comes from
+    an SVD. Clusters are (value, algebraic, geometric).
+    """
+    thresh = CLUSTER_TOL * max(np.linalg.norm(H, 2), 1e-300)
+    groups = []
+    for val in w[np.lexsort((w.imag, w.real))]:
+        for g in groups:
+            if any(abs(val - x) < thresh for x in g):
+                g.append(val)
+                break
+        else:
+            groups.append([val])
+    reps = [complex(np.mean(g)) for g in groups]
+    return [(rep, len(g), geometric_multiplicity(H, rep, tol=CLUSTER_TOL))
+            for rep, g in zip(reps, groups)]
+
+
+def cluster_chains(count=40, seed=7):
+    """Fixed open and periodic chains, clean and with each disorder target."""
+    rng = np.random.default_rng(seed)
+    special = (0.5, -0.5, 0.5 + 1e-12, 0.5 - 1e-12)
+    targets = (None, *DisorderTarget)
+    chains = []
+    for i in range(count):
+        n = (60, 60, 40, 40)[i] if i < 4 else int(rng.choice((6, 9, 13, 20, 30)))
+        v = special[i % 4] if i % 2 else float(rng.uniform(-2.0, 2.0))
+        p = LatticeParams(v=v, r=float(rng.uniform(0.2, 1.2)), gamma=1.0, n_cells=n,
+                          boundary=(Boundary.OPEN, Boundary.PERIODIC)[i // 2 % 2])
+        target = targets[i % len(targets)]
+        dis = None if target is None else DisorderConfig.from_seed(
+            target, float(rng.uniform(0.0, 0.5)), int(rng.integers(1000)), n)
+        chains.append((p, dis))
+    return chains
+
+
 class TestSpectralReport:
+    def test_clusters_match_loop_reference(self):
+        for p, dis in cluster_chains():
+            H = build_real_space(p, disorder=dis)
+            rep = spectral_report(H)
+            got = [(c.value, c.algebraic, c.geometric) for c in rep.clusters]
+            # repr round-trips each float, so equal reprs mean equal bits
+            assert repr(got) == repr(loop_clusters(H, rep.eigenvalues)), (p, dis)
+
+    def test_clusters_independent_of_order(self):
+        # The first-match loop split the 29-fold bands into (1, 28) here.
+        p = LatticeParams(v=0.5, r=0.65, gamma=1.0, n_cells=30)
+        rep = spectral_report(build_real_space(p))
+        assert sorted(c.algebraic for c in rep.clusters) == [2, 29, 29]
+        assert all(c.geometric == 1 for c in rep.clusters)
+
+    @pytest.mark.parametrize("v,calls", [(1.3, 0), (0.5, 3)])
+    def test_svd_only_for_repeated_eigenvalues(self, monkeypatch, v, calls):
+        seen = []
+        solve = spectra.geometric_multiplicity
+        monkeypatch.setattr(spectra, "geometric_multiplicity",
+                            lambda *a, **kw: seen.append(a[1]) or solve(*a, **kw))
+        p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=30)
+        spectral_report(build_real_space(p))
+        assert len(seen) == calls
+
     def test_multiplicities_sum_to_dimension(self, defective_params):
         rep = spectral_report(build_real_space(defective_params))
         assert sum(c.algebraic for c in rep.clusters) == 60
