@@ -15,8 +15,8 @@ from .model import (Boundary, BlochMatrix, DisorderConfig, DisorderTarget,
 from .spectra import (EdgeProfile, GapReport, SpectralReport,
                       ZeroModeInfo, bloch_eigensystem, edge_profile, eig,
                       exact_generalized_zero_mode, exact_zero_mode, gap_report,
-                      geometric_multiplicity, smallest_abs_eigenvalue,
-                      smallest_singular_values, spectral_report, zero_mode_analysis)
+                      geometric_multiplicity, smallest_singular_values,
+                      spectral_report, zero_mode_analysis)
 from .topology import (TrackedBand, WindingResult, band_coefficients,
                        count_enclosed_eps, track_band, winding_number)
 

@@ -248,12 +248,11 @@ def disorder_transition(params: LatticeParams, target: DisorderTarget,
     The criterion is min |E| > tol (in gamma units); returns None when
     the mode survives the whole grid. The seed's draws are made once and
     scaled by each d; min |E| comes from spectra.smallest_abs_eigenvalue,
-    in real arithmetic unless the target is onsite.
+    on the reduced N-site chain unless the target is onsite.
     """
     draws = DisorderConfig.from_seed(target, 0.0, seed, params.n_cells)
     for d in d_grid:
-        H = build_real_space(params, disorder=replace(draws, strength=float(d)))
-        if spectra.smallest_abs_eigenvalue(H) > tol:
+        if spectra.smallest_abs_eigenvalue(params, replace(draws, strength=float(d))) > tol:
             return float(d)
     return None
 
@@ -284,16 +283,11 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
         energies = np.empty((len(d_grid), params.dim), dtype=complex)
         present = np.zeros(len(d_grid), dtype=int)
         side = np.full(len(d_grid), "", dtype=object)
-        # The base-seed sweep is seed 0 of the transition statistics too.
-        first_split = None
         draws = DisorderConfig.from_seed(target, 0.0, base_seed, params.n_cells)
         for j, d in enumerate(d_grid):
             H = build_real_space(params, disorder=replace(draws, strength=float(d)))
             energies[j] = np.sort_complex(np.linalg.eigvals(H))
-            min_abs = np.abs(energies[j]).min()
-            if first_split is None and min_abs > trans_tol:
-                first_split = float(d)
-            present[j] = min_abs < zm_tol * np.linalg.norm(H, 2)
+            present[j] = np.abs(energies[j]).min() < zm_tol * np.linalg.norm(H, 2)
             if present[j]:
                 _, _, vh = np.linalg.svd(H)
                 side[j] = spectra.edge_profile(spectra.fix_phase(vh[-1].conj())).side
@@ -302,10 +296,9 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
                   | {"zero_mode_present": np.repeat(present, params.dim),
                      "zero_mode_side": np.repeat(side, params.dim)})
         files.append(csv_path)
-        transitions = [first_split] if n_seeds > 0 else []
-        transitions += [disorder_transition(params, target, d_grid, base_seed + i,
-                                            tol=trans_tol)
-                        for i in range(1, n_seeds)]
+        transitions = [disorder_transition(params, target, d_grid, base_seed + i,
+                                           tol=trans_tol)
+                       for i in range(n_seeds)]
         finite = [t for t in transitions if t is not None]
         summary[name] = {
             "per_seed_transitions": transitions,

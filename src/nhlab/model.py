@@ -154,6 +154,29 @@ def _per_cell_values(params: LatticeParams, disorder: DisorderConfig | None):
     return rn, rn_cross, vn, gn, onsite
 
 
+def reduced_chain(params: LatticeParams, disorder: DisorderConfig | None = None):
+    """Hops (a, b, r) of the nearest-neighbour chain the open chain reduces to.
+
+    Rotating every cell by u = [[1, 1], [i, -i]] / sqrt(2) turns
+    build_real_space(params, disorder) into i A, with A a real 2N-site
+    path: in cell n, hop -a_n from the second site to the first and +b_n
+    back, where a_n = v_n - gamma_n/2 and b_n = v_n + gamma_n/2; bond n
+    hops +r_n from the first site of cell n to the second of cell n+1 and
+    -r_n back. A is bipartite, so the E^2 are the eigenvalues of -X Y with
+    X = -diag(a) - superdiag(r) and Y = diag(b) + subdiag(r), and
+    det H = +-prod(a_n b_n) (Hatano & Nelson 1996; Yao & Wang 2018).
+    Returns None for a periodic chain, on-site disorder or independent
+    cross-hop draws, which do not reduce. r has N - 1 entries.
+    """
+    if params.boundary is not Boundary.OPEN or (
+            disorder is not None and disorder.target is DisorderTarget.ON_SITE):
+        return None
+    rn, rn_cross, vn, gn, _ = _per_cell_values(params, disorder)
+    if rn_cross is not rn:
+        return None
+    return vn - 0.5 * gn, vn + 0.5 * gn, rn[:-1]
+
+
 def build_real_space(params: LatticeParams,
                      disorder: DisorderConfig | None = None,
                      phi: float = 0.0,

@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import EigenDecompositionError, ExceptionalPointError, NoZeroModeError
-from .model import Boundary, LatticeParams, build_bloch, build_real_space, chiral_residual
+from .model import (Boundary, DisorderConfig, LatticeParams, build_bloch, build_real_space,
+                    chiral_residual, reduced_chain)
 
 CLUSTER_TOL = 1e-8      # eigenvalues closer than CLUSTER_TOL * ||H||_2 share a cluster
 ZERO_MODE_TOL = 1e-8    # zero mode present iff sigma_min < ZERO_MODE_TOL * sigma_max
@@ -47,22 +49,33 @@ def eig(H: np.ndarray):
     return w, V
 
 
-def smallest_abs_eigenvalue(H: np.ndarray) -> float:
-    """min |E| over the eigenvalues of H, in real arithmetic when exact.
+def smallest_abs_eigenvalue(params: LatticeParams,
+                            disorder: DisorderConfig | None = None) -> float:
+    """min |E| over the eigenvalues of build_real_space(params, disorder).
 
-    With S = diag(1, i, 1, i, ...), M = S^-1 (-i H) S has the eigenvalues
-    -i E. Its entries are H's times 1, -1 or -i, so forming it rounds
-    nothing, and M is real whenever H has no real on-site term and no
-    hopping phase (clean chains, r/v/gamma disorder and decay_offset, at
-    phi = 0). Then the real solver gives min |E|; otherwise H is solved
-    as given.
+    Where the chain reduces (model.reduced_chain), det H = +-prod(a_n b_n),
+    so a zero hop gives exactly 0.0. Otherwise min |E|^2 is
+    1 / max |eig(Y^-1 X^-1)|, an N x N real solve for the largest
+    eigenvalue, which keeps its relative accuracy; sqrt(min |eig(X Y)|)
+    would lose half the digits of a small one. Chains that do not reduce,
+    and inverses that overflow, take min |eigvals(H)|.
     """
-    H = np.asarray(H, dtype=complex)
-    s = np.where(np.arange(H.shape[0]) % 2, 1j, 1.0)
-    M = s.conj()[:, None] * (-1j * H) * s
-    if M.imag.any():
-        return float(np.abs(np.linalg.eigvals(H)).min())
-    return float(np.abs(np.linalg.eigvals(M.real)).min())
+    chain = reduced_chain(params, disorder)
+    if chain is not None:
+        a, b, r = chain
+        if not (a.all() and b.all()):
+            return 0.0
+        eye = np.eye(len(a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_inv = scipy.linalg.solve_triangular(-np.diag(a) - np.diag(r, 1), eye)
+            y_inv = scipy.linalg.solve_triangular(np.diag(b) + np.diag(r, -1), eye,
+                                                  lower=True)
+            m = y_inv @ x_inv
+        if np.isfinite(m).all():
+            top = np.abs(np.linalg.eigvals(m)).max()
+            if 0.0 < top < np.inf:
+                return float(1.0 / np.sqrt(top))
+    return float(np.abs(np.linalg.eigvals(build_real_space(params, disorder=disorder))).min())
 
 
 def bloch_branches(params: LatticeParams, ks: np.ndarray):

@@ -210,7 +210,7 @@ class TestDisorder:
         assert len(entry["per_seed_transitions"]) == 3
         assert summary["n_seeds"] == 3
         assert summary["base_seed"] == 0
-        # seed 0 comes from the CSV sweep, the others from disorder_transition
+        # every seed, the CSV's base seed too, comes from disorder_transition
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=10)
         assert entry["per_seed_transitions"] == [
             disorder_transition(p, DisorderTarget.HOPPING_V, np.array([0.0, 0.3, 0.8]), seed)
@@ -249,7 +249,8 @@ class TestDisorder:
             cmd_disorder(self._config(targets=["v", "bogus"]), tmp_path)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_V, DisorderTarget.GAIN_LOSS])
+    @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
+                                        DisorderTarget.GAIN_LOSS])
     def test_transition_matches_complex_solves(self, target):
         # Each d: fresh draws and min |E| from complex LAPACK on H itself.
         params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                    build_bloch, build_real_space, chiral_operator, chiral_residual,
                    parity_operator, pt_residual)
-from nhlab.model import SIGMA_X, SIGMA_Y, SIGMA_Z, _per_cell_values
+from nhlab.model import SIGMA_X, SIGMA_Y, SIGMA_Z, _per_cell_values, reduced_chain
 
 from conftest import assert_multisets_close
 
@@ -202,6 +202,43 @@ class TestBuildRealSpace:
         w0 = np.sort_complex(np.linalg.eigvals(build_real_space(p)))
         w1 = np.sort_complex(np.linalg.eigvals(build_real_space(p, decay_offset=0.25)))
         assert_multisets_close(w1, w0 - 0.25j, tol=1e-12)
+
+
+def mp_eigvals(mp, M):
+    """Eigenvalues from mp.eig, which returns (E, ER, EL) for any 1 x 1 matrix."""
+    E = mp.eig(M, left=False, right=False)
+    return E[0] if isinstance(E, tuple) else E
+
+
+class TestReducedChain:
+    @pytest.mark.parametrize("target", [None, DisorderTarget.HOPPING_R,
+                                        DisorderTarget.HOPPING_V, DisorderTarget.GAIN_LOSS])
+    @pytest.mark.parametrize("v", [0.55, 1.3, 0.3, 0.5, -0.8])
+    def test_squared_spectrum_matches_mpmath(self, v, target):
+        # Real, complex, defective (v = gamma/2) and negative-v chains. Each
+        # E^2 of the reduced chain, taken twice, is the square of an
+        # eigenvalue pair +-E of H, and |det H| = |prod(a_n b_n)|. The
+        # tolerance allows for the float hops, each within half an ulp of
+        # the exact v_n -+ gamma_n/2 of H's entries.
+        mp = pytest.importorskip("mpmath")
+        for n in (1, 2, 6):
+            p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n)
+            dis = None if target is None else DisorderConfig.from_seed(target, 0.3, 7, n)
+            a, b, r = reduced_chain(p, dis)
+            assert a.shape == b.shape == (n,) and r.shape == (n - 1,)
+            with mp.workdps(60):
+                E = mp_eigvals(mp, mp.matrix(build_real_space(p, disorder=dis).tolist()))
+                X, Y = mp.zeros(n), mp.zeros(n)
+                for i in range(n):
+                    X[i, i], Y[i, i] = -mp.mpf(a[i]), mp.mpf(b[i])
+                    if i < n - 1:
+                        X[i, i + 1], Y[i + 1, i] = -mp.mpf(r[i]), mp.mpf(r[i])
+                E2 = mp_eigvals(mp, -X * Y)
+                assert_multisets_close([complex(e ** 2) for e in E],
+                                       [complex(z) for z in E2] * 2, tol=1e-13)
+                det_h = abs(mp.fprod(E))
+                det_chain = abs(mp.fprod(mp.mpf(x) * mp.mpf(y) for x, y in zip(a, b)))
+                assert abs(det_h - det_chain) <= 1e-13 * det_chain + mp.mpf(10) ** -40
 
 
 class TestSymmetries:

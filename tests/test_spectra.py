@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointErr
                    LatticeParams, NoZeroModeError, bloch_eigensystem, build_bloch,
                    build_real_space, chiral_operator, edge_profile, eig,
                    exact_generalized_zero_mode, exact_zero_mode, gap_report,
-                   geometric_multiplicity, smallest_abs_eigenvalue,
-                   smallest_singular_values, spectral_report, zero_mode_analysis)
+                   geometric_multiplicity, smallest_singular_values, spectral_report,
+                   zero_mode_analysis)
 from nhlab import spectra
-from nhlab.spectra import CLUSTER_TOL
+from nhlab.model import reduced_chain
+from nhlab.spectra import CLUSTER_TOL, smallest_abs_eigenvalue
 
 from conftest import assert_multisets_close
 
@@ -163,14 +165,46 @@ class TestSmallestSingularValues:
 
 
 @contextmanager
-def eigvals_dtypes():
-    """Record the dtype of each matrix handed to np.linalg.eigvals."""
+def eigvals_calls():
+    """Record the (dtype, shape) of each matrix handed to np.linalg.eigvals."""
     seen, solve = [], np.linalg.eigvals
-    np.linalg.eigvals = lambda a: seen.append(np.asarray(a).dtype) or solve(a)
+    np.linalg.eigvals = lambda a: seen.append((np.asarray(a).dtype, np.shape(a))) or solve(a)
     try:
         yield seen
     finally:
         np.linalg.eigvals = solve
+
+
+def dense_min_abs(params, disorder=None):
+    return float(np.abs(np.linalg.eigvals(build_real_space(params, disorder=disorder))).min())
+
+
+def mp_min_abs_energy(H, mp):
+    """min |E| of the open chain H at 60 digits.
+
+    The reduced chain's hops are read off H's own entries in exact
+    arithmetic (a_n = v_n - gamma_n/2, b_n = v_n + gamma_n/2, r_n twice a
+    cross hop), and power iteration on (X Y)^-1 finds its largest
+    eigenvalue 1 / min E^2; the residual check fails unless it converged.
+    """
+    n = H.shape[0] // 2
+    with mp.workdps(60):
+        v = [mp.mpf(H[2 * i, 2 * i + 1].real) for i in range(n)]
+        half_g = [mp.mpf(H[2 * i, 2 * i].imag) for i in range(n)]
+        X, Y = mp.zeros(n), mp.zeros(n)
+        for i in range(n):
+            X[i, i], Y[i, i] = half_g[i] - v[i], v[i] + half_g[i]
+            if i < n - 1:
+                r = 2 * mp.mpf(H[2 * i + 3, 2 * i].real)
+                X[i, i + 1], Y[i + 1, i] = -r, r
+        M = mp.inverse(X * Y)
+        x = mp.ones(n, 1)
+        for _ in range(30):
+            y = M * x
+            lam = (x.T * y)[0] / (x.T * x)[0]
+            x = y / mp.norm(y)
+        assert mp.norm(M * x - lam * x) < mp.mpf(10) ** -40 * abs(lam)
+        return 1 / mp.sqrt(abs(lam))
 
 
 class TestSmallestAbsEigenvalue:
@@ -178,44 +212,82 @@ class TestSmallestAbsEigenvalue:
            st.integers(1, 8), st.sampled_from([None, DisorderTarget.HOPPING_R,
                                                DisorderTarget.HOPPING_V,
                                                DisorderTarget.GAIN_LOSS]),
-           st.floats(0.0, 1.5), st.integers(0, 1000), st.sampled_from([0.0, 0.3]))
+           st.floats(0.0, 1.5), st.integers(0, 1000))
     @settings(max_examples=150, deadline=None)
-    def test_chiral_chains_solve_real_matrix(self, v, r, gamma, n, target, d, seed,
-                                             decay_offset):
+    def test_chiral_chains_solve_real_matrix(self, v, r, gamma, n, target, d, seed):
         p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n)
         dis = None if target is None else DisorderConfig.from_seed(target, d, seed, n)
-        H = build_real_space(p, disorder=dis, decay_offset=decay_offset)
+        H = build_real_space(p, disorder=dis)
         # eigenvalue condition numbers |x||y| / |y^H x| of the complex problem
         w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
         kappa = 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
         assume(kappa.max() < 1e8)   # near-defective spectra scatter by sqrt(eps)
-        with eigvals_dtypes() as seen:
-            got = smallest_abs_eigenvalue(H)
-        assert seen == [np.dtype(float)]
+        with eigvals_calls() as seen:
+            got = smallest_abs_eigenvalue(p, dis)
+        dense = dense_min_abs(p, dis)
+        a, b, _ = reduced_chain(p, dis)
+        if not (a.all() and b.all()):
+            assert seen == [] and got == 0.0
+        elif seen != [(np.dtype(float), (n, n))]:
+            # With r <= 3.5 and N <= 8, only a hop below 1e-15 can push
+            # Y^-1 X^-1 out of double range; then H itself is solved.
+            assert min(np.abs(a).min(), np.abs(b).min()) < 1e-15
+            assert seen == [(np.dtype(complex), (2 * n, 2 * n))] and got == dense
         # Both solvers are backward stable: they differ by at most a few
         # eps * ||H|| per unit of eigenvalue condition number.
         tol = 20 * H.shape[0] * np.finfo(float).eps * np.linalg.norm(H, 2) * kappa.max()
-        assert abs(got - np.abs(np.linalg.eigvals(H)).min()) <= tol
+        assert abs(got - dense) <= tol
 
-    def test_clean_chain_takes_real_path(self, defective_params):
-        # The defective zero pair scatters by about sqrt(eps) in either solver.
-        H = build_real_space(defective_params)
-        with eigvals_dtypes() as seen:
-            assert smallest_abs_eigenvalue(H) < 1e-6
-        assert seen == [np.dtype(float)]
+    def test_defective_chain_is_exact_zero(self, defective_params):
+        # v = gamma/2 makes every a_n zero, so det H = 0 with nothing to solve;
+        # the dense solve scatters the defective zero pair by about sqrt(eps).
+        r_dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_R, 0.7, 3, 30)
+        for dis in (None, r_dis):
+            with eigvals_calls() as seen:
+                assert smallest_abs_eigenvalue(defective_params, dis) == 0.0
+            assert seen == []
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_onsite_and_phase_fall_back_bit_for_bit(self, seed):
+    def test_non_reducing_chains_fall_back_bit_for_bit(self, seed):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=12)
+        ring = replace(p, boundary=Boundary.PERIODIC)
+        rng = np.random.default_rng(seed)
+        cross = DisorderConfig(DisorderTarget.HOPPING_R, 0.3, seed,
+                               rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 12))
         onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, seed, 12)
         v_dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_V, 0.3, seed, 12)
-        for H in (build_real_space(p, disorder=onsite),
-                  build_real_space(p, disorder=v_dis, phi=0.4),
-                  build_real_space(p, phi=-1.1)):
-            with eigvals_dtypes() as seen:
-                got = smallest_abs_eigenvalue(H)
-            assert seen == [np.dtype(complex)]
-            assert got == float(np.abs(np.linalg.eigvals(H)).min())
+        for params, dis in ((p, onsite), (p, cross), (ring, None), (ring, v_dis)):
+            assert reduced_chain(params, dis) is None
+            with eigvals_calls() as seen:
+                got = smallest_abs_eigenvalue(params, dis)
+            assert seen == [(np.dtype(complex), (24, 24))]
+            assert got == dense_min_abs(params, dis)
+
+    @pytest.mark.parametrize("v", [1e-200, 1e200])
+    def test_out_of_range_inverse_falls_back(self, v):
+        # gamma = 0 gives a_n = b_n = v. At 1e-200, X^-1 holds (r/a)^k and
+        # overflows; at 1e200, Y^-1 X^-1 underflows to zero.
+        p = LatticeParams(v=v, r=0.5, gamma=0.0, n_cells=8)
+        a, b, _ = reduced_chain(p)
+        assert (a == v).all() and (b == v).all()
+        with eigvals_calls() as seen:
+            got = smallest_abs_eigenvalue(p)
+        assert seen[-1] == (np.dtype(complex), (16, 16))
+        assert np.isfinite(got) and got == dense_min_abs(p)
+
+    @pytest.mark.parametrize("params, disorder", [
+        (LatticeParams(v=0.55, r=0.5, gamma=1.0, n_cells=40), None),
+        (LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30),
+         DisorderConfig.from_seed(DisorderTarget.GAIN_LOSS, 0.3, 1, 30)),
+    ], ids=["clean-v0.55-N40", "gamma-seed1-d0.3-N30"])
+    def test_matches_mpmath(self, params, disorder):
+        # min |E| is 1.1e-14 and 7.2e-11 here, far below the dense solve's
+        # eps ||H|| kappa error (the clean chain's kappa is about 3e26);
+        # sqrt(min |eig(X Y)|) would give 2.1e-9 and 3.6e-8.
+        mp = pytest.importorskip("mpmath")
+        oracle = mp_min_abs_energy(build_real_space(params, disorder=disorder), mp)
+        got = smallest_abs_eigenvalue(params, disorder)
+        assert abs(got - oracle) <= 1e-12 * oracle
 
 
 class TestZeroModeAnalysis:
