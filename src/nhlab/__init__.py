@@ -13,7 +13,7 @@ from .model import (Boundary, BlochMatrix, DisorderConfig, DisorderTarget,
                     LatticeParams, build_bloch, build_real_space, chiral_operator,
                     chiral_residual, parity_operator, pt_residual)
 from .spectra import (EdgeProfile, GapReport, SpectralReport,
-                      ZeroModeInfo, bloch_eigensystem, edge_profile, eig,
+                      ZeroModeInfo, bloch_eigensystem, chain_spectrum, edge_profile, eig,
                       exact_generalized_zero_mode, exact_zero_mode, gap_report,
                       geometric_multiplicity, smallest_singular_values,
                       spectral_report, zero_mode_analysis)

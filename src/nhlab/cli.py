@@ -22,7 +22,7 @@ from . import dynamics, spectra
 from .dynamics import SweepDirection, SweepMode, adiabatic_sweep, evolve, fourier_detect
 from .errors import ConfigError, NhlabError, NoZeroModeError
 from .model import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
-                    build_real_space)
+                    build_bloch, build_real_space)
 from .topology import DEFAULT_SAMPLES, count_enclosed_eps, track_band, winding_number
 
 SCHEMA_VERSION = 1
@@ -43,11 +43,12 @@ TRANSITION_TOL = 1e-6
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """Stream {header: 1-D array} columns as CSV rows with LF endings; floats get
     17 significant digits, so they read back bit for bit, other values str."""
-    cells = [map("{:.17g}".format, col.tolist()) if col.dtype.kind == "f"
-             else map(str, col.tolist()) for col in columns.values()]
+    fmt = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
+                   for col in columns.values()) + "\n"
+    rows = zip(*(col.tolist() for col in columns.values()), strict=True)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        fh.writelines(map(fmt.__mod__, rows))
 
 
 def write_json(path: Path, obj) -> None:
@@ -174,10 +175,11 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     energies = np.empty((len(v_grid), base.dim), dtype=complex)
     flags = []
     for v, w in zip(v_grid, energies):
-        H = build_real_space(replace(base, v=float(v)))
-        w[:] = np.sort_complex(np.linalg.eigvals(H))
+        params = replace(base, v=float(v))
+        w[:] = np.sort_complex(spectra.chain_spectrum(params))
         entry = {"v": float(v)}
         if boundary is Boundary.OPEN:
+            H = build_real_space(params)
             try:
                 zm = spectra.zero_mode_analysis(H, tol=tol, require_chiral=False)
                 entry["zero_mode_present"] = True
@@ -186,7 +188,11 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
             except NoZeroModeError:
                 entry["zero_mode_present"] = False
         else:
-            entry["zero_mode_present"] = bool(np.abs(w).min() < tol * np.linalg.norm(H, 2))
+            # H is block-diagonal in k and the Fourier transform is unitary,
+            # so ||H||_2 is the largest ||H_k||_2 over the ring's momenta.
+            h_k = build_bloch(params, spectra.ring_momenta(n_cells)).entries
+            scale = np.linalg.norm(h_k, 2, axis=(1, 2)).max()
+            entry["zero_mode_present"] = bool(np.abs(w).min() < tol * scale)
         flags.append(entry)
     csv_path = out / "spectrum.csv"
     write_csv(csv_path, _sheet("v_over_gamma", v_grid, energies))

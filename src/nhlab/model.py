@@ -49,6 +49,9 @@ class LatticeParams:
     boundary: Boundary = Boundary.OPEN
 
     def __post_init__(self):
+        # A boundary given by name ("open", "periodic") becomes the member,
+        # so identity checks against Boundary hold; other names raise.
+        object.__setattr__(self, "boundary", Boundary(self.boundary))
         if not self.r > 0:
             raise ValueError(f"inter-cell hopping r must be > 0, got {self.r}")
         if self.gamma < 0:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhlab import (ConfigError, DisorderConfig, DisorderTarget, LatticeParams,
-                   build_real_space)
+                   build_real_space, chain_spectrum)
 from nhlab.cli import (TRANSITION_TOL, cmd_disorder, cmd_spectrum, cmd_svd_scan,
                        cmd_winding, disorder_transition, load_config, main, write_csv,
                        write_json)
@@ -149,7 +149,7 @@ class TestSpectrum:
         cmd_spectrum(self._config("periodic", [0.7]), tmp_path)
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
         p = LatticeParams(v=0.7, r=0.5, gamma=1.0, n_cells=30, boundary="periodic")
-        w = np.sort_complex(np.linalg.eigvals(build_real_space(p)))
+        w = np.sort_complex(chain_spectrum(p))
         for line, e in zip(lines, w):
             _, _, re_s, im_s = line.split(",")
             assert float(re_s) == e.real  # 17 significant digits: bit-exact

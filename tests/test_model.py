@@ -33,6 +33,12 @@ class TestLatticeParams:
         with pytest.raises(ValueError):
             LatticeParams(v=1.0, r=1.0, gamma=-0.1, n_cells=3)
 
+    def test_boundary_by_name(self):
+        p = LatticeParams(v=0.1, r=1.0, gamma=0.5, n_cells=3, boundary="periodic")
+        assert p.boundary is Boundary.PERIODIC
+        with pytest.raises(ValueError):
+            LatticeParams(v=0.1, r=1.0, gamma=0.5, n_cells=3, boundary="closed")
+
     def test_dim(self):
         assert LatticeParams(v=0.1, r=1.0, gamma=0.5, n_cells=7).dim == 14
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointError,
@@ -290,6 +290,66 @@ class TestSmallestAbsEigenvalue:
         assert abs(got - oracle) <= 1e-12 * oracle
 
 
+def mp_eigenvalues(H, mp, dps=40):
+    """Every eigenvalue of H at dps digits, from H's own entries."""
+    with mp.workdps(dps):
+        M = mp.matrix(H.shape[0])
+        for i, j in zip(*np.nonzero(H)):
+            M[int(i), int(j)] = mp.mpc(H[i, j].real, H[i, j].imag)
+        return np.array([complex(e) for e in mp.eig(M, left=False, right=False)])
+
+
+class TestChainSpectrum:
+    @given(st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
+           st.integers(1, 8), st.sampled_from(list(Boundary)))
+    @example(0.0, 1.0, 1e-243, 1, Boundary.OPEN)   # a_n b_n = -2.5e-487 underflows
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_solve(self, v, r, gamma, n, boundary):
+        p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n, boundary=boundary)
+        H = build_real_space(p)
+        _, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+        kappa = 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
+        assume(kappa.max() < 1e8)   # near-defective spectra scatter by sqrt(eps)
+        dense = np.linalg.eigvals(H)
+        with eigvals_calls() as seen:
+            got = spectra.chain_spectrum(p)
+        # No complex solve: the open chain takes at most one real 2N x 2N one.
+        assert seen in ([], [(np.dtype(float), (2 * n, 2 * n))])
+        assert got.shape == (2 * n,)
+        eps = np.finfo(float).eps
+        scale = max(np.linalg.norm(H, 2), np.finfo(float).tiny)   # H = 0 at v = gamma = 0
+        tol = 20 * H.shape[0] * eps * scale * kappa.max()
+        if boundary is Boundary.PERIODIC:
+            # sin(2 pi m / N) is not exactly zero at m = N/2, so at a Bloch
+            # exceptional point the closed-form E = sqrt(E^2) is off by
+            # about sqrt(eps ||H||^2), however well H itself is conditioned.
+            tol = max(tol, 4 * np.sqrt(eps) * scale)
+        assert_multisets_close(got, dense, tol=tol)
+
+    @pytest.mark.parametrize("n, v, boundary", [
+        (12, -0.525, Boundary.OPEN), (12, 0.45, Boundary.OPEN),
+        (12, 1.3, Boundary.OPEN), (3, 0.3, Boundary.PERIODIC),
+    ])
+    def test_matches_mpmath(self, n, v, boundary):
+        # The dense solve misses the open N = 12, v = -0.525 spectrum by
+        # 1.5e-7; its eigenvalue condition numbers reach 1.7e9.
+        mp = pytest.importorskip("mpmath")
+        p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n, boundary=boundary)
+        H = build_real_space(p)
+        oracle = mp_eigenvalues(H, mp)
+        assert_multisets_close(spectra.chain_spectrum(p), oracle,
+                               tol=10 * np.finfo(float).eps * np.linalg.norm(H, 2))
+
+    @pytest.mark.parametrize("n, r, gamma", [(1, 0.5, 1.0), (2, 0.65, 1.0),
+                                             (30, 0.5, 1.0), (30, 1.3, 0.7)])
+    def test_defective_point_is_exact(self, n, r, gamma):
+        # v = gamma/2 cuts every cell hop, leaving two lone sites and N - 1
+        # two-site blocks [[0, r], [r, 0]].
+        p = LatticeParams(v=gamma / 2, r=r, gamma=gamma, n_cells=n)
+        w = np.sort_complex(spectra.chain_spectrum(p))
+        assert w.tolist() == [-r] * (n - 1) + [0.0, 0.0] + [r] * (n - 1)
+
+
 class TestZeroModeAnalysis:
     def test_edge_state_matches_closed_form(self, defective_params):
         H = build_real_space(defective_params)
@@ -434,6 +494,14 @@ class TestGapReport:
 
     def test_open_chain_real_spectrum(self):
         p = LatticeParams(v=0.75, r=0.5, gamma=1.0, n_cells=30)
+        assert gap_report(p).spectrum_real
+
+    @pytest.mark.parametrize("n, v", [(100, 1.3), (40, 0.55), (60, 0.55)])
+    def test_open_chain_real_despite_dense_scatter(self, n, v):
+        # Every a_n b_n > 0, so the spectrum is real; the dense solve of
+        # these strongly non-normal chains reports |Im E| far above
+        # REALITY_TOL * ||H||_2 (8.0e-4 at N = 60, v = 0.55).
+        p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n)
         assert gap_report(p).spectrum_real
 
     def test_open_chain_complex_spectrum(self):
