@@ -22,7 +22,7 @@ from . import dynamics, spectra
 from .dynamics import SweepDirection, SweepMode, adiabatic_sweep, evolve, fourier_detect
 from .errors import ConfigError, NhlabError, NoZeroModeError
 from .model import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
-                    build_bloch, build_real_space)
+                    build_bloch, build_real_space, reduced_path)
 from .topology import DEFAULT_SAMPLES, count_enclosed_eps, track_band, winding_number
 
 SCHEMA_VERSION = 1
@@ -291,11 +291,15 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
         side = np.full(len(d_grid), "", dtype=object)
         draws = DisorderConfig.from_seed(target, 0.0, base_seed, params.n_cells)
         for j, d in enumerate(d_grid):
-            H = build_real_space(params, disorder=replace(draws, strength=float(d)))
-            energies[j] = np.sort_complex(np.linalg.eigvals(H))
-            present[j] = np.abs(energies[j]).min() < zm_tol * np.linalg.norm(H, 2)
+            dis = replace(draws, strength=float(d))
+            energies[j] = np.sort_complex(spectra.chain_spectrum(params, dis))
+            # H = i U A U^H with U unitary, so the real path A has H's singular
+            # values, and its null vector has the per-cell weights of H's.
+            A = reduced_path(params, dis)
+            M = build_real_space(params, disorder=dis) if A is None else A
+            present[j] = np.abs(energies[j]).min() < zm_tol * np.linalg.norm(M, 2)
             if present[j]:
-                _, _, vh = np.linalg.svd(H)
+                _, _, vh = np.linalg.svd(M)
                 side[j] = spectra.edge_profile(spectra.fix_phase(vh[-1].conj())).side
         csv_path = out / f"disorder_{name}.csv"
         write_csv(csv_path, _sheet("d_over_gamma", d_grid, energies)

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from .errors import EigenDecompositionError, ExceptionalPointError, NoZeroModeError
 from .model import (Boundary, DisorderConfig, LatticeParams, build_bloch, build_real_space,
-                    chiral_residual, reduced_chain)
+                    chiral_residual, reduced_chain, reduced_path)
 
 CLUSTER_TOL = 1e-8      # eigenvalues closer than CLUSTER_TOL * ||H||_2 share a cluster
 ZERO_MODE_TOL = 1e-8    # zero mode present iff sigma_min < ZERO_MODE_TOL * sigma_max
@@ -112,8 +112,9 @@ def ring_momenta(n_cells: int) -> np.ndarray:
     return 2 * np.pi * np.arange(n_cells) / n_cells
 
 
-def chain_spectrum(params: LatticeParams) -> np.ndarray:
-    """The 2N eigenvalues of the clean build_real_space(params), without H.
+def chain_spectrum(params: LatticeParams,
+                   disorder: DisorderConfig | None = None) -> np.ndarray:
+    """The 2N eigenvalues of build_real_space(params, disorder), without H.
 
     A periodic chain is block-diagonal in k: its spectrum is +-E of
     bloch_branches at ring_momenta. An open chain is similar to the path of
@@ -125,12 +126,18 @@ def chain_spectrum(params: LatticeParams) -> np.ndarray:
     spectrum, {0, 0, +-r (N - 1 times each)} at v = gamma/2; otherwise its
     lower cell hops take the sign of a_n b_n and it is one real 2N x 2N
     eigvals. Both are more accurate than the dense solve of the strongly
-    non-normal H (Hatano & Nelson 1996; Yao & Wang 2018).
+    non-normal H (Hatano & Nelson 1996; Yao & Wang 2018). Disordered
+    chains take the same path; those that reduced_chain does not reduce
+    (on-site disorder, cross draws, a disordered periodic chain) return
+    eigvals(build_real_space(params, disorder)).
     """
-    if params.boundary is Boundary.PERIODIC:
+    if params.boundary is Boundary.PERIODIC and disorder is None:
         E, _, _ = bloch_branches(params, ring_momenta(params.n_cells))
         return np.concatenate([E, -E])
-    a, b, r = reduced_chain(params)
+    chain = reduced_chain(params, disorder)
+    if chain is None:
+        return np.linalg.eigvals(build_real_space(params, disorder=disorder))
+    a, b, r = chain
     off = np.empty(2 * len(a) - 1)
     off[0::2] = np.sqrt(np.abs(a)) * np.sqrt(np.abs(b))   # a_n b_n itself may underflow
     off[1::2] = r
@@ -300,7 +307,8 @@ def gap_report(params: LatticeParams) -> GapReport:
     Periodic chains: closed-form criteria (real part gapped iff
     ||v| - r| > gamma/2, imaginary part gapped iff |v| + r < gamma/2)
     alongside a dense-k numerical check. Open chains: spectrum_real from
-    chain_spectrum, against the scale ||H||_2.
+    chain_spectrum, against the scale ||H||_2 = ||A||_2 of the real path
+    A = model.reduced_path(params).
     """
     v, r, g = params.v, params.r, params.gamma
     cf_real = abs(abs(v) - r) > g / 2
@@ -311,7 +319,7 @@ def gap_report(params: LatticeParams) -> GapReport:
         num_imag = bool(np.abs(E.imag).min() > GAP_TOL)
         spectrum_real = bool(np.abs(E.imag).max() < REALITY_TOL)
         return GapReport(cf_real, cf_imag, spectrum_real, num_real, num_imag)
-    scale = np.linalg.norm(build_real_space(params), 2)
+    scale = np.linalg.norm(reduced_path(params), 2)
     spectrum_real = bool(np.abs(chain_spectrum(params).imag).max() < REALITY_TOL * scale)
     return GapReport(cf_real, cf_imag, spectrum_real)
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhlab import (ConfigError, DisorderConfig, DisorderTarget, LatticeParams,
-                   build_real_space, chain_spectrum)
+                   build_real_space, chain_spectrum, edge_profile)
 from nhlab.cli import (TRANSITION_TOL, cmd_disorder, cmd_spectrum, cmd_svd_scan,
                        cmd_winding, disorder_transition, load_config, main, write_csv,
                        write_json)
+from nhlab.spectra import ZERO_MODE_TOL, fix_phase
 
 FIG2C_PARAM_SETS = [
     {"v": 0.3, "r": 0.18, "gamma": 1.0, "label": "zero_eps"},
@@ -200,7 +201,7 @@ class TestDisorder:
         rows = [line.split(",") for line in lines if float(line.split(",")[0]) == 0.0]
         got = np.array([complex(float(r[2]), float(r[3])) for r in rows])
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=10)
-        clean = np.sort_complex(np.linalg.eigvals(build_real_space(p)))
+        clean = np.sort_complex(chain_spectrum(p))
         np.testing.assert_array_equal(got, clean)
 
     def test_summary_structure(self, tmp_path):
@@ -248,6 +249,31 @@ class TestDisorder:
         with pytest.raises(ConfigError, match="bogus"):
             cmd_disorder(self._config(targets=["v", "bogus"]), tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_zero_mode_flags_match_dense_reference(self, tmp_path):
+        # The CSV takes ||H||_2 and the null vector from the real path A;
+        # the reference solves and decomposes H itself at every grid point.
+        params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
+        d_grid = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0]
+        targets = ["r", "v", "gamma"]
+        for seed in range(20):
+            cmd_disorder(self._config(n_cells=30, targets=targets, d_grid=d_grid,
+                                      n_seeds=0, seed=seed), tmp_path)
+            for name in targets:
+                with open(tmp_path / f"disorder_{name}.csv", encoding="utf-8") as fh:
+                    rows = list(csv.DictReader(fh))[::params.dim]
+                want = []
+                for d in d_grid:
+                    dis = DisorderConfig.from_seed(DisorderTarget(name), d, seed, 30)
+                    H = build_real_space(params, disorder=dis)
+                    present = (np.abs(np.linalg.eigvals(H)).min()
+                               < ZERO_MODE_TOL * np.linalg.norm(H, 2))
+                    side = ""
+                    if present:
+                        _, _, vh = np.linalg.svd(H)
+                        side = edge_profile(fix_phase(vh[-1].conj())).side
+                    want.append((str(int(present)), side))
+                assert [(r["zero_mode_present"], r["zero_mode_side"]) for r in rows] == want
 
     @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
                                         DisorderTarget.GAIN_LOSS])

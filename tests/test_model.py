@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                    build_bloch, build_real_space, chiral_operator, chiral_residual,
                    parity_operator, pt_residual)
-from nhlab.model import SIGMA_X, SIGMA_Y, SIGMA_Z, _per_cell_values, reduced_chain
+from nhlab.model import (SIGMA_X, SIGMA_Y, SIGMA_Z, _per_cell_values, reduced_chain,
+                         reduced_path)
 
 from conftest import assert_multisets_close
 
@@ -245,6 +246,33 @@ class TestReducedChain:
                 det_h = abs(mp.fprod(E))
                 det_chain = abs(mp.fprod(mp.mpf(x) * mp.mpf(y) for x, y in zip(a, b)))
                 assert abs(det_h - det_chain) <= 1e-13 * det_chain + mp.mpf(10) ** -40
+
+
+class TestReducedPath:
+    @pytest.mark.parametrize("target", [None, DisorderTarget.HOPPING_R,
+                                        DisorderTarget.HOPPING_V, DisorderTarget.GAIN_LOSS])
+    @pytest.mark.parametrize("v", [0.55, 1.3, 0.3, 0.5, -0.8])
+    def test_rotates_to_hamiltonian(self, v, target):
+        # H = i U A U^H with U = I_N (x) [[1, 1], [i, -i]] / sqrt(2).
+        u = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0)
+        for n in (1, 2, 7):
+            p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n)
+            dis = None if target is None else DisorderConfig.from_seed(target, 0.6, 5, n)
+            A = reduced_path(p, dis)
+            assert A.dtype == np.float64 and A.shape == (2 * n, 2 * n)
+            U = np.kron(np.eye(n), u)
+            H = build_real_space(p, disorder=dis)
+            np.testing.assert_allclose(1j * U @ A @ U.conj().T, H, rtol=0,
+                                       atol=4 * np.finfo(float).eps * np.abs(H).max())
+
+    def test_none_where_chain_does_not_reduce(self):
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)
+        cross = DisorderConfig(DisorderTarget.HOPPING_R, 0.3, 0, np.full(6, 0.5),
+                               np.full(6, -0.5))
+        onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, 0, 6)
+        ring = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6, boundary=Boundary.PERIODIC)
+        for params, dis in ((p, cross), (p, onsite), (ring, None)):
+            assert reduced_path(params, dis) is None
 
 
 class TestSymmetries:

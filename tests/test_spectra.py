@@ -14,8 +14,9 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointErr
                    geometric_multiplicity, smallest_singular_values, spectral_report,
                    zero_mode_analysis)
 from nhlab import spectra
-from nhlab.model import reduced_chain
-from nhlab.spectra import CLUSTER_TOL, smallest_abs_eigenvalue
+from nhlab.model import reduced_chain, reduced_path
+from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, fix_phase,
+                           smallest_abs_eigenvalue)
 
 from conftest import assert_multisets_close
 
@@ -164,6 +165,18 @@ class TestSmallestSingularValues:
         np.testing.assert_allclose(s, gram, atol=1e-10)
 
 
+def non_reducing_chains(seed):
+    """(params, disorder) of N = 12 chains that reduced_chain does not reduce."""
+    p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=12)
+    ring = replace(p, boundary=Boundary.PERIODIC)
+    rng = np.random.default_rng(seed)
+    cross = DisorderConfig(DisorderTarget.HOPPING_R, 0.3, seed,
+                           rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 12))
+    onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, seed, 12)
+    v_dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_V, 0.3, seed, 12)
+    return [(p, onsite), (p, cross), (ring, None), (ring, v_dis)]
+
+
 @contextmanager
 def eigvals_calls():
     """Record the (dtype, shape) of each matrix handed to np.linalg.eigvals."""
@@ -249,14 +262,7 @@ class TestSmallestAbsEigenvalue:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_non_reducing_chains_fall_back_bit_for_bit(self, seed):
-        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=12)
-        ring = replace(p, boundary=Boundary.PERIODIC)
-        rng = np.random.default_rng(seed)
-        cross = DisorderConfig(DisorderTarget.HOPPING_R, 0.3, seed,
-                               rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 12))
-        onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, seed, 12)
-        v_dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_V, 0.3, seed, 12)
-        for params, dis in ((p, onsite), (p, cross), (ring, None), (ring, v_dis)):
+        for params, dis in non_reducing_chains(seed):
             assert reduced_chain(params, dis) is None
             with eigvals_calls() as seen:
                 got = smallest_abs_eigenvalue(params, dis)
@@ -301,18 +307,25 @@ def mp_eigenvalues(H, mp, dps=40):
 
 class TestChainSpectrum:
     @given(st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
-           st.integers(1, 8), st.sampled_from(list(Boundary)))
-    @example(0.0, 1.0, 1e-243, 1, Boundary.OPEN)   # a_n b_n = -2.5e-487 underflows
-    @settings(max_examples=150, deadline=None)
-    def test_matches_dense_solve(self, v, r, gamma, n, boundary):
+           st.integers(1, 8), st.sampled_from(list(Boundary)),
+           st.sampled_from([None, DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
+                            DisorderTarget.GAIN_LOSS]),
+           st.floats(0.0, 1.5), st.integers(0, 1000))
+    # a_n b_n = -2.5e-487 underflows
+    @example(0.0, 1.0, 1e-243, 1, Boundary.OPEN, None, 0.0, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_solve(self, v, r, gamma, n, boundary, target, d, seed):
+        # A disordered periodic chain takes the dense fallback, tested below.
+        assume(target is None or boundary is Boundary.OPEN)
         p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n, boundary=boundary)
-        H = build_real_space(p)
+        dis = None if target is None else DisorderConfig.from_seed(target, d, seed, n)
+        H = build_real_space(p, disorder=dis)
         _, vl, vr = scipy.linalg.eig(H, left=True, right=True)
         kappa = 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
         assume(kappa.max() < 1e8)   # near-defective spectra scatter by sqrt(eps)
         dense = np.linalg.eigvals(H)
         with eigvals_calls() as seen:
-            got = spectra.chain_spectrum(p)
+            got = spectra.chain_spectrum(p, dis)
         # No complex solve: the open chain takes at most one real 2N x 2N one.
         assert seen in ([], [(np.dtype(float), (2 * n, 2 * n))])
         assert got.shape == (2 * n,)
@@ -340,6 +353,31 @@ class TestChainSpectrum:
         assert_multisets_close(spectra.chain_spectrum(p), oracle,
                                tol=10 * np.finfo(float).eps * np.linalg.norm(H, 2))
 
+    def test_disordered_chain_matches_mpmath(self):
+        # v disorder at v = gamma/2 gives a_n of both signs, so the lower
+        # hops of 7 of the 12 cells flip sign and the spectrum is complex.
+        # The dense solve misses this 60-digit spectrum by 28 eps ||H||_2.
+        mp = pytest.importorskip("mpmath")
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=12)
+        dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_V, 0.1, 2, 12)
+        a, b, _ = reduced_chain(p, dis)
+        assert (a * b < 0).sum() == 7
+        H = build_real_space(p, disorder=dis)
+        oracle = mp_eigenvalues(H, mp, dps=60)
+        assert_multisets_close(spectra.chain_spectrum(p, dis), oracle,
+                               tol=10 * np.finfo(float).eps * np.linalg.norm(H, 2))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_reducing_chains_fall_back_bit_for_bit(self, seed):
+        for params, dis in non_reducing_chains(seed):
+            if dis is None:     # a clean ring takes the Bloch blocks
+                continue
+            with eigvals_calls() as seen:
+                got = spectra.chain_spectrum(params, dis)
+            assert seen == [(np.dtype(complex), (24, 24))]
+            np.testing.assert_array_equal(
+                got, np.linalg.eigvals(build_real_space(params, disorder=dis)))
+
     @pytest.mark.parametrize("n, r, gamma", [(1, 0.5, 1.0), (2, 0.65, 1.0),
                                              (30, 0.5, 1.0), (30, 1.3, 0.7)])
     def test_defective_point_is_exact(self, n, r, gamma):
@@ -348,6 +386,29 @@ class TestChainSpectrum:
         p = LatticeParams(v=gamma / 2, r=r, gamma=gamma, n_cells=n)
         w = np.sort_complex(spectra.chain_spectrum(p))
         assert w.tolist() == [-r] * (n - 1) + [0.0, 0.0] + [r] * (n - 1)
+
+
+class TestReducedPathSingularData:
+    @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
+                                        DisorderTarget.GAIN_LOSS])
+    def test_norm_and_edge_side_match_dense(self, target):
+        # nhlab disorder reads ||H||_2 and the zero mode's side off the real
+        # path A. The balanced path of chain_spectrum would not do: its
+        # imaginary gauge changes both.
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
+        present = 0
+        for seed in range(10):
+            for d in (0.05, 0.1, 0.2, 0.3):
+                dis = DisorderConfig.from_seed(target, d, seed, 30)
+                H = build_real_space(p, disorder=dis)
+                _, s_h, vh_h = np.linalg.svd(H)
+                _, s_a, vh_a = np.linalg.svd(reduced_path(p, dis))
+                assert abs(s_a[0] - s_h[0]) <= 1e-14 * s_h[0]
+                if np.abs(np.linalg.eigvals(H)).min() < ZERO_MODE_TOL * s_h[0]:
+                    assert (edge_profile(fix_phase(vh_a[-1])).side
+                            == edge_profile(fix_phase(vh_h[-1].conj())).side)
+                    present += 1
+        assert present >= 10
 
 
 class TestZeroModeAnalysis:
@@ -503,6 +564,18 @@ class TestGapReport:
         # REALITY_TOL * ||H||_2 (8.0e-4 at N = 60, v = 0.55).
         p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n)
         assert gap_report(p).spectrum_real
+
+    def test_open_chain_scale_matches_dense_norm(self):
+        # The scale is ||A||_2 of the real path; the dense ||H||_2 gives the
+        # same flags. Just below v = gamma/2, max|Im E| / ||H||_2 is about
+        # sqrt(gamma/2 - v), 1e-8 at v = 0.5 - 1e-16, so a wrong scale flips some.
+        vs = np.concatenate([np.linspace(-1.5, 1.5, 31), 0.5 - np.logspace(-16, -2, 15)])
+        for n in (1, 2, 5, 12, 30):
+            for v in vs:
+                p = LatticeParams(v=float(v), r=0.5, gamma=1.0, n_cells=n)
+                dense = np.linalg.norm(build_real_space(p), 2)
+                want = np.abs(spectra.chain_spectrum(p).imag).max() < REALITY_TOL * dense
+                assert gap_report(p).spectrum_real == want
 
     def test_open_chain_complex_spectrum(self):
         p = LatticeParams(v=0.1, r=0.5, gamma=1.0, n_cells=30)
