@@ -5,15 +5,14 @@ zero modes, and time-domain detection."""
 from .dynamics import (SpectrumPeakReport, SweepDirection, SweepMode, SweepResult,
                        TimeSeries, adiabatic_sweep, evolve, fourier_detect,
                        propagator)
-from .errors import (ConfigError, EigenDecompositionError, ExceptionalPointError,
-                     GaplessTrajectoryError, NhlabError, NoZeroModeError,
-                     OnBoundaryError, PropagatorOverflowError,
-                     TrackingAmbiguityError)
+from .errors import (ConfigError, ExceptionalPointError, GaplessTrajectoryError,
+                     NhlabError, NoZeroModeError, OnBoundaryError,
+                     PropagatorOverflowError, TrackingAmbiguityError)
 from .model import (Boundary, BlochMatrix, DisorderConfig, DisorderTarget,
                     LatticeParams, build_bloch, build_real_space, chiral_operator,
                     chiral_residual, parity_operator, pt_residual)
 from .spectra import (EdgeProfile, GapReport, SpectralReport,
-                      ZeroModeInfo, bloch_eigensystem, chain_spectrum, edge_profile, eig,
+                      ZeroModeInfo, bloch_eigensystem, chain_spectrum, edge_profile,
                       exact_generalized_zero_mode, exact_zero_mode, gap_report,
                       geometric_multiplicity, smallest_singular_values,
                       spectral_report, zero_mode_analysis)

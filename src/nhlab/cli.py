@@ -181,7 +181,8 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
         if boundary is Boundary.OPEN:
             H = build_real_space(params)
             try:
-                zm = spectra.zero_mode_analysis(H, tol=tol, require_chiral=False)
+                zm = spectra.zero_mode_analysis(H, tol=tol, require_chiral=False,
+                                                eigenvalues=w)
                 entry["zero_mode_present"] = True
                 entry["side"] = spectra.edge_profile(zm.u0).side
                 entry["defective"] = zm.defective

@@ -38,9 +38,5 @@ class PropagatorOverflowError(NhlabError):
         )
 
 
-class EigenDecompositionError(NhlabError):
-    """The dense eigensolver failed to converge."""
-
-
 class ConfigError(NhlabError):
     """Invalid or incomplete run configuration."""

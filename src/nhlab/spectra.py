@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .errors import EigenDecompositionError, ExceptionalPointError, NoZeroModeError
+from .errors import ExceptionalPointError, NoZeroModeError
 from .model import (Boundary, DisorderConfig, LatticeParams, build_bloch, build_real_space,
                     chiral_residual, reduced_chain, reduced_path)
 
@@ -27,26 +28,6 @@ def fix_phase(u: np.ndarray) -> np.ndarray:
     j = int(np.argmax(np.abs(u)))
     ph = u[j] / abs(u[j])
     return u / ph
-
-
-def eig(H: np.ndarray):
-    """Eigenvalues and unit-norm right eigenvectors of a dense complex matrix.
-
-    For defective clusters the returned vectors may be nearly dependent;
-    use geometric_multiplicity, never the vector count, to assess
-    defectiveness.
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("matrix has non-finite entries")
-    try:
-        w, V = np.linalg.eig(H)
-    except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionError(str(exc)) from exc
-    V = V / np.linalg.norm(V, axis=0, keepdims=True)
-    return w, V
 
 
 def smallest_abs_eigenvalue(params: LatticeParams,
@@ -195,46 +176,59 @@ def smallest_singular_values(H: np.ndarray, count: int = 1) -> list[float]:
 @dataclass(frozen=True)
 class ZeroModeInfo:
     u0: np.ndarray
-    u0_prime: np.ndarray
     defective: bool
     algebraic_multiplicity: int
     geometric_multiplicity: int
+    _H: np.ndarray = field(repr=False, compare=False)
+    _rcond: float = field(repr=False, compare=False)
+
+    @cached_property
+    def u0_prime(self) -> np.ndarray:
+        """Minimum-norm least-squares solution of H u0' = u0, solved on first read."""
+        return np.linalg.lstsq(self._H, self.u0, rcond=self._rcond)[0]
 
 
 def zero_mode_analysis(H: np.ndarray, tol: float = ZERO_MODE_TOL,
-                       require_chiral: bool = True) -> ZeroModeInfo:
+                       require_chiral: bool = True,
+                       eigenvalues: np.ndarray | None = None) -> ZeroModeInfo:
     """Eigenvector and generalized eigenvector of the E=0 cluster.
 
-    u0 is the unit-norm null direction from the smallest singular
-    triplet; u0_prime is the minimum-norm least-squares solution of
-    H u0' = u0 (the generalized eigenvector is only defined up to
-    multiples of u0). Raises NoZeroModeError when the smallest singular
-    value is not below tol * sigma_max.
+    Presence is decided from the singular values alone
+    (svd(H, compute_uv=False)): the QR eigensolver can scatter a defective
+    zero pair by far more than the true splitting, while sigma_min = 0 iff
+    0 is an eigenvalue. Raises NoZeroModeError when sigma_min is not below
+    tol * sigma_max. Only a present mode pays for the full SVD, whose
+    smallest right singular vector is u0 (unit norm, through fix_phase).
+    The geometric count is the number of singular values below
+    tol * sigma_max.
 
-    Presence is decided by the singular-value criterion: the QR
-    eigensolver can scatter a defective zero pair by far more than the
-    true splitting, while sigma_min = 0 iff 0 is an eigenvalue. The
-    algebraic count uses an eigenvalue cluster radius widened to the
-    observed scatter.
+    The algebraic count is the number of eigenvalues within a cluster
+    radius widened to the observed scatter. They are `eigenvalues` when
+    given (the caller's spectrum of H, e.g. chain_spectrum, which is
+    exact where dense eigvals scatters the pair), else eigvals(H).
+
+    u0_prime, the minimum-norm least-squares solution of H u0' = u0 (the
+    generalized eigenvector, defined up to multiples of u0), is solved on
+    its first read, against a private copy of H.
     """
     H = np.asarray(H, dtype=complex)
     if require_chiral and chiral_residual(H) > 1e-12 * max(np.abs(H).max(), 1.0):
         raise ValueError("zero_mode_analysis requires a chiral matrix")
-    _, s, vh = np.linalg.svd(H)
+    s = np.linalg.svd(H, compute_uv=False)
     if not s[-1] < tol * s[0]:
         raise NoZeroModeError(f"sigma_min = {s[-1]:.3g} >= {tol * s[0]:.3g}")
-    u0 = fix_phase(vh[-1].conj())
+    u0 = fix_phase(np.linalg.svd(H)[2][-1].conj())
     geo = int(np.sum(s < tol * s[0]))
-    w = np.linalg.eigvals(H)
+    w = np.linalg.eigvals(H) if eigenvalues is None else eigenvalues
     radius = min(max(tol * s[0], 2.0 * np.abs(w).min()), 1e-3 * s[0])
     alg = int(np.sum(np.abs(w) <= radius))
-    u0_prime, *_ = np.linalg.lstsq(H, u0, rcond=tol)
     return ZeroModeInfo(
         u0=u0,
-        u0_prime=u0_prime,
         defective=(alg == 2 and geo == 1),
         algebraic_multiplicity=alg,
         geometric_multiplicity=geo,
+        _H=H.copy(),
+        _rcond=tol,
     )
 
 
@@ -281,7 +275,7 @@ def spectral_report(H: np.ndarray) -> SpectralReport:
         clusters.append(Cluster(value=rep, algebraic=int(counts[first]), geometric=geo))
     zero = None
     if any(abs(c.value) < thresh for c in clusters):
-        zero = zero_mode_analysis(H, tol=CLUSTER_TOL, require_chiral=False)
+        zero = zero_mode_analysis(H, tol=CLUSTER_TOL, require_chiral=False, eigenvalues=w)
     band_re = [abs(c.value.real) for c in clusters if abs(c.value) >= thresh]
     return SpectralReport(
         eigenvalues=w,

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhlab import (ConfigError, DisorderConfig, DisorderTarget, LatticeParams,
-                   build_real_space, chain_spectrum, edge_profile)
+                   NoZeroModeError, build_real_space, chain_spectrum, edge_profile,
+                   zero_mode_analysis)
 from nhlab.cli import (TRANSITION_TOL, cmd_disorder, cmd_spectrum, cmd_svd_scan,
                        cmd_winding, disorder_transition, load_config, main, write_csv,
                        write_json)
@@ -142,6 +143,59 @@ class TestSpectrum:
         assert by_v[0.5]["defective"]
         assert not by_v[1.5]["zero_mode_present"]
 
+    def test_open_flags_match_dense_eigvals_on_figure_grid(self, tmp_path):
+        grid = {"start": 0.0, "stop": 2.0, "num": 81}
+        cmd_spectrum(self._config("open", grid), tmp_path)
+        tracks = json.loads((tmp_path / "zero_modes.json").read_text())["tracks"]
+        want = []
+        for v in np.linspace(0.0, 2.0, 81):
+            H = build_real_space(LatticeParams(v=float(v), r=0.5, gamma=1.0, n_cells=30))
+            try:
+                zm = zero_mode_analysis(H, require_chiral=False)   # eigvals(H) inside
+                want.append({"v": float(v), "zero_mode_present": True,
+                             "side": edge_profile(zm.u0).side, "defective": zm.defective})
+            except NoZeroModeError:
+                want.append({"v": float(v), "zero_mode_present": False})
+        assert tracks == want
+        assert sum(t.get("defective", False) for t in tracks) == 15
+
+    def test_structurally_defective_point_n40(self, tmp_path):
+        # At v = -gamma/2 every b_n = v + gamma/2 is 0: det H = 0 with a
+        # one-dimensional null space, a defective zero pair. Dense eigvals(H)
+        # scatters the pair here (algebraic count 1); chain_spectrum does not.
+        cmd_spectrum(self._config("open", [-0.5]) | {"n_cells": 40}, tmp_path)
+        tracks = json.loads((tmp_path / "zero_modes.json").read_text())["tracks"]
+        assert tracks == [{"v": -0.5, "zero_mode_present": True, "side": "right",
+                           "defective": True}]
+
+    def test_open_run_makes_no_redundant_solves(self, tmp_path, monkeypatch):
+        calls = {"eigvals": 0, "lstsq": 0, "svd_values": 0, "svd_full": 0}
+        eigvals, lstsq, svd = np.linalg.eigvals, np.linalg.lstsq, np.linalg.svd
+
+        def counted_eigvals(a):
+            calls["eigvals"] += 1
+            return eigvals(a)
+
+        def counted_lstsq(*args, **kwargs):
+            calls["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        def counted_svd(a, *args, compute_uv=True, **kwargs):
+            calls["svd_full" if compute_uv else "svd_values"] += 1
+            return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        grid = np.linspace(0.0, 2.0, 81)
+        cfg = write_config(tmp_path, self._config("open", grid.tolist()))
+        assert run("spectrum", cfg, tmp_path / "out") == 0
+        tracks = json.loads((tmp_path / "out" / "zero_modes.json").read_text())["tracks"]
+        # chain_spectrum's one eigvals is for the non-symmetric path, where
+        # a_n b_n = v^2 - gamma^2/4 < 0; |v| >= gamma/2 takes eigvalsh_tridiagonal.
+        assert calls == {"eigvals": int(np.sum(np.abs(grid) < 0.5)), "lstsq": 0,
+                         "svd_values": len(grid),
+                         "svd_full": sum(t["zero_mode_present"] for t in tracks)}
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             cmd_spectrum(self._config("open", []), tmp_path)

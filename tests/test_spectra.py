@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointError,
                    LatticeParams, NoZeroModeError, bloch_eigensystem, build_bloch,
-                   build_real_space, chiral_operator, edge_profile, eig,
+                   build_real_space, chiral_operator, edge_profile,
                    exact_generalized_zero_mode, exact_zero_mode, gap_report,
                    geometric_multiplicity, smallest_singular_values, spectral_report,
                    zero_mode_analysis)
@@ -28,31 +28,25 @@ def bloch_energy(v, r, gamma, k):
 
 
 class TestEig:
+    """Dense eig/eigvals on the model's matrices: the oracle other tests lean on."""
+
     def test_diagonal(self):
-        w, V = eig(np.diag([1 + 2j, 3.0]))
+        w, V = np.linalg.eig(np.diag([1 + 2j, 3.0]))
         assert_multisets_close(w, [1 + 2j, 3.0], tol=1e-14)
         assert np.abs(np.abs(V) - np.eye(2)).max() < 1e-14
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            eig(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            eig(np.array([[np.nan, 0], [0, 1.0]]))
 
     @given(st.floats(-2, 2), st.floats(0.05, 2), st.floats(0, 2), st.floats(-7, 7))
     @settings(max_examples=80, deadline=None)
     def test_bloch_matches_closed_form(self, v, r, gamma, k):
         p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=1)
-        w, _ = eig(build_bloch(p, k).entries)
+        w = np.linalg.eigvals(build_bloch(p, k).entries)
         E = bloch_energy(v, r, gamma, k)
         assert_multisets_close(w, [E, -E], tol=1e-12)
 
     def test_residuals(self):
         rng = np.random.default_rng(0)
         H = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        w, V = eig(H)
+        w, V = np.linalg.eig(H)
         scale = np.linalg.norm(H, 2)
         for i in range(12):
             assert np.linalg.norm(H @ V[:, i] - w[i] * V[:, i]) < 1e-10 * scale
@@ -103,7 +97,7 @@ class TestBlochEigensystem:
             E, u_plus, u_minus = bloch_eigensystem(p, k)
         except ExceptionalPointError:
             return
-        w, _ = eig(bm)
+        w = np.linalg.eigvals(bm)
         assert_multisets_close([E, -E], w, tol=1e-12 * max(scale, 1))
         for e, u in ((E, u_plus), (-E, u_minus)):
             assert np.linalg.norm(bm @ u - e * u) <= 1e-12 * max(scale, 1)
@@ -448,6 +442,23 @@ class TestZeroModeAnalysis:
         with pytest.raises(ValueError):
             zero_mode_analysis(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
 
+    @pytest.mark.parametrize("v", [0.5, -0.5, 0.3, 0.7, -0.25])
+    def test_given_eigenvalues_match_own_solve(self, v):
+        H = build_real_space(LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=30))
+        own = zero_mode_analysis(H)
+        given = zero_mode_analysis(H, eigenvalues=np.linalg.eigvals(H))
+        assert given.u0.tobytes() == own.u0.tobytes()
+        flags = ("defective", "algebraic_multiplicity", "geometric_multiplicity")
+        assert [getattr(given, f) for f in flags] == [getattr(own, f) for f in flags]
+
+    def test_lazy_u0_prime_is_the_eager_solve_of_the_callers_h(self, defective_params):
+        H = build_real_space(defective_params)
+        zm = zero_mode_analysis(H)
+        eager, *_ = np.linalg.lstsq(H, zm.u0, rcond=ZERO_MODE_TOL)
+        H[:] = 0.0   # before the first read of u0_prime
+        assert zm.u0_prime.tobytes() == eager.tobytes()
+        assert zm.u0_prime is zm.u0_prime
+
 
 def loop_clusters(H, w):
     """Clusters of the eigenvalues w of H as spectral_report once found them.
@@ -616,7 +627,7 @@ class TestChiralPairing:
         p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n)
         H = build_real_space(p)
         scale = max(np.linalg.norm(H, 2), 1e-12)
-        w, V = eig(H)
+        w, V = np.linalg.eig(H)
         G = chiral_operator(n)
         for i in range(2 * n):
             gu = G @ V[:, i]
