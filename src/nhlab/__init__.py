@@ -8,9 +8,9 @@ from .dynamics import (SpectrumPeakReport, SweepDirection, SweepMode, SweepResul
 from .errors import (ConfigError, ExceptionalPointError, GaplessTrajectoryError,
                      NhlabError, NoZeroModeError, OnBoundaryError,
                      PropagatorOverflowError, TrackingAmbiguityError)
-from .model import (Boundary, BlochMatrix, DisorderConfig, DisorderTarget,
-                    LatticeParams, build_bloch, build_real_space, chiral_operator,
-                    chiral_residual, parity_operator, pt_residual)
+from .model import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
+                    build_bloch, build_real_space, chiral_operator, chiral_residual,
+                    parity_operator, pt_residual)
 from .spectra import (EdgeProfile, GapReport, SpectralReport,
                       ZeroModeInfo, bloch_eigensystem, chain_spectrum, edge_profile,
                       exact_generalized_zero_mode, exact_zero_mode, gap_report,

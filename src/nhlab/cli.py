@@ -87,7 +87,7 @@ def _check_keys(cfg: dict, required: set[str], optional: set[str], where: str) -
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {cfg!r}")
     keys = set(cfg)
-    unknown = keys - required - optional - {"schema_version"}
+    unknown = keys - required - optional
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     missing = required - keys
@@ -134,8 +134,10 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
+    version = cfg.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # True and 1.0 equal 1 too
+        raise ConfigError(f"schema_version must be the integer {SCHEMA_VERSION}, "
+                          f"got {version!r}")
     return cfg
 
 
@@ -191,7 +193,7 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
         else:
             # H is block-diagonal in k and the Fourier transform is unitary,
             # so ||H||_2 is the largest ||H_k||_2 over the ring's momenta.
-            h_k = build_bloch(params, spectra.ring_momenta(n_cells)).entries
+            h_k = build_bloch(params, spectra.ring_momenta(n_cells))
             scale = np.linalg.norm(h_k, 2, axis=(1, 2)).max()
             entry["zero_mode_present"] = bool(np.abs(w).min() < tol * scale)
         flags.append(entry)
@@ -457,6 +459,7 @@ def main(argv=None) -> int:
         if args.seed is not None and args.command != "disorder":
             raise ConfigError(f"--seed applies to disorder only, not {args.command}")
         cfg = load_config(args.config)
+        del cfg["schema_version"]       # top level only; the commands reject it elsewhere
         out.mkdir(parents=True, exist_ok=True)
         seed = {} if args.seed is None else {"seed_override": args.seed}
         files = COMMANDS[args.command](cfg, out, svg=args.svg, **seed)

@@ -141,8 +141,11 @@ def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
     PropagatorOverflowError; its substeps is the number of steps (samples - 1)
     the sweep needs. Overlaps are reported as magnitudes of the expansion
     coefficients in the (u_+(0), u_-(0)) eigenbasis, normalized to unit total
-    weight.
+    weight. total_phase must be >= 0; direction gives the sign.
     """
+    if total_phase < 0:
+        raise ValueError(f"total_phase must be >= 0 (direction sets the sign), "
+                         f"got {total_phase}")
     sign = 1.0 if direction is SweepDirection.FORWARD else -1.0
     E, u_plus0, u_minus0 = bloch_eigensystem(params, k)
     if mode is SweepMode.TRANSPORT:
@@ -160,7 +163,7 @@ def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
                 raise ValueError("omega must be > 0")
             phis = sign * np.linspace(0.0, total_phase, samples)
             dt = (total_phase / omega) / (samples - 1)
-            Hk = build_bloch(params, k, 0.5 * (phis[:-1] + phis[1:])).entries
+            Hk = build_bloch(params, k, 0.5 * (phis[:-1] + phis[1:]))
             norm_t = float(np.linalg.norm(Hk, 1, axis=(-2, -1)).max()) * dt
             if norm_t > NORM_T_CAP:
                 raise PropagatorOverflowError(

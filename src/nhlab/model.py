@@ -13,7 +13,7 @@ alpha_n = sum_k exp(i k n) alpha_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -70,16 +70,13 @@ class DisorderConfig:
 
     draws are uniform variates on [-1, 1], one per unit cell; identical
     seeds give identical draws. For HOPPING_R the n-th draw perturbs the
-    bond linking cells n and n+1. cross_draws, when given, lets the
-    sublattice-preserving and cross-sublattice hopping lines of a bond
-    carry independent r values (chiral symmetry survives either way).
+    bond linking cells n and n+1, on both of its hopping lines.
     """
 
     target: DisorderTarget
     strength: float
     seed: int
     draws: np.ndarray
-    cross_draws: np.ndarray | None = None
 
     def __post_init__(self):
         if self.strength < 0:
@@ -88,13 +85,6 @@ class DisorderConfig:
         object.__setattr__(self, "draws", draws)
         if np.any(np.abs(draws) > 1.0):
             raise ValueError("disorder draws must lie in [-1, 1]")
-        if self.cross_draws is not None:
-            cross = np.asarray(self.cross_draws, dtype=float)
-            object.__setattr__(self, "cross_draws", cross)
-            if cross.shape != draws.shape:
-                raise ValueError("cross_draws must match draws in length")
-            if np.any(np.abs(cross) > 1.0):
-                raise ValueError("disorder draws must lie in [-1, 1]")
 
     @classmethod
     def from_seed(cls, target: DisorderTarget, strength: float, seed: int,
@@ -104,35 +94,24 @@ class DisorderConfig:
                    draws=rng.uniform(-1.0, 1.0, n_cells))
 
 
-@dataclass(frozen=True)
-class BlochMatrix:
-    """2x2 momentum-space Hamiltonian h_x sigma_x + (h_z + i gamma/2) sigma_z."""
-
-    k: float
-    h_x: float
-    h_z: float
-    entries: np.ndarray = field(repr=False)
-
-
 def build_bloch(params: LatticeParams, k: float | np.ndarray,
-                phi: float | np.ndarray = 0.0) -> BlochMatrix:
-    """Bloch matrix at momentum k with hopping phase phi.
+                phi: float | np.ndarray = 0.0) -> np.ndarray:
+    """Bloch matrix h_x sigma_x + (h_z + i gamma/2) sigma_z at momentum k
+    with hopping phase phi.
 
     h_x = v + r cos(k + phi), h_z = r sin(k + phi); increasing phi at
     fixed k sweeps through the Brillouin zone. k and phi may be arrays:
-    h_x and h_z then take the shape of k + phi, entries that shape + (2, 2).
+    the result then has the shape of k + phi, followed by (2, 2).
     """
     h_x = params.v + params.r * np.cos(k + phi)
     h_z = params.r * np.sin(k + phi)
     b = h_z + 0.5j * params.gamma
-    entries = np.stack([b, h_x, h_x, -b], axis=-1).reshape(np.shape(h_x) + (2, 2))
-    return BlochMatrix(k=k, h_x=h_x, h_z=h_z, entries=entries)
+    return np.stack([b, h_x, h_x, -b], axis=-1).reshape(np.shape(h_x) + (2, 2))
 
 
 def _per_cell_values(params: LatticeParams, disorder: DisorderConfig | None):
     n = params.n_cells
     rn = np.full(n, params.r)
-    rn_cross = None
     vn = np.full(n, params.v)
     gn = np.full(n, params.gamma)
     onsite = np.zeros(n)
@@ -144,17 +123,13 @@ def _per_cell_values(params: LatticeParams, disorder: DisorderConfig | None):
         bump = disorder.strength * disorder.draws
         if disorder.target is DisorderTarget.HOPPING_R:
             rn = rn + bump
-            if disorder.cross_draws is not None:
-                rn_cross = np.full(n, params.r) + disorder.strength * disorder.cross_draws
         elif disorder.target is DisorderTarget.HOPPING_V:
             vn = vn + bump
         elif disorder.target is DisorderTarget.GAIN_LOSS:
             gn = gn + bump
         elif disorder.target is DisorderTarget.ON_SITE:
             onsite = bump
-    if rn_cross is None:
-        rn_cross = rn
-    return rn, rn_cross, vn, gn, onsite
+    return rn, vn, gn, onsite
 
 
 def reduced_chain(params: LatticeParams, disorder: DisorderConfig | None = None):
@@ -168,15 +143,13 @@ def reduced_chain(params: LatticeParams, disorder: DisorderConfig | None = None)
     -r_n back. A is bipartite, so the E^2 are the eigenvalues of -X Y with
     X = -diag(a) - superdiag(r) and Y = diag(b) + subdiag(r), and
     det H = +-prod(a_n b_n) (Hatano & Nelson 1996; Yao & Wang 2018).
-    Returns None for a periodic chain, on-site disorder or independent
-    cross-hop draws, which do not reduce. r has N - 1 entries.
+    Returns None for a periodic chain or on-site disorder, which do not
+    reduce. r has N - 1 entries.
     """
     if params.boundary is not Boundary.OPEN or (
             disorder is not None and disorder.target is DisorderTarget.ON_SITE):
         return None
-    rn, rn_cross, vn, gn, _ = _per_cell_values(params, disorder)
-    if rn_cross is not rn:
-        return None
+    rn, vn, gn, _ = _per_cell_values(params, disorder)
     return vn - 0.5 * gn, vn + 0.5 * gn, rn[:-1]
 
 
@@ -202,20 +175,16 @@ def reduced_path(params: LatticeParams, disorder: DisorderConfig | None = None):
 
 
 def build_real_space(params: LatticeParams,
-                     disorder: DisorderConfig | None = None,
-                     phi: float = 0.0,
-                     decay_offset: float = 0.0) -> np.ndarray:
+                     disorder: DisorderConfig | None = None) -> np.ndarray:
     """Dense 2N x 2N real-space Hamiltonian.
 
     Bond n couples cells n and n+1 and carries the hopping value r_n
     (one value per unit cell, applied to both hopping lines of the
-    bond). With phi != 0 every inter-cell amplitude picks up
-    exp(-i phi) on the n+1 <- n direction and exp(+i phi) on the
-    reverse. decay_offset > 0 subtracts a uniform i*delta background
-    (passive-realization shift); it commutes with everything.
+    bond). Only periodic chains and on-site disorder need this matrix
+    for their spectra; every other chain reduces (reduced_chain).
     """
     n = params.n_cells
-    rn, rn_cross, vn, gn, onsite = _per_cell_values(params, disorder)
+    rn, vn, gn, onsite = _per_cell_values(params, disorder)
     dim = 2 * n
     # Cell c adds to its (alpha, alpha), (beta, beta), (alpha, beta) and
     # (beta, alpha) entries. Bond c links cell c, alpha index ac, to cell
@@ -223,16 +192,12 @@ def build_real_space(params: LatticeParams,
     # then four cross hops.
     a = 2 * np.arange(n)[:, None]       # alpha index of each cell; beta is a + 1
     ac = a[:n - 1] if params.boundary is Boundary.OPEN else a
-    r_same, r_cross = rn[:len(ac), None], rn_cross[:len(ac), None]
-    fwd = np.exp(-1j * phi)     # phase on n+1 <- n amplitudes
-    bwd = np.exp(1j * phi)
-    phase = np.array([fwd, bwd, fwd, bwd])
+    r_bond = rn[:len(ac), None]
     cell_vals = np.empty((n, 4), dtype=complex)
     cell_vals[:, 0] = 0.5j * gn + onsite
     cell_vals[:, 1] = -0.5j * gn + onsite
     cell_vals[:, 2:] = vn[:, None]
-    bond_vals = np.concatenate([np.array([0.5j, -0.5j, -0.5j, 0.5j]) * r_same * phase,
-                                0.5 * r_cross * phase], axis=1)
+    bond_vals = r_bond * np.array([0.5j, -0.5j, -0.5j, 0.5j, 0.5, 0.5, 0.5, 0.5])
     # np.add.at sums cell by cell, then bond by bond, entry by entry, so the
     # overlapping entries of periodic N <= 2 chains add up in that order,
     # and a -0.0 value lands as 0 + -0.0 = +0.0.
@@ -242,8 +207,6 @@ def build_real_space(params: LatticeParams,
                            ((ac + [0, 2, 1, 3, 0, 3, 1, 2]) % dim).ravel()])
     H = np.zeros((dim, dim), dtype=complex)
     np.add.at(H, (rows, cols), np.concatenate([cell_vals.ravel(), bond_vals.ravel()]))
-    if decay_offset:
-        H -= 1j * decay_offset * np.eye(dim)
     return H
 
 

@@ -67,7 +67,7 @@ def bloch_branches(params: LatticeParams, ks: np.ndarray):
     At an exceptional point (E = 0) the vectors are not finite; callers
     that use them check E first.
     """
-    m = build_bloch(params, np.asarray(ks, dtype=float)).entries
+    m = build_bloch(params, np.asarray(ks, dtype=float))
     hx, b = m[:, 0, 1], m[:, 0, 0]
     E = np.sqrt(hx ** 2 + b ** 2)
     # Half-angle components: b = E cos(t), hx = E sin(t). Pick the
@@ -109,7 +109,7 @@ def chain_spectrum(params: LatticeParams,
     eigvals. Both are more accurate than the dense solve of the strongly
     non-normal H (Hatano & Nelson 1996; Yao & Wang 2018). Disordered
     chains take the same path; those that reduced_chain does not reduce
-    (on-site disorder, cross draws, a disordered periodic chain) return
+    (on-site disorder, a disordered periodic chain) return
     eigvals(build_real_space(params, disorder)).
     """
     if params.boundary is Boundary.PERIODIC and disorder is None:
@@ -141,7 +141,7 @@ def bloch_eigensystem(params: LatticeParams,
     """
     E, u_plus, u_minus = bloch_branches(params, np.array([k]))
     E = complex(E[0])
-    scale = np.linalg.norm(build_bloch(params, k).entries, 2)
+    scale = np.linalg.norm(build_bloch(params, k), 2)
     if abs(E) < EP_TOL * max(scale, 1e-300):
         raise ExceptionalPointError(f"eigenvalues coalesce at k={k} (|E|={abs(E):.3g})")
     return E, fix_phase(u_plus[0]), fix_phase(u_minus[0])

@@ -47,13 +47,11 @@ def count_enclosed_eps(params: LatticeParams) -> int:
 class TrackedBand:
     """Both Bloch branches along a momentum sweep, tracked branch first.
 
-    energies[i, 0] and vectors[i, :, 0] belong to the continuously
-    tracked branch at ks[i]; energies[i, 1] and vectors[i, :, 1] to the
-    other one. Vectors have unit norm.
+    vectors[i, :, 0] belongs to the continuously tracked branch at
+    ks[i]; vectors[i, :, 1] to the other one. Vectors have unit norm.
     """
 
     ks: np.ndarray               # (nk,)
-    energies: np.ndarray         # (nk, 2)
     vectors: np.ndarray          # (nk, 2, 2)
 
 
@@ -100,9 +98,8 @@ def track_band(params: LatticeParams, start: float = 0.0, span: float = 4 * np.p
     pair = np.stack([u_plus, u_minus], axis=2)                  # (nk, 2, 2)
     current = _continuation_branch(pair, branch)
     order = np.stack([current, 1 - current], axis=1)            # (nk, 2)
-    energies = np.take_along_axis(np.stack([E, -E], axis=1), order, axis=1)
     vectors = np.take_along_axis(pair, order[:, None, :], axis=2)
-    return TrackedBand(ks=ks, energies=energies, vectors=vectors)
+    return TrackedBand(ks=ks, vectors=vectors)
 
 
 def band_coefficients(u: np.ndarray, basis_plus: np.ndarray,

@@ -493,13 +493,28 @@ class TestMainPlumbing:
         ("sweep-phase", SWEEP_CFG | {"mode": "fast"}, (), "sweep-phase.mode"),
         ("sweep-phase", SWEEP_CFG | {"direction": "up"}, (), "sweep-phase.direction"),
         ("disorder", DISORDER_CFG | {"targets": ["v", ["v"]]}, (), "disorder.targets[1]"),
+        # schema_version is the top-level integer 1 (True == 1.0 == 1 in
+        # Python) and appears nowhere else.
+        ("spectrum", SPECTRUM_CFG | {"schema_version": True}, (), "schema_version"),
+        ("spectrum", SPECTRUM_CFG | {"schema_version": 1.0}, (), "schema_version"),
+        ("winding", {"param_sets": [FIG2C_PARAM_SETS[1] | {"schema_version": 1}]}, (),
+         "winding.param_sets[0]: unknown keys ['schema_version']"),
+        ("spectrum", SPECTRUM_CFG | {"v_grid": {"start": 0.0, "stop": 1.0, "num": 3,
+                                                "schema_version": 1}}, (),
+         "spectrum.v_grid: unknown keys ['schema_version']"),
+        # direction carries the sign of the sweep, so total_phase may not.
+        ("sweep-phase", SWEEP_CFG | {"total_phase": -1.0}, (), "total_phase"),
+        ("sweep-phase", SWEEP_CFG | {"mode": "dynamical", "total_phase": -1.0}, (),
+         "total_phase"),
     ], ids=["null-n_cells", "string-num", "non-object-param-set", "negative-n_seeds",
             "string-targets", "empty-targets", "seed-outside-disorder",
             "float-n_cells", "bool-n_cells", "float-n_seeds", "float-seed", "float-samples",
             "float-excite_site", "float-num", "float-n_list", "string-r", "string-v_grid",
             "string-zero_mode_tol", "nan-threshold", "nan-zero_mode_tol",
             "nan-transition_tol", "huge-int-r", "unknown-boundary", "unknown-mode",
-            "unknown-direction", "list-target"])
+            "unknown-direction", "list-target", "bool-schema_version",
+            "float-schema_version", "param-set-schema_version", "grid-schema_version",
+            "negative-total_phase-transport", "negative-total_phase-dynamical"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, cfg, extra, key):
         cfg_path = write_config(tmp_path, cfg)
         assert run(command, cfg_path, tmp_path / "out", *extra) == 2

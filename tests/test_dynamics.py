@@ -187,7 +187,7 @@ def expm_sweep(params, k, direction, omega, samples):
         omega = abs(2 * E) / 100.0
     phis = sign * np.linspace(0.0, 2 * np.pi, samples)
     dt = (2 * np.pi / omega) / (samples - 1)
-    Hk = build_bloch(params, k, 0.5 * (phis[:-1] + phis[1:])).entries
+    Hk = build_bloch(params, k, 0.5 * (phis[:-1] + phis[1:]))
     steps = scipy.linalg.expm(-1j * Hk * dt)
     psi, log_growth = u_minus, []
     for U in steps:
@@ -230,6 +230,15 @@ class TestAdiabaticSweep:
         _, _, u_minus = bloch_eigensystem(p, 0.0)
         np.testing.assert_array_equal(res.final_state, u_minus)
         assert res.final_overlaps["minus"] > 1 - 1e-12
+
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    def test_rejects_negative_total_phase(self, mode):
+        # A backward sweep is direction=BACKWARD; a negative phase would
+        # sweep backward (transport) or not at all (dynamical) while the
+        # summary reports a forward sweep.
+        p = LatticeParams(v=0.3, r=0.3, gamma=1.0, n_cells=1)
+        with pytest.raises(ValueError, match="total_phase"):
+            adiabatic_sweep(p, k=0.0, mode=mode, total_phase=-np.pi)
 
     def test_dynamical_mode_normalized_output(self):
         p = LatticeParams(v=0.3, r=0.18, gamma=1.0, n_cells=1)

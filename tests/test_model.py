@@ -44,10 +44,10 @@ class TestLatticeParams:
         assert LatticeParams(v=0.1, r=1.0, gamma=0.5, n_cells=7).dim == 14
 
 
-def loop_build_real_space(params, disorder=None, phi=0.0, decay_offset=0.0):
+def loop_build_real_space(params, disorder=None):
     """Reference builder: adds every on-site term, then every bond, entry by entry."""
     n = params.n_cells
-    rn, rn_cross, vn, gn, onsite = _per_cell_values(params, disorder)
+    rn, vn, gn, onsite = _per_cell_values(params, disorder)
     dim = 2 * n
     H = np.zeros((dim, dim), dtype=complex)
     ai = lambda c: 2 * c        # alpha index of cell c (0-based)
@@ -57,71 +57,60 @@ def loop_build_real_space(params, disorder=None, phi=0.0, decay_offset=0.0):
         H[bi(c), bi(c)] += -0.5j * gn[c] + onsite[c]
         H[ai(c), bi(c)] += vn[c]
         H[bi(c), ai(c)] += vn[c]
-    fwd = np.exp(-1j * phi)
-    bwd = np.exp(1j * phi)
     bonds = range(n - 1) if params.boundary is Boundary.OPEN else range(n)
     for c in bonds:
         m = (c + 1) % n
-        r_same = rn[c]
-        r_cross = rn_cross[c]
-        H[ai(m), ai(c)] += 0.5j * r_same * fwd
-        H[ai(c), ai(m)] += -0.5j * r_same * bwd
-        H[bi(m), bi(c)] += -0.5j * r_same * fwd
-        H[bi(c), bi(m)] += 0.5j * r_same * bwd
-        H[bi(m), ai(c)] += 0.5 * r_cross * fwd
-        H[ai(c), bi(m)] += 0.5 * r_cross * bwd
-        H[ai(m), bi(c)] += 0.5 * r_cross * fwd
-        H[bi(c), ai(m)] += 0.5 * r_cross * bwd
-    if decay_offset:
-        H -= 1j * decay_offset * np.eye(dim)
+        H[ai(m), ai(c)] += 0.5j * rn[c]
+        H[ai(c), ai(m)] += -0.5j * rn[c]
+        H[bi(m), bi(c)] += -0.5j * rn[c]
+        H[bi(c), bi(m)] += 0.5j * rn[c]
+        H[bi(m), ai(c)] += 0.5 * rn[c]
+        H[ai(c), bi(m)] += 0.5 * rn[c]
+        H[ai(m), bi(c)] += 0.5 * rn[c]
+        H[bi(c), ai(m)] += 0.5 * rn[c]
     return H
 
 
 @st.composite
 def disorder_st(draw, n_cells):
-    """None, or a config of any target; r may carry independent cross draws."""
+    """None, or a config of any target."""
     target = draw(st.sampled_from([None, *DisorderTarget]))
     if target is None:
         return None
-    unit = st.floats(-1.0, 1.0)
-    draws = np.array(draw(st.lists(unit, min_size=n_cells, max_size=n_cells)))
-    cross = None
-    if target is DisorderTarget.HOPPING_R and draw(st.booleans()):
-        cross = np.array(draw(st.lists(unit, min_size=n_cells, max_size=n_cells)))
+    draws = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_cells,
+                                   max_size=n_cells)))
     return DisorderConfig(target=target, strength=draw(st.floats(0.0, 2.5)), seed=0,
-                          draws=draws, cross_draws=cross)
+                          draws=draws)
 
 
 class TestBuildBloch:
     def test_k_half_pi(self):
         # cos(pi/2) = 0, sin(pi/2) = 1
         p = LatticeParams(v=0.7, r=1.3, gamma=0.9, n_cells=1)
-        bm = build_bloch(p, np.pi / 2)
         expected = np.array([[1.3 + 0.45j, 0.7], [0.7, -1.3 - 0.45j]])
-        np.testing.assert_allclose(bm.entries, expected, atol=1e-15)
+        np.testing.assert_allclose(build_bloch(p, np.pi / 2), expected, atol=1e-15)
 
     def test_pauli_decomposition(self):
         p = LatticeParams(v=-0.4, r=0.8, gamma=1.1, n_cells=1)
-        bm = build_bloch(p, 2.1, phi=0.3)
-        rebuilt = bm.h_x * SIGMA_X + (bm.h_z + 0.55j) * SIGMA_Z
-        np.testing.assert_allclose(bm.entries, rebuilt, atol=1e-15)
+        h_x, h_z = -0.4 + 0.8 * np.cos(2.1 + 0.3), 0.8 * np.sin(2.1 + 0.3)
+        rebuilt = h_x * SIGMA_X + (h_z + 0.55j) * SIGMA_Z
+        np.testing.assert_allclose(build_bloch(p, 2.1, phi=0.3), rebuilt, atol=1e-15)
 
     def test_hermitian_limit(self):
         p = LatticeParams(v=0.3, r=1.0, gamma=0.0, n_cells=1)
         for k in np.linspace(0, 2 * np.pi, 7):
-            m = build_bloch(p, k).entries
+            m = build_bloch(p, k)
             np.testing.assert_array_equal(m, m.conj().T)
 
     @given(params_st, st.floats(-7.0, 7.0), st.floats(-3.0, 3.0),
            st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_phi_shift_identity(self, p, k, phi, ks):
-        np.testing.assert_array_equal(build_bloch(p, k, phi).entries,
-                                      build_bloch(p, k + phi, 0.0).entries)
+        np.testing.assert_array_equal(build_bloch(p, k, phi), build_bloch(p, k + phi, 0.0))
         # An array of momenta builds the stack of the scalar matrices, bit for bit.
         ks = np.array(ks)
-        np.testing.assert_array_equal(build_bloch(p, ks, phi).entries,
-                                      np.stack([build_bloch(p, q, phi).entries for q in ks]))
+        np.testing.assert_array_equal(build_bloch(p, ks, phi),
+                                      np.stack([build_bloch(p, q, phi) for q in ks]))
 
 
 class TestBuildRealSpace:
@@ -138,17 +127,7 @@ class TestBuildRealSpace:
         H = build_real_space(p)
         bloch_eigs = []
         for m in range(n):
-            bloch_eigs.extend(np.linalg.eigvals(build_bloch(p, 2 * np.pi * m / n).entries))
-        assert_multisets_close(np.linalg.eigvals(H), bloch_eigs, tol=1e-10)
-
-    def test_bloch_consistency_with_phase(self):
-        p = LatticeParams(v=0.4, r=0.6, gamma=0.9, n_cells=5, boundary=Boundary.PERIODIC)
-        phi = 0.77
-        H = build_real_space(p, phi=phi)
-        bloch_eigs = []
-        for m in range(5):
-            bloch_eigs.extend(
-                np.linalg.eigvals(build_bloch(p, 2 * np.pi * m / 5, phi).entries))
+            bloch_eigs.extend(np.linalg.eigvals(build_bloch(p, 2 * np.pi * m / n)))
         assert_multisets_close(np.linalg.eigvals(H), bloch_eigs, tol=1e-10)
 
     def test_exact_edge_state_annihilated(self, defective_params):
@@ -177,38 +156,29 @@ class TestBuildRealSpace:
         with pytest.raises(ValueError):
             build_real_space(p, disorder=dis)
 
-    @given(params_st, st.floats(0.0, 2.0))
+    @given(params_st)
     @settings(max_examples=40, deadline=None)
-    def test_hermitian_limit(self, p, phi):
+    def test_hermitian_limit(self, p):
         p = LatticeParams(v=p.v, r=p.r, gamma=0.0, n_cells=p.n_cells,
                           boundary=p.boundary)
-        H = build_real_space(p, phi=phi)
+        H = build_real_space(p)
         np.testing.assert_allclose(H, H.conj().T, atol=1e-15)
 
-    @given(params_st, st.data(), st.sampled_from([0.0, -0.0, 0.77, -2.5]),
-           st.sampled_from([0.0, 0.25]))
+    @given(params_st, st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_loop_builder_bit_for_bit(self, p, data, phi, decay_offset):
+    def test_matches_loop_builder_bit_for_bit(self, p, data):
         # tobytes compares signed zeros too; periodic N <= 2 chains sum
         # overlapping bonds, which must add up in the loop's order.
         dis = data.draw(disorder_st(p.n_cells))
-        got = build_real_space(p, disorder=dis, phi=phi, decay_offset=decay_offset)
-        ref = loop_build_real_space(p, disorder=dis, phi=phi, decay_offset=decay_offset)
-        assert got.tobytes() == ref.tobytes()
+        got = build_real_space(p, disorder=dis)
+        assert got.tobytes() == loop_build_real_space(p, disorder=dis).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_short_periodic_chains_match_loop_builder(self, n):
         p = LatticeParams(v=0.3, r=0.7, gamma=0.9, n_cells=n, boundary=Boundary.PERIODIC)
         dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_R, 0.6, 4, n)
-        for phi in (0.0, 0.4):
-            assert (build_real_space(p, disorder=dis, phi=phi).tobytes()
-                    == loop_build_real_space(p, disorder=dis, phi=phi).tobytes())
-
-    def test_decay_offset_shifts_spectrum(self):
-        p = LatticeParams(v=0.3, r=0.5, gamma=0.8, n_cells=4)
-        w0 = np.sort_complex(np.linalg.eigvals(build_real_space(p)))
-        w1 = np.sort_complex(np.linalg.eigvals(build_real_space(p, decay_offset=0.25)))
-        assert_multisets_close(w1, w0 - 0.25j, tol=1e-12)
+        assert (build_real_space(p, disorder=dis).tobytes()
+                == loop_build_real_space(p, disorder=dis).tobytes())
 
 
 def mp_eigvals(mp, M):
@@ -267,11 +237,9 @@ class TestReducedPath:
 
     def test_none_where_chain_does_not_reduce(self):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)
-        cross = DisorderConfig(DisorderTarget.HOPPING_R, 0.3, 0, np.full(6, 0.5),
-                               np.full(6, -0.5))
         onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, 0, 6)
         ring = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6, boundary=Boundary.PERIODIC)
-        for params, dis in ((p, cross), (p, onsite), (ring, None)):
+        for params, dis in ((p, onsite), (ring, None)):
             assert reduced_path(params, dis) is None
 
 
@@ -283,11 +251,11 @@ class TestSymmetries:
         G = chiral_operator(5)
         np.testing.assert_allclose(G @ G, np.eye(10), atol=1e-15)
 
-    @given(params_st, st.floats(0.0, 2.0))
+    @given(params_st)
     @settings(max_examples=60, deadline=None)
-    def test_structural_chirality_clean(self, p, phi):
-        # Exact entry-wise anticommutation, no tolerance, any phase.
-        assert chiral_residual(build_real_space(p, phi=phi)) == 0.0
+    def test_structural_chirality_clean(self, p):
+        # Exact entry-wise anticommutation, no tolerance.
+        assert chiral_residual(build_real_space(p)) == 0.0
 
     @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_R,
                                         DisorderTarget.HOPPING_V,
@@ -295,16 +263,6 @@ class TestSymmetries:
     def test_structural_chirality_disordered(self, target):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=12)
         dis = DisorderConfig.from_seed(target, 0.4, 7, 12)
-        assert chiral_residual(build_real_space(p, disorder=dis)) == 0.0
-
-    def test_chirality_with_independent_cross_draws(self):
-        # The two hopping lines of a bond may carry different r values
-        # and chiral symmetry still holds exactly.
-        rng = np.random.default_rng(3)
-        dis = DisorderConfig(target=DisorderTarget.HOPPING_R, strength=0.4, seed=3,
-                             draws=rng.uniform(-1, 1, 12),
-                             cross_draws=rng.uniform(-1, 1, 12))
-        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=12)
         assert chiral_residual(build_real_space(p, disorder=dis)) == 0.0
 
     def test_onsite_disorder_breaks_chirality(self):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nhlab import (GaplessTrajectoryError, LatticeParams, OnBoundaryError,
                    TrackedBand, TrackingAmbiguityError, band_coefficients,
                    count_enclosed_eps, track_band, winding_number)
+from nhlab.spectra import bloch_branches
 
 # The three parameter sets of the periodic-chain phase diagram: zero, one
 # and two exceptional points enclosed by the (h_x, h_z) hopping circle.
@@ -67,18 +68,19 @@ class TestTrackBand:
         p = FIG2C_SETS[0][0]
         tracked = track_band(p, samples=801)
         assert tracked.ks.shape == (801,)
-        assert tracked.energies.shape == (801, 2)
         assert tracked.vectors.shape == (801, 2, 2)
         assert tracked.ks[0] == 0.0
         assert tracked.ks[-1] == pytest.approx(4 * np.pi)
 
     def test_starts_on_principal_branch(self):
+        # The tracked branch starts on u_plus, the eigenvector of the
+        # principal square root E (Re E >= 0), and the other on u_minus.
         for p, *_ in FIG2C_SETS:
-            first = track_band(p).energies[0]
-            E = first[0]
-            assert E == pytest.approx(-first[1])
-            # principal square root: Re >= 0
-            assert E.real >= 0 or abs(E.real) < 1e-12
+            tracked = track_band(p)
+            E, u_plus, u_minus = bloch_branches(p, tracked.ks)
+            assert E[0].real >= 0 or abs(E[0].real) < 1e-12
+            np.testing.assert_array_equal(tracked.vectors[0, :, 0], u_plus[0])
+            np.testing.assert_array_equal(tracked.vectors[0, :, 1], u_minus[0])
 
     @pytest.mark.parametrize("params,n_eps,_w,_c", FIG2C_SETS)
     def test_closure_at_two_pi(self, params, n_eps, _w, _c):
@@ -140,7 +142,6 @@ class TestWindingNumber:
         # sigma_y eigenvector: <sigma_x> = <sigma_z> = 0 identically
         u = np.array([1.0, 1.0j]) / np.sqrt(2)
         tracked = TrackedBand(ks=np.linspace(0, 4 * np.pi, 401),
-                              energies=np.tile([1 + 0j, -1 + 0j], (401, 1)),
                               vectors=np.tile(np.column_stack([u, u.conj()]), (401, 1, 1)))
         with pytest.raises(GaplessTrajectoryError):
             winding_number(tracked)
@@ -150,7 +151,6 @@ class TestWindingNumber:
         ua = np.array([1.0, 1.0]) / np.sqrt(2)    # angle 0
         ub = np.array([1.0, -1.0]) / np.sqrt(2)   # angle pi
         tracked = TrackedBand(ks=np.linspace(0, 4 * np.pi, 5),
-                              energies=np.tile([1 + 0j, -1 + 0j], (5, 1)),
                               vectors=np.stack([np.column_stack([ua if i % 2 == 0 else ub, ua])
                                                 for i in range(5)]))
         with pytest.raises(TrackingAmbiguityError):
