@@ -4,8 +4,8 @@
 Sweeps disorder strength d for each requested target (r, v, gamma,
 onsite) on the open N=30 chain at v = r = gamma/2 and reports, per seed,
 the first d where the zero eigenvalue has split, plus the median over
-seeds. Takes about 1.5 s at the default 100 seeds on a 2-core
-x86-64 machine.
+seeds. Takes 1.2-1.6 s at the default 100 seeds on a 2-core x86-64
+machine with one BLAS thread; the per-seed transitions take most of it.
 """
 
 import argparse

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import dynamics, spectra
 from .dynamics import SweepDirection, SweepMode, adiabatic_sweep, evolve, fourier_detect
-from .errors import ConfigError, NhlabError, NoZeroModeError
+from .errors import ConfigError, NhlabError
 from .model import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
-                    build_bloch, build_real_space, reduced_path)
+                    build_bloch, build_real_space)
 from .topology import DEFAULT_SAMPLES, count_enclosed_eps, track_band, winding_number
 
 SCHEMA_VERSION = 1
@@ -181,15 +181,15 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
         w[:] = np.sort_complex(spectra.chain_spectrum(params))
         entry = {"v": float(v)}
         if boundary is Boundary.OPEN:
-            H = build_real_space(params)
-            try:
-                zm = spectra.zero_mode_analysis(H, tol=tol, require_chiral=False,
-                                                eigenvalues=w)
-                entry["zero_mode_present"] = True
-                entry["side"] = spectra.edge_profile(zm.u0).side
-                entry["defective"] = zm.defective
-            except NoZeroModeError:
-                entry["zero_mode_present"] = False
+            # zero_mode_analysis's criteria, on the singular values of the
+            # reduced chain: present iff some singular value is below
+            # tol * sigma_max, and those values are the geometric count.
+            sv = spectra.chain_singular_values(params, tol=tol)
+            entry["zero_mode_present"] = bool(sv.smallest.size)
+            if sv.smallest.size:
+                entry["side"] = spectra.edge_side(sv.weights)
+                alg = spectra.zero_cluster_size(w, sv.sigma_max, tol)
+                entry["defective"] = alg == 2 and sv.smallest.size == 1
         else:
             # H is block-diagonal in k and the Fourier transform is unitary,
             # so ||H||_2 is the largest ||H_k||_2 over the ring's momenta.
@@ -296,14 +296,18 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
         for j, d in enumerate(d_grid):
             dis = replace(draws, strength=float(d))
             energies[j] = np.sort_complex(spectra.chain_spectrum(params, dis))
-            # H = i U A U^H with U unitary, so the real path A has H's singular
-            # values, and its null vector has the per-cell weights of H's.
-            A = reduced_path(params, dis)
-            M = build_real_space(params, disorder=dis) if A is None else A
-            present[j] = np.abs(energies[j]).min() < zm_tol * np.linalg.norm(M, 2)
-            if present[j]:
-                _, _, vh = np.linalg.svd(M)
-                side[j] = spectra.edge_profile(spectra.fix_phase(vh[-1].conj())).side
+            min_e = np.abs(energies[j]).min()
+            sv = spectra.chain_singular_values(params, dis, tol=zm_tol)
+            if sv is not None:
+                present[j] = min_e < zm_tol * sv.sigma_max
+                if present[j]:
+                    side[j] = spectra.edge_side(sv.weights)
+            else:                   # onsite disorder: the chain does not reduce
+                H = build_real_space(params, disorder=dis)
+                present[j] = min_e < zm_tol * np.linalg.norm(H, 2)
+                if present[j]:
+                    _, _, vh = np.linalg.svd(H)
+                    side[j] = spectra.edge_profile(spectra.fix_phase(vh[-1].conj())).side
         csv_path = out / f"disorder_{name}.csv"
         write_csv(csv_path, _sheet("d_over_gamma", d_grid, energies)
                   | {"zero_mode_present": np.repeat(present, params.dim),

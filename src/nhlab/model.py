@@ -153,27 +153,6 @@ def reduced_chain(params: LatticeParams, disorder: DisorderConfig | None = None)
     return vn - 0.5 * gn, vn + 0.5 * gn, rn[:-1]
 
 
-def reduced_path(params: LatticeParams, disorder: DisorderConfig | None = None):
-    """The path A of reduced_chain as a dense real 2N x 2N matrix, or None.
-
-    build_real_space(params, disorder) = i U A U^H with U = I_N (x) u
-    unitary, so A has the singular values of H, and a vector x and U x
-    have the same per-cell weights. The balanced path of
-    spectra.chain_spectrum shares A's spectrum but neither of these: it
-    differs from A by a non-unitary imaginary gauge. Returns None where
-    reduced_chain does.
-    """
-    chain = reduced_chain(params, disorder)
-    if chain is None:
-        return None
-    a, b, r = chain
-    c = 2 * np.arange(len(a))      # first site of each cell
-    A = np.zeros((2 * len(a), 2 * len(a)))
-    A[c, c + 1], A[c + 1, c] = -a, b
-    A[c[1:] + 1, c[:-1]], A[c[:-1], c[1:] + 1] = r, -r
-    return A
-
-
 def build_real_space(params: LatticeParams,
                      disorder: DisorderConfig | None = None) -> np.ndarray:
     """Dense 2N x 2N real-space Hamiltonian.

@@ -7,10 +7,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import ExceptionalPointError, NoZeroModeError
 from .model import (Boundary, DisorderConfig, LatticeParams, build_bloch, build_real_space,
-                    chiral_residual, reduced_chain, reduced_path)
+                    chiral_residual, reduced_chain)
 
 CLUSTER_TOL = 1e-8      # eigenvalues closer than CLUSTER_TOL * ||H||_2 share a cluster
 ZERO_MODE_TOL = 1e-8    # zero mode present iff sigma_min < ZERO_MODE_TOL * sigma_max
@@ -19,6 +20,9 @@ EP_TOL = 1e-8           # Bloch EP iff |E| < EP_TOL * ||H_k||_2
 GAP_K_SAMPLES = 4001    # gap_report checks this many momenta in [0, 2*pi] and calls
 GAP_TOL = 1e-4          # a gap open iff min |Re E| (|Im E|) there exceeds GAP_TOL
 EDGE_WEIGHT = 0.9       # state at an edge iff the ceil(N/4) cells there hold more weight
+
+# Bisection tolerance that leaves only the relative stopping test of dstebz.
+_TINY_TOL = 2 * np.finfo(float).tiny
 
 
 def fix_phase(u: np.ndarray) -> np.ndarray:
@@ -132,6 +136,113 @@ def chain_spectrum(params: LatticeParams,
     return w.astype(complex)
 
 
+def _bisect(off: np.ndarray, select: int, vl=0.0, vu=0.0, il=0, iu=0, tol=_TINY_TOL):
+    """dstebz on the zero-diagonal symmetric tridiagonal with off-diagonal off.
+
+    select 1 takes the eigenvalues in (vl, vu], select 2 the il-th to
+    iu-th smallest (1-based), in ascending order. The default tolerance
+    gives each eigenvalue to high relative accuracy (Demmel & Kahan,
+    SIAM J. Sci. Stat. Comput. 11, 873 (1990)); tol = 0 takes LAPACK's
+    eps * ||T||, which is relatively accurate for the largest only.
+    dstebz reports an illegal argument or a failed bisection only through
+    info, with wrong output and no other sign, so a nonzero info raises
+    LinAlgError.
+    """
+    m, w, _, _, info = lapack.dstebz(np.zeros(len(off) + 1), off, select,
+                                     vl, vu, il, iu, tol, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz returned info = {info}")
+    return w[:m]
+
+
+@dataclass(frozen=True)
+class ChainSingularValues:
+    """Singular values of an open chain that reduces; see chain_singular_values."""
+
+    sigma_max: float
+    smallest: np.ndarray          # every singular value below tol * sigma_max, ascending
+    _hops: tuple = field(repr=False, compare=False)     # (a, b, r) of reduced_chain
+    _gk: tuple = field(repr=False, compare=False)       # Golub-Kahan off-diagonals of X, Y
+    _sigma: tuple = field(repr=False, compare=False)    # their least value below the cut, or inf
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Per-cell weights of the right singular vector of sigma_min, read on demand.
+
+        The vector belongs to the factor with the smaller sigma_min, X on
+        a tie: at v = 0, |a_n| = |b_n| and X and Y share their singular
+        values, so the null space of H is two-dimensional. It comes from
+        a dense SVD of that N x N factor alone. Inverse iteration on the
+        factor's Golub-Kahan matrix (dstein) is not used: at a tiny
+        sigma_min the pair +-sigma_min is numerically double, and one of
+        its two vectors can be far off (residual 7.6e-4 at v = -0.987,
+        r = 1.96, gamma = 1.965, N = 16) or, at sigma_min = 0, have no
+        right half.
+        """
+        sigma = self._sigma
+        if sigma == (np.inf, np.inf):       # nothing below the cut: bisect for each sigma_min
+            sigma = tuple(_bisect(off, 2, il=(len(off) + 3) // 2, iu=(len(off) + 3) // 2)[0]
+                          for off in self._gk)
+        a, b, r = self._hops
+        factor = (np.diag(b) + np.diag(r, -1) if sigma[1] < sigma[0]
+                  else -np.diag(a) - np.diag(r, 1))
+        x = np.linalg.svd(factor)[2][-1]
+        return x ** 2 / np.sum(x ** 2)
+
+
+def chain_singular_values(params: LatticeParams, disorder: DisorderConfig | None = None,
+                          tol: float = ZERO_MODE_TOL) -> ChainSingularValues | None:
+    """Singular values of build_real_space(params, disorder), without H.
+
+    Where the chain reduces (model.reduced_chain), H = i U A U^H with U
+    unitary and A the real path of the reduced chain. After an even/odd
+    permutation A = [[0, X], [Y, 0]], so H has the singular values of the
+    N x N bidiagonals X = -diag(a) - superdiag(r) and Y = diag(b) +
+    subdiag(r) together. Those of an upper bidiagonal (X, and Y^T) are
+    the non-negative eigenvalues of its Golub-Kahan matrix, the
+    zero-diagonal tridiagonal with off-diagonal |d_1|, |e_1|, |d_2|, ...,
+    |d_N|, and bisection (dstebz) finds them: sigma_max to LAPACK's
+    default tolerance and `smallest`, every singular value below
+    tol * sigma_max, to high relative accuracy. A factor with a zero hop
+    on its diagonal (some a_n or b_n = 0) is singular, and its
+    sigma_min is exactly 0.0. A hop below 1.5e-154 times the largest
+    counts as zero. `smallest` is empty when no singular value
+    lies below the cut; tol > 1 takes all 2N. `weights` gives the
+    per-cell weights of the right singular vector of sigma_min, which
+    U preserves. Returns None for a periodic chain or on-site disorder,
+    which do not reduce.
+    """
+    chain = reduced_chain(params, disorder)
+    if chain is None:
+        return None
+    a, b, r = chain
+    # dstebz takes a hop below sqrt(safmin) = 1.5e-154 for zero. Scaling by
+    # a power of two, which bisection carries exactly, moves that bound
+    # to 1.5e-154 times the largest hop.
+    scale = 2.0 ** np.frexp(np.abs(np.concatenate([a, b, r])).max())[1]
+    gk = []
+    for diag in (a, b):
+        off = np.empty(2 * len(diag) - 1)
+        off[0::2], off[1::2] = np.abs(diag) / scale, np.abs(r) / scale
+        gk.append(off)
+    # Both Golub-Kahan matrices as one tridiagonal, split by a zero hop.
+    (top,) = _bisect(np.concatenate([gk[0], [0.0], gk[1]]), 2,
+                     il=4 * len(a), iu=4 * len(a), tol=0.0)
+    cut = tol * top
+    sigma, values = [], []
+    for off, diag in zip(gk, (a, b)):
+        w = _bisect(off, 1, vl=-cut, vu=cut) if cut > 0 else np.empty(0)
+        s = np.sort(np.abs(w))[::2]          # each singular value gives +-sigma
+        if s.size and not diag.all():
+            s[0] = 0.0
+        s = s[s < cut]
+        sigma.append(s[0] if s.size else np.inf)
+        values.append(s)
+    return ChainSingularValues(sigma_max=float(scale * top),
+                               smallest=scale * np.sort(np.concatenate(values)),
+                               _hops=chain, _gk=tuple(gk), _sigma=tuple(sigma))
+
+
 def bloch_eigensystem(params: LatticeParams,
                       k: float) -> tuple[complex, np.ndarray, np.ndarray]:
     """bloch_branches at one momentum: (E, u_plus, u_minus), vectors through fix_phase.
@@ -188,6 +299,14 @@ class ZeroModeInfo:
         return np.linalg.lstsq(self._H, self.u0, rcond=self._rcond)[0]
 
 
+def zero_cluster_size(eigenvalues: np.ndarray, sigma_max: float, tol: float) -> int:
+    """Algebraic count of the zero cluster: the eigenvalues within a radius
+    of tol * sigma_max, widened to the observed scatter 2 min|E| and capped
+    at 1e-3 sigma_max."""
+    radius = min(max(tol * sigma_max, 2.0 * np.abs(eigenvalues).min()), 1e-3 * sigma_max)
+    return int(np.sum(np.abs(eigenvalues) <= radius))
+
+
 def zero_mode_analysis(H: np.ndarray, tol: float = ZERO_MODE_TOL,
                        require_chiral: bool = True,
                        eigenvalues: np.ndarray | None = None) -> ZeroModeInfo:
@@ -220,8 +339,7 @@ def zero_mode_analysis(H: np.ndarray, tol: float = ZERO_MODE_TOL,
     u0 = fix_phase(np.linalg.svd(H)[2][-1].conj())
     geo = int(np.sum(s < tol * s[0]))
     w = np.linalg.eigvals(H) if eigenvalues is None else eigenvalues
-    radius = min(max(tol * s[0], 2.0 * np.abs(w).min()), 1e-3 * s[0])
-    alg = int(np.sum(np.abs(w) <= radius))
+    alg = zero_cluster_size(w, s[0], tol)
     return ZeroModeInfo(
         u0=u0,
         defective=(alg == 2 and geo == 1),
@@ -301,8 +419,8 @@ def gap_report(params: LatticeParams) -> GapReport:
     Periodic chains: closed-form criteria (real part gapped iff
     ||v| - r| > gamma/2, imaginary part gapped iff |v| + r < gamma/2)
     alongside a dense-k numerical check. Open chains: spectrum_real from
-    chain_spectrum, against the scale ||H||_2 = ||A||_2 of the real path
-    A = model.reduced_path(params).
+    chain_spectrum, against the scale ||H||_2, the sigma_max of
+    chain_singular_values.
     """
     v, r, g = params.v, params.r, params.gamma
     cf_real = abs(abs(v) - r) > g / 2
@@ -313,7 +431,7 @@ def gap_report(params: LatticeParams) -> GapReport:
         num_imag = bool(np.abs(E.imag).min() > GAP_TOL)
         spectrum_real = bool(np.abs(E.imag).max() < REALITY_TOL)
         return GapReport(cf_real, cf_imag, spectrum_real, num_real, num_imag)
-    scale = np.linalg.norm(reduced_path(params), 2)
+    scale = chain_singular_values(params).sigma_max
     spectrum_real = bool(np.abs(chain_spectrum(params).imag).max() < REALITY_TOL * scale)
     return GapReport(cf_real, cf_imag, spectrum_real)
 
@@ -324,21 +442,25 @@ class EdgeProfile:
     weights: np.ndarray          # per-unit-cell probability
 
 
+def edge_side(weights: np.ndarray) -> str:
+    """"left" or "right" where the ceil(N/4) cells at that edge hold more
+    than EDGE_WEIGHT of the per-cell weights (summing to 1), else "delocalized"."""
+    n = len(weights)
+    edge = int(np.ceil(n / 4))
+    if weights[:edge].sum() > EDGE_WEIGHT:
+        return "left"
+    if weights[n - edge:].sum() > EDGE_WEIGHT:
+        return "right"
+    return "delocalized"
+
+
 def edge_profile(u: np.ndarray) -> EdgeProfile:
     """Per-cell weights |alpha_n|^2 + |beta_n|^2 and which edge holds them."""
     u = np.asarray(u, dtype=complex)
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise ValueError("edge_profile expects a unit-norm vector")
     w = np.abs(u[0::2]) ** 2 + np.abs(u[1::2]) ** 2
-    n = len(w)
-    edge = int(np.ceil(n / 4))
-    if w[:edge].sum() > EDGE_WEIGHT:
-        side = "left"
-    elif w[n - edge:].sum() > EDGE_WEIGHT:
-        side = "right"
-    else:
-        side = "delocalized"
-    return EdgeProfile(side=side, weights=w)
+    return EdgeProfile(side=edge_side(w), weights=w)
 
 
 def exact_zero_mode(n_cells: int) -> np.ndarray:

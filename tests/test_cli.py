@@ -182,6 +182,7 @@ class TestSpectrum:
 
         def counted_svd(a, *args, compute_uv=True, **kwargs):
             calls["svd_full" if compute_uv else "svd_values"] += 1
+            assert np.shape(a) == (30, 30)      # one N x N bidiagonal factor
             return svd(a, *args, compute_uv=compute_uv, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
@@ -193,9 +194,25 @@ class TestSpectrum:
         tracks = json.loads((tmp_path / "out" / "zero_modes.json").read_text())["tracks"]
         # chain_spectrum's one eigvals is for the non-symmetric path, where
         # a_n b_n = v^2 - gamma^2/4 < 0; |v| >= gamma/2 takes eigvalsh_tridiagonal.
+        # The singular values come from bisection on the reduced chain's
+        # bidiagonal factors; only the side of a present mode takes an SVD,
+        # of the N x N factor that holds sigma_min.
+        present = sum(t["zero_mode_present"] for t in tracks)
+        assert present > 0
         assert calls == {"eigvals": int(np.sum(np.abs(grid) < 0.5)), "lstsq": 0,
-                         "svd_values": len(grid),
-                         "svd_full": sum(t["zero_mode_present"] for t in tracks)}
+                         "svd_values": 0, "svd_full": present}
+
+    def test_tied_factors_take_the_left_vector(self, tmp_path):
+        # At v = 0, r = 1 the factors X and Y share their singular values,
+        # and H's pseudo-null space is two-dimensional; the dense SVD's
+        # vector was a rounding-dependent mix ("delocalized" at N = 30,
+        # "right" at N = 40). X's vector, at the left edge, is taken.
+        for n in (30, 40):
+            cmd_spectrum(self._config("open", [0.0]) | {"n_cells": n, "r": 1.0}, tmp_path)
+            tracks = json.loads((tmp_path / "zero_modes.json").read_text())["tracks"]
+            assert tracks == [{"v": 0.0, "zero_mode_present": True, "side": "left",
+                               "defective": False}]
+
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             cmd_spectrum(self._config("open", []), tmp_path)
@@ -305,8 +322,9 @@ class TestDisorder:
         assert list(tmp_path.iterdir()) == []
 
     def test_zero_mode_flags_match_dense_reference(self, tmp_path):
-        # The CSV takes ||H||_2 and the null vector from the real path A;
-        # the reference solves and decomposes H itself at every grid point.
+        # The CSV takes ||H||_2 and the null vector's weights from
+        # chain_singular_values; the reference solves and decomposes H
+        # itself at every grid point.
         params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
         d_grid = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0]
         targets = ["r", "v", "gamma"]
@@ -328,6 +346,39 @@ class TestDisorder:
                         side = edge_profile(fix_phase(vh[-1].conj())).side
                     want.append((str(int(present)), side))
                 assert [(r["zero_mode_present"], r["zero_mode_side"]) for r in rows] == want
+
+    def test_no_dense_svd_where_the_chain_reduces(self, tmp_path, monkeypatch):
+        # r, v and gamma chains take sigma_max and the zero mode's side from
+        # the N x N bidiagonal factors; onsite disorder still decomposes H.
+        calls = []
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def counted_svd(a, *args, **kwargs):
+            calls.append(("svd", np.shape(a)))
+            return svd(a, *args, **kwargs)
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            calls.append(("norm", np.shape(x), ord))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        d_grid = [0.0, 0.05, 0.3, 1.0]
+        for name in ("r", "v", "gamma", "onsite"):
+            calls.clear()
+            cmd_disorder(self._config(n_cells=30, targets=[name], d_grid=d_grid, n_seeds=0),
+                         tmp_path)
+            with open(tmp_path / f"disorder_{name}.csv", encoding="utf-8") as fh:
+                present = sum(r["zero_mode_present"] == "1"
+                              for r in list(csv.DictReader(fh))[::60])
+            dense = [c for c in calls if c[1] == (60, 60)]
+            assert present >= 1
+            if name == "onsite":
+                assert sorted(dense) == sorted([("norm", (60, 60), 2)] * len(d_grid)
+                                               + [("svd", (60, 60))] * present)
+            else:
+                assert dense == [] and [c for c in calls if c[0] == "svd"] == (
+                    [("svd", (30, 30))] * present)
 
     @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
                                         DisorderTarget.GAIN_LOSS])

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                    build_bloch, build_real_space, chiral_operator, chiral_residual,
                    parity_operator, pt_residual)
-from nhlab.model import (SIGMA_X, SIGMA_Y, SIGMA_Z, _per_cell_values, reduced_chain,
-                         reduced_path)
+from nhlab.model import SIGMA_X, SIGMA_Y, SIGMA_Z, _per_cell_values, reduced_chain
+from nhlab.spectra import (ZERO_MODE_TOL, chain_singular_values, edge_profile, edge_side,
+                           fix_phase)
 
 from conftest import assert_multisets_close
 
@@ -218,29 +219,53 @@ class TestReducedChain:
                 assert abs(det_h - det_chain) <= 1e-13 * det_chain + mp.mpf(10) ** -40
 
 
+def path_matrix(a, b, r):
+    """The real 2N-site path of reduced_chain's hops (a, b, r) as a dense matrix."""
+    c = 2 * np.arange(len(a))      # first site of each cell
+    A = np.zeros((2 * len(a), 2 * len(a)))
+    A[c, c + 1], A[c + 1, c] = -a, b
+    A[c[1:] + 1, c[:-1]], A[c[:-1], c[1:] + 1] = r, -r
+    return A
+
+
 class TestReducedPath:
+    # spectra.chain_singular_values rests on this path A: it takes H's
+    # singular values from the two bidiagonal blocks of A and the zero
+    # mode's side from their singular vectors.
     @pytest.mark.parametrize("target", [None, DisorderTarget.HOPPING_R,
                                         DisorderTarget.HOPPING_V, DisorderTarget.GAIN_LOSS])
     @pytest.mark.parametrize("v", [0.55, 1.3, 0.3, 0.5, -0.8])
     def test_rotates_to_hamiltonian(self, v, target):
-        # H = i U A U^H with U = I_N (x) [[1, 1], [i, -i]] / sqrt(2).
+        # H = i U A U^H with U = I_N (x) [[1, 1], [i, -i]] / sqrt(2), and
+        # A = [[0, X], [Y, 0]] after an even/odd permutation.
         u = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0)
         for n in (1, 2, 7):
             p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n)
             dis = None if target is None else DisorderConfig.from_seed(target, 0.6, 5, n)
-            A = reduced_path(p, dis)
-            assert A.dtype == np.float64 and A.shape == (2 * n, 2 * n)
+            a, b, r = reduced_chain(p, dis)
+            A = path_matrix(a, b, r)
             U = np.kron(np.eye(n), u)
             H = build_real_space(p, disorder=dis)
             np.testing.assert_allclose(1j * U @ A @ U.conj().T, H, rtol=0,
                                        atol=4 * np.finfo(float).eps * np.abs(H).max())
+            assert (A[0::2, 1::2] == -np.diag(a) - np.diag(r, 1)).all()
+            assert (A[1::2, 0::2] == np.diag(b) + np.diag(r, -1)).all()
+            assert (A[0::2, 0::2] == 0).all() and (A[1::2, 1::2] == 0).all()
+            # The singular data of the factors are those of H.
+            sv = chain_singular_values(p, dis)
+            _, s, vh = np.linalg.svd(H)
+            assert abs(sv.sigma_max - s[0]) <= 1e-14 * s[0]
+            if s[-1] < ZERO_MODE_TOL * s[0]:
+                assert sv.smallest.size
+                assert edge_side(sv.weights) == edge_profile(fix_phase(vh[-1].conj())).side
 
     def test_none_where_chain_does_not_reduce(self):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)
         onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, 0, 6)
         ring = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6, boundary=Boundary.PERIODIC)
         for params, dis in ((p, onsite), (ring, None)):
-            assert reduced_path(params, dis) is None
+            assert reduced_chain(params, dis) is None
+            assert chain_singular_values(params, dis) is None
 
 
 class TestSymmetries:

@@ -14,9 +14,9 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointErr
                    geometric_multiplicity, smallest_singular_values, spectral_report,
                    zero_mode_analysis)
 from nhlab import spectra
-from nhlab.model import reduced_chain, reduced_path
-from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, fix_phase,
-                           smallest_abs_eigenvalue)
+from nhlab.model import reduced_chain
+from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain_singular_values,
+                           edge_side, fix_phase, smallest_abs_eigenvalue)
 
 from conftest import assert_multisets_close
 
@@ -183,24 +183,33 @@ def dense_min_abs(params, disorder=None):
     return float(np.abs(np.linalg.eigvals(build_real_space(params, disorder=disorder))).min())
 
 
+def mp_factors(H, mp):
+    """The reduced chain's bidiagonals X and Y of the open chain H, in mpmath.
+
+    The hops are read off H's own entries in exact arithmetic
+    (a_n = v_n - gamma_n/2, b_n = v_n + gamma_n/2, r_n twice a cross hop).
+    """
+    n = H.shape[0] // 2
+    v = [mp.mpf(H[2 * i, 2 * i + 1].real) for i in range(n)]
+    half_g = [mp.mpf(H[2 * i, 2 * i].imag) for i in range(n)]
+    X, Y = mp.zeros(n), mp.zeros(n)
+    for i in range(n):
+        X[i, i], Y[i, i] = half_g[i] - v[i], v[i] + half_g[i]
+        if i < n - 1:
+            r = 2 * mp.mpf(H[2 * i + 3, 2 * i].real)
+            X[i, i + 1], Y[i + 1, i] = -r, r
+    return X, Y
+
+
 def mp_min_abs_energy(H, mp):
     """min |E| of the open chain H at 60 digits.
 
-    The reduced chain's hops are read off H's own entries in exact
-    arithmetic (a_n = v_n - gamma_n/2, b_n = v_n + gamma_n/2, r_n twice a
-    cross hop), and power iteration on (X Y)^-1 finds its largest
+    Power iteration on (X Y)^-1 of mp_factors finds its largest
     eigenvalue 1 / min E^2; the residual check fails unless it converged.
     """
     n = H.shape[0] // 2
     with mp.workdps(60):
-        v = [mp.mpf(H[2 * i, 2 * i + 1].real) for i in range(n)]
-        half_g = [mp.mpf(H[2 * i, 2 * i].imag) for i in range(n)]
-        X, Y = mp.zeros(n), mp.zeros(n)
-        for i in range(n):
-            X[i, i], Y[i, i] = half_g[i] - v[i], v[i] + half_g[i]
-            if i < n - 1:
-                r = 2 * mp.mpf(H[2 * i + 3, 2 * i].real)
-                X[i, i + 1], Y[i + 1, i] = -r, r
+        X, Y = mp_factors(H, mp)
         M = mp.inverse(X * Y)
         x = mp.ones(n, 1)
         for _ in range(30):
@@ -383,9 +392,9 @@ class TestReducedPathSingularData:
     @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
                                         DisorderTarget.GAIN_LOSS])
     def test_norm_and_edge_side_match_dense(self, target):
-        # nhlab disorder reads ||H||_2 and the zero mode's side off the real
-        # path A. The balanced path of chain_spectrum would not do: its
-        # imaginary gauge changes both.
+        # nhlab disorder reads ||H||_2 and the zero mode's side off the
+        # factors of the real path A. The balanced path of chain_spectrum
+        # would not do: its imaginary gauge changes both.
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
         present = 0
         for seed in range(10):
@@ -393,13 +402,157 @@ class TestReducedPathSingularData:
                 dis = DisorderConfig.from_seed(target, d, seed, 30)
                 H = build_real_space(p, disorder=dis)
                 _, s_h, vh_h = np.linalg.svd(H)
-                _, s_a, vh_a = np.linalg.svd(reduced_path(p, dis))
-                assert abs(s_a[0] - s_h[0]) <= 1e-14 * s_h[0]
+                sv = chain_singular_values(p, dis)
+                assert abs(sv.sigma_max - s_h[0]) <= 1e-14 * s_h[0]
                 if np.abs(np.linalg.eigvals(H)).min() < ZERO_MODE_TOL * s_h[0]:
-                    assert (edge_profile(fix_phase(vh_a[-1])).side
+                    assert (edge_side(sv.weights)
                             == edge_profile(fix_phase(vh_h[-1].conj())).side)
                     present += 1
         assert present >= 10
+
+
+def dense_cell_weights(H):
+    """Per-cell weights of the smallest right singular vector of H, with H's
+    two smallest singular values."""
+    _, s, vh = np.linalg.svd(H)
+    x = np.abs(vh[-1]) ** 2
+    return x[0::2] + x[1::2], s[-1], s[-2]
+
+
+class TestChainSingularValues:
+    @pytest.mark.parametrize("params, disorder", [
+        (LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30), None),
+        (LatticeParams(v=0.55, r=0.5, gamma=1.0, n_cells=40), None),
+        (LatticeParams(v=0.3, r=0.5, gamma=1.0, n_cells=30), None),
+        (LatticeParams(v=-0.525, r=0.5, gamma=1.0, n_cells=30), None),
+        (LatticeParams(v=1.3, r=0.5, gamma=1.0, n_cells=20), None),
+        (LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30),
+         DisorderConfig.from_seed(DisorderTarget.HOPPING_V, 0.3, 4, 30)),
+        (LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30),
+         DisorderConfig.from_seed(DisorderTarget.GAIN_LOSS, 0.3, 1, 30)),
+    ], ids=["v0.5-N30", "v0.55-N40", "v0.3-N30", "v-0.525-N30", "v1.3-N20",
+            "v-seed4-d0.3-N30", "gamma-seed1-d0.3-N30"])
+    def test_matches_mpmath(self, params, disorder):
+        # Every singular value to 1e-14 relative, where the dense SVD's
+        # sigma_min is 2.1e-27 for a true 4.95e-41 (v = 0.55, N = 40) and
+        # 3.8e-17 for 4.6e-40 (v = -0.525, N = 30).
+        mp = pytest.importorskip("mpmath")
+        H = build_real_space(params, disorder=disorder)
+        with mp.workdps(80):
+            X, Y = mp_factors(H, mp)
+            oracle = sorted(s for M in (X, Y) for s in mp.svd_r(M, compute_uv=False))
+            exact_zeros = sum(s < mp.mpf(10) ** -70 for s in oracle)
+            oracle = np.array([float(s) for s in oracle])
+        sv = chain_singular_values(params, disorder, tol=2.0)   # every value below 2 sigma_max
+        assert sv.smallest.shape == (params.dim,)
+        assert abs(sv.sigma_max - oracle[-1]) <= 1e-14 * oracle[-1]
+        assert exact_zeros == (params.v == 0.5 and disorder is None)
+        assert (sv.smallest[:exact_zeros] == 0.0).all()
+        np.testing.assert_allclose(sv.smallest[exact_zeros:], oracle[exact_zeros:],
+                                   rtol=1e-14, atol=0)
+
+    @given(st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
+           st.integers(1, 12), st.sampled_from([None, DisorderTarget.HOPPING_R,
+                                                DisorderTarget.HOPPING_V,
+                                                DisorderTarget.GAIN_LOSS]),
+           st.floats(0.0, 1.5), st.integers(0, 1000))
+    @example(1.1125369292536007e-308, 1.0, 0.0, 1, None, 0.0, 0)   # subnormal hops
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_svd(self, v, r, gamma, n, target, d, seed):
+        p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n)
+        dis = None if target is None else DisorderConfig.from_seed(target, d, seed, n)
+        H = build_real_space(p, disorder=dis)
+        dense = np.linalg.svd(H, compute_uv=False)[::-1]
+        sv = chain_singular_values(p, dis, tol=2.0)
+        if dense[-1] == 0.0:        # H = 0: nothing lies below 2 * 0
+            assert sv.sigma_max == 0.0 and sv.smallest.size == 0
+            return
+        # The dense SVD is backward stable: each sigma_i is off by a few
+        # eps * sigma_max, a relative error of eps * kappa_i with
+        # kappa_i = sigma_max / sigma_i. Where kappa_i is large the dense
+        # value is noise: at v = gamma = d = 3.03e-38, r = 0.05, N = 4 it
+        # reads 0 and 2.5e-18 where 500-digit mpmath and
+        # chain_singular_values agree on 2.4e-147 and 4.0e-146.
+        assert abs(sv.sigma_max - dense[-1]) <= 1e-14 * dense[-1]
+        assert (np.abs(sv.smallest - dense) <= 8 * p.dim * np.finfo(float).eps * dense[-1]).all()
+        # Where sigma_min is well separated its right vector is determined,
+        # and so are its per-cell weights.
+        weights, s1, s2 = dense_cell_weights(H)
+        assert sv.weights.shape == (n,) and abs(sv.weights.sum() - 1.0) < 1e-14
+        if s2 - s1 > 1e-3 * dense[-1]:
+            np.testing.assert_allclose(sv.weights, weights, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("v, target", [(0.3, None), (0.5, None),
+                                           (0.3, DisorderTarget.HOPPING_R),
+                                           (0.5, DisorderTarget.HOPPING_R)])
+    def test_shortest_chains_match_dense(self, n, v, target):
+        # N = 1 has no bond (r is empty); N = 2 has one.
+        p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n)
+        dis = None if target is None else DisorderConfig.from_seed(target, 0.4, 2, n)
+        H = build_real_space(p, disorder=dis)
+        dense = np.linalg.svd(H, compute_uv=False)[::-1]
+        sv = chain_singular_values(p, dis, tol=2.0)
+        np.testing.assert_allclose(sv.smallest, dense, rtol=0, atol=1e-15)
+        assert (sv.smallest[0] == 0.0) == (v == 0.5)
+        weights, s1, s2 = dense_cell_weights(H)
+        assert s2 - s1 > 0.1
+        np.testing.assert_allclose(sv.weights, weights, rtol=0, atol=1e-14)
+
+    def test_values_below_the_cut_only(self, defective_params):
+        # At v = gamma/2 only X's exact zero lies below tol * sigma_max. At
+        # v = 1.3 none does, and weights bisects for each factor's sigma_min.
+        sv = chain_singular_values(defective_params)
+        assert sv.smallest.tolist() == [0.0]
+        assert edge_side(sv.weights) == "left"
+        p = LatticeParams(v=1.3, r=0.5, gamma=1.0, n_cells=30)
+        far = chain_singular_values(p)
+        assert far.smallest.size == 0
+        weights, s1, _ = dense_cell_weights(build_real_space(p))
+        assert s1 > 0.3
+        np.testing.assert_allclose(far.weights, weights, rtol=0, atol=1e-12)
+
+    def test_interior_zero_hop_is_exact(self):
+        # a_3 = 0 splits X's Golub-Kahan matrix into two odd blocks, each
+        # with an eigenvalue 0 that bisection returns as -1.5e-308. X's null
+        # vector lives on cells 0-3 only.
+        draws = np.array([0.3, -0.2, 0.4, 0.0, 0.5, -0.6, 0.1, 0.7])
+        dis = DisorderConfig(target=DisorderTarget.HOPPING_V, strength=0.2, seed=0,
+                             draws=draws)
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=8)
+        assert reduced_chain(p, dis)[0][3] == 0.0
+        sv = chain_singular_values(p, dis)
+        assert sv.smallest.tolist() == [0.0]
+        weights, _, s2 = dense_cell_weights(build_real_space(p, disorder=dis))
+        assert s2 > 0.4
+        np.testing.assert_allclose(sv.weights, weights, rtol=0, atol=1e-12)
+        assert (sv.weights[4:] == 0.0).all()
+
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_tie_takes_x(self, n):
+        # At v = 0, |a_n| = |b_n|: X and Y share their singular values
+        # exactly and the pseudo-null space of H is two-dimensional. The
+        # dense SVD returns a rounding-dependent mix of the two vectors
+        # ("delocalized" at N = 30, "right" at N = 40); X's, at the left
+        # edge, is taken.
+        p = LatticeParams(v=0.0, r=1.0, gamma=1.0, n_cells=n)
+        sv = chain_singular_values(p)
+        assert sv.smallest.size == 2 and sv.smallest[0] == sv.smallest[1]
+        a, _, r = reduced_chain(p)
+        vx = np.linalg.svd(-np.diag(a) - np.diag(r, 1))[2][-1]
+        np.testing.assert_allclose(sv.weights, vx ** 2, rtol=0, atol=1e-12)
+        assert edge_side(sv.weights) == "left"
+
+    @pytest.mark.parametrize("info", [-6, 1])
+    def test_lapack_failure_raises(self, monkeypatch, info):
+        # dstebz reports an illegal argument (info < 0) or a failed
+        # bisection (info > 0) only in info; its output is then wrong
+        # without any other sign.
+        real = scipy.linalg.lapack.dstebz
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
+                            lambda *args: (*real(*args)[:-1], info))
+        with pytest.raises(np.linalg.LinAlgError, match=f"dstebz returned info = {info}"):
+            chain_singular_values(LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=4))
 
 
 class TestZeroModeAnalysis:
