@@ -112,6 +112,14 @@ def _number(value, where: str) -> float:
     raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
+def _positive(value, where: str, below: float = math.inf) -> float:
+    """A number config value in the open interval (0, below)."""
+    x = _number(value, where)
+    if not 0.0 < x < below:
+        raise ConfigError(f"{where} must lie in (0, {below:g}), got {value!r}")
+    return x
+
+
 def _choice(value, enum: type[Enum], where: str):
     """The member of enum whose value a JSON string config value names."""
     choices = [m.value for m in enum]
@@ -171,7 +179,8 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     n_cells = _integer(cfg["n_cells"], "spectrum.n_cells")
     r, gamma = (_number(cfg[k], f"spectrum.{k}") for k in ("r", "gamma"))
     v_grid = _grid(cfg["v_grid"], "spectrum.v_grid")
-    tol = _number(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL), "spectrum.zero_mode_tol")
+    tol = _positive(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL), "spectrum.zero_mode_tol",
+                    below=1.0)
     base = LatticeParams(v=float(v_grid[0]), r=r, gamma=gamma, n_cells=n_cells,
                          boundary=boundary)
     energies = np.empty((len(v_grid), base.dim), dtype=complex)
@@ -195,7 +204,7 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
             # so ||H||_2 is the largest ||H_k||_2 over the ring's momenta.
             h_k = build_bloch(params, spectra.ring_momenta(n_cells))
             scale = np.linalg.norm(h_k, 2, axis=(1, 2)).max()
-            entry["zero_mode_present"] = bool(np.abs(w).min() < tol * scale)
+            entry["zero_mode_present"] = bool(spectra.below_cut(np.abs(w).min(), scale, tol))
         flags.append(entry)
     csv_path = out / "spectrum.csv"
     write_csv(csv_path, _sheet("v_over_gamma", v_grid, energies))
@@ -283,8 +292,9 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
         raise ConfigError(f"disorder: n_seeds must be >= 0, got {n_seeds}")
     targets = [_choice(name, DisorderTarget, f"disorder.targets[{i}]")
                for i, name in enumerate(_non_empty_list(cfg["targets"], "disorder.targets"))]
-    trans_tol = _number(cfg.get("transition_tol", TRANSITION_TOL), "disorder.transition_tol")
-    zm_tol = _number(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL), "disorder.zero_mode_tol")
+    trans_tol = _positive(cfg.get("transition_tol", TRANSITION_TOL), "disorder.transition_tol")
+    zm_tol = _positive(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL), "disorder.zero_mode_tol",
+                       below=1.0)
     files = []
     summary = {}
     for target in targets:
@@ -299,12 +309,12 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
             min_e = np.abs(energies[j]).min()
             sv = spectra.chain_singular_values(params, dis, tol=zm_tol)
             if sv is not None:
-                present[j] = min_e < zm_tol * sv.sigma_max
+                present[j] = spectra.below_cut(min_e, sv.sigma_max, zm_tol)
                 if present[j]:
                     side[j] = spectra.edge_side(sv.weights)
             else:                   # onsite disorder: the chain does not reduce
                 H = build_real_space(params, disorder=dis)
-                present[j] = min_e < zm_tol * np.linalg.norm(H, 2)
+                present[j] = spectra.below_cut(min_e, np.linalg.norm(H, 2), zm_tol)
                 if present[j]:
                     _, _, vh = np.linalg.svd(H)
                     side[j] = spectra.edge_profile(spectra.fix_phase(vh[-1].conj())).side
@@ -374,7 +384,7 @@ def cmd_evolve(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     if not 0 <= site < params.dim:
         raise ConfigError(f"evolve: excite_site must lie in [0, {params.dim}), got {site}")
     # Keys left out of the config keep the library's defaults.
-    detect = {k: _number(cfg[k], f"evolve.{k}") for k in ("threshold", "freq_window")
+    detect = {k: _positive(cfg[k], f"evolve.{k}") for k in ("threshold", "freq_window")
               if k in cfg}
     H = build_real_space(params)
     psi0 = np.zeros(params.dim, dtype=complex)

@@ -206,11 +206,11 @@ def chain_singular_values(params: LatticeParams, disorder: DisorderConfig | None
     tol * sigma_max, to high relative accuracy. A factor with a zero hop
     on its diagonal (some a_n or b_n = 0) is singular, and its
     sigma_min is exactly 0.0. A hop below 1.5e-154 times the largest
-    counts as zero. `smallest` is empty when no singular value
-    lies below the cut; tol > 1 takes all 2N. `weights` gives the
-    per-cell weights of the right singular vector of sigma_min, which
-    U preserves. Returns None for a periodic chain or on-site disorder,
-    which do not reduce.
+    counts as zero. `smallest` is empty when no singular value lies
+    below the cut; tol > 1 takes all 2N, and so does H = 0. `weights`
+    gives the per-cell weights of the right singular vector of
+    sigma_min, which U preserves. Returns None for a periodic chain or
+    on-site disorder, which do not reduce.
     """
     chain = reduced_chain(params, disorder)
     if chain is None:
@@ -228,6 +228,8 @@ def chain_singular_values(params: LatticeParams, disorder: DisorderConfig | None
     # Both Golub-Kahan matrices as one tridiagonal, split by a zero hop.
     (top,) = _bisect(np.concatenate([gk[0], [0.0], gk[1]]), 2,
                      il=4 * len(a), iu=4 * len(a), tol=0.0)
+    if top == 0.0:                      # H = 0: every singular value is 0
+        return ChainSingularValues(0.0, np.zeros(2 * len(a)), chain, tuple(gk), (0.0, 0.0))
     cut = tol * top
     sigma, values = [], []
     for off, diag in zip(gk, (a, b)):
@@ -258,6 +260,12 @@ def bloch_eigensystem(params: LatticeParams,
     return E, fix_phase(u_plus[0]), fix_phase(u_minus[0])
 
 
+def below_cut(x, sigma_max: float, tol: float):
+    """x < tol * sigma_max, elementwise. sigma_max = 0 means H = 0, where
+    every vector is a null vector, so everything is below the cut."""
+    return (sigma_max == 0.0) | (x < tol * sigma_max)
+
+
 def geometric_multiplicity(H: np.ndarray, lam: complex, tol: float | None = None) -> int:
     """Dimension of the (tolerance-resolved) null space of H - lam*I.
 
@@ -271,9 +279,7 @@ def geometric_multiplicity(H: np.ndarray, lam: complex, tol: float | None = None
     if tol <= 0:
         raise ValueError("tol must be > 0")
     s = np.linalg.svd(H - lam * np.eye(dim), compute_uv=False)
-    if s[0] == 0.0:
-        return dim
-    return int(np.sum(s < tol * s[0]))
+    return int(np.sum(below_cut(s, s[0], tol)))
 
 
 def smallest_singular_values(H: np.ndarray, count: int = 1) -> list[float]:
@@ -287,16 +293,10 @@ def smallest_singular_values(H: np.ndarray, count: int = 1) -> list[float]:
 @dataclass(frozen=True)
 class ZeroModeInfo:
     u0: np.ndarray
+    u0_prime: np.ndarray
     defective: bool
     algebraic_multiplicity: int
     geometric_multiplicity: int
-    _H: np.ndarray = field(repr=False, compare=False)
-    _rcond: float = field(repr=False, compare=False)
-
-    @cached_property
-    def u0_prime(self) -> np.ndarray:
-        """Minimum-norm least-squares solution of H u0' = u0, solved on first read."""
-        return np.linalg.lstsq(self._H, self.u0, rcond=self._rcond)[0]
 
 
 def zero_cluster_size(eigenvalues: np.ndarray, sigma_max: float, tol: float) -> int:
@@ -316,38 +316,33 @@ def zero_mode_analysis(H: np.ndarray, tol: float = ZERO_MODE_TOL,
     (svd(H, compute_uv=False)): the QR eigensolver can scatter a defective
     zero pair by far more than the true splitting, while sigma_min = 0 iff
     0 is an eigenvalue. Raises NoZeroModeError when sigma_min is not below
-    tol * sigma_max. Only a present mode pays for the full SVD, whose
-    smallest right singular vector is u0 (unit norm, through fix_phase).
-    The geometric count is the number of singular values below
-    tol * sigma_max.
+    tol * sigma_max (below_cut); the values below it are the geometric count.
+    Only a present mode pays for the full SVD H = U S V^H: u0 is its
+    smallest right singular vector (unit norm, through fix_phase), and
+    u0_prime = V_k S_k^-1 U_k^H u0, over the k singular values not below
+    the cut, is the minimum-norm least-squares (pseudo-inverse) solution of
+    H u0' = u0: the generalized eigenvector, up to multiples of u0.
 
     The algebraic count is the number of eigenvalues within a cluster
     radius widened to the observed scatter. They are `eigenvalues` when
     given (the caller's spectrum of H, e.g. chain_spectrum, which is
     exact where dense eigvals scatters the pair), else eigvals(H).
-
-    u0_prime, the minimum-norm least-squares solution of H u0' = u0 (the
-    generalized eigenvector, defined up to multiples of u0), is solved on
-    its first read, against a private copy of H.
     """
     H = np.asarray(H, dtype=complex)
     if require_chiral and chiral_residual(H) > 1e-12 * max(np.abs(H).max(), 1.0):
         raise ValueError("zero_mode_analysis requires a chiral matrix")
     s = np.linalg.svd(H, compute_uv=False)
-    if not s[-1] < tol * s[0]:
+    geo = int(np.sum(below_cut(s, s[0], tol)))
+    if not geo:
         raise NoZeroModeError(f"sigma_min = {s[-1]:.3g} >= {tol * s[0]:.3g}")
-    u0 = fix_phase(np.linalg.svd(H)[2][-1].conj())
-    geo = int(np.sum(s < tol * s[0]))
+    u, sv, vh = np.linalg.svd(H)
+    k = len(s) - geo
+    u0 = fix_phase(vh[-1].conj())
     w = np.linalg.eigvals(H) if eigenvalues is None else eigenvalues
     alg = zero_cluster_size(w, s[0], tol)
-    return ZeroModeInfo(
-        u0=u0,
-        defective=(alg == 2 and geo == 1),
-        algebraic_multiplicity=alg,
-        geometric_multiplicity=geo,
-        _H=H.copy(),
-        _rcond=tol,
-    )
+    return ZeroModeInfo(u0=u0, u0_prime=vh[:k].conj().T @ (u[:, :k].conj().T @ u0 / sv[:k]),
+                        defective=(alg == 2 and geo == 1),
+                        algebraic_multiplicity=alg, geometric_multiplicity=geo)
 
 
 @dataclass(frozen=True)
@@ -431,7 +426,7 @@ def gap_report(params: LatticeParams) -> GapReport:
         num_imag = bool(np.abs(E.imag).min() > GAP_TOL)
         spectrum_real = bool(np.abs(E.imag).max() < REALITY_TOL)
         return GapReport(cf_real, cf_imag, spectrum_real, num_real, num_imag)
-    scale = chain_singular_values(params).sigma_max
+    scale = max(chain_singular_values(params).sigma_max, 1e-300)
     spectrum_real = bool(np.abs(chain_spectrum(params).imag).max() < REALITY_TOL * scale)
     return GapReport(cf_real, cf_imag, spectrum_real)
 

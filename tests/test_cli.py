@@ -213,6 +213,20 @@ class TestSpectrum:
             assert tracks == [{"v": 0.0, "zero_mode_present": True, "side": "left",
                                "defective": False}]
 
+    @pytest.mark.parametrize("boundary,v,want", [
+        ("open", 0.0, {"v": 0.0, "zero_mode_present": True, "side": "left",
+                       "defective": False}),
+        ("periodic", -0.5, {"v": -0.5, "zero_mode_present": True}),
+    ])
+    def test_zero_hamiltonian_has_a_zero_mode(self, tmp_path, boundary, v, want):
+        # N = 1, gamma = 0 and v = 0 (open) or v = -r (periodic) give H = 0,
+        # where every vector is a null vector.
+        cmd_spectrum(self._config(boundary, [v]) | {"n_cells": 1, "gamma": 0.0}, tmp_path)
+        rows = list(csv.DictReader((tmp_path / "spectrum.csv").read_text().splitlines()))
+        assert [float(r["re_E_over_gamma"]) for r in rows] == [0.0, 0.0]
+        tracks = json.loads((tmp_path / "zero_modes.json").read_text())["tracks"]
+        assert tracks == [want]
+
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             cmd_spectrum(self._config("open", []), tmp_path)
@@ -290,6 +304,15 @@ class TestDisorder:
         cmd_disorder(self._config(n_seeds=0), tmp_path)
         summary = json.loads((tmp_path / "disorder_summary.json").read_text())
         assert summary["targets"]["v"]["per_seed_transitions"] == []
+
+    @pytest.mark.parametrize("target", ["v", "onsite"])
+    def test_zero_hamiltonian_has_a_zero_mode(self, tmp_path, target):
+        # At d = 0 the N = 1 chain with v = gamma = 0 is H = 0.
+        cmd_disorder(self._config(n_cells=1, v=0.0, gamma=0.0, targets=[target],
+                                  d_grid=[0.0], n_seeds=0), tmp_path)
+        rows = list(csv.DictReader((tmp_path / f"disorder_{target}.csv").read_text().splitlines()))
+        assert [(float(r["re_E_over_gamma"]), r["zero_mode_present"]) for r in rows] == \
+            [(0.0, "1"), (0.0, "1")]
 
     def test_r_disorder_never_splits(self, tmp_path):
         cmd_disorder(self._config(targets=["r"], d_grid=[0.5, 1.0]), tmp_path)
@@ -557,6 +580,22 @@ class TestMainPlumbing:
         ("sweep-phase", SWEEP_CFG | {"total_phase": -1.0}, (), "total_phase"),
         ("sweep-phase", SWEEP_CFG | {"mode": "dynamical", "total_phase": -1.0}, (),
          "total_phase"),
+        # Tolerances outside their range would flip verdicts: zero_mode_tol
+        # 0 reports the exact v = 0.5 mode absent, 5 reports v = 1.5 present.
+        ("spectrum", SPECTRUM_CFG | {"zero_mode_tol": 0}, (), "spectrum.zero_mode_tol"),
+        ("spectrum", SPECTRUM_CFG | {"zero_mode_tol": -1}, (), "spectrum.zero_mode_tol"),
+        ("spectrum", SPECTRUM_CFG | {"zero_mode_tol": 1}, (), "spectrum.zero_mode_tol"),
+        ("spectrum", SPECTRUM_CFG | {"zero_mode_tol": 5}, (), "spectrum.zero_mode_tol"),
+        ("disorder", DISORDER_CFG | {"zero_mode_tol": 0.0}, (), "disorder.zero_mode_tol"),
+        ("disorder", DISORDER_CFG | {"zero_mode_tol": 5.0}, (), "disorder.zero_mode_tol"),
+        ("disorder", DISORDER_CFG | {"transition_tol": 0}, (), "disorder.transition_tol"),
+        ("disorder", DISORDER_CFG | {"transition_tol": -1e-6}, (), "disorder.transition_tol"),
+        ("evolve", {"preset": "zero-mode-present", "threshold": -1}, (), "evolve.threshold"),
+        ("evolve", {"preset": "zero-mode-present", "threshold": 0}, (), "evolve.threshold"),
+        ("evolve", {"preset": "zero-mode-present", "freq_window": -3}, (),
+         "evolve.freq_window"),
+        ("evolve", {"preset": "zero-mode-present", "freq_window": 0}, (),
+         "evolve.freq_window"),
     ], ids=["null-n_cells", "string-num", "non-object-param-set", "negative-n_seeds",
             "string-targets", "empty-targets", "seed-outside-disorder",
             "float-n_cells", "bool-n_cells", "float-n_seeds", "float-seed", "float-samples",
@@ -565,7 +604,11 @@ class TestMainPlumbing:
             "nan-transition_tol", "huge-int-r", "unknown-boundary", "unknown-mode",
             "unknown-direction", "list-target", "bool-schema_version",
             "float-schema_version", "param-set-schema_version", "grid-schema_version",
-            "negative-total_phase-transport", "negative-total_phase-dynamical"])
+            "negative-total_phase-transport", "negative-total_phase-dynamical",
+            "zero-zero_mode_tol", "negative-zero_mode_tol", "one-zero_mode_tol",
+            "five-zero_mode_tol", "zero-disorder-zero_mode_tol", "five-disorder-zero_mode_tol",
+            "zero-transition_tol", "negative-transition_tol", "negative-threshold",
+            "zero-threshold", "negative-freq_window", "zero-freq_window"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, cfg, extra, key):
         cfg_path = write_config(tmp_path, cfg)
         assert run(command, cfg_path, tmp_path / "out", *extra) == 2

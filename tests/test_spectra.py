@@ -419,6 +419,11 @@ def dense_cell_weights(H):
     return x[0::2] + x[1::2], s[-1], s[-2]
 
 
+# N = 1 chains with H = 0: gamma = 0 and v = 0 (open) or v = -r (periodic).
+ZERO_CHAINS = [LatticeParams(v=0.0, r=0.5, gamma=0.0, n_cells=1),
+               LatticeParams(v=-0.5, r=0.5, gamma=0.0, n_cells=1, boundary=Boundary.PERIODIC)]
+
+
 class TestChainSingularValues:
     @pytest.mark.parametrize("params, disorder", [
         (LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30), None),
@@ -464,9 +469,6 @@ class TestChainSingularValues:
         H = build_real_space(p, disorder=dis)
         dense = np.linalg.svd(H, compute_uv=False)[::-1]
         sv = chain_singular_values(p, dis, tol=2.0)
-        if dense[-1] == 0.0:        # H = 0: nothing lies below 2 * 0
-            assert sv.sigma_max == 0.0 and sv.smallest.size == 0
-            return
         # The dense SVD is backward stable: each sigma_i is off by a few
         # eps * sigma_max, a relative error of eps * kappa_i with
         # kappa_i = sigma_max / sigma_i. Where kappa_i is large the dense
@@ -543,6 +545,11 @@ class TestChainSingularValues:
         np.testing.assert_allclose(sv.weights, vx ** 2, rtol=0, atol=1e-12)
         assert edge_side(sv.weights) == "left"
 
+    def test_zero_chain_has_every_singular_value_zero(self):
+        sv = chain_singular_values(ZERO_CHAINS[0])
+        assert sv.sigma_max == 0.0 and sv.smallest.tolist() == [0.0, 0.0]
+        assert sv.weights.tolist() == [1.0]
+
     @pytest.mark.parametrize("info", [-6, 1])
     def test_lapack_failure_raises(self, monkeypatch, info):
         # dstebz reports an illegal argument (info < 0) or a failed
@@ -601,13 +608,27 @@ class TestZeroModeAnalysis:
         flags = ("defective", "algebraic_multiplicity", "geometric_multiplicity")
         assert [getattr(given, f) for f in flags] == [getattr(own, f) for f in flags]
 
-    def test_lazy_u0_prime_is_the_eager_solve_of_the_callers_h(self, defective_params):
-        H = build_real_space(defective_params)
+    @pytest.mark.parametrize("v,n", [(v, n) for v in (0.5, -0.5, 0.45, 0.6)
+                                     for n in (10, 30, 60) if (v, n) != (0.6, 10)])
+    def test_u0_prime_is_the_lstsq_solution_held_in_the_record(self, v, n):
+        # (0.6, 10) is left out: sigma_min = 4.9e-8 there is above the cut.
+        H = build_real_space(LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n))
         zm = zero_mode_analysis(H)
-        eager, *_ = np.linalg.lstsq(H, zm.u0, rcond=ZERO_MODE_TOL)
-        H[:] = 0.0   # before the first read of u0_prime
-        assert zm.u0_prime.tobytes() == eager.tobytes()
-        assert zm.u0_prime is zm.u0_prime
+        want, *_ = np.linalg.lstsq(H, zm.u0, rcond=ZERO_MODE_TOL)
+        assert np.linalg.norm(zm.u0_prime - want) <= 1e-13 * np.linalg.norm(want)
+        assert all(x.size <= 2 * n for x in vars(zm).values() if isinstance(x, np.ndarray))
+        before = zm.u0_prime.tobytes()
+        H[:] = 0.0
+        assert zm.u0_prime.tobytes() == before
+
+    @pytest.mark.parametrize("H", [build_real_space(p) for p in ZERO_CHAINS]
+                             + [np.zeros((6, 6))], ids=["open", "periodic", "6x6"])
+    def test_zero_matrix_has_every_vector_null(self, H):
+        zm = zero_mode_analysis(H)
+        assert zm.geometric_multiplicity == zm.algebraic_multiplicity == len(H)
+        assert not zm.defective
+        assert np.linalg.norm(zm.u0) == pytest.approx(1.0)
+        assert not zm.u0_prime.any()
 
 
 def loop_clusters(H, w):
@@ -691,6 +712,14 @@ class TestSpectralReport:
         assert rep.zero_cluster is not None and rep.zero_cluster.defective
         assert rep.real_gap == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("params", ZERO_CHAINS, ids=["open", "periodic"])
+    def test_zero_matrix_is_one_zero_cluster(self, params):
+        rep = spectral_report(build_real_space(params))
+        assert [(c.value, c.algebraic, c.geometric) for c in rep.clusters] == [(0, 2, 2)]
+        zm = rep.zero_cluster
+        assert zm is not None and zm.geometric_multiplicity == 2 and not zm.defective
+        assert not zm.u0_prime.any()
+
     def test_squared_hamiltonian_characteristic_clusters(self, defective_params):
         # Eigenvalues of H^2 sit at {0, r^2} with multiplicities {2, 2N-2}.
         H = build_real_space(defective_params)
@@ -717,6 +746,10 @@ class TestGapReport:
     def test_open_chain_real_spectrum(self):
         p = LatticeParams(v=0.75, r=0.5, gamma=1.0, n_cells=30)
         assert gap_report(p).spectrum_real
+
+    def test_zero_chain_is_real(self):
+        # H = 0: spectral_report's floor on the scale keeps {0, 0} real.
+        assert gap_report(ZERO_CHAINS[0]).spectrum_real
 
     @pytest.mark.parametrize("n, v", [(100, 1.3), (40, 0.55), (60, 0.55)])
     def test_open_chain_real_despite_dense_scatter(self, n, v):
