@@ -21,8 +21,7 @@ import numpy as np
 from . import dynamics, spectra
 from .dynamics import SweepDirection, SweepMode, adiabatic_sweep, evolve, fourier_detect
 from .errors import ConfigError, NhlabError
-from .model import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
-                    build_bloch, build_real_space)
+from .model import Boundary, DisorderConfig, DisorderTarget, LatticeParams, build_real_space
 from .topology import DEFAULT_SAMPLES, count_enclosed_eps, track_band, winding_number
 
 SCHEMA_VERSION = 1
@@ -196,15 +195,12 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
             sv = spectra.chain_singular_values(params, tol=tol)
             entry["zero_mode_present"] = bool(sv.smallest.size)
             if sv.smallest.size:
-                entry["side"] = spectra.edge_side(sv.weights)
+                entry["side"] = spectra.edge_side(spectra.chain_null_weights(params))
                 alg = spectra.zero_cluster_size(w, sv.sigma_max, tol)
                 entry["defective"] = alg == 2 and sv.smallest.size == 1
         else:
-            # H is block-diagonal in k and the Fourier transform is unitary,
-            # so ||H||_2 is the largest ||H_k||_2 over the ring's momenta.
-            h_k = build_bloch(params, spectra.ring_momenta(n_cells))
-            scale = np.linalg.norm(h_k, 2, axis=(1, 2)).max()
-            entry["zero_mode_present"] = bool(spectra.below_cut(np.abs(w).min(), scale, tol))
+            entry["zero_mode_present"] = bool(spectra.below_cut(
+                np.abs(w).min(), spectra.chain_norm(params), tol))
         flags.append(entry)
     csv_path = out / "spectrum.csv"
     write_csv(csv_path, _sheet("v_over_gamma", v_grid, energies))
@@ -265,8 +261,7 @@ def disorder_transition(params: LatticeParams, target: DisorderTarget,
 
     The criterion is min |E| > tol (in gamma units); returns None when
     the mode survives the whole grid. The seed's draws are made once and
-    scaled by each d; min |E| comes from spectra.smallest_abs_eigenvalue,
-    on the reduced N-site chain unless the target is onsite.
+    scaled by each d; min |E| comes from spectra.smallest_abs_eigenvalue.
     """
     draws = DisorderConfig.from_seed(target, 0.0, seed, params.n_cells)
     for d in d_grid:
@@ -306,18 +301,10 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
         for j, d in enumerate(d_grid):
             dis = replace(draws, strength=float(d))
             energies[j] = np.sort_complex(spectra.chain_spectrum(params, dis))
-            min_e = np.abs(energies[j]).min()
-            sv = spectra.chain_singular_values(params, dis, tol=zm_tol)
-            if sv is not None:
-                present[j] = spectra.below_cut(min_e, sv.sigma_max, zm_tol)
-                if present[j]:
-                    side[j] = spectra.edge_side(sv.weights)
-            else:                   # onsite disorder: the chain does not reduce
-                H = build_real_space(params, disorder=dis)
-                present[j] = spectra.below_cut(min_e, np.linalg.norm(H, 2), zm_tol)
-                if present[j]:
-                    _, _, vh = np.linalg.svd(H)
-                    side[j] = spectra.edge_profile(spectra.fix_phase(vh[-1].conj())).side
+            present[j] = spectra.below_cut(np.abs(energies[j]).min(),
+                                           spectra.chain_norm(params, dis), zm_tol)
+            if present[j]:
+                side[j] = spectra.edge_side(spectra.chain_null_weights(params, dis))
         csv_path = out / f"disorder_{name}.csv"
         write_csv(csv_path, _sheet("d_over_gamma", d_grid, energies)
                   | {"zero_mode_present": np.repeat(present, params.dim),

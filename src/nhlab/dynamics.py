@@ -163,7 +163,7 @@ def adiabatic_sweep(params: LatticeParams, k: float = 0.0,
                 raise ValueError("omega must be > 0")
             phis = sign * np.linspace(0.0, total_phase, samples)
             dt = (total_phase / omega) / (samples - 1)
-            Hk = build_bloch(params, k, 0.5 * (phis[:-1] + phis[1:]))
+            Hk = build_bloch(params, k + 0.5 * (phis[:-1] + phis[1:]))
             norm_t = float(np.linalg.norm(Hk, 1, axis=(-2, -1)).max()) * dt
             if norm_t > NORM_T_CAP:
                 raise PropagatorOverflowError(

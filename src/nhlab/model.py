@@ -94,17 +94,15 @@ class DisorderConfig:
                    draws=rng.uniform(-1.0, 1.0, n_cells))
 
 
-def build_bloch(params: LatticeParams, k: float | np.ndarray,
-                phi: float | np.ndarray = 0.0) -> np.ndarray:
-    """Bloch matrix h_x sigma_x + (h_z + i gamma/2) sigma_z at momentum k
-    with hopping phase phi.
+def build_bloch(params: LatticeParams, k: float | np.ndarray) -> np.ndarray:
+    """Bloch matrix h_x sigma_x + (h_z + i gamma/2) sigma_z at momentum k.
 
-    h_x = v + r cos(k + phi), h_z = r sin(k + phi); increasing phi at
-    fixed k sweeps through the Brillouin zone. k and phi may be arrays:
-    the result then has the shape of k + phi, followed by (2, 2).
+    h_x = v + r cos(k), h_z = r sin(k); a hopping phase phi enters only
+    through k + phi. k may be an array: the result then has its shape,
+    followed by (2, 2).
     """
-    h_x = params.v + params.r * np.cos(k + phi)
-    h_z = params.r * np.sin(k + phi)
+    h_x = params.v + params.r * np.cos(k)
+    h_z = params.r * np.sin(k)
     b = h_z + 0.5j * params.gamma
     return np.stack([b, h_x, h_x, -b], axis=-1).reshape(np.shape(h_x) + (2, 2))
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -161,33 +160,18 @@ class ChainSingularValues:
 
     sigma_max: float
     smallest: np.ndarray          # every singular value below tol * sigma_max, ascending
-    _hops: tuple = field(repr=False, compare=False)     # (a, b, r) of reduced_chain
-    _gk: tuple = field(repr=False, compare=False)       # Golub-Kahan off-diagonals of X, Y
-    _sigma: tuple = field(repr=False, compare=False)    # their least value below the cut, or inf
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Per-cell weights of the right singular vector of sigma_min, read on demand.
 
-        The vector belongs to the factor with the smaller sigma_min, X on
-        a tie: at v = 0, |a_n| = |b_n| and X and Y share their singular
-        values, so the null space of H is two-dimensional. It comes from
-        a dense SVD of that N x N factor alone. Inverse iteration on the
-        factor's Golub-Kahan matrix (dstein) is not used: at a tiny
-        sigma_min the pair +-sigma_min is numerically double, and one of
-        its two vectors can be far off (residual 7.6e-4 at v = -0.987,
-        r = 1.96, gamma = 1.965, N = 16) or, at sigma_min = 0, have no
-        right half.
-        """
-        sigma = self._sigma
-        if sigma == (np.inf, np.inf):       # nothing below the cut: bisect for each sigma_min
-            sigma = tuple(_bisect(off, 2, il=(len(off) + 3) // 2, iu=(len(off) + 3) // 2)[0]
-                          for off in self._gk)
-        a, b, r = self._hops
-        factor = (np.diag(b) + np.diag(r, -1) if sigma[1] < sigma[0]
-                  else -np.diag(a) - np.diag(r, 1))
-        x = np.linalg.svd(factor)[2][-1]
-        return x ** 2 / np.sum(x ** 2)
+def _golub_kahan(chain):
+    """(scale, rows off_X and off_Y) of reduced_chain's hops; see chain_singular_values."""
+    # dstebz takes a hop below sqrt(safmin) = 1.5e-154 for zero. Scaling by
+    # a power of two, which bisection carries exactly, moves that bound
+    # to 1.5e-154 times the largest hop.
+    a, b, r = chain
+    scale = 2.0 ** np.frexp(np.abs(np.concatenate([a, b, r])).max())[1]
+    gk = np.empty((2, 2 * len(a) - 1))
+    gk[:, 0::2], gk[:, 1::2] = np.abs([a, b]) / scale, np.abs(r) / scale
+    return scale, gk
 
 
 def chain_singular_values(params: LatticeParams, disorder: DisorderConfig | None = None,
@@ -207,42 +191,72 @@ def chain_singular_values(params: LatticeParams, disorder: DisorderConfig | None
     on its diagonal (some a_n or b_n = 0) is singular, and its
     sigma_min is exactly 0.0. A hop below 1.5e-154 times the largest
     counts as zero. `smallest` is empty when no singular value lies
-    below the cut; tol > 1 takes all 2N, and so does H = 0. `weights`
-    gives the per-cell weights of the right singular vector of
-    sigma_min, which U preserves. Returns None for a periodic chain or
-    on-site disorder, which do not reduce.
+    below the cut, as at tol = 0; tol > 1 takes all 2N, and so does H = 0.
+    Returns None for a periodic chain or on-site disorder, which do not
+    reduce.
     """
     chain = reduced_chain(params, disorder)
     if chain is None:
         return None
-    a, b, r = chain
-    # dstebz takes a hop below sqrt(safmin) = 1.5e-154 for zero. Scaling by
-    # a power of two, which bisection carries exactly, moves that bound
-    # to 1.5e-154 times the largest hop.
-    scale = 2.0 ** np.frexp(np.abs(np.concatenate([a, b, r])).max())[1]
-    gk = []
-    for diag in (a, b):
-        off = np.empty(2 * len(diag) - 1)
-        off[0::2], off[1::2] = np.abs(diag) / scale, np.abs(r) / scale
-        gk.append(off)
+    a, b, _ = chain
+    scale, gk = _golub_kahan(chain)
     # Both Golub-Kahan matrices as one tridiagonal, split by a zero hop.
     (top,) = _bisect(np.concatenate([gk[0], [0.0], gk[1]]), 2,
                      il=4 * len(a), iu=4 * len(a), tol=0.0)
     if top == 0.0:                      # H = 0: every singular value is 0
-        return ChainSingularValues(0.0, np.zeros(2 * len(a)), chain, tuple(gk), (0.0, 0.0))
+        return ChainSingularValues(0.0, np.zeros(2 * len(a)))
     cut = tol * top
-    sigma, values = [], []
+    values = []
     for off, diag in zip(gk, (a, b)):
         w = _bisect(off, 1, vl=-cut, vu=cut) if cut > 0 else np.empty(0)
         s = np.sort(np.abs(w))[::2]          # each singular value gives +-sigma
         if s.size and not diag.all():
             s[0] = 0.0
-        s = s[s < cut]
-        sigma.append(s[0] if s.size else np.inf)
-        values.append(s)
-    return ChainSingularValues(sigma_max=float(scale * top),
-                               smallest=scale * np.sort(np.concatenate(values)),
-                               _hops=chain, _gk=tuple(gk), _sigma=tuple(sigma))
+        values.append(s[s < cut])
+    return ChainSingularValues(float(scale * top), scale * np.sort(np.concatenate(values)))
+
+
+def chain_norm(params: LatticeParams, disorder: DisorderConfig | None = None) -> float:
+    """||H||_2 of build_real_space(params, disorder), the scale of the zero-mode cut.
+
+    A chain that reduces takes chain_singular_values' sigma_max at tol = 0,
+    which bisects no smaller value; a clean periodic chain, the largest
+    ||H_k||_2 over ring_momenta (H is block-diagonal in k); any other, H's own.
+    """
+    sv = chain_singular_values(params, disorder, tol=0.0)
+    if sv is not None:
+        return sv.sigma_max
+    if params.boundary is Boundary.PERIODIC and disorder is None:
+        h_k = build_bloch(params, ring_momenta(params.n_cells))
+        return float(np.linalg.norm(h_k, 2, axis=(1, 2)).max())
+    return float(np.linalg.norm(build_real_space(params, disorder=disorder), 2))
+
+
+def chain_null_weights(params: LatticeParams,
+                       disorder: DisorderConfig | None = None) -> np.ndarray:
+    """Per-cell weights, summing to 1, of the right singular vector of
+    sigma_min of build_real_space(params, disorder); their edge_side is the
+    zero mode's side.
+
+    A chain that reduces takes it from the factor (X or Y, see
+    chain_singular_values) with the smaller sigma_min, bisected, or 0.0 at
+    a zero diagonal hop; X on a tie, as at v = 0, where |a_n| = |b_n| and
+    the null space of H is two-dimensional. A dense SVD of that N x N
+    factor gives the vector: inverse iteration (dstein) can miss it for
+    the numerically double pair +-sigma_min (residual 7.6e-4 at
+    v = -0.987, r = 1.96, gamma = 1.965, N = 16). Other chains take the SVD of H.
+    """
+    chain = reduced_chain(params, disorder)
+    if chain is None:
+        u = np.linalg.svd(build_real_space(params, disorder=disorder))[2][-1]
+        return edge_profile(u).weights
+    a, b, r = chain
+    _, gk = _golub_kahan(chain)
+    sigma_x, sigma_y = (abs(_bisect(off, 2, il=len(a) + 1, iu=len(a) + 1)[0])
+                        if diag.all() else 0.0 for off, diag in zip(gk, (a, b)))
+    factor = np.diag(b) + np.diag(r, -1) if sigma_y < sigma_x else -np.diag(a) - np.diag(r, 1)
+    x = np.linalg.svd(factor)[2][-1] ** 2
+    return x / np.sum(x)
 
 
 def bloch_eigensystem(params: LatticeParams,
@@ -414,8 +428,7 @@ def gap_report(params: LatticeParams) -> GapReport:
     Periodic chains: closed-form criteria (real part gapped iff
     ||v| - r| > gamma/2, imaginary part gapped iff |v| + r < gamma/2)
     alongside a dense-k numerical check. Open chains: spectrum_real from
-    chain_spectrum, against the scale ||H||_2, the sigma_max of
-    chain_singular_values.
+    chain_spectrum, against the scale ||H||_2 of chain_norm.
     """
     v, r, g = params.v, params.r, params.gamma
     cf_real = abs(abs(v) - r) > g / 2
@@ -426,7 +439,7 @@ def gap_report(params: LatticeParams) -> GapReport:
         num_imag = bool(np.abs(E.imag).min() > GAP_TOL)
         spectrum_real = bool(np.abs(E.imag).max() < REALITY_TOL)
         return GapReport(cf_real, cf_imag, spectrum_real, num_real, num_imag)
-    scale = max(chain_singular_values(params).sigma_max, 1e-300)
+    scale = max(chain_norm(params), 1e-300)
     spectrum_real = bool(np.abs(chain_spectrum(params).imag).max() < REALITY_TOL * scale)
     return GapReport(cf_real, cf_imag, spectrum_real)
 
@@ -441,7 +454,7 @@ def edge_side(weights: np.ndarray) -> str:
     """"left" or "right" where the ceil(N/4) cells at that edge hold more
     than EDGE_WEIGHT of the per-cell weights (summing to 1), else "delocalized"."""
     n = len(weights)
-    edge = int(np.ceil(n / 4))
+    edge = min(int(np.ceil(n / 4)), n // 2)    # one cell (N = 1) is both edges, so neither
     if weights[:edge].sum() > EDGE_WEIGHT:
         return "left"
     if weights[n - edge:].sum() > EDGE_WEIGHT:

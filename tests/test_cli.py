@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nhlab import (ConfigError, DisorderConfig, DisorderTarget, LatticeParams,
                    NoZeroModeError, build_real_space, chain_spectrum, edge_profile,
                    zero_mode_analysis)
+from nhlab import spectra
 from nhlab.cli import (TRANSITION_TOL, cmd_disorder, cmd_spectrum, cmd_svd_scan,
                        cmd_winding, disorder_transition, load_config, main, write_csv,
                        write_json)
@@ -214,13 +215,14 @@ class TestSpectrum:
                                "defective": False}]
 
     @pytest.mark.parametrize("boundary,v,want", [
-        ("open", 0.0, {"v": 0.0, "zero_mode_present": True, "side": "left",
+        ("open", 0.0, {"v": 0.0, "zero_mode_present": True, "side": "delocalized",
                        "defective": False}),
         ("periodic", -0.5, {"v": -0.5, "zero_mode_present": True}),
     ])
     def test_zero_hamiltonian_has_a_zero_mode(self, tmp_path, boundary, v, want):
         # N = 1, gamma = 0 and v = 0 (open) or v = -r (periodic) give H = 0,
-        # where every vector is a null vector.
+        # where every vector is a null vector. The single cell is both
+        # edges, so the mode sits at neither.
         cmd_spectrum(self._config(boundary, [v]) | {"n_cells": 1, "gamma": 0.0}, tmp_path)
         rows = list(csv.DictReader((tmp_path / "spectrum.csv").read_text().splitlines()))
         assert [float(r["re_E_over_gamma"]) for r in rows] == [0.0, 0.0]
@@ -346,7 +348,7 @@ class TestDisorder:
 
     def test_zero_mode_flags_match_dense_reference(self, tmp_path):
         # The CSV takes ||H||_2 and the null vector's weights from
-        # chain_singular_values; the reference solves and decomposes H
+        # chain_norm and chain_null_weights; the reference solves and decomposes H
         # itself at every grid point.
         params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
         d_grid = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0]
@@ -402,6 +404,20 @@ class TestDisorder:
             else:
                 assert dense == [] and [c for c in calls if c[0] == "svd"] == (
                     [("svd", (30, 30))] * present)
+
+    def test_bisects_no_values_below_the_cut(self, tmp_path, monkeypatch):
+        # The CSV reads ||H||_2 and, where a mode is present, its side: no
+        # grid point bisects for the singular values below the cut (select 1).
+        selects, bisect = [], spectra._bisect
+
+        def counted_bisect(off, select, *args, **kwargs):
+            selects.append(select)
+            return bisect(off, select, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "_bisect", counted_bisect)
+        cmd_disorder(self._config(n_cells=30, targets=["r", "v", "gamma"],
+                                  d_grid=[0.0, 0.05, 0.3, 1.0], n_seeds=0), tmp_path)
+        assert selects and 1 not in selects
 
     @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
                                         DisorderTarget.GAIN_LOSS])

@@ -187,7 +187,7 @@ def expm_sweep(params, k, direction, omega, samples):
         omega = abs(2 * E) / 100.0
     phis = sign * np.linspace(0.0, 2 * np.pi, samples)
     dt = (2 * np.pi / omega) / (samples - 1)
-    Hk = build_bloch(params, k, 0.5 * (phis[:-1] + phis[1:]))
+    Hk = build_bloch(params, k + 0.5 * (phis[:-1] + phis[1:]))
     steps = scipy.linalg.expm(-1j * Hk * dt)
     psi, log_growth = u_minus, []
     for U in steps:

@@ -7,8 +7,8 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                    build_bloch, build_real_space, chiral_operator, chiral_residual,
                    parity_operator, pt_residual)
 from nhlab.model import SIGMA_X, SIGMA_Y, SIGMA_Z, _per_cell_values, reduced_chain
-from nhlab.spectra import (ZERO_MODE_TOL, chain_singular_values, edge_profile, edge_side,
-                           fix_phase)
+from nhlab.spectra import (ZERO_MODE_TOL, chain_null_weights, chain_singular_values,
+                           edge_profile, edge_side, fix_phase)
 
 from conftest import assert_multisets_close
 
@@ -95,7 +95,7 @@ class TestBuildBloch:
         p = LatticeParams(v=-0.4, r=0.8, gamma=1.1, n_cells=1)
         h_x, h_z = -0.4 + 0.8 * np.cos(2.1 + 0.3), 0.8 * np.sin(2.1 + 0.3)
         rebuilt = h_x * SIGMA_X + (h_z + 0.55j) * SIGMA_Z
-        np.testing.assert_allclose(build_bloch(p, 2.1, phi=0.3), rebuilt, atol=1e-15)
+        np.testing.assert_allclose(build_bloch(p, 2.1 + 0.3), rebuilt, atol=1e-15)
 
     def test_hermitian_limit(self):
         p = LatticeParams(v=0.3, r=1.0, gamma=0.0, n_cells=1)
@@ -103,15 +103,13 @@ class TestBuildBloch:
             m = build_bloch(p, k)
             np.testing.assert_array_equal(m, m.conj().T)
 
-    @given(params_st, st.floats(-7.0, 7.0), st.floats(-3.0, 3.0),
-           st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=8))
+    @given(params_st, st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
-    def test_phi_shift_identity(self, p, k, phi, ks):
-        np.testing.assert_array_equal(build_bloch(p, k, phi), build_bloch(p, k + phi, 0.0))
+    def test_array_of_momenta_stacks_scalar_matrices(self, p, ks):
         # An array of momenta builds the stack of the scalar matrices, bit for bit.
         ks = np.array(ks)
-        np.testing.assert_array_equal(build_bloch(p, ks, phi),
-                                      np.stack([build_bloch(p, q, phi) for q in ks]))
+        np.testing.assert_array_equal(build_bloch(p, ks),
+                                      np.stack([build_bloch(p, q) for q in ks]))
 
 
 class TestBuildRealSpace:
@@ -257,7 +255,8 @@ class TestReducedPath:
             assert abs(sv.sigma_max - s[0]) <= 1e-14 * s[0]
             if s[-1] < ZERO_MODE_TOL * s[0]:
                 assert sv.smallest.size
-                assert edge_side(sv.weights) == edge_profile(fix_phase(vh[-1].conj())).side
+                assert (edge_side(chain_null_weights(p, dis))
+                        == edge_profile(fix_phase(vh[-1].conj())).side)
 
     def test_none_where_chain_does_not_reduce(self):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)

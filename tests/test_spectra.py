@@ -1,5 +1,5 @@
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,8 +15,9 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointErr
                    zero_mode_analysis)
 from nhlab import spectra
 from nhlab.model import reduced_chain
-from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain_singular_values,
-                           edge_side, fix_phase, smallest_abs_eigenvalue)
+from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain_norm,
+                           chain_null_weights, chain_singular_values, edge_side,
+                           fix_phase, smallest_abs_eigenvalue)
 
 from conftest import assert_multisets_close
 
@@ -404,8 +405,9 @@ class TestReducedPathSingularData:
                 _, s_h, vh_h = np.linalg.svd(H)
                 sv = chain_singular_values(p, dis)
                 assert abs(sv.sigma_max - s_h[0]) <= 1e-14 * s_h[0]
+                assert chain_norm(p, dis) == sv.sigma_max
                 if np.abs(np.linalg.eigvals(H)).min() < ZERO_MODE_TOL * s_h[0]:
-                    assert (edge_side(sv.weights)
+                    assert (edge_side(chain_null_weights(p, dis))
                             == edge_profile(fix_phase(vh_h[-1].conj())).side)
                     present += 1
         assert present >= 10
@@ -480,9 +482,10 @@ class TestChainSingularValues:
         # Where sigma_min is well separated its right vector is determined,
         # and so are its per-cell weights.
         weights, s1, s2 = dense_cell_weights(H)
-        assert sv.weights.shape == (n,) and abs(sv.weights.sum() - 1.0) < 1e-14
+        null = chain_null_weights(p, dis)
+        assert null.shape == (n,) and abs(null.sum() - 1.0) < 1e-14
         if s2 - s1 > 1e-3 * dense[-1]:
-            np.testing.assert_allclose(sv.weights, weights, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(null, weights, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("v, target", [(0.3, None), (0.5, None),
@@ -499,20 +502,20 @@ class TestChainSingularValues:
         assert (sv.smallest[0] == 0.0) == (v == 0.5)
         weights, s1, s2 = dense_cell_weights(H)
         assert s2 - s1 > 0.1
-        np.testing.assert_allclose(sv.weights, weights, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(chain_null_weights(p, dis), weights, rtol=0, atol=1e-14)
 
     def test_values_below_the_cut_only(self, defective_params):
         # At v = gamma/2 only X's exact zero lies below tol * sigma_max. At
-        # v = 1.3 none does, and weights bisects for each factor's sigma_min.
+        # v = 1.3 none does; chain_null_weights bisects each factor's sigma_min.
         sv = chain_singular_values(defective_params)
         assert sv.smallest.tolist() == [0.0]
-        assert edge_side(sv.weights) == "left"
+        assert edge_side(chain_null_weights(defective_params)) == "left"
         p = LatticeParams(v=1.3, r=0.5, gamma=1.0, n_cells=30)
         far = chain_singular_values(p)
         assert far.smallest.size == 0
         weights, s1, _ = dense_cell_weights(build_real_space(p))
         assert s1 > 0.3
-        np.testing.assert_allclose(far.weights, weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chain_null_weights(p), weights, rtol=0, atol=1e-12)
 
     def test_interior_zero_hop_is_exact(self):
         # a_3 = 0 splits X's Golub-Kahan matrix into two odd blocks, each
@@ -527,8 +530,8 @@ class TestChainSingularValues:
         assert sv.smallest.tolist() == [0.0]
         weights, _, s2 = dense_cell_weights(build_real_space(p, disorder=dis))
         assert s2 > 0.4
-        np.testing.assert_allclose(sv.weights, weights, rtol=0, atol=1e-12)
-        assert (sv.weights[4:] == 0.0).all()
+        np.testing.assert_allclose(chain_null_weights(p, dis), weights, rtol=0, atol=1e-12)
+        assert (chain_null_weights(p, dis)[4:] == 0.0).all()
 
     @pytest.mark.parametrize("n", [30, 40])
     def test_tie_takes_x(self, n):
@@ -542,13 +545,13 @@ class TestChainSingularValues:
         assert sv.smallest.size == 2 and sv.smallest[0] == sv.smallest[1]
         a, _, r = reduced_chain(p)
         vx = np.linalg.svd(-np.diag(a) - np.diag(r, 1))[2][-1]
-        np.testing.assert_allclose(sv.weights, vx ** 2, rtol=0, atol=1e-12)
-        assert edge_side(sv.weights) == "left"
+        np.testing.assert_allclose(chain_null_weights(p), vx ** 2, rtol=0, atol=1e-12)
+        assert edge_side(chain_null_weights(p)) == "left"
 
     def test_zero_chain_has_every_singular_value_zero(self):
         sv = chain_singular_values(ZERO_CHAINS[0])
         assert sv.sigma_max == 0.0 and sv.smallest.tolist() == [0.0, 0.0]
-        assert sv.weights.tolist() == [1.0]
+        assert chain_null_weights(ZERO_CHAINS[0]).tolist() == [1.0]
 
     @pytest.mark.parametrize("info", [-6, 1])
     def test_lapack_failure_raises(self, monkeypatch, info):
@@ -560,6 +563,29 @@ class TestChainSingularValues:
                             lambda *args: (*real(*args)[:-1], info))
         with pytest.raises(np.linalg.LinAlgError, match=f"dstebz returned info = {info}"):
             chain_singular_values(LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=4))
+
+    def test_record_holds_only_the_values(self):
+        assert [f.name for f in fields(spectra.ChainSingularValues)] == ["sigma_max", "smallest"]
+
+
+class TestChainNormAndNullWeights:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_reducing_chains_fall_back_bit_for_bit(self, seed):
+        for params, dis in non_reducing_chains(seed):
+            H = build_real_space(params, disorder=dis)
+            weights, _, _ = dense_cell_weights(H)
+            np.testing.assert_array_equal(chain_null_weights(params, dis), weights)
+            if dis is not None:     # a clean ring takes the Bloch blocks
+                assert chain_norm(params, dis) == np.linalg.norm(H, 2)
+
+    @pytest.mark.parametrize("n, v", [(1, 0.3), (2, -0.5), (12, 0.5), (30, 1.3)])
+    def test_clean_ring_takes_the_bloch_blocks(self, n, v):
+        # H is block-diagonal in k, so ||H||_2 is the largest ||H_k||_2.
+        p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n, boundary=Boundary.PERIODIC)
+        h_k = build_bloch(p, spectra.ring_momenta(n))
+        assert chain_norm(p) == np.linalg.norm(h_k, 2, axis=(1, 2)).max()
+        dense = np.linalg.norm(build_real_space(p), 2)
+        assert abs(chain_norm(p) - dense) <= 1e-14 * dense
 
 
 class TestZeroModeAnalysis:
@@ -790,6 +816,14 @@ class TestEdgeProfile:
     def test_uniform_is_delocalized(self):
         u = np.ones(24, dtype=complex) / np.sqrt(24)
         assert edge_profile(u).side == "delocalized"
+
+    @pytest.mark.parametrize("weights, side", [
+        ([1.0], "delocalized"),     # one cell is both edge windows
+        ([1.0, 0.0], "left"), ([0.0, 1.0], "right"), ([0.5, 0.5], "delocalized"),
+        ([0.0, 1.0, 0.0], "delocalized"), ([0.95, 0.05, 0.0, 0.0, 0.0], "left"),
+    ])
+    def test_edge_windows(self, weights, side):
+        assert edge_side(np.array(weights)) == side
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
