@@ -255,19 +255,27 @@ _TARGET_ALIASES = {t.value: t for t in DisorderTarget}
 
 
 def disorder_transition(params: LatticeParams, target: DisorderTarget,
-                        d_grid: np.ndarray, seed: int,
-                        tol: float = TRANSITION_TOL):
-    """First disorder strength on the grid where the zero mode has split.
+                        d_grid: np.ndarray, seeds, tol: float = TRANSITION_TOL) -> list:
+    """First disorder strength on the grid where each seed's zero mode has split.
 
-    The criterion is min |E| > tol (in gamma units); returns None when
-    the mode survives the whole grid. The seed's draws are made once and
-    scaled by each d; min |E| comes from spectra.smallest_abs_eigenvalue.
+    The criterion is min |E| > tol (in gamma units); a seed whose mode
+    survives the whole grid gets None. The draws of all seeds are made
+    once, as one stack; at each d, spectra.smallest_abs_eigenvalue solves
+    the seeds not yet split together, and the search stops once none is left.
     """
-    draws = DisorderConfig.from_seed(target, 0.0, seed, params.n_cells)
+    stack = DisorderConfig.from_seeds(target, 0.0, seeds, params.n_cells)
+    found = [None] * len(stack.seed)
+    live = np.arange(len(found))
     for d in d_grid:
-        if spectra.smallest_abs_eigenvalue(params, replace(draws, strength=float(d))) > tol:
-            return float(d)
-    return None
+        if not live.size:
+            break
+        dis = DisorderConfig(target, float(d), tuple(stack.seed[i] for i in live),
+                             stack.draws[live])
+        split = spectra.smallest_abs_eigenvalue(params, dis) > tol
+        for i in live[split]:
+            found[i] = float(d)
+        live = live[~split]
+    return found
 
 
 def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
@@ -279,6 +287,8 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
                            n_cells=_integer(cfg["n_cells"], "disorder.n_cells"),
                            boundary=Boundary.OPEN)
     d_grid = _grid(cfg["d_grid"], "disorder.d_grid")
+    if (d_grid < 0).any():
+        raise ConfigError(f"disorder.d_grid: strengths must be >= 0, got {d_grid.min():g}")
     base_seed = _integer(cfg.get("seed", 0), "disorder.seed")
     if seed_override is not None:
         base_seed = seed_override
@@ -310,9 +320,8 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
                   | {"zero_mode_present": np.repeat(present, params.dim),
                      "zero_mode_side": np.repeat(side, params.dim)})
         files.append(csv_path)
-        transitions = [disorder_transition(params, target, d_grid, base_seed + i,
-                                           tol=trans_tol)
-                       for i in range(n_seeds)]
+        transitions = disorder_transition(params, target, d_grid,
+                                          range(base_seed, base_seed + n_seeds), tol=trans_tol)
         finite = [t for t in transitions if t is not None]
         summary[name] = {
             "per_seed_transitions": transitions,

@@ -70,20 +70,23 @@ class DisorderConfig:
 
     draws are uniform variates on [-1, 1], one per unit cell; identical
     seeds give identical draws. For HOPPING_R the n-th draw perturbs the
-    bond linking cells n and n+1, on both of its hopping lines.
+    bond linking cells n and n+1, on both of its hopping lines. A stack
+    (from_seeds) holds one row of draws per seed, shape (S, N), and the
+    tuple of its seeds; reduced_chain, build_real_space and
+    spectra.smallest_abs_eigenvalue take it and keep that leading axis.
     """
 
     target: DisorderTarget
     strength: float
-    seed: int
+    seed: int | tuple[int, ...]
     draws: np.ndarray
 
     def __post_init__(self):
-        if self.strength < 0:
-            raise ValueError(f"disorder strength must be >= 0, got {self.strength}")
+        if not 0.0 <= self.strength < np.inf:
+            raise ValueError(f"disorder strength must be finite and >= 0, got {self.strength}")
         draws = np.asarray(self.draws, dtype=float)
         object.__setattr__(self, "draws", draws)
-        if np.any(np.abs(draws) > 1.0):
+        if not (np.abs(draws) <= 1.0).all():        # NaN fails this too
             raise ValueError("disorder draws must lie in [-1, 1]")
 
     @classmethod
@@ -92,6 +95,16 @@ class DisorderConfig:
         rng = np.random.default_rng(seed)
         return cls(target=target, strength=strength, seed=seed,
                    draws=rng.uniform(-1.0, 1.0, n_cells))
+
+    @classmethod
+    def from_seeds(cls, target: DisorderTarget, strength: float, seeds,
+                   n_cells: int) -> "DisorderConfig":
+        """A stack: row s holds from_seed's draws for seeds[s]."""
+        seeds = tuple(seeds)
+        draws = np.empty((len(seeds), n_cells))
+        for row, seed in zip(draws, seeds):
+            row[:] = cls.from_seed(target, strength, seed, n_cells).draws
+        return cls(target=target, strength=strength, seed=seeds, draws=draws)
 
 
 def build_bloch(params: LatticeParams, k: float | np.ndarray) -> np.ndarray:
@@ -108,16 +121,17 @@ def build_bloch(params: LatticeParams, k: float | np.ndarray) -> np.ndarray:
 
 
 def _per_cell_values(params: LatticeParams, disorder: DisorderConfig | None):
+    """Per-cell (r_n, v_n, gamma_n, onsite_n), each of the draws' shape:
+    (N,), or (S, N) for a stack of S seeds."""
     n = params.n_cells
-    rn = np.full(n, params.r)
-    vn = np.full(n, params.v)
-    gn = np.full(n, params.gamma)
-    onsite = np.zeros(n)
+    shape = (n,) if disorder is None else disorder.draws.shape
+    if shape[-1] != n:
+        raise ValueError(f"disorder draws length {shape[-1]} != n_cells {n}")
+    rn = np.full(shape, params.r)
+    vn = np.full(shape, params.v)
+    gn = np.full(shape, params.gamma)
+    onsite = np.zeros(shape)
     if disorder is not None:
-        if len(disorder.draws) != n:
-            raise ValueError(
-                f"disorder draws length {len(disorder.draws)} != n_cells {n}"
-            )
         bump = disorder.strength * disorder.draws
         if disorder.target is DisorderTarget.HOPPING_R:
             rn = rn + bump
@@ -142,18 +156,18 @@ def reduced_chain(params: LatticeParams, disorder: DisorderConfig | None = None)
     X = -diag(a) - superdiag(r) and Y = diag(b) + subdiag(r), and
     det H = +-prod(a_n b_n) (Hatano & Nelson 1996; Yao & Wang 2018).
     Returns None for a periodic chain or on-site disorder, which do not
-    reduce. r has N - 1 entries.
+    reduce. r has N - 1 entries; a stack of draws puts its seed axis first.
     """
     if params.boundary is not Boundary.OPEN or (
             disorder is not None and disorder.target is DisorderTarget.ON_SITE):
         return None
     rn, vn, gn, _ = _per_cell_values(params, disorder)
-    return vn - 0.5 * gn, vn + 0.5 * gn, rn[:-1]
+    return vn - 0.5 * gn, vn + 0.5 * gn, rn[..., :-1]
 
 
 def build_real_space(params: LatticeParams,
                      disorder: DisorderConfig | None = None) -> np.ndarray:
-    """Dense 2N x 2N real-space Hamiltonian.
+    """Dense 2N x 2N real-space Hamiltonian; a stack of S draws gives S of them.
 
     Bond n couples cells n and n+1 and carries the hopping value r_n
     (one value per unit cell, applied to both hopping lines of the
@@ -162,6 +176,7 @@ def build_real_space(params: LatticeParams,
     """
     n = params.n_cells
     rn, vn, gn, onsite = _per_cell_values(params, disorder)
+    lead = rn.shape[:-1]
     dim = 2 * n
     # Cell c adds to its (alpha, alpha), (beta, beta), (alpha, beta) and
     # (beta, alpha) entries. Bond c links cell c, alpha index ac, to cell
@@ -169,11 +184,11 @@ def build_real_space(params: LatticeParams,
     # then four cross hops.
     a = 2 * np.arange(n)[:, None]       # alpha index of each cell; beta is a + 1
     ac = a[:n - 1] if params.boundary is Boundary.OPEN else a
-    r_bond = rn[:len(ac), None]
-    cell_vals = np.empty((n, 4), dtype=complex)
-    cell_vals[:, 0] = 0.5j * gn + onsite
-    cell_vals[:, 1] = -0.5j * gn + onsite
-    cell_vals[:, 2:] = vn[:, None]
+    r_bond = rn[..., :len(ac), None]
+    cell_vals = np.empty(lead + (n, 4), dtype=complex)
+    cell_vals[..., 0] = 0.5j * gn + onsite
+    cell_vals[..., 1] = -0.5j * gn + onsite
+    cell_vals[..., 2:] = vn[..., None]
     bond_vals = r_bond * np.array([0.5j, -0.5j, -0.5j, 0.5j, 0.5, 0.5, 0.5, 0.5])
     # np.add.at sums cell by cell, then bond by bond, entry by entry, so the
     # overlapping entries of periodic N <= 2 chains add up in that order,
@@ -182,8 +197,10 @@ def build_real_space(params: LatticeParams,
                            ((ac + [2, 0, 3, 1, 3, 0, 2, 1]) % dim).ravel()])
     cols = np.concatenate([(a + [0, 1, 1, 0]).ravel(),
                            ((ac + [0, 2, 1, 3, 0, 3, 1, 2]) % dim).ravel()])
-    H = np.zeros((dim, dim), dtype=complex)
-    np.add.at(H, (rows, cols), np.concatenate([cell_vals.ravel(), bond_vals.ravel()]))
+    H = np.zeros(lead + (dim, dim), dtype=complex)
+    vals = np.concatenate([cell_vals.reshape(lead + (4 * n,)),
+                           bond_vals.reshape(lead + (8 * len(ac),))], axis=-1)
+    np.add.at(H, (..., rows, cols), vals)
     return H
 
 

@@ -34,7 +34,7 @@ def fix_phase(u: np.ndarray) -> np.ndarray:
 
 
 def smallest_abs_eigenvalue(params: LatticeParams,
-                            disorder: DisorderConfig | None = None) -> float:
+                            disorder: DisorderConfig | None = None) -> float | np.ndarray:
     """min |E| over the eigenvalues of build_real_space(params, disorder).
 
     Where the chain reduces (model.reduced_chain), det H = +-prod(a_n b_n),
@@ -43,23 +43,59 @@ def smallest_abs_eigenvalue(params: LatticeParams,
     eigenvalue, which keeps its relative accuracy; sqrt(min |eig(X Y)|)
     would lose half the digits of a small one. Chains that do not reduce,
     and inverses that overflow, take min |eigvals(H)|.
+
+    A stack of draws (DisorderConfig.from_seeds) gives an array, one
+    min |E| per seed, each bit for bit what that seed gives alone: zero
+    hops settle for the whole stack at once, the rows left share one
+    stacked eigvals, and so do the rows that take H. Non-finite hops
+    raise ValueError.
     """
+    n = params.n_cells
+    stacked = disorder is not None and disorder.draws.ndim == 2
+    out = np.zeros(len(disorder.draws) if stacked else 1)
+    dense = np.arange(len(out))                 # the rows that take H
     chain = reduced_chain(params, disorder)
     if chain is not None:
-        a, b, r = chain
-        if not (a.all() and b.all()):
-            return 0.0
-        eye = np.eye(len(a))
+        a, b = (x.reshape(len(out), n) for x in chain[:2])
+        r = chain[2].reshape(len(out), n - 1)
+        if not all(np.isfinite(x).all() for x in (a, b, r)):
+            raise ValueError("reduced chain hops must be finite")
+        rows = np.flatnonzero(a.all(axis=1) & b.all(axis=1))    # the others stay 0.0
+        m = np.empty((len(rows), n, n))
+        eye = np.eye(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            x_inv = scipy.linalg.solve_triangular(-np.diag(a) - np.diag(r, 1), eye)
-            y_inv = scipy.linalg.solve_triangular(np.diag(b) + np.diag(r, -1), eye,
-                                                  lower=True)
-            m = y_inv @ x_inv
-        if np.isfinite(m).all():
-            top = np.abs(np.linalg.eigvals(m)).max()
-            if 0.0 < top < np.inf:
-                return float(1.0 / np.sqrt(top))
-    return float(np.abs(np.linalg.eigvals(build_real_space(params, disorder=disorder))).min())
+            for i, m_i in zip(rows, m):
+                x_inv = _triangular_inverse(-np.diag(a[i]) - np.diag(r[i], 1), eye, lower=False)
+                y_inv = _triangular_inverse(np.diag(b[i]) + np.diag(r[i], -1), eye, lower=True)
+                m_i[:] = y_inv @ x_inv
+        top = np.full(len(rows), np.inf)
+        finite = np.isfinite(m).all(axis=(1, 2))
+        top[finite] = np.abs(_eigvals(m[finite])).max(axis=-1)
+        solved = (0.0 < top) & (top < np.inf)
+        out[rows[solved]] = 1.0 / np.sqrt(top[solved])
+        dense = rows[~solved]
+    if dense.size:
+        H = build_real_space(params, disorder=disorder).reshape(-1, 2 * n, 2 * n)
+        out[dense] = np.abs(_eigvals(H[dense])).min(axis=-1)
+    return out if stacked else float(out[0])
+
+
+def _triangular_inverse(t: np.ndarray, eye: np.ndarray, lower: bool) -> np.ndarray:
+    """t^-1 for a triangular t with no zero on its diagonal, by the dtrtrs
+    call that scipy.linalg.solve_triangular(t, eye, lower) makes, without
+    its per-call checks."""
+    x, info = lapack.dtrtrs(t.T, eye, lower=not lower, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dtrtrs returned info = {info}")
+    return x
+
+
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    """eigvals of each matrix of the stack m, (k, n, n), in one call; a
+    stack of one solves its matrix on its own, as a 2-D array."""
+    if len(m) == 1:
+        return np.linalg.eigvals(m[0])[None]
+    return np.linalg.eigvals(m) if len(m) else np.empty(m.shape[:2])
 
 
 def bloch_branches(params: LatticeParams, ks: np.ndarray):

@@ -170,8 +170,7 @@ def test_09_disorder_robustness():
     d_grid = np.round(np.arange(0.05, 2.01, 0.05), 10)
     medians = {}
     for target in (DisorderTarget.HOPPING_V, DisorderTarget.GAIN_LOSS):
-        ts = [disorder_transition(params, target, d_grid, seed)
-              for seed in range(100)]
+        ts = disorder_transition(params, target, d_grid, range(100))
         medians[target] = float(np.median([t for t in ts if t is not None]))
     ok &= 0.3 <= medians[DisorderTarget.HOPPING_V] <= 0.7
     ok &= 0.2 <= medians[DisorderTarget.GAIN_LOSS] <= 0.6

@@ -300,9 +300,8 @@ class TestDisorder:
         assert summary["base_seed"] == 0
         # every seed, the CSV's base seed too, comes from disorder_transition
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=10)
-        assert entry["per_seed_transitions"] == [
-            disorder_transition(p, DisorderTarget.HOPPING_V, np.array([0.0, 0.3, 0.8]), seed)
-            for seed in range(3)]
+        assert entry["per_seed_transitions"] == disorder_transition(
+            p, DisorderTarget.HOPPING_V, np.array([0.0, 0.3, 0.8]), [0, 1, 2])
         cmd_disorder(self._config(n_seeds=0), tmp_path)
         summary = json.loads((tmp_path / "disorder_summary.json").read_text())
         assert summary["targets"]["v"]["per_seed_transitions"] == []
@@ -420,22 +419,58 @@ class TestDisorder:
         assert selects and 1 not in selects
 
     @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
-                                        DisorderTarget.GAIN_LOSS])
+                                        DisorderTarget.GAIN_LOSS, DisorderTarget.ON_SITE])
     def test_transition_matches_complex_solves(self, target):
         # Each d: fresh draws and min |E| from complex LAPACK on H itself.
         params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
         d_grid = np.round(np.arange(0.05, 2.01, 0.05), 10)
+        assert disorder_transition(params, target, d_grid, range(20)) == [
+            dense_transition(params, target, d_grid, seed) for seed in range(20)]
 
-        def reference(seed):
-            for d in d_grid:
-                dis = DisorderConfig.from_seed(target, float(d), seed, 30)
-                w = np.linalg.eigvals(build_real_space(params, disorder=dis))
-                if np.abs(w).min() > TRANSITION_TOL:
-                    return float(d)
-            return None
+    @pytest.mark.parametrize("n_cells", [1, 2])
+    def test_short_chains_and_no_seeds(self, n_cells):
+        params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=n_cells)
+        d_grid = np.array([0.0, 0.3, 0.8, 1.5])
+        for target in DisorderTarget:
+            assert disorder_transition(params, target, d_grid, []) == []
+            assert disorder_transition(params, target, d_grid, range(5)) == [
+                dense_transition(params, target, d_grid, seed) for seed in range(5)]
 
-        for seed in range(20):
-            assert disorder_transition(params, target, d_grid, seed) == reference(seed)
+    def test_r_target_at_v_half_makes_no_eigvals_call(self, monkeypatch):
+        # v = gamma/2 makes every a_n zero, so every seed's min |E| is
+        # exactly 0.0, settled for the whole stack with nothing to solve.
+        shapes, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
+        params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
+        d_grid = np.round(np.arange(0.05, 2.01, 0.05), 10)
+        assert disorder_transition(params, DisorderTarget.HOPPING_R, d_grid,
+                                   range(20)) == [None] * 20
+        assert shapes == []
+
+    def test_v_search_makes_one_stacked_call_per_grid_point(self, monkeypatch):
+        # Each grid point visited solves the seeds not yet split, all in
+        # one (k, N, N) call (one seed alone as (N, N)); the search stops
+        # at the last seed's transition.
+        shapes, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
+        params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
+        d_grid = np.round(np.arange(0.05, 2.01, 0.05), 10)
+        found = disorder_transition(params, DisorderTarget.HOPPING_V, d_grid, range(20))
+        assert None not in found and max(found) < d_grid[-1]
+        live = [sum(t >= d for t in found) for d in d_grid if d <= max(found)]
+        assert live[0] == 20 and live[-1] >= 1
+        assert shapes == [(k, 30, 30) if k > 1 else (30, 30) for k in live]
+
+
+def dense_transition(params, target, d_grid, seed):
+    """The first d of d_grid with min |eigvals(H)| > TRANSITION_TOL, each
+    d with fresh draws and a dense complex solve; None if there is none."""
+    for d in d_grid:
+        dis = DisorderConfig.from_seed(target, float(d), seed, params.n_cells)
+        w = np.linalg.eigvals(build_real_space(params, disorder=dis))
+        if np.abs(w).min() > TRANSITION_TOL:
+            return float(d)
+    return None
 
 
 class TestSvdScan:
@@ -583,6 +618,10 @@ class TestMainPlumbing:
         ("sweep-phase", SWEEP_CFG | {"mode": "fast"}, (), "sweep-phase.mode"),
         ("sweep-phase", SWEEP_CFG | {"direction": "up"}, (), "sweep-phase.direction"),
         ("disorder", DISORDER_CFG | {"targets": ["v", ["v"]]}, (), "disorder.targets[1]"),
+        # Disorder strengths are magnitudes; the draws carry the sign.
+        ("disorder", DISORDER_CFG | {"d_grid": [-0.3, 0.2]}, (), "disorder.d_grid"),
+        ("disorder", DISORDER_CFG | {"d_grid": {"start": -0.5, "stop": 1.0, "num": 3}}, (),
+         "disorder.d_grid"),
         # schema_version is the top-level integer 1 (True == 1.0 == 1 in
         # Python) and appears nowhere else.
         ("spectrum", SPECTRUM_CFG | {"schema_version": True}, (), "schema_version"),
@@ -618,7 +657,8 @@ class TestMainPlumbing:
             "float-excite_site", "float-num", "float-n_list", "string-r", "string-v_grid",
             "string-zero_mode_tol", "nan-threshold", "nan-zero_mode_tol",
             "nan-transition_tol", "huge-int-r", "unknown-boundary", "unknown-mode",
-            "unknown-direction", "list-target", "bool-schema_version",
+            "unknown-direction", "list-target", "negative-d_grid-list",
+            "negative-d_grid-range", "bool-schema_version",
             "float-schema_version", "param-set-schema_version", "grid-schema_version",
             "negative-total_phase-transport", "negative-total_phase-dynamical",
             "zero-zero_mode_tol", "negative-zero_mode_tol", "one-zero_mode_tol",

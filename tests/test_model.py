@@ -344,3 +344,19 @@ class TestDisorderConfig:
     def test_rejects_negative_strength(self):
         with pytest.raises(ValueError):
             DisorderConfig.from_seed(DisorderTarget.HOPPING_V, -0.1, 0, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_strength_and_draws(self, bad):
+        with pytest.raises(ValueError, match="strength"):
+            DisorderConfig.from_seed(DisorderTarget.HOPPING_V, bad, 0, 4)
+        with pytest.raises(ValueError, match="draws"):
+            DisorderConfig(target=DisorderTarget.HOPPING_V, strength=0.1, seed=0,
+                           draws=np.array([0.5, bad]))
+
+    def test_stack_rows_are_each_seeds_draws(self):
+        stack = DisorderConfig.from_seeds(DisorderTarget.GAIN_LOSS, 0.3, [4, 9, 4], 6)
+        assert stack.seed == (4, 9, 4) and stack.draws.shape == (3, 6)
+        for row, seed in zip(stack.draws, stack.seed):
+            np.testing.assert_array_equal(
+                row, DisorderConfig.from_seed(DisorderTarget.GAIN_LOSS, 0.3, seed, 6).draws)
+        assert DisorderConfig.from_seeds(DisorderTarget.GAIN_LOSS, 0.3, [], 6).draws.shape == (0, 6)

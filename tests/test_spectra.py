@@ -282,6 +282,35 @@ class TestSmallestAbsEigenvalue:
         assert seen[-1] == (np.dtype(complex), (16, 16))
         assert np.isfinite(got) and got == dense_min_abs(p)
 
+    def test_stack_rows_match_single_solves_bit_for_bit(self):
+        # v = 1e-200 and gamma = 0: row 0 keeps a_n = b_n = 1e-200, whose
+        # inverse overflows, and takes H; row 1's draws cancel v to exact
+        # zero hops; rows 2-4 are ordinary and share one real solve.
+        p = LatticeParams(v=1e-200, r=0.5, gamma=0.0, n_cells=8)
+        draws = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 8))
+        draws[0], draws[1] = 0.0, -1e-200
+        stack = DisorderConfig(DisorderTarget.HOPPING_V, 1.0, tuple(range(5)), draws)
+        with eigvals_calls() as seen:
+            got = smallest_abs_eigenvalue(p, stack)
+        assert seen == [(np.dtype(float), (3, 8, 8)), (np.dtype(complex), (16, 16))]
+        rows = [DisorderConfig(DisorderTarget.HOPPING_V, 1.0, seed, row)
+                for seed, row in enumerate(draws)]
+        assert got[0] == dense_min_abs(p, rows[0]) and got[1] == 0.0
+        assert got.tolist() == [smallest_abs_eigenvalue(p, row) for row in rows]
+
+    def test_non_finite_hops_raise(self):
+        with pytest.raises(ValueError, match="finite"):
+            smallest_abs_eigenvalue(LatticeParams(v=np.nan, r=0.5, gamma=1.0, n_cells=4))
+
+    def test_onsite_stack_solves_each_dense_h(self):
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)
+        stack = DisorderConfig.from_seeds(DisorderTarget.ON_SITE, 0.3, range(4), 6)
+        with eigvals_calls() as seen:
+            got = smallest_abs_eigenvalue(p, stack)
+        assert seen == [(np.dtype(complex), (4, 12, 12))]
+        assert got.tolist() == [dense_min_abs(p, DisorderConfig.from_seed(
+            DisorderTarget.ON_SITE, 0.3, seed, 6)) for seed in range(4)]
+
     @pytest.mark.parametrize("params, disorder", [
         (LatticeParams(v=0.55, r=0.5, gamma=1.0, n_cells=40), None),
         (LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30),
