@@ -12,7 +12,7 @@ from .model import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                     build_bloch, build_real_space, chiral_operator, chiral_residual,
                     parity_operator, pt_residual)
 from .spectra import (ChainSingularValues, EdgeProfile, GapReport, SpectralReport,
-                      ZeroModeInfo, bloch_eigensystem, chain_singular_values,
+                      ZeroModeInfo, bloch_eigensystem, chain, chain_singular_values,
                       chain_norm, chain_null_weights, chain_spectrum, edge_profile,
                       exact_generalized_zero_mode, exact_zero_mode, gap_report,
                       geometric_multiplicity, smallest_singular_values,

@@ -185,22 +185,22 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     energies = np.empty((len(v_grid), base.dim), dtype=complex)
     flags = []
     for v, w in zip(v_grid, energies):
-        params = replace(base, v=float(v))
-        w[:] = np.sort_complex(spectra.chain_spectrum(params))
+        form = spectra.chain(replace(base, v=float(v)))
+        w[:] = np.sort_complex(spectra.chain_spectrum(form))
         entry = {"v": float(v)}
         if boundary is Boundary.OPEN:
             # zero_mode_analysis's criteria, on the singular values of the
             # reduced chain: present iff some singular value is below
             # tol * sigma_max, and those values are the geometric count.
-            sv = spectra.chain_singular_values(params, tol=tol)
+            sv = spectra.chain_singular_values(form, tol=tol)
             entry["zero_mode_present"] = bool(sv.smallest.size)
             if sv.smallest.size:
-                entry["side"] = spectra.edge_side(spectra.chain_null_weights(params))
+                entry["side"] = spectra.edge_side(spectra.chain_null_weights(form))
                 alg = spectra.zero_cluster_size(w, sv.sigma_max, tol)
                 entry["defective"] = alg == 2 and sv.smallest.size == 1
         else:
             entry["zero_mode_present"] = bool(spectra.below_cut(
-                np.abs(w).min(), spectra.chain_norm(params), tol))
+                np.abs(w).min(), spectra.chain_norm(form), tol))
         flags.append(entry)
     csv_path = out / "spectrum.csv"
     write_csv(csv_path, _sheet("v_over_gamma", v_grid, energies))
@@ -309,12 +309,12 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
         side = np.full(len(d_grid), "", dtype=object)
         draws = DisorderConfig.from_seed(target, 0.0, base_seed, params.n_cells)
         for j, d in enumerate(d_grid):
-            dis = replace(draws, strength=float(d))
-            energies[j] = np.sort_complex(spectra.chain_spectrum(params, dis))
+            form = spectra.chain(params, replace(draws, strength=float(d)))
+            energies[j] = np.sort_complex(spectra.chain_spectrum(form))
             present[j] = spectra.below_cut(np.abs(energies[j]).min(),
-                                           spectra.chain_norm(params, dis), zm_tol)
+                                           spectra.chain_norm(form), zm_tol)
             if present[j]:
-                side[j] = spectra.edge_side(spectra.chain_null_weights(params, dis))
+                side[j] = spectra.edge_side(spectra.chain_null_weights(form))
         csv_path = out / f"disorder_{name}.csv"
         write_csv(csv_path, _sheet("d_over_gamma", d_grid, energies)
                   | {"zero_mode_present": np.repeat(present, params.dim),

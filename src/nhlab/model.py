@@ -40,7 +40,7 @@ class DisorderTarget(str, Enum):
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Clean-chain parameters. r must be positive; v may take any sign."""
+    """Finite clean-chain parameters: r > 0, gamma >= 0, v of any sign."""
 
     v: float
     r: float
@@ -52,10 +52,12 @@ class LatticeParams:
         # A boundary given by name ("open", "periodic") becomes the member,
         # so identity checks against Boundary hold; other names raise.
         object.__setattr__(self, "boundary", Boundary(self.boundary))
-        if not self.r > 0:
-            raise ValueError(f"inter-cell hopping r must be > 0, got {self.r}")
-        if self.gamma < 0:
-            raise ValueError(f"gain/loss rate gamma must be >= 0, got {self.gamma}")
+        if not -np.inf < self.v < np.inf:            # NaN fails each of these
+            raise ValueError(f"intra-cell hopping v must be finite, got {self.v}")
+        if not 0 < self.r < np.inf:
+            raise ValueError(f"inter-cell hopping r must be finite and > 0, got {self.r}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gain/loss rate gamma must be finite and >= 0, got {self.gamma}")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
 

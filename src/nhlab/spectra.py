@@ -54,10 +54,10 @@ def smallest_abs_eigenvalue(params: LatticeParams,
     stacked = disorder is not None and disorder.draws.ndim == 2
     out = np.zeros(len(disorder.draws) if stacked else 1)
     dense = np.arange(len(out))                 # the rows that take H
-    chain = reduced_chain(params, disorder)
-    if chain is not None:
-        a, b = (x.reshape(len(out), n) for x in chain[:2])
-        r = chain[2].reshape(len(out), n - 1)
+    hops = reduced_chain(params, disorder)
+    if hops is not None:
+        a, b = (x.reshape(len(out), n) for x in hops[:2])
+        r = hops[2].reshape(len(out), n - 1)
         if not all(np.isfinite(x).all() for x in (a, b, r)):
             raise ValueError("reduced chain hops must be finite")
         rows = np.flatnonzero(a.all(axis=1) & b.all(axis=1))    # the others stay 0.0
@@ -127,37 +127,40 @@ def bloch_branches(params: LatticeParams, ks: np.ndarray):
     return E, u_plus, u_minus
 
 
-def ring_momenta(n_cells: int) -> np.ndarray:
-    """The momenta 2 pi m / N, m = 0..N-1, of the periodic chain's Bloch blocks."""
-    return 2 * np.pi * np.arange(n_cells) / n_cells
-
-
-def chain_spectrum(params: LatticeParams,
-                   disorder: DisorderConfig | None = None) -> np.ndarray:
-    """The 2N eigenvalues of build_real_space(params, disorder), without H.
-
-    A periodic chain is block-diagonal in k: its spectrum is +-E of
-    bloch_branches at ring_momenta. An open chain is similar to the path of
-    reduced_chain, and a path's characteristic polynomial depends only on
-    the products of opposite hops, a_n b_n in cell n and r_n^2 on bond n.
-    The balanced real path with hops t_1, r_1, t_2, ..., t_N, where
-    t_n = sqrt|a_n b_n|, has the same spectrum. When every a_n b_n >= 0 it
-    is symmetric and eigvalsh_tridiagonal returns an exactly real
-    spectrum, {0, 0, +-r (N - 1 times each)} at v = gamma/2; otherwise its
-    lower cell hops take the sign of a_n b_n and it is one real 2N x 2N
-    eigvals. Both are more accurate than the dense solve of the strongly
-    non-normal H (Hatano & Nelson 1996; Yao & Wang 2018). Disordered
-    chains take the same path; those that reduced_chain does not reduce
-    (on-site disorder, a disordered periodic chain) return
-    eigvals(build_real_space(params, disorder)).
+def chain(params: LatticeParams, disorder: DisorderConfig | None = None):
+    """The form of build_real_space(params, disorder) that the chain_* functions
+    take: a clean ring's Bloch blocks at k = 2 pi m / N, (N, 2, 2); the hops
+    (a, b, r) of an open chain that model.reduced_chain reduces; else H. A
+    stack of draws raises ValueError, as its H would read as ring blocks.
     """
+    if disorder is not None and disorder.draws.ndim != 1:
+        raise ValueError("chain takes one chain's draws, not a stack")
     if params.boundary is Boundary.PERIODIC and disorder is None:
-        E, _, _ = bloch_branches(params, ring_momenta(params.n_cells))
+        return build_bloch(params, 2 * np.pi * np.arange(params.n_cells) / params.n_cells)
+    hops = reduced_chain(params, disorder)
+    return build_real_space(params, disorder=disorder) if hops is None else hops
+
+
+def chain_spectrum(form) -> np.ndarray:
+    """The 2N eigenvalues of a chain's form (see chain), without H.
+
+    Bloch blocks give +-E of each, as bloch_branches. An open chain is
+    similar to the path of its hops, and a path's characteristic
+    polynomial depends only on the products of opposite hops, a_n b_n in
+    cell n and r_n^2 on bond n. The balanced real path with hops t_1, r_1,
+    t_2, ..., t_N, where t_n = sqrt|a_n b_n|, has the same spectrum. When
+    every a_n b_n >= 0 it is symmetric and eigvalsh_tridiagonal returns an
+    exactly real spectrum, {0, 0, +-r (N - 1 times each)} at v = gamma/2;
+    otherwise its lower cell hops take the sign of a_n b_n and it is one
+    real 2N x 2N eigvals. Both are more accurate than eigvals(H), which H
+    takes (Hatano & Nelson 1996; Yao & Wang 2018).
+    """
+    if not isinstance(form, tuple):
+        if form.ndim == 2:
+            return np.linalg.eigvals(form)
+        E = np.sqrt(form[:, 0, 1] ** 2 + form[:, 0, 0] ** 2)
         return np.concatenate([E, -E])
-    chain = reduced_chain(params, disorder)
-    if chain is None:
-        return np.linalg.eigvals(build_real_space(params, disorder=disorder))
-    a, b, r = chain
+    a, b, r = form
     off = np.empty(2 * len(a) - 1)
     off[0::2] = np.sqrt(np.abs(a)) * np.sqrt(np.abs(b))   # a_n b_n itself may underflow
     off[1::2] = r
@@ -198,44 +201,40 @@ class ChainSingularValues:
     smallest: np.ndarray          # every singular value below tol * sigma_max, ascending
 
 
-def _golub_kahan(chain):
+def _golub_kahan(hops):
     """(scale, rows off_X and off_Y) of reduced_chain's hops; see chain_singular_values."""
     # dstebz takes a hop below sqrt(safmin) = 1.5e-154 for zero. Scaling by
     # a power of two, which bisection carries exactly, moves that bound
     # to 1.5e-154 times the largest hop.
-    a, b, r = chain
+    a, b, r = hops
     scale = 2.0 ** np.frexp(np.abs(np.concatenate([a, b, r])).max())[1]
     gk = np.empty((2, 2 * len(a) - 1))
     gk[:, 0::2], gk[:, 1::2] = np.abs([a, b]) / scale, np.abs(r) / scale
     return scale, gk
 
 
-def chain_singular_values(params: LatticeParams, disorder: DisorderConfig | None = None,
-                          tol: float = ZERO_MODE_TOL) -> ChainSingularValues | None:
-    """Singular values of build_real_space(params, disorder), without H.
+def chain_singular_values(hops, tol: float = ZERO_MODE_TOL) -> ChainSingularValues:
+    """Singular values of the open chain with reduced hops (a, b, r), without H.
 
-    Where the chain reduces (model.reduced_chain), H = i U A U^H with U
-    unitary and A the real path of the reduced chain. After an even/odd
-    permutation A = [[0, X], [Y, 0]], so H has the singular values of the
-    N x N bidiagonals X = -diag(a) - superdiag(r) and Y = diag(b) +
-    subdiag(r) together. Those of an upper bidiagonal (X, and Y^T) are
-    the non-negative eigenvalues of its Golub-Kahan matrix, the
-    zero-diagonal tridiagonal with off-diagonal |d_1|, |e_1|, |d_2|, ...,
-    |d_N|, and bisection (dstebz) finds them: sigma_max to LAPACK's
-    default tolerance and `smallest`, every singular value below
-    tol * sigma_max, to high relative accuracy. A factor with a zero hop
-    on its diagonal (some a_n or b_n = 0) is singular, and its
-    sigma_min is exactly 0.0. A hop below 1.5e-154 times the largest
-    counts as zero. `smallest` is empty when no singular value lies
-    below the cut, as at tol = 0; tol > 1 takes all 2N, and so does H = 0.
-    Returns None for a periodic chain or on-site disorder, which do not
-    reduce.
+    H = i U A U^H with U unitary and A the real path of the hops
+    (model.reduced_chain). After an even/odd permutation A = [[0, X],
+    [Y, 0]], so H has the singular values of the N x N bidiagonals
+    X = -diag(a) - superdiag(r) and Y = diag(b) + subdiag(r) together.
+    Those of an upper bidiagonal (X, and Y^T) are the non-negative
+    eigenvalues of its Golub-Kahan matrix, the zero-diagonal tridiagonal
+    with off-diagonal |d_1|, |e_1|, |d_2|, ..., |d_N|, and bisection
+    (dstebz) finds them: sigma_max to LAPACK's default tolerance and
+    `smallest`, every singular value below tol * sigma_max, to high
+    relative accuracy. A factor with a zero hop on its diagonal (some a_n
+    or b_n = 0) is singular, and its sigma_min is exactly 0.0. A hop below
+    1.5e-154 times the largest counts as zero. `smallest` is empty when no
+    singular value lies below the cut, as at tol = 0; tol > 1 takes all
+    2N, and so does H = 0. Any other form (see chain) raises ValueError.
     """
-    chain = reduced_chain(params, disorder)
-    if chain is None:
-        return None
-    a, b, _ = chain
-    scale, gk = _golub_kahan(chain)
+    if not isinstance(hops, tuple):
+        raise ValueError("chain_singular_values takes reduced hops (a, b, r)")
+    a, b, _ = hops
+    scale, gk = _golub_kahan(hops)
     # Both Golub-Kahan matrices as one tridiagonal, split by a zero hop.
     (top,) = _bisect(np.concatenate([gk[0], [0.0], gk[1]]), 2,
                      il=4 * len(a), iu=4 * len(a), tol=0.0)
@@ -252,42 +251,35 @@ def chain_singular_values(params: LatticeParams, disorder: DisorderConfig | None
     return ChainSingularValues(float(scale * top), scale * np.sort(np.concatenate(values)))
 
 
-def chain_norm(params: LatticeParams, disorder: DisorderConfig | None = None) -> float:
-    """||H||_2 of build_real_space(params, disorder), the scale of the zero-mode cut.
-
-    A chain that reduces takes chain_singular_values' sigma_max at tol = 0,
-    which bisects no smaller value; a clean periodic chain, the largest
-    ||H_k||_2 over ring_momenta (H is block-diagonal in k); any other, H's own.
+def chain_norm(form) -> float:
+    """||H||_2 of a chain's form (see chain), the scale of the zero-mode cut:
+    hops take chain_singular_values' sigma_max at tol = 0, which bisects no
+    smaller value; Bloch blocks the largest ||H_k||_2; H its own.
     """
-    sv = chain_singular_values(params, disorder, tol=0.0)
-    if sv is not None:
-        return sv.sigma_max
-    if params.boundary is Boundary.PERIODIC and disorder is None:
-        h_k = build_bloch(params, ring_momenta(params.n_cells))
-        return float(np.linalg.norm(h_k, 2, axis=(1, 2)).max())
-    return float(np.linalg.norm(build_real_space(params, disorder=disorder), 2))
+    if isinstance(form, tuple):
+        return chain_singular_values(form, tol=0.0).sigma_max
+    return float(np.linalg.norm(form, 2, axis=(-2, -1)).max())
 
 
-def chain_null_weights(params: LatticeParams,
-                       disorder: DisorderConfig | None = None) -> np.ndarray:
+def chain_null_weights(form) -> np.ndarray:
     """Per-cell weights, summing to 1, of the right singular vector of
-    sigma_min of build_real_space(params, disorder); their edge_side is the
-    zero mode's side.
+    sigma_min of a chain's form (see chain); their edge_side is the zero
+    mode's side.
 
-    A chain that reduces takes it from the factor (X or Y, see
-    chain_singular_values) with the smaller sigma_min, bisected, or 0.0 at
-    a zero diagonal hop; X on a tie, as at v = 0, where |a_n| = |b_n| and
-    the null space of H is two-dimensional. A dense SVD of that N x N
-    factor gives the vector: inverse iteration (dstein) can miss it for
-    the numerically double pair +-sigma_min (residual 7.6e-4 at
-    v = -0.987, r = 1.96, gamma = 1.965, N = 16). Other chains take the SVD of H.
+    Hops take it from the factor (X or Y, see chain_singular_values) with
+    the smaller sigma_min, bisected, or 0.0 at a zero diagonal hop; X on a
+    tie, as at v = 0, where |a_n| = |b_n| and the null space of H is
+    two-dimensional. A dense SVD of that N x N factor gives the vector:
+    inverse iteration (dstein) can miss it for the numerically double pair
+    +-sigma_min (residual 7.6e-4 at v = -0.987, r = 1.96, gamma = 1.965,
+    N = 16). H takes its own SVD; Bloch blocks raise ValueError.
     """
-    chain = reduced_chain(params, disorder)
-    if chain is None:
-        u = np.linalg.svd(build_real_space(params, disorder=disorder))[2][-1]
-        return edge_profile(u).weights
-    a, b, r = chain
-    _, gk = _golub_kahan(chain)
+    if not isinstance(form, tuple):
+        if form.ndim != 2:
+            raise ValueError("chain_null_weights takes reduced hops or H, not Bloch blocks")
+        return edge_profile(np.linalg.svd(form)[2][-1]).weights
+    a, b, r = form
+    _, gk = _golub_kahan(form)
     sigma_x, sigma_y = (abs(_bisect(off, 2, il=len(a) + 1, iu=len(a) + 1)[0])
                         if diag.all() else 0.0 for off, diag in zip(gk, (a, b)))
     factor = np.diag(b) + np.diag(r, -1) if sigma_y < sigma_x else -np.diag(a) - np.diag(r, 1)
@@ -470,13 +462,14 @@ def gap_report(params: LatticeParams) -> GapReport:
     cf_real = abs(abs(v) - r) > g / 2
     cf_imag = abs(v) + r < g / 2
     if params.boundary is Boundary.PERIODIC:
-        E, _, _ = bloch_branches(params, np.linspace(0.0, 2 * np.pi, GAP_K_SAMPLES))
+        E = chain_spectrum(build_bloch(params, np.linspace(0.0, 2 * np.pi, GAP_K_SAMPLES)))
         num_real = bool(np.abs(E.real).min() > GAP_TOL)
         num_imag = bool(np.abs(E.imag).min() > GAP_TOL)
         spectrum_real = bool(np.abs(E.imag).max() < REALITY_TOL)
         return GapReport(cf_real, cf_imag, spectrum_real, num_real, num_imag)
-    scale = max(chain_norm(params), 1e-300)
-    spectrum_real = bool(np.abs(chain_spectrum(params).imag).max() < REALITY_TOL * scale)
+    form = chain(params)
+    scale = max(chain_norm(form), 1e-300)
+    spectrum_real = bool(np.abs(chain_spectrum(form).imag).max() < REALITY_TOL * scale)
     return GapReport(cf_real, cf_imag, spectrum_real)
 
 

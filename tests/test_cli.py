@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhlab import (ConfigError, DisorderConfig, DisorderTarget, LatticeParams,
-                   NoZeroModeError, build_real_space, chain_spectrum, edge_profile,
+                   NoZeroModeError, build_real_space, chain, chain_spectrum, edge_profile,
                    zero_mode_analysis)
 from nhlab import spectra
 from nhlab.cli import (TRANSITION_TOL, cmd_disorder, cmd_spectrum, cmd_svd_scan,
@@ -237,7 +237,7 @@ class TestSpectrum:
         cmd_spectrum(self._config("periodic", [0.7]), tmp_path)
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
         p = LatticeParams(v=0.7, r=0.5, gamma=1.0, n_cells=30, boundary="periodic")
-        w = np.sort_complex(chain_spectrum(p))
+        w = np.sort_complex(chain_spectrum(chain(p)))
         for line, e in zip(lines, w):
             _, _, re_s, im_s = line.split(",")
             assert float(re_s) == e.real  # 17 significant digits: bit-exact
@@ -288,7 +288,7 @@ class TestDisorder:
         rows = [line.split(",") for line in lines if float(line.split(",")[0]) == 0.0]
         got = np.array([complex(float(r[2]), float(r[3])) for r in rows])
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=10)
-        clean = np.sort_complex(chain_spectrum(p))
+        clean = np.sort_complex(chain_spectrum(chain(p)))
         np.testing.assert_array_equal(got, clean)
 
     def test_summary_structure(self, tmp_path):
@@ -403,6 +403,24 @@ class TestDisorder:
             else:
                 assert dense == [] and [c for c in calls if c[0] == "svd"] == (
                     [("svd", (30, 30))] * present)
+
+    def test_one_form_per_grid_point(self, tmp_path, monkeypatch):
+        # onsite builds H once per grid point, and r, v and gamma reduce
+        # once per grid point; n_seeds = 0 leaves the transition search
+        # nothing to build.
+        calls = []
+        for name in ("build_real_space", "reduced_chain"):
+            real = getattr(spectra, name)
+            monkeypatch.setattr(spectra, name, lambda *a, _f=real, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        d_grid = np.linspace(0.0, 2.0, 31).tolist()
+        for target, built in (("onsite", "build_real_space"), ("r", "reduced_chain"),
+                              ("v", "reduced_chain"), ("gamma", "reduced_chain")):
+            calls.clear()
+            cmd_disorder(self._config(n_cells=30, targets=[target], d_grid=d_grid, n_seeds=0),
+                         tmp_path)
+            assert calls.count(built) == 31
+            assert calls.count("build_real_space") == (31 if target == "onsite" else 0)
 
     def test_bisects_no_values_below_the_cut(self, tmp_path, monkeypatch):
         # The CSV reads ||H||_2 and, where a mode is present, its side: no

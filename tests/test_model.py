@@ -7,7 +7,7 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                    build_bloch, build_real_space, chiral_operator, chiral_residual,
                    parity_operator, pt_residual)
 from nhlab.model import SIGMA_X, SIGMA_Y, SIGMA_Z, _per_cell_values, reduced_chain
-from nhlab.spectra import (ZERO_MODE_TOL, chain_null_weights, chain_singular_values,
+from nhlab.spectra import (ZERO_MODE_TOL, chain, chain_null_weights, chain_singular_values,
                            edge_profile, edge_side, fix_phase)
 
 from conftest import assert_multisets_close
@@ -34,6 +34,15 @@ class TestLatticeParams:
             LatticeParams(v=1.0, r=1.0, gamma=1.0, n_cells=0)
         with pytest.raises(ValueError):
             LatticeParams(v=1.0, r=1.0, gamma=-0.1, n_cells=3)
+
+    @pytest.mark.parametrize("field, bad", [("v", np.nan), ("v", np.inf), ("v", -np.inf),
+                                            ("r", np.nan), ("r", np.inf),
+                                            ("gamma", np.nan), ("gamma", np.inf)])
+    def test_rejects_non_finite_values(self, field, bad):
+        # Left in, these surface far away, as "dstebz returned info = 4".
+        good = {"v": 0.5, "r": 0.5, "gamma": 1.0}
+        with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
+            LatticeParams(**(good | {field: bad}), n_cells=3)
 
     def test_boundary_by_name(self):
         p = LatticeParams(v=0.1, r=1.0, gamma=0.5, n_cells=3, boundary="periodic")
@@ -250,12 +259,12 @@ class TestReducedPath:
             assert (A[1::2, 0::2] == np.diag(b) + np.diag(r, -1)).all()
             assert (A[0::2, 0::2] == 0).all() and (A[1::2, 1::2] == 0).all()
             # The singular data of the factors are those of H.
-            sv = chain_singular_values(p, dis)
+            sv = chain_singular_values(chain(p, dis))
             _, s, vh = np.linalg.svd(H)
             assert abs(sv.sigma_max - s[0]) <= 1e-14 * s[0]
             if s[-1] < ZERO_MODE_TOL * s[0]:
                 assert sv.smallest.size
-                assert (edge_side(chain_null_weights(p, dis))
+                assert (edge_side(chain_null_weights(chain(p, dis)))
                         == edge_profile(fix_phase(vh[-1].conj())).side)
 
     def test_none_where_chain_does_not_reduce(self):
@@ -264,7 +273,6 @@ class TestReducedPath:
         ring = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6, boundary=Boundary.PERIODIC)
         for params, dis in ((p, onsite), (ring, None)):
             assert reduced_chain(params, dis) is None
-            assert chain_singular_values(params, dis) is None
 
 
 class TestSymmetries:

@@ -15,7 +15,7 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointErr
                    zero_mode_analysis)
 from nhlab import spectra
 from nhlab.model import reduced_chain
-from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain_norm,
+from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain, chain_norm,
                            chain_null_weights, chain_singular_values, edge_side,
                            fix_phase, smallest_abs_eigenvalue)
 
@@ -355,7 +355,7 @@ class TestChainSpectrum:
         assume(kappa.max() < 1e8)   # near-defective spectra scatter by sqrt(eps)
         dense = np.linalg.eigvals(H)
         with eigvals_calls() as seen:
-            got = spectra.chain_spectrum(p, dis)
+            got = spectra.chain_spectrum(spectra.chain(p, dis))
         # No complex solve: the open chain takes at most one real 2N x 2N one.
         assert seen in ([], [(np.dtype(float), (2 * n, 2 * n))])
         assert got.shape == (2 * n,)
@@ -380,7 +380,7 @@ class TestChainSpectrum:
         p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n, boundary=boundary)
         H = build_real_space(p)
         oracle = mp_eigenvalues(H, mp)
-        assert_multisets_close(spectra.chain_spectrum(p), oracle,
+        assert_multisets_close(spectra.chain_spectrum(spectra.chain(p)), oracle,
                                tol=10 * np.finfo(float).eps * np.linalg.norm(H, 2))
 
     def test_disordered_chain_matches_mpmath(self):
@@ -394,7 +394,7 @@ class TestChainSpectrum:
         assert (a * b < 0).sum() == 7
         H = build_real_space(p, disorder=dis)
         oracle = mp_eigenvalues(H, mp, dps=60)
-        assert_multisets_close(spectra.chain_spectrum(p, dis), oracle,
+        assert_multisets_close(spectra.chain_spectrum(spectra.chain(p, dis)), oracle,
                                tol=10 * np.finfo(float).eps * np.linalg.norm(H, 2))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -403,7 +403,7 @@ class TestChainSpectrum:
             if dis is None:     # a clean ring takes the Bloch blocks
                 continue
             with eigvals_calls() as seen:
-                got = spectra.chain_spectrum(params, dis)
+                got = spectra.chain_spectrum(spectra.chain(params, dis))
             assert seen == [(np.dtype(complex), (24, 24))]
             np.testing.assert_array_equal(
                 got, np.linalg.eigvals(build_real_space(params, disorder=dis)))
@@ -414,7 +414,7 @@ class TestChainSpectrum:
         # v = gamma/2 cuts every cell hop, leaving two lone sites and N - 1
         # two-site blocks [[0, r], [r, 0]].
         p = LatticeParams(v=gamma / 2, r=r, gamma=gamma, n_cells=n)
-        w = np.sort_complex(spectra.chain_spectrum(p))
+        w = np.sort_complex(spectra.chain_spectrum(spectra.chain(p)))
         assert w.tolist() == [-r] * (n - 1) + [0.0, 0.0] + [r] * (n - 1)
 
 
@@ -432,11 +432,11 @@ class TestReducedPathSingularData:
                 dis = DisorderConfig.from_seed(target, d, seed, 30)
                 H = build_real_space(p, disorder=dis)
                 _, s_h, vh_h = np.linalg.svd(H)
-                sv = chain_singular_values(p, dis)
+                sv = chain_singular_values(chain(p, dis))
                 assert abs(sv.sigma_max - s_h[0]) <= 1e-14 * s_h[0]
-                assert chain_norm(p, dis) == sv.sigma_max
+                assert chain_norm(chain(p, dis)) == sv.sigma_max
                 if np.abs(np.linalg.eigvals(H)).min() < ZERO_MODE_TOL * s_h[0]:
-                    assert (edge_side(chain_null_weights(p, dis))
+                    assert (edge_side(chain_null_weights(chain(p, dis)))
                             == edge_profile(fix_phase(vh_h[-1].conj())).side)
                     present += 1
         assert present >= 10
@@ -479,7 +479,7 @@ class TestChainSingularValues:
             oracle = sorted(s for M in (X, Y) for s in mp.svd_r(M, compute_uv=False))
             exact_zeros = sum(s < mp.mpf(10) ** -70 for s in oracle)
             oracle = np.array([float(s) for s in oracle])
-        sv = chain_singular_values(params, disorder, tol=2.0)   # every value below 2 sigma_max
+        sv = chain_singular_values(chain(params, disorder), tol=2.0)   # every value below 2 sigma_max
         assert sv.smallest.shape == (params.dim,)
         assert abs(sv.sigma_max - oracle[-1]) <= 1e-14 * oracle[-1]
         assert exact_zeros == (params.v == 0.5 and disorder is None)
@@ -499,7 +499,7 @@ class TestChainSingularValues:
         dis = None if target is None else DisorderConfig.from_seed(target, d, seed, n)
         H = build_real_space(p, disorder=dis)
         dense = np.linalg.svd(H, compute_uv=False)[::-1]
-        sv = chain_singular_values(p, dis, tol=2.0)
+        sv = chain_singular_values(chain(p, dis), tol=2.0)
         # The dense SVD is backward stable: each sigma_i is off by a few
         # eps * sigma_max, a relative error of eps * kappa_i with
         # kappa_i = sigma_max / sigma_i. Where kappa_i is large the dense
@@ -511,7 +511,7 @@ class TestChainSingularValues:
         # Where sigma_min is well separated its right vector is determined,
         # and so are its per-cell weights.
         weights, s1, s2 = dense_cell_weights(H)
-        null = chain_null_weights(p, dis)
+        null = chain_null_weights(chain(p, dis))
         assert null.shape == (n,) and abs(null.sum() - 1.0) < 1e-14
         if s2 - s1 > 1e-3 * dense[-1]:
             np.testing.assert_allclose(null, weights, rtol=0, atol=1e-9)
@@ -526,25 +526,25 @@ class TestChainSingularValues:
         dis = None if target is None else DisorderConfig.from_seed(target, 0.4, 2, n)
         H = build_real_space(p, disorder=dis)
         dense = np.linalg.svd(H, compute_uv=False)[::-1]
-        sv = chain_singular_values(p, dis, tol=2.0)
+        sv = chain_singular_values(chain(p, dis), tol=2.0)
         np.testing.assert_allclose(sv.smallest, dense, rtol=0, atol=1e-15)
         assert (sv.smallest[0] == 0.0) == (v == 0.5)
         weights, s1, s2 = dense_cell_weights(H)
         assert s2 - s1 > 0.1
-        np.testing.assert_allclose(chain_null_weights(p, dis), weights, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(chain_null_weights(chain(p, dis)), weights, rtol=0, atol=1e-14)
 
     def test_values_below_the_cut_only(self, defective_params):
         # At v = gamma/2 only X's exact zero lies below tol * sigma_max. At
         # v = 1.3 none does; chain_null_weights bisects each factor's sigma_min.
-        sv = chain_singular_values(defective_params)
+        sv = chain_singular_values(chain(defective_params))
         assert sv.smallest.tolist() == [0.0]
-        assert edge_side(chain_null_weights(defective_params)) == "left"
+        assert edge_side(chain_null_weights(chain(defective_params))) == "left"
         p = LatticeParams(v=1.3, r=0.5, gamma=1.0, n_cells=30)
-        far = chain_singular_values(p)
+        far = chain_singular_values(chain(p))
         assert far.smallest.size == 0
         weights, s1, _ = dense_cell_weights(build_real_space(p))
         assert s1 > 0.3
-        np.testing.assert_allclose(chain_null_weights(p), weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chain_null_weights(chain(p)), weights, rtol=0, atol=1e-12)
 
     def test_interior_zero_hop_is_exact(self):
         # a_3 = 0 splits X's Golub-Kahan matrix into two odd blocks, each
@@ -555,12 +555,12 @@ class TestChainSingularValues:
                              draws=draws)
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=8)
         assert reduced_chain(p, dis)[0][3] == 0.0
-        sv = chain_singular_values(p, dis)
+        sv = chain_singular_values(chain(p, dis))
         assert sv.smallest.tolist() == [0.0]
         weights, _, s2 = dense_cell_weights(build_real_space(p, disorder=dis))
         assert s2 > 0.4
-        np.testing.assert_allclose(chain_null_weights(p, dis), weights, rtol=0, atol=1e-12)
-        assert (chain_null_weights(p, dis)[4:] == 0.0).all()
+        np.testing.assert_allclose(chain_null_weights(chain(p, dis)), weights, rtol=0, atol=1e-12)
+        assert (chain_null_weights(chain(p, dis))[4:] == 0.0).all()
 
     @pytest.mark.parametrize("n", [30, 40])
     def test_tie_takes_x(self, n):
@@ -570,17 +570,17 @@ class TestChainSingularValues:
         # ("delocalized" at N = 30, "right" at N = 40); X's, at the left
         # edge, is taken.
         p = LatticeParams(v=0.0, r=1.0, gamma=1.0, n_cells=n)
-        sv = chain_singular_values(p)
+        sv = chain_singular_values(chain(p))
         assert sv.smallest.size == 2 and sv.smallest[0] == sv.smallest[1]
         a, _, r = reduced_chain(p)
         vx = np.linalg.svd(-np.diag(a) - np.diag(r, 1))[2][-1]
-        np.testing.assert_allclose(chain_null_weights(p), vx ** 2, rtol=0, atol=1e-12)
-        assert edge_side(chain_null_weights(p)) == "left"
+        np.testing.assert_allclose(chain_null_weights(chain(p)), vx ** 2, rtol=0, atol=1e-12)
+        assert edge_side(chain_null_weights(chain(p))) == "left"
 
     def test_zero_chain_has_every_singular_value_zero(self):
-        sv = chain_singular_values(ZERO_CHAINS[0])
+        sv = chain_singular_values(chain(ZERO_CHAINS[0]))
         assert sv.sigma_max == 0.0 and sv.smallest.tolist() == [0.0, 0.0]
-        assert chain_null_weights(ZERO_CHAINS[0]).tolist() == [1.0]
+        assert chain_null_weights(chain(ZERO_CHAINS[0])).tolist() == [1.0]
 
     @pytest.mark.parametrize("info", [-6, 1])
     def test_lapack_failure_raises(self, monkeypatch, info):
@@ -591,7 +591,7 @@ class TestChainSingularValues:
         monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
                             lambda *args: (*real(*args)[:-1], info))
         with pytest.raises(np.linalg.LinAlgError, match=f"dstebz returned info = {info}"):
-            chain_singular_values(LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=4))
+            chain_singular_values(chain(LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=4)))
 
     def test_record_holds_only_the_values(self):
         assert [f.name for f in fields(spectra.ChainSingularValues)] == ["sigma_max", "smallest"]
@@ -601,20 +601,36 @@ class TestChainNormAndNullWeights:
     @pytest.mark.parametrize("seed", range(5))
     def test_non_reducing_chains_fall_back_bit_for_bit(self, seed):
         for params, dis in non_reducing_chains(seed):
+            if dis is None:     # a clean ring's form is its Bloch blocks
+                with pytest.raises(ValueError, match="Bloch blocks"):
+                    chain_null_weights(chain(params, dis))
+                continue
             H = build_real_space(params, disorder=dis)
             weights, _, _ = dense_cell_weights(H)
-            np.testing.assert_array_equal(chain_null_weights(params, dis), weights)
-            if dis is not None:     # a clean ring takes the Bloch blocks
-                assert chain_norm(params, dis) == np.linalg.norm(H, 2)
+            np.testing.assert_array_equal(chain_null_weights(chain(params, dis)), weights)
+            assert chain_norm(chain(params, dis)) == np.linalg.norm(H, 2)
+
+    def test_forms_a_function_does_not_take_raise(self):
+        # chain_singular_values takes hops only; chain refuses a stack of
+        # draws, whose stack of H would read as Bloch blocks.
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)
+        onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, 0, 6)
+        ring = replace(p, boundary=Boundary.PERIODIC)
+        for form in (chain(p, onsite), chain(ring)):
+            with pytest.raises(ValueError, match="reduced hops"):
+                chain_singular_values(form)
+        stack = DisorderConfig.from_seeds(DisorderTarget.ON_SITE, 0.3, [0, 1], 6)
+        with pytest.raises(ValueError, match="stack"):
+            chain(p, stack)
 
     @pytest.mark.parametrize("n, v", [(1, 0.3), (2, -0.5), (12, 0.5), (30, 1.3)])
     def test_clean_ring_takes_the_bloch_blocks(self, n, v):
         # H is block-diagonal in k, so ||H||_2 is the largest ||H_k||_2.
         p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n, boundary=Boundary.PERIODIC)
-        h_k = build_bloch(p, spectra.ring_momenta(n))
-        assert chain_norm(p) == np.linalg.norm(h_k, 2, axis=(1, 2)).max()
+        h_k = build_bloch(p, 2 * np.pi * np.arange(n) / n)
+        assert chain_norm(chain(p)) == np.linalg.norm(h_k, 2, axis=(1, 2)).max()
         dense = np.linalg.norm(build_real_space(p), 2)
-        assert abs(chain_norm(p) - dense) <= 1e-14 * dense
+        assert abs(chain_norm(chain(p)) - dense) <= 1e-14 * dense
 
 
 class TestZeroModeAnalysis:
@@ -823,7 +839,7 @@ class TestGapReport:
             for v in vs:
                 p = LatticeParams(v=float(v), r=0.5, gamma=1.0, n_cells=n)
                 dense = np.linalg.norm(build_real_space(p), 2)
-                want = np.abs(spectra.chain_spectrum(p).imag).max() < REALITY_TOL * dense
+                want = np.abs(spectra.chain_spectrum(spectra.chain(p)).imag).max() < REALITY_TOL * dense
                 assert gap_report(p).spectrum_real == want
 
     def test_open_chain_complex_spectrum(self):
