@@ -4,9 +4,10 @@
 Sweeps disorder strength d for each requested target (r, v, gamma,
 onsite) on the open N=30 chain at v = r = gamma/2 and reports, per seed,
 the first d where the zero eigenvalue has split, plus the median over
-seeds. Takes 0.9-1.1 s at the default 100 seeds on a 2-core x86-64
-machine with one BLAS thread; the transition search solves all seeds
-together, one stacked eigvals per grid point.
+seeds. Takes 0.8-1.0 s at the default 100 seeds on a 2-core x86-64
+machine with one BLAS thread; the transition search decides all seeds
+together, and a trace bound settles most of them, so each grid point
+makes at most one stacked eigvals, over the seeds the bound leaves open.
 """
 
 import argparse

@@ -260,8 +260,9 @@ def disorder_transition(params: LatticeParams, target: DisorderTarget,
 
     The criterion is min |E| > tol (in gamma units); a seed whose mode
     survives the whole grid gets None. The draws of all seeds are made
-    once, as one stack; at each d, spectra.smallest_abs_eigenvalue solves
-    the seeds not yet split together, and the search stops once none is left.
+    once, as one stack; at each d, spectra.zero_mode_split decides the
+    seeds not yet split together, solving only the rows its trace bound
+    leaves open, and the search stops once none is left.
     """
     stack = DisorderConfig.from_seeds(target, 0.0, seeds, params.n_cells)
     found = [None] * len(stack.seed)
@@ -271,7 +272,7 @@ def disorder_transition(params: LatticeParams, target: DisorderTarget,
             break
         dis = DisorderConfig(target, float(d), tuple(stack.seed[i] for i in live),
                              stack.draws[live])
-        split = spectra.smallest_abs_eigenvalue(params, dis) > tol
+        split = spectra.zero_mode_split(params, dis, tol)
         for i in live[split]:
             found[i] = float(d)
         live = live[~split]

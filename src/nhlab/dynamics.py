@@ -61,6 +61,9 @@ def evolve(H: np.ndarray, psi0: np.ndarray, t_max: float, dt: float) -> TimeSeri
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (H.shape[0],):
         raise ValueError(f"psi0 shape {psi0.shape} does not match H {H.shape}")
+    if not (t_max >= 0 and math.isfinite(t_max / dt)):
+        raise ValueError(f"t_max / dt must be a finite step count >= 0, "
+                         f"got t_max = {t_max}, dt = {dt}")
     n_steps = int(round(t_max / dt))
     U = propagator(H, dt)
     states = np.empty((n_steps + 1, H.shape[0]), dtype=complex)

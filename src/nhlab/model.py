@@ -74,8 +74,9 @@ class DisorderConfig:
     seeds give identical draws. For HOPPING_R the n-th draw perturbs the
     bond linking cells n and n+1, on both of its hopping lines. A stack
     (from_seeds) holds one row of draws per seed, shape (S, N), and the
-    tuple of its seeds; reduced_chain, build_real_space and
-    spectra.smallest_abs_eigenvalue take it and keep that leading axis.
+    tuple of its seeds; reduced_chain, build_real_space,
+    spectra.smallest_abs_eigenvalue and spectra.zero_mode_split take it
+    and keep that leading axis.
     """
 
     target: DisorderTarget
@@ -105,7 +106,7 @@ class DisorderConfig:
         seeds = tuple(seeds)
         draws = np.empty((len(seeds), n_cells))
         for row, seed in zip(draws, seeds):
-            row[:] = cls.from_seed(target, strength, seed, n_cells).draws
+            row[:] = np.random.default_rng(seed).uniform(-1.0, 1.0, n_cells)
         return cls(target=target, strength=strength, seed=seeds, draws=draws)
 
 

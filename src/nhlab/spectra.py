@@ -50,9 +50,40 @@ def smallest_abs_eigenvalue(params: LatticeParams,
     stacked eigvals, and so do the rows that take H. Non-finite hops
     raise ValueError.
     """
+    out = _smallest_abs(params, disorder, 0.0)
+    return out if _is_stack(disorder) else float(out[0])
+
+
+def zero_mode_split(params: LatticeParams, disorder: DisorderConfig | None,
+                    tol: float) -> bool | np.ndarray:
+    """smallest_abs_eigenvalue(params, disorder) > tol, row for row, with
+    most of its eigvals left out.
+
+    With K = Y^-1 X^-1, min |E| = 1 / sqrt(rho(K)) and the spectral radius
+    rho(K) >= |trace K| / N. Less a rounding margin 2 N^2 eps ||K||_F,
+    which covers eigvals' backward error and the summed trace, that bound
+    is below the largest |eig(K)| that eigvals returns for K, so where
+    1 / sqrt(bound) <= tol the row is certainly not split and is not
+    solved. Near a zero mode, where min |E| is far below tol, almost every
+    row settles so; the rest, and the rows that take H, are solved as in
+    smallest_abs_eigenvalue. A stack gives one bool per row.
+    """
+    split = _smallest_abs(params, disorder, tol) > tol
+    return split if _is_stack(disorder) else bool(split[0])
+
+
+def _is_stack(disorder: DisorderConfig | None) -> bool:
+    return disorder is not None and disorder.draws.ndim == 2
+
+
+def _smallest_abs(params: LatticeParams, disorder: DisorderConfig | None,
+                  tol: float) -> np.ndarray:
+    """min |E| of each row of the draws (one row for None or a single
+    draw), as smallest_abs_eigenvalue; a row whose trace bound (see
+    zero_mode_split) shows min |E| <= tol is left unsolved at 0.0. tol = 0
+    leaves none."""
     n = params.n_cells
-    stacked = disorder is not None and disorder.draws.ndim == 2
-    out = np.zeros(len(disorder.draws) if stacked else 1)
+    out = np.zeros(len(disorder.draws) if _is_stack(disorder) else 1)
     dense = np.arange(len(out))                 # the rows that take H
     hops = reduced_chain(params, disorder)
     if hops is not None:
@@ -61,23 +92,42 @@ def smallest_abs_eigenvalue(params: LatticeParams,
         if not all(np.isfinite(x).all() for x in (a, b, r)):
             raise ValueError("reduced chain hops must be finite")
         rows = np.flatnonzero(a.all(axis=1) & b.all(axis=1))    # the others stay 0.0
-        m = np.empty((len(rows), n, n))
-        eye = np.eye(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, m_i in zip(rows, m):
-                x_inv = _triangular_inverse(-np.diag(a[i]) - np.diag(r[i], 1), eye, lower=False)
-                y_inv = _triangular_inverse(np.diag(b[i]) + np.diag(r[i], -1), eye, lower=True)
-                m_i[:] = y_inv @ x_inv
+            k = _inverse_products(a[rows], b[rows], r[rows])
+            # nan or -inf where K or its norm overflows, which settles nothing
+            bound = (np.abs(np.trace(k, axis1=1, axis2=2))
+                     - 2 * n ** 2 * np.finfo(float).eps
+                     * np.sqrt(np.einsum("kij,kij->k", k, k))) / n
+        settled = bound > 0
+        settled[settled] = 1.0 / np.sqrt(bound[settled]) <= tol
+        solve = ~settled & np.isfinite(k).all(axis=(1, 2))
         top = np.full(len(rows), np.inf)
-        finite = np.isfinite(m).all(axis=(1, 2))
-        top[finite] = np.abs(_eigvals(m[finite])).max(axis=-1)
+        top[solve] = np.abs(_eigvals(k[solve])).max(axis=-1)
         solved = (0.0 < top) & (top < np.inf)
         out[rows[solved]] = 1.0 / np.sqrt(top[solved])
-        dense = rows[~solved]
+        dense = rows[~solved & ~settled]
     if dense.size:
         H = build_real_space(params, disorder=disorder).reshape(-1, 2 * n, 2 * n)
         out[dense] = np.abs(_eigvals(H[dense])).min(axis=-1)
-    return out if stacked else float(out[0])
+    return out
+
+
+def _inverse_products(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """K = Y^-1 X^-1 for each row of the hops a, b (S, N) and r (S, N - 1),
+    with no zero in a or b, where X = -diag(a) - superdiag(r) and
+    Y = diag(b) + subdiag(r). Every row has the same pattern of nonzeros,
+    so one pair of N x N bidiagonals takes each row's hops by index
+    assignment, and each is inverted once per row."""
+    n = a.shape[1]
+    i = np.arange(n)
+    x, y, eye = np.zeros((n, n)), np.zeros((n, n)), np.eye(n)
+    k = np.empty(a.shape + (n,))
+    for a_s, b_s, r_s, k_s in zip(a, b, r, k):
+        x[i, i], x[i[:-1], i[1:]] = -a_s, -r_s
+        y[i, i], y[i[1:], i[:-1]] = b_s, r_s
+        k_s[:] = (_triangular_inverse(y, eye, lower=True)
+                  @ _triangular_inverse(x, eye, lower=False))
+    return k
 
 
 def _triangular_inverse(t: np.ndarray, eye: np.ndarray, lower: bool) -> np.ndarray:

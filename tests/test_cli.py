@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from nhlab import spectra
 from nhlab.cli import (TRANSITION_TOL, cmd_disorder, cmd_spectrum, cmd_svd_scan,
                        cmd_winding, disorder_transition, load_config, main, write_csv,
                        write_json)
+from nhlab.model import reduced_chain
 from nhlab.spectra import ZERO_MODE_TOL, fix_phase
 
 FIG2C_PARAM_SETS = [
@@ -466,18 +468,59 @@ class TestDisorder:
         assert shapes == []
 
     def test_v_search_makes_one_stacked_call_per_grid_point(self, monkeypatch):
-        # Each grid point visited solves the seeds not yet split, all in
-        # one (k, N, N) call (one seed alone as (N, N)); the search stops
-        # at the last seed's transition.
+        # Each grid point visited solves the seeds not yet split that the
+        # trace bound leaves open, all in one (k, N, N) call (one seed
+        # alone as (N, N)), and a point with none makes no call; the search
+        # stops at the last seed's transition.
         shapes, eigvals = [], np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
         params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
         d_grid = np.round(np.arange(0.05, 2.01, 0.05), 10)
         found = disorder_transition(params, DisorderTarget.HOPPING_V, d_grid, range(20))
         assert None not in found and max(found) < d_grid[-1]
-        live = [sum(t >= d for t in found) for d in d_grid if d <= max(found)]
-        assert live[0] == 20 and live[-1] >= 1
-        assert shapes == [(k, 30, 30) if k > 1 else (30, 30) for k in live]
+        undecided = [sum(t >= d and not trace_bound_settles(params, DisorderTarget.HOPPING_V,
+                                                            d, seed, TRANSITION_TOL)
+                         for seed, t in enumerate(found))
+                     for d in d_grid if d <= max(found)]
+        assert 0 in undecided and undecided[-1] >= 1
+        assert shapes == [(k, 30, 30) if k > 1 else (30, 30) for k in undecided if k]
+
+    def test_bound_solves_fewer_rows_than_every_live_seed(self, tmp_path, monkeypatch):
+        # scripts/disorder_scan.py's config at seeds 0-19. Solving every
+        # seed not yet split hands eigvals 442 matrices, CSV sweep included;
+        # the trace bound leaves most of them out, with the same files.
+        cfg = {"n_cells": 30, "r": 0.5, "v": 0.5, "gamma": 1.0,
+               "targets": ["r", "v", "gamma"],
+               "d_grid": {"start": 0.05, "stop": 2.0, "num": 40}, "n_seeds": 20, "seed": 0}
+        counts, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: counts.append(len(a) if np.ndim(a) == 3 else 1) or eigvals(a))
+        bound, every = tmp_path / "bound", tmp_path / "every"
+        bound.mkdir()
+        every.mkdir()
+        cmd_disorder(cfg, bound)
+        with_bound = sum(counts)
+        counts.clear()
+        monkeypatch.setattr(spectra, "zero_mode_split", lambda params, dis, tol:
+                            spectra.smallest_abs_eigenvalue(params, dis) > tol)
+        cmd_disorder(cfg, every)
+        assert sum(counts) == 442 and with_bound < 442
+        for path in every.iterdir():
+            assert (bound / path.name).read_bytes() == path.read_bytes()
+
+
+def trace_bound_settles(params, target, d, seed, tol):
+    """Whether |trace K| / N, less 2 N^2 eps ||K||_F, shows min |E| <= tol
+    for K = Y^-1 X^-1 of one seed's reduced chain."""
+    dis = DisorderConfig.from_seed(target, float(d), seed, params.n_cells)
+    a, b, r = reduced_chain(params, dis)
+    n = params.n_cells
+    x = -np.diag(a) - np.diag(r, 1)
+    y = np.diag(b) + np.diag(r, -1)
+    k = (scipy.linalg.solve_triangular(y, np.eye(n), lower=True)
+         @ scipy.linalg.solve_triangular(x, np.eye(n)))
+    bound = (abs(np.trace(k)) - 2 * n ** 2 * np.finfo(float).eps * np.linalg.norm(k)) / n
+    return bool(bound > 0 and 1.0 / np.sqrt(bound) <= tol)
 
 
 def dense_transition(params, target, d_grid, seed):
@@ -541,6 +584,16 @@ class TestEvolve:
                                            "excite_site": site})
         assert run("evolve", cfg_path, tmp_path / "out") == 2
         assert "excite_site" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_max, dt", [(1e300, 1e-300), (-1.0, 0.01)])
+    def test_step_count_must_be_finite_and_non_negative(self, tmp_path, capsys, t_max, dt):
+        cfg_path = write_config(tmp_path, {"n_cells": 5, "v": 0.5, "r": 0.5, "gamma": 1.0,
+                                           "t_max": t_max, "dt": dt})
+        out = tmp_path / "out"
+        assert run("evolve", cfg_path, out) == 2
+        err = capsys.readouterr().err
+        assert "t_max" in err and "dt" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSweepPhase:

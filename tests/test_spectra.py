@@ -17,7 +17,7 @@ from nhlab import spectra
 from nhlab.model import reduced_chain
 from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain, chain_norm,
                            chain_null_weights, chain_singular_values, edge_side,
-                           fix_phase, smallest_abs_eigenvalue)
+                           fix_phase, smallest_abs_eigenvalue, zero_mode_split)
 
 from conftest import assert_multisets_close
 
@@ -310,6 +310,36 @@ class TestSmallestAbsEigenvalue:
         assert seen == [(np.dtype(complex), (4, 12, 12))]
         assert got.tolist() == [dense_min_abs(p, DisorderConfig.from_seed(
             DisorderTarget.ON_SITE, 0.3, seed, 6)) for seed in range(4)]
+
+    @given(st.sampled_from(list(DisorderTarget)), st.one_of(st.integers(1, 12), st.just(30)),
+           st.floats(-2.0, 2.0), st.booleans(), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
+           st.floats(0.0, 3.0), st.integers(0, 1000),
+           st.sampled_from([1e-300, 1e-10, 1e-6, 1e-3, 1e300]))
+    @settings(max_examples=200, deadline=None)
+    def test_split_matches_solved_rows(self, target, n, v, at_half, r, gamma, d, seed, tol):
+        # v = gamma/2 puts a zero mode, or one split by the disorder, on
+        # most draws: the rows the trace bound settles without eigvals.
+        p = LatticeParams(v=gamma / 2 if at_half else v, r=r, gamma=gamma, n_cells=n)
+        stack = DisorderConfig.from_seeds(target, d, range(seed, seed + 5), n)
+        got = zero_mode_split(p, stack, tol)
+        assert got.dtype == bool
+        assert got.tolist() == (smallest_abs_eigenvalue(p, stack) > tol).tolist()
+        assert zero_mode_split(p, None, tol) is (smallest_abs_eigenvalue(p) > tol)
+
+    @given(st.sampled_from([DisorderTarget.HOPPING_V, DisorderTarget.GAIN_LOSS]),
+           st.integers(1, 30), st.floats(0.05, 2.0), st.floats(0.0, 1.5),
+           st.integers(0, 1000), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_split_at_a_rows_own_min_abs_e(self, target, n, r, d, seed, row):
+        # At tol = min |E| of one row, and one double below it, that row's
+        # verdict turns on the last bit: the bound may settle it only if
+        # it never exceeds the largest |eig(K)| that eigvals returns.
+        p = LatticeParams(v=0.5, r=r, gamma=1.0, n_cells=n)
+        stack = DisorderConfig.from_seeds(target, d, range(seed, seed + 5), n)
+        values = smallest_abs_eigenvalue(p, stack)
+        assume(values[row] > 0.0)
+        for tol in (values[row], np.nextafter(values[row], 0.0)):
+            assert zero_mode_split(p, stack, tol).tolist() == (values > tol).tolist()
 
     @pytest.mark.parametrize("params, disorder", [
         (LatticeParams(v=0.55, r=0.5, gamma=1.0, n_cells=40), None),
