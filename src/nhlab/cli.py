@@ -38,6 +38,8 @@ EVOLVE_PRESETS = {
 # transition in disorder sweeps (plot-resolvable splitting).
 TRANSITION_TOL = 1e-6
 
+SVG_WIDTH, SVG_HEIGHT = 640, 400
+
 
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """Stream {header: 1-D array} columns as CSV rows with LF endings; floats get
@@ -55,7 +57,7 @@ def write_json(path: Path, obj) -> None:
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
-def write_svg(path: Path, xs, ys_list, labels=None, width=640, height=400) -> None:
+def write_svg(path: Path, xs, ys_list, labels=None) -> None:
     """Self-contained polyline plot; plumbing convenience, not an app."""
     xs = np.asarray(xs, dtype=float)
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
@@ -67,10 +69,10 @@ def write_svg(path: Path, xs, ys_list, labels=None, width=640, height=400) -> No
     if y1 == y0:
         y1 = y0 + 1.0
     pad = 40
-    sx = lambda x: pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
-    sy = lambda y: height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
+    sx = lambda x: pad + (x - x0) / (x1 - x0) * (SVG_WIDTH - 2 * pad)
+    sy = lambda y: SVG_HEIGHT - pad - (y - y0) / (y1 - y0) * (SVG_HEIGHT - 2 * pad)
+    size = f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}"'
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" {size}>', f'<rect {size} fill="white"/>']
     for i, ys in enumerate(ys_list):
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" '
@@ -474,7 +476,8 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         seed = {} if args.seed is None else {"seed_override": args.seed}
         files = COMMANDS[args.command](cfg, out, svg=args.svg, **seed)
-    except (NhlabError, ValueError, TypeError) as exc:  # TypeError: ill-typed config value
+    # TypeError: an ill-typed config value; MemoryError: a size no host can allocate.
+    except (NhlabError, ValueError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for d in created:
             if not d.is_dir() or any(d.iterdir()):

@@ -14,7 +14,7 @@ class NoZeroModeError(NhlabError):
 
 
 class TrackingAmbiguityError(NhlabError):
-    """Overlap continuation cannot decide between the two bands; refine sampling."""
+    """Band tracking or the winding cannot be decided at this sampling; refine it."""
 
 
 class OnBoundaryError(NhlabError):

@@ -11,7 +11,7 @@ from .model import SIGMA_X, SIGMA_Z, LatticeParams
 from .spectra import bloch_branches
 
 DEFAULT_SAMPLES = 4001
-AMBIGUITY_MARGIN = 1e-3   # overlap continuation refuses steps whose overlaps differ less
+AMBIGUITY_RATIO = 0.9     # a tracking step is refused above this min/max of its branch distances
 EP_BOUNDARY_TOL = 1e-9    # a hopping circle this close to an EP passes through it
 ORIGIN_TOL = 1e-9         # winding undefined if the trajectory comes this close to 0
 REALNESS_TOL = 1e-12      # allowed |Im| of the <sigma_x>, <sigma_z> expectation values
@@ -55,30 +55,6 @@ class TrackedBand:
     vectors: np.ndarray          # (nk, 2, 2)
 
 
-def _continuation_branch(pair: np.ndarray, start: int) -> np.ndarray:
-    """Branch index (0 for +, 1 for -) per sample by overlap continuation.
-
-    pair[i] holds the + and - eigenvectors at sample i as its columns.
-    """
-    # same[a][i] and cross[a][i]: overlap of branch a at sample i with
-    # branch a and with the other branch at sample i + 1.
-    overlaps = np.abs(np.einsum("nja,njb->nab", pair[:-1].conj(), pair[1:]))
-    same = overlaps[:, [0, 1], [0, 1]].T.tolist()
-    cross = overlaps[:, [0, 1], [1, 0]].T.tolist()
-    branch = [start]
-    cur = start
-    for i in range(len(pair) - 1):
-        s, c = same[cur][i], cross[cur][i]
-        if abs(s - c) < AMBIGUITY_MARGIN:
-            raise TrackingAmbiguityError(
-                f"overlaps differ by {abs(s - c):.2g} at step {i}; refine sampling"
-            )
-        if c > s:
-            cur = 1 - cur
-        branch.append(cur)
-    return np.array(branch)
-
-
 def track_band(params: LatticeParams, start: float = 0.0, span: float = 4 * np.pi,
                samples: int = DEFAULT_SAMPLES, branch: int = 0) -> TrackedBand:
     """Continuously tracked Bloch branch over k in start + [0, span].
@@ -86,8 +62,12 @@ def track_band(params: LatticeParams, start: float = 0.0, span: float = 4 * np.p
     H_k(phi) depends only on k + phi, so the same sweep serves a
     momentum loop (winding) and a hopping-phase sweep at fixed k
     (transport). Starts on the principal (+, branch=0) or the (-,
-    branch=1) branch and follows it by maximum eigenvector overlap. The
-    endpoint is included so closure can be checked directly.
+    branch=1) branch and follows its energy: step i keeps the branch when
+    |E[i+1] - E[i]| < |E[i+1] + E[i]| and swaps it otherwise. The vectors
+    of -E are those of E swapped, so this follows the eigenvectors too. A
+    step whose nearer distance exceeds AMBIGUITY_RATIO times the farther
+    raises TrackingAmbiguityError. The endpoint is included so closure
+    can be checked directly.
     """
     if samples < 400:
         raise ValueError("samples must be >= 400")
@@ -95,8 +75,15 @@ def track_band(params: LatticeParams, start: float = 0.0, span: float = 4 * np.p
     E, u_plus, u_minus = bloch_branches(params, ks)
     if np.any(np.abs(E) < 1e-12):
         raise OnBoundaryError("a sampled momentum sits at an exceptional point")
+    stay, swap = np.abs(E[1:] - E[:-1]), np.abs(E[1:] + E[:-1])
+    ambiguous = np.minimum(stay, swap) > AMBIGUITY_RATIO * np.maximum(stay, swap)
+    if ambiguous.any():
+        i = int(np.argmax(ambiguous))
+        raise TrackingAmbiguityError(
+            f"branch distances {stay[i]:.2g} and {swap[i]:.2g} at step {i} "
+            f"are too close; refine sampling")
+    current = (branch + np.concatenate([[0], np.cumsum(swap <= stay)])) % 2
     pair = np.stack([u_plus, u_minus], axis=2)                  # (nk, 2, 2)
-    current = _continuation_branch(pair, branch)
     order = np.stack([current, 1 - current], axis=1)            # (nk, 2)
     vectors = np.take_along_axis(pair, order[:, None, :], axis=2)
     return TrackedBand(ks=ks, vectors=vectors)
@@ -144,7 +131,8 @@ def winding_number(tracked: TrackedBand) -> WindingResult:
     winding = total / (4 * np.pi)
     quantized = round(2 * winding) / 2
     if abs(winding - quantized) > 0.01:
-        raise AssertionError(f"winding {winding} is not a half-integer multiple")
+        raise TrackingAmbiguityError(
+            f"winding {winding} is not a half-integer multiple; refine sampling")
     # Closure at 2*pi: the Bloch matrix there equals the one at the start,
     # so the tracked vector is (up to phase) one of the two start eigenvectors.
     i2pi = int(np.argmin(np.abs(tracked.ks - tracked.ks[0] - 2 * np.pi)))

@@ -277,6 +277,20 @@ class TestWinding:
         with pytest.raises(ConfigError):
             cmd_winding({"param_sets": []}, tmp_path)
 
+    @pytest.mark.parametrize("ps", [
+        {"v": 1.4808447034732346, "r": 1.252552825250444, "gamma": 0.4565823864455857},
+        {"v": -1.085972496303503, "r": 1.148110314527169, "gamma": 0.1238723241370771},
+    ], ids=["no-ep-read-as-one", "two-eps-read-as-three-halves"])
+    def test_undecidable_sampling_exits_2(self, tmp_path, capsys, ps):
+        # At 400 samples a step near an EP cannot be decided on either circle (the
+        # first encloses no EP, the second two); guessing it gives 0.5 and 0.75.
+        out = tmp_path / "new" / "out"
+        assert run("winding", write_config(tmp_path, {"param_sets": [ps], "samples": 400}),
+                   out) == 2
+        err = capsys.readouterr().err
+        assert "refine sampling" in err and "Traceback" not in err
+        assert not (tmp_path / "new").exists()
+
 
 class TestDisorder:
     def _config(self, **over):
@@ -753,6 +767,21 @@ class TestMainPlumbing:
     def test_rejected_run_leaves_no_directory(self, tmp_path, command, cfg):
         cfg_path = write_config(tmp_path, cfg)
         assert run(command, cfg_path, tmp_path / "new" / "out") == 2
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("evolve", {"n_cells": 5, "v": 0.5, "r": 0.5, "gamma": 1.0, "t_max": 1e12,
+                    "dt": 1e-3}),
+        ("winding", {"param_sets": [FIG2C_PARAM_SETS[1]], "samples": 10 ** 15}),
+        ("sweep-phase", SWEEP_CFG | {"samples": 10 ** 15}),
+    ], ids=["evolve", "winding", "sweep-phase"])
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys, command, cfg):
+        # Each run asks for an array of 1 PiB or more, beyond the 128 TiB x86-64
+        # user address space, so the allocation fails at once on any host.
+        out = tmp_path / "new" / "out"
+        assert run(command, write_config(tmp_path, cfg), out) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "allocate" in err
         assert not (tmp_path / "new").exists()
 
     def test_rejected_run_keeps_existing_directory(self, tmp_path):

@@ -29,6 +29,23 @@ def away_from_boundaries(p, margin=0.05):
     return all(abs(abs(s * p.gamma / 2 - p.v) - p.r) > margin for s in (1, -1))
 
 
+def loop_track_band(params, start=0.0, span=4 * np.pi, samples=4001, branch=0):
+    """Reference tracker: follows the branch by maximum eigenvector overlap, step by step."""
+    ks = start + np.linspace(0.0, span, samples)
+    _, u_plus, u_minus = bloch_branches(params, ks)
+    pair = np.stack([u_plus, u_minus], axis=2)
+    vectors = np.empty_like(pair)
+    cur = branch
+    for i in range(samples):
+        if i:
+            same = abs(np.vdot(pair[i - 1, :, cur], pair[i, :, cur]))
+            cross = abs(np.vdot(pair[i - 1, :, cur], pair[i, :, 1 - cur]))
+            if cross > same:
+                cur = 1 - cur
+        vectors[i] = pair[i][:, [cur, 1 - cur]]
+    return vectors
+
+
 def normalized_coeffs(u, basis_plus, basis_minus):
     c = np.abs(band_coefficients(u, basis_plus, basis_minus))
     return c / np.linalg.norm(c)
@@ -101,6 +118,16 @@ class TestTrackBand:
         overlap = abs(np.vdot(tracked.vectors[0, :, 0], tracked.vectors[-1, :, 0]))
         assert overlap > 1 - 1e-6
 
+    @given(clean_params_st, st.sampled_from([400, 4001]), st.floats(-np.pi, np.pi),
+           st.sampled_from([-2 * np.pi, 2 * np.pi, 4 * np.pi]), st.sampled_from([0, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_overlap_loop(self, p, samples, start, span, branch):
+        # Following E picks the same eigenvectors as the overlap loop, bit for bit.
+        assume(away_from_boundaries(p))
+        tracked = track_band(p, start=start, span=span, samples=samples, branch=branch)
+        assert tracked.vectors.tobytes() == loop_track_band(
+            p, start=start, span=span, samples=samples, branch=branch).tobytes()
+
 
 class TestBandCoefficients:
     def test_recovers_basis_vectors(self):
@@ -156,6 +183,17 @@ class TestWindingNumber:
         with pytest.raises(TrackingAmbiguityError):
             winding_number(tracked)
 
+    def test_non_half_integer_winding_refused(self):
+        # u = (cos a, -sin a) has (<sigma_x>, <sigma_z>) = (-sin 2a, cos 2a), whose
+        # angle turns by pi/2 as a goes 0 -> pi/4: a winding of 1/8.
+        a = np.linspace(0.0, np.pi / 4, 401)
+        u = np.stack([np.cos(a), -np.sin(a)], axis=1)
+        w = np.stack([np.sin(a), np.cos(a)], axis=1)
+        tracked = TrackedBand(ks=np.linspace(0, 4 * np.pi, 401),
+                              vectors=np.stack([u, w], axis=2).astype(complex))
+        with pytest.raises(TrackingAmbiguityError, match="half-integer"):
+            winding_number(tracked)
+
     def test_rejects_sweep_other_than_four_pi(self):
         # over 2*pi the two-EP circle would read as winding 1/2
         with pytest.raises(ValueError):
@@ -168,3 +206,21 @@ class TestWindingNumber:
         res = winding_number(track_band(p))
         assert res.winding == count_enclosed_eps(p) / 2
         assert (res.closure_period == "4pi") == (res.eps_enclosed == 1)
+
+    @given(st.floats(0.1, 2.0), st.floats(0.1, 1.5), st.sampled_from([1, -1]),
+           st.sampled_from([1, -1]), st.sampled_from([1, -1]), st.floats(-9, -2),
+           st.sampled_from([400, 1000, 4001]))
+    @settings(max_examples=150, deadline=None)
+    def test_near_boundary_is_right_or_refused(self, gamma, r, ep, inside, side, log_d,
+                                               samples):
+        # The circle passes 10**log_d inside or outside the EP at ep * gamma / 2,
+        # with the center to its left or right; a refusal is allowed, a wrong value not.
+        v = ep * gamma / 2 + side * (r - inside * 10 ** log_d)
+        p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=1)
+        try:
+            n_eps = count_enclosed_eps(p)
+            res = winding_number(track_band(p, samples=samples))
+        except (TrackingAmbiguityError, OnBoundaryError):
+            return
+        assert res.winding == n_eps / 2
+        assert (res.closure_period == "4pi") == (n_eps == 1)
