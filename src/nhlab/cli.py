@@ -197,7 +197,8 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
             sv = spectra.chain_singular_values(form, tol=tol)
             entry["zero_mode_present"] = bool(sv.smallest.size)
             if sv.smallest.size:
-                entry["side"] = spectra.edge_side(spectra.chain_null_weights(form))
+                weights = spectra.chain_null_weights(form, sv.null_factor)
+                entry["side"] = spectra.edge_side(weights)
                 alg = spectra.zero_cluster_size(w, sv.sigma_max, tol)
                 entry["defective"] = alg == 2 and sv.smallest.size == 1
         else:
@@ -303,7 +304,9 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
     trans_tol = _positive(cfg.get("transition_tol", TRANSITION_TOL), "disorder.transition_tol")
     zm_tol = _positive(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL), "disorder.zero_mode_tol",
                        below=1.0)
-    files = []
+    # Every target is solved before any file is written, so a failing
+    # target (or a seed stack too large to allocate) leaves none.
+    sheets = []
     summary = {}
     for target in targets:
         name = target.value
@@ -318,11 +321,9 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
                                            spectra.chain_norm(form), zm_tol)
             if present[j]:
                 side[j] = spectra.edge_side(spectra.chain_null_weights(form))
-        csv_path = out / f"disorder_{name}.csv"
-        write_csv(csv_path, _sheet("d_over_gamma", d_grid, energies)
-                  | {"zero_mode_present": np.repeat(present, params.dim),
-                     "zero_mode_side": np.repeat(side, params.dim)})
-        files.append(csv_path)
+        sheets.append((name, _sheet("d_over_gamma", d_grid, energies)
+                       | {"zero_mode_present": np.repeat(present, params.dim),
+                          "zero_mode_side": np.repeat(side, params.dim)}))
         transitions = disorder_transition(params, target, d_grid,
                                           range(base_seed, base_seed + n_seeds), tol=trans_tol)
         finite = [t for t in transitions if t is not None]
@@ -331,6 +332,11 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
             "median_transition": float(np.median(finite)) if finite else None,
             "n_surviving_full_grid": len(transitions) - len(finite),
         }
+    files = []
+    for name, sheet in sheets:
+        csv_path = out / f"disorder_{name}.csv"
+        write_csv(csv_path, sheet)
+        files.append(csv_path)
     json_path = out / "disorder_summary.json"
     write_json(json_path, {"base_seed": base_seed, "n_seeds": n_seeds,
                            "transition_tol": trans_tol, "targets": summary})
@@ -476,8 +482,9 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         seed = {} if args.seed is None else {"seed_override": args.seed}
         files = COMMANDS[args.command](cfg, out, svg=args.svg, **seed)
-    # TypeError: an ill-typed config value; MemoryError: a size no host can allocate.
-    except (NhlabError, ValueError, TypeError, MemoryError) as exc:
+    # TypeError: an ill-typed config value; MemoryError: a size no host can
+    # allocate; OverflowError: a size beyond the index range (a count of 2**63).
+    except (NhlabError, ValueError, TypeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for d in created:
             if not d.is_dir() or any(d.iterdir()):

@@ -102,9 +102,11 @@ class DisorderConfig:
     @classmethod
     def from_seeds(cls, target: DisorderTarget, strength: float, seeds,
                    n_cells: int) -> "DisorderConfig":
-        """A stack: row s holds from_seed's draws for seeds[s]."""
-        seeds = tuple(seeds)
+        """A stack: row s holds from_seed's draws for seeds[s], a sized
+        sequence (a range, list or tuple). The draws are allocated before
+        the seeds are copied, so a range too long to hold fails at once."""
         draws = np.empty((len(seeds), n_cells))
+        seeds = tuple(seeds)
         for row, seed in zip(draws, seeds):
             row[:] = np.random.default_rng(seed).uniform(-1.0, 1.0, n_cells)
         return cls(target=target, strength=strength, seed=seeds, draws=draws)

@@ -249,6 +249,7 @@ class ChainSingularValues:
 
     sigma_max: float
     smallest: np.ndarray          # every singular value below tol * sigma_max, ascending
+    null_factor: int | None       # 0 (X) or 1 (Y): the factor that holds smallest[0]
 
 
 def _golub_kahan(hops):
@@ -279,7 +280,9 @@ def chain_singular_values(hops, tol: float = ZERO_MODE_TOL) -> ChainSingularValu
     or b_n = 0) is singular, and its sigma_min is exactly 0.0. A hop below
     1.5e-154 times the largest counts as zero. `smallest` is empty when no
     singular value lies below the cut, as at tol = 0; tol > 1 takes all
-    2N, and so does H = 0. Any other form (see chain) raises ValueError.
+    2N, and so does H = 0. `null_factor` names the factor whose sigma_min
+    is smallest[0], X on a tie, for chain_null_weights; it is None when
+    `smallest` is empty. Any other form (see chain) raises ValueError.
     """
     if not isinstance(hops, tuple):
         raise ValueError("chain_singular_values takes reduced hops (a, b, r)")
@@ -289,7 +292,7 @@ def chain_singular_values(hops, tol: float = ZERO_MODE_TOL) -> ChainSingularValu
     (top,) = _bisect(np.concatenate([gk[0], [0.0], gk[1]]), 2,
                      il=4 * len(a), iu=4 * len(a), tol=0.0)
     if top == 0.0:                      # H = 0: every singular value is 0
-        return ChainSingularValues(0.0, np.zeros(2 * len(a)))
+        return ChainSingularValues(0.0, np.zeros(2 * len(a)), 0)
     cut = tol * top
     values = []
     for off, diag in zip(gk, (a, b)):
@@ -298,7 +301,9 @@ def chain_singular_values(hops, tol: float = ZERO_MODE_TOL) -> ChainSingularValu
         if s.size and not diag.all():
             s[0] = 0.0
         values.append(s[s < cut])
-    return ChainSingularValues(float(scale * top), scale * np.sort(np.concatenate(values)))
+    x_min, y_min = (s[0] if s.size else np.inf for s in values)
+    return ChainSingularValues(float(scale * top), scale * np.sort(np.concatenate(values)),
+                               int(y_min < x_min) if min(x_min, y_min) < np.inf else None)
 
 
 def chain_norm(form) -> float:
@@ -311,7 +316,7 @@ def chain_norm(form) -> float:
     return float(np.linalg.norm(form, 2, axis=(-2, -1)).max())
 
 
-def chain_null_weights(form) -> np.ndarray:
+def chain_null_weights(form, factor: int | None = None) -> np.ndarray:
     """Per-cell weights, summing to 1, of the right singular vector of
     sigma_min of a chain's form (see chain); their edge_side is the zero
     mode's side.
@@ -319,7 +324,9 @@ def chain_null_weights(form) -> np.ndarray:
     Hops take it from the factor (X or Y, see chain_singular_values) with
     the smaller sigma_min, bisected, or 0.0 at a zero diagonal hop; X on a
     tie, as at v = 0, where |a_n| = |b_n| and the null space of H is
-    two-dimensional. A dense SVD of that N x N factor gives the vector:
+    two-dimensional. A caller that holds chain_singular_values of the hops
+    passes its null_factor (0 for X, 1 for Y) as `factor`, and nothing is
+    bisected again. A dense SVD of that N x N factor gives the vector:
     inverse iteration (dstein) can miss it for the numerically double pair
     +-sigma_min (residual 7.6e-4 at v = -0.987, r = 1.96, gamma = 1.965,
     N = 16). H takes its own SVD; Bloch blocks raise ValueError.
@@ -329,11 +336,13 @@ def chain_null_weights(form) -> np.ndarray:
             raise ValueError("chain_null_weights takes reduced hops or H, not Bloch blocks")
         return edge_profile(np.linalg.svd(form)[2][-1]).weights
     a, b, r = form
-    _, gk = _golub_kahan(form)
-    sigma_x, sigma_y = (abs(_bisect(off, 2, il=len(a) + 1, iu=len(a) + 1)[0])
-                        if diag.all() else 0.0 for off, diag in zip(gk, (a, b)))
-    factor = np.diag(b) + np.diag(r, -1) if sigma_y < sigma_x else -np.diag(a) - np.diag(r, 1)
-    x = np.linalg.svd(factor)[2][-1] ** 2
+    if factor is None:
+        _, gk = _golub_kahan(form)
+        sigma_x, sigma_y = (abs(_bisect(off, 2, il=len(a) + 1, iu=len(a) + 1)[0])
+                            if diag.all() else 0.0 for off, diag in zip(gk, (a, b)))
+        factor = int(sigma_y < sigma_x)
+    m = np.diag(b) + np.diag(r, -1) if factor else -np.diag(a) - np.diag(r, 1)
+    x = np.linalg.svd(m)[2][-1] ** 2
     return x / np.sum(x)
 
 
@@ -453,15 +462,42 @@ class SpectralReport:
     zero_cluster: ZeroModeInfo | None
 
 
+def _clean_open_chain(H: np.ndarray) -> LatticeParams | None:
+    """The params of a clean open chain whose build_real_space is H bit for
+    bit, else None. v, gamma and r are read off H[0, 1], H[0, 0] and
+    H[2, 0] (an N = 1 chain has no bond, and any r gives it); the builder
+    itself decides whether they give H back, so the test is exact.
+    """
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2 or not H.size:
+        return None
+    n = H.shape[0] // 2
+    try:
+        p = LatticeParams(v=float(H[0, 1].real), r=2 * float(H[2, 0].imag) if n > 1 else 1.0,
+                          gamma=2 * float(H[0, 0].imag), n_cells=n)
+    except ValueError:
+        return None
+    return p if build_real_space(p).tobytes() == H.tobytes() else None
+
+
 def spectral_report(H: np.ndarray) -> SpectralReport:
     """Full spectrum with clustered multiplicities and zero-mode data.
 
     real_gap is the distance of the non-zero-cluster spectrum from
-    Re E = 0 (zero when the bands touch the imaginary axis).
+    Re E = 0 (zero when the bands touch the imaginary axis). When H is a
+    clean open chain (build_real_space of some params, bit for bit) the
+    eigenvalues come from chain_spectrum and the scale ||H||_2 from
+    chain_norm, both on its reduced hops, which gives an exactly real
+    spectrum wherever every a_n b_n >= 0; any other H takes eigvals(H)
+    and norm(H, 2).
     """
     H = np.asarray(H, dtype=complex)
-    scale = np.linalg.norm(H, 2)
-    w = np.linalg.eigvals(H)
+    params = _clean_open_chain(H)
+    if params is None:
+        scale = np.linalg.norm(H, 2)
+        w = np.linalg.eigvals(H)
+    else:
+        form = chain(params)
+        scale, w = chain_norm(form), chain_spectrum(form)
     thresh = CLUSTER_TOL * max(scale, 1e-300)
     ws = w[np.lexsort((w.imag, w.real))]
     # Single linkage: each eigenvalue takes the lowest sorted index it reaches

@@ -172,8 +172,13 @@ class TestSpectrum:
                            "defective": True}]
 
     def test_open_run_makes_no_redundant_solves(self, tmp_path, monkeypatch):
-        calls = {"eigvals": 0, "lstsq": 0, "svd_values": 0, "svd_full": 0}
+        calls = {"eigvals": 0, "lstsq": 0, "svd_values": 0, "svd_full": 0, "bisect_index": 0}
         eigvals, lstsq, svd = np.linalg.eigvals, np.linalg.lstsq, np.linalg.svd
+        bisect = spectra._bisect
+
+        def counted_bisect(off, select, *args, **kwargs):
+            calls["bisect_index"] += select == 2
+            return bisect(off, select, *args, **kwargs)
 
         def counted_eigvals(a):
             calls["eigvals"] += 1
@@ -191,6 +196,7 @@ class TestSpectrum:
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(spectra, "_bisect", counted_bisect)
         grid = np.linspace(0.0, 2.0, 81)
         cfg = write_config(tmp_path, self._config("open", grid.tolist()))
         assert run("spectrum", cfg, tmp_path / "out") == 0
@@ -199,11 +205,13 @@ class TestSpectrum:
         # a_n b_n = v^2 - gamma^2/4 < 0; |v| >= gamma/2 takes eigvalsh_tridiagonal.
         # The singular values come from bisection on the reduced chain's
         # bidiagonal factors; only the side of a present mode takes an SVD,
-        # of the N x N factor that holds sigma_min.
+        # of the N x N factor that holds sigma_min. Each point bisects one
+        # eigenvalue by index, sigma_max: the factor that holds sigma_min
+        # comes from the values below the cut, not from a second bisection.
         present = sum(t["zero_mode_present"] for t in tracks)
         assert present > 0
         assert calls == {"eigvals": int(np.sum(np.abs(grid) < 0.5)), "lstsq": 0,
-                         "svd_values": 0, "svd_full": present}
+                         "svd_values": 0, "svd_full": present, "bisect_index": len(grid)}
 
     def test_tied_factors_take_the_left_vector(self, tmp_path):
         # At v = 0, r = 1 the factors X and Y share their singular values,
@@ -774,7 +782,9 @@ class TestMainPlumbing:
                     "dt": 1e-3}),
         ("winding", {"param_sets": [FIG2C_PARAM_SETS[1]], "samples": 10 ** 15}),
         ("sweep-phase", SWEEP_CFG | {"samples": 10 ** 15}),
-    ], ids=["evolve", "winding", "sweep-phase"])
+        # The seed stack of the first target is allocated before any file is written.
+        ("disorder", DISORDER_CFG | {"targets": ["v", "gamma"], "n_seeds": 10 ** 15}),
+    ], ids=["evolve", "winding", "sweep-phase", "disorder"])
     def test_unallocatable_size_exits_2(self, tmp_path, capsys, command, cfg):
         # Each run asks for an array of 1 PiB or more, beyond the 128 TiB x86-64
         # user address space, so the allocation fails at once on any host.
@@ -782,6 +792,12 @@ class TestMainPlumbing:
         assert run(command, write_config(tmp_path, cfg), out) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "allocate" in err
+        assert not (tmp_path / "new").exists()
+
+    def test_count_beyond_index_range_exits_2(self, tmp_path, capsys):
+        cfg = DISORDER_CFG | {"n_seeds": 2 ** 63}
+        assert run("disorder", write_config(tmp_path, cfg), tmp_path / "new" / "out") == 2
+        assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
     def test_rejected_run_keeps_existing_directory(self, tmp_path):

@@ -624,7 +624,29 @@ class TestChainSingularValues:
             chain_singular_values(chain(LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=4)))
 
     def test_record_holds_only_the_values(self):
-        assert [f.name for f in fields(spectra.ChainSingularValues)] == ["sigma_max", "smallest"]
+        assert [f.name for f in fields(spectra.ChainSingularValues)] == [
+            "sigma_max", "smallest", "null_factor"]
+
+    @given(st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
+           st.integers(1, 30), st.sampled_from([None, DisorderTarget.HOPPING_R,
+                                                DisorderTarget.HOPPING_V,
+                                                DisorderTarget.GAIN_LOSS]),
+           st.floats(0.0, 1.0), st.integers(0, 1000), st.sampled_from([ZERO_MODE_TOL, 1e-3]))
+    @example(0.0, 1.0, 1.0, 30, None, 0.0, 0, ZERO_MODE_TOL)     # X and Y tie
+    @example(0.5, 0.5, 1.0, 12, None, 0.0, 0, ZERO_MODE_TOL)     # X singular
+    @example(-0.5, 0.5, 1.0, 12, None, 0.0, 0, ZERO_MODE_TOL)    # Y singular
+    @settings(max_examples=150, deadline=None)
+    def test_null_factor_is_the_bisected_choice(self, v, r, gamma, n, target, d, seed, tol):
+        # null_factor, read off the values below the cut, picks the factor
+        # that chain_null_weights would pick by bisecting both sigma_min.
+        p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n)
+        dis = None if target is None else DisorderConfig.from_seed(target, d, seed, n)
+        form = chain(p, dis)
+        sv = chain_singular_values(form, tol=tol)
+        assert (sv.null_factor is None) == (sv.smallest.size == 0)
+        if sv.smallest.size:
+            assert (chain_null_weights(form, sv.null_factor).tobytes()
+                    == chain_null_weights(form).tobytes())
 
 
 class TestChainNormAndNullWeights:
@@ -820,6 +842,90 @@ class TestSpectralReport:
         zm = rep.zero_cluster
         assert zm is not None and zm.geometric_multiplicity == 2 and not zm.defective
         assert not zm.u0_prime.any()
+
+    @pytest.mark.parametrize("n, v", [(100, 1.3), (40, 0.55), (60, 0.55)])
+    def test_clean_open_chain_real_where_dense_scatters(self, n, v):
+        # Every a_n b_n > 0, so the spectrum is real; the dense solve of H
+        # reported |Im E| above REALITY_TOL * ||H||_2 at each of these.
+        rep = spectral_report(build_real_space(LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n)))
+        assert rep.is_real and not rep.eigenvalues.imag.any()
+
+    @pytest.mark.parametrize("n", [60, 80])
+    def test_clean_open_chain_real_on_generic_sweep(self, n):
+        # v in [1.1, 1.9], the range of the spectral benchmark's generic
+        # chains: the dense solve flipped is_real near v = 1.42-1.49 at N = 80.
+        for v in np.linspace(1.1, 1.9, 81):
+            H = build_real_space(LatticeParams(v=float(v), r=0.5, gamma=1.0, n_cells=n))
+            assert spectral_report(H).is_real, v
+
+    @pytest.mark.parametrize("v, geometric_svds", [(1.3, 0), (0.5, 3), (0.3, 0)])
+    def test_clean_open_chain_takes_no_dense_solve(self, monkeypatch, v, geometric_svds):
+        # eigvals and the norm SVD of H are left out; at v < gamma/2 the one
+        # eigvals is of chain_spectrum's real path. What SVDs remain are the
+        # repeated clusters' geometric counts and, at v = gamma/2, the zero
+        # cluster's two.
+        seen = {"eigvals": [], "norm": 0, "svd": 0}
+        eigvals, norm, svd = np.linalg.eigvals, np.linalg.norm, np.linalg.svd
+
+        def counted_eigvals(a):
+            seen["eigvals"].append(np.asarray(a).dtype)
+            return eigvals(a)
+
+        def counted_norm(x, *args, **kwargs):
+            seen["norm"] += np.ndim(x) == 2        # fix_phase takes vector norms
+            return norm(x, *args, **kwargs)
+
+        def counted_svd(*args, **kwargs):
+            seen["svd"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        rep = spectral_report(build_real_space(LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=30)))
+        assert seen["eigvals"] == ([np.dtype(float)] if v < 0.5 else [])
+        assert seen["norm"] == 0
+        assert seen["svd"] == geometric_svds + 2 * (rep.zero_cluster is not None)
+
+    @staticmethod
+    def _nudged(H, index):
+        H = H.copy()
+        H[index] = np.nextafter(H[index].real, np.inf) + 1j * H[index].imag
+        return H
+
+    def test_any_other_matrix_takes_the_dense_solve_bit_for_bit(self):
+        p = LatticeParams(v=0.7, r=0.5, gamma=1.0, n_cells=12)
+        H = build_real_space(p)
+        others = [build_real_space(replace(p, boundary=Boundary.PERIODIC))]
+        others += [build_real_space(p, disorder=DisorderConfig.from_seed(t, 0.3, 2, 12))
+                   for t in DisorderTarget]
+        # One ulp on v in one entry, or on a zero entry, is no longer a chain.
+        others += [self._nudged(H, (1, 0)), self._nudged(H, (23, 22)), self._nudged(H, (0, 5))]
+        for M in others:
+            assert spectral_report(M).eigenvalues.tobytes() == np.linalg.eigvals(M).tobytes()
+
+    def test_real_dtype_clean_chain_takes_the_chain_path(self, monkeypatch):
+        # An N = 1 chain with gamma = 0 is real; its float copy is the same
+        # matrix, so it takes the reduced hops too.
+        p = LatticeParams(v=0.3, r=0.5, gamma=0.0, n_cells=1)
+        H = build_real_space(p).real.copy()
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: pytest.fail("dense eigvals"))
+        rep = spectral_report(H)
+        assert rep.eigenvalues.tobytes() == spectra.chain_spectrum(chain(p)).tobytes()
+        assert rep.is_real and rep.real_gap == pytest.approx(0.3, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 5, 30, 60])
+    @pytest.mark.parametrize("r", [0.5, 0.65])
+    def test_exceptional_point_spectrum_is_exact(self, n, r):
+        # At v = gamma/2 the spectrum is {0, 0, +-r (N - 1 times each)}, exactly.
+        rep = spectral_report(build_real_space(LatticeParams(v=0.5, r=r, gamma=1.0, n_cells=n)))
+        assert sorted(rep.eigenvalues.real) == [-r] * (n - 1) + [0.0, 0.0] + [r] * (n - 1)
+        assert not rep.eigenvalues.imag.any()
+        # A cluster's value is its members' mean, within rounding of theirs.
+        assert sorted((round(c.value.real, 12) + 0.0, c.algebraic) for c in rep.clusters) == [
+            (-r, n - 1), (0.0, 2), (r, n - 1)]
+        assert not any(c.value.imag for c in rep.clusters)
+        assert rep.is_real and rep.real_gap == pytest.approx(r, rel=1e-15)
 
     def test_squared_hamiltonian_characteristic_clusters(self, defective_params):
         # Eigenvalues of H^2 sit at {0, r^2} with multiplicities {2, 2N-2}.
