@@ -224,21 +224,36 @@ def parity_operator(n_cells: int) -> np.ndarray:
 
 
 def chiral_residual(H: np.ndarray) -> float:
-    """Max-entry norm of Gamma H Gamma + H; zero iff H is chiral."""
-    n_cells = _check_even_square(H)
-    G = chiral_operator(n_cells)
-    return float(np.abs(G @ H @ G + H).max())
+    """Max-entry norm of Gamma H Gamma + H; zero iff H is chiral.
+
+    Gamma is a direct sum of sigma_y, so each 2 x 2 cell block [[p, q],
+    [s, t]] of H adds sigma_y B sigma_y = [[t, -s], [-q, p]] to itself:
+    the residual's entries are p + t and +-(q - s), with no product of
+    2N x 2N matrices.
+    """
+    b = _cell_blocks(H)
+    return float(np.maximum(np.abs(b[:, 0, :, 0] + b[:, 1, :, 1]).max(),
+                            np.abs(b[:, 0, :, 1] - b[:, 1, :, 0]).max()))
 
 
 def pt_residual(H: np.ndarray) -> float:
-    """Max-entry norm of P conj(H) P - H; zero iff H is PT symmetric."""
-    n_cells = _check_even_square(H)
-    P = parity_operator(n_cells)
-    return float(np.abs(P @ np.conj(H) @ P - H).max())
+    """Max-entry norm of P conj(H) P - H; zero iff H is PT symmetric.
+
+    P is a direct sum of sigma_x, which swaps both indices of each cell
+    block, so the residual's entries are conj(t) - p and conj(s) - q and
+    their conjugate partners, as in chiral_residual.
+    """
+    b = _cell_blocks(H)
+    return float(np.maximum(np.abs(np.conj(b[:, 1, :, 1]) - b[:, 0, :, 0]).max(),
+                            np.abs(np.conj(b[:, 1, :, 0]) - b[:, 0, :, 1]).max()))
 
 
-def _check_even_square(H: np.ndarray) -> int:
+def _cell_blocks(H: np.ndarray) -> np.ndarray:
+    """H as (N, 2, N, 2): [m, i, n, j] is sublattice i of cell m against
+    sublattice j of cell n. Anything but a non-empty square even-dimensional
+    matrix raises ValueError."""
     H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2:
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2 or not H.size:
         raise ValueError(f"expected a square even-dimensional matrix, got {H.shape}")
-    return H.shape[0] // 2
+    n = H.shape[0] // 2
+    return H.reshape(n, 2, n, 2)

@@ -284,6 +284,13 @@ def chain_singular_values(hops, tol: float = ZERO_MODE_TOL) -> ChainSingularValu
     is smallest[0], X on a tie, for chain_null_weights; it is None when
     `smallest` is empty. Any other form (see chain) raises ValueError.
     """
+    sigma_max, values = _factor_singular_values(hops, tol)
+    return ChainSingularValues(sigma_max, np.sort(np.concatenate(values)), _null_factor(values))
+
+
+def _factor_singular_values(hops, tol: float):
+    """(sigma_max, [X's, Y's]) of chain_singular_values: each factor's
+    singular values below tol * sigma_max, ascending."""
     if not isinstance(hops, tuple):
         raise ValueError("chain_singular_values takes reduced hops (a, b, r)")
     a, b, _ = hops
@@ -292,7 +299,7 @@ def chain_singular_values(hops, tol: float = ZERO_MODE_TOL) -> ChainSingularValu
     (top,) = _bisect(np.concatenate([gk[0], [0.0], gk[1]]), 2,
                      il=4 * len(a), iu=4 * len(a), tol=0.0)
     if top == 0.0:                      # H = 0: every singular value is 0
-        return ChainSingularValues(0.0, np.zeros(2 * len(a)), 0)
+        return 0.0, [np.zeros(len(a)), np.zeros(len(a))]
     cut = tol * top
     values = []
     for off, diag in zip(gk, (a, b)):
@@ -300,10 +307,15 @@ def chain_singular_values(hops, tol: float = ZERO_MODE_TOL) -> ChainSingularValu
         s = np.sort(np.abs(w))[::2]          # each singular value gives +-sigma
         if s.size and not diag.all():
             s[0] = 0.0
-        values.append(s[s < cut])
+        values.append(scale * s[s < cut])
+    return float(scale * top), values
+
+
+def _null_factor(values) -> int | None:
+    """0 (X) or 1 (Y): the factor whose values (see _factor_singular_values)
+    hold the smallest, X on a tie; None when neither holds any."""
     x_min, y_min = (s[0] if s.size else np.inf for s in values)
-    return ChainSingularValues(float(scale * top), scale * np.sort(np.concatenate(values)),
-                               int(y_min < x_min) if min(x_min, y_min) < np.inf else None)
+    return int(y_min < x_min) if min(x_min, y_min) < np.inf else None
 
 
 def chain_norm(form) -> float:
@@ -326,24 +338,60 @@ def chain_null_weights(form, factor: int | None = None) -> np.ndarray:
     tie, as at v = 0, where |a_n| = |b_n| and the null space of H is
     two-dimensional. A caller that holds chain_singular_values of the hops
     passes its null_factor (0 for X, 1 for Y) as `factor`, and nothing is
-    bisected again. A dense SVD of that N x N factor gives the vector:
-    inverse iteration (dstein) can miss it for the numerically double pair
-    +-sigma_min (residual 7.6e-4 at v = -0.987, r = 1.96, gamma = 1.965,
-    N = 16). H takes its own SVD; Bloch blocks raise ValueError.
+    bisected again. The vector is _factor_null_vector's, which is u0 of
+    zero_mode_analysis on the sites of that factor. H takes its own SVD;
+    Bloch blocks raise ValueError.
     """
     if not isinstance(form, tuple):
         if form.ndim != 2:
             raise ValueError("chain_null_weights takes reduced hops or H, not Bloch blocks")
         return edge_profile(np.linalg.svd(form)[2][-1]).weights
-    a, b, r = form
+    a, b, _ = form
     if factor is None:
         _, gk = _golub_kahan(form)
         sigma_x, sigma_y = (abs(_bisect(off, 2, il=len(a) + 1, iu=len(a) + 1)[0])
                             if diag.all() else 0.0 for off, diag in zip(gk, (a, b)))
         factor = int(sigma_y < sigma_x)
-    m = np.diag(b) + np.diag(r, -1) if factor else -np.diag(a) - np.diag(r, 1)
-    x = np.linalg.svd(m)[2][-1] ** 2
+    x = _factor_null_vector(form, factor) ** 2
     return x / np.sum(x)
+
+
+def _factor(hops, factor: int) -> np.ndarray:
+    """The N x N bidiagonal X = -diag(a) - superdiag(r) (factor 0) or
+    Y = diag(b) + subdiag(r) (factor 1) of reduced hops."""
+    a, b, r = hops
+    return np.diag(b) + np.diag(r, -1) if factor else -np.diag(a) - np.diag(r, 1)
+
+
+def _factor_null_vector(hops, factor: int) -> np.ndarray:
+    """The right singular vector of the smallest singular value of X
+    (factor 0) or Y (factor 1), from a dense SVD of that N x N factor:
+    inverse iteration (dstein) can miss it for the numerically double pair
+    +-sigma_min (residual 7.6e-4 at v = -0.987, r = 1.96, gamma = 1.965,
+    N = 16)."""
+    return np.linalg.svd(_factor(hops, factor))[2][-1]
+
+
+def _from_sites(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The vector of H's basis with amplitudes first_n and second_n on the
+    sites of cell n of reduced_chain's path: H = i U A U^H, and cell n of
+    U is u = [[1, 1], [i, -i]] / sqrt(2)."""
+    u = np.empty(2 * len(first), dtype=complex)
+    u[0::2] = (first + second) * np.sqrt(0.5)
+    u[1::2] = 1j * (first - second) * np.sqrt(0.5)
+    return u
+
+
+def _factor_pinv(hops, factor: int, z: np.ndarray, drop: int) -> np.ndarray:
+    """X^+ z (factor 0) or Y^+ z (factor 1) over the singular values of the
+    factor less its `drop` smallest: one bidiagonal solve when drop = 0,
+    else that factor's own SVD."""
+    m = _factor(hops, factor)
+    if not drop:
+        return scipy.linalg.solve_triangular(m, z, lower=bool(factor))
+    u, s, vh = np.linalg.svd(m)
+    k = len(s) - drop
+    return vh[:k].T @ (u[:, :k].T @ z / s[:k])
 
 
 def bloch_eigensystem(params: LatticeParams,
@@ -384,9 +432,10 @@ def geometric_multiplicity(H: np.ndarray, lam: complex, tol: float | None = None
 
 
 def smallest_singular_values(H: np.ndarray, count: int = 1) -> list[float]:
-    """The `count` smallest singular values of H, ascending."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    """The `count` smallest singular values of H, ascending. H has
+    min(H.shape) of them; a count outside 1..min(H.shape) raises ValueError."""
+    if not 1 <= count <= min(np.shape(H)):
+        raise ValueError(f"count must lie in 1..{min(np.shape(H))}, got {count}")
     s = np.linalg.svd(np.asarray(H, dtype=complex), compute_uv=False)
     return [float(x) for x in s[::-1][:count]]
 
@@ -413,25 +462,36 @@ def zero_mode_analysis(H: np.ndarray, tol: float = ZERO_MODE_TOL,
                        eigenvalues: np.ndarray | None = None) -> ZeroModeInfo:
     """Eigenvector and generalized eigenvector of the E=0 cluster.
 
-    Presence is decided from the singular values alone
-    (svd(H, compute_uv=False)): the QR eigensolver can scatter a defective
-    zero pair by far more than the true splitting, while sigma_min = 0 iff
-    0 is an eigenvalue. Raises NoZeroModeError when sigma_min is not below
-    tol * sigma_max (below_cut); the values below it are the geometric count.
-    Only a present mode pays for the full SVD H = U S V^H: u0 is its
-    smallest right singular vector (unit norm, through fix_phase), and
-    u0_prime = V_k S_k^-1 U_k^H u0, over the k singular values not below
-    the cut, is the minimum-norm least-squares (pseudo-inverse) solution of
-    H u0' = u0: the generalized eigenvector, up to multiples of u0.
+    Presence is decided from the singular values alone: the QR eigensolver
+    can scatter a defective zero pair by far more than the true splitting,
+    while sigma_min = 0 iff 0 is an eigenvalue. Raises NoZeroModeError when
+    sigma_min is not below tol * sigma_max (below_cut); the values below it
+    are the geometric count. u0 is the right singular vector of sigma_min
+    (unit norm, its largest component real positive as fix_phase makes
+    it), and u0_prime = H^+ u0 over the singular values not below the cut
+    is the minimum-norm least-squares solution of H u0' = u0: the
+    generalized eigenvector, up to multiples of u0.
 
     The algebraic count is the number of eigenvalues within a cluster
     radius widened to the observed scatter. They are `eigenvalues` when
-    given (the caller's spectrum of H, e.g. chain_spectrum, which is
-    exact where dense eigvals scatters the pair), else eigvals(H).
+    given (the caller's spectrum of H), else chain_spectrum or eigvals(H).
+
+    A clean open chain (build_real_space of some params, bit for bit, as
+    spectral_report recognises it) is solved on its reduced hops, with no
+    dense solve of H: the singular values come from chain_singular_values,
+    the spectrum from chain_spectrum, u0 from the N x N SVD of the factor
+    that holds sigma_min (as chain_null_weights), and u0_prime from the
+    other factor alone, by one bidiagonal solve or, when that factor too
+    has values below the cut, by its own N x N SVD. Any other H takes
+    svd(H, compute_uv=False), and only a present mode pays for the full
+    SVD H = U S V^H and eigvals(H).
     """
     H = np.asarray(H, dtype=complex)
     if require_chiral and chiral_residual(H) > 1e-12 * max(np.abs(H).max(), 1.0):
         raise ValueError("zero_mode_analysis requires a chiral matrix")
+    params = _clean_open_chain(H)
+    if params is not None:
+        return _chain_zero_mode(chain(params), tol, eigenvalues)
     s = np.linalg.svd(H, compute_uv=False)
     geo = int(np.sum(below_cut(s, s[0], tol)))
     if not geo:
@@ -443,6 +503,34 @@ def zero_mode_analysis(H: np.ndarray, tol: float = ZERO_MODE_TOL,
     alg = zero_cluster_size(w, s[0], tol)
     return ZeroModeInfo(u0=u0, u0_prime=vh[:k].conj().T @ (u[:, :k].conj().T @ u0 / sv[:k]),
                         defective=(alg == 2 and geo == 1),
+                        algebraic_multiplicity=alg, geometric_multiplicity=geo)
+
+
+def _chain_zero_mode(hops, tol: float, eigenvalues: np.ndarray | None) -> ZeroModeInfo:
+    """zero_mode_analysis of the open chain with reduced hops (a, b, r).
+
+    After the even/odd split, A = [[0, X], [Y, 0]]: X acts on the second
+    sites and Y on the first. A null vector of X, on the second sites, is
+    one of H; A^+ maps it to the first sites through Y^+, and a null vector
+    of Y to the second sites through X^+.
+    """
+    sigma_max, values = _factor_singular_values(hops, tol)
+    geo = sum(map(len, values))
+    if not geo:
+        raise NoZeroModeError(f"sigma_min >= {tol * sigma_max:.3g}")
+    f = _null_factor(values)
+    x = _factor_null_vector(hops, f)
+    # Both components of cell n of u0 hold |x_n| / sqrt(2), so fix_phase's
+    # largest component ties with its partner. The phase makes the beta one
+    # real positive, as in the edge state (i, 1, 0, ...) / sqrt(2).
+    x = x * (np.sign(x[np.argmax(np.abs(x))]) * (1j if f == 0 else -1j) / np.linalg.norm(x))
+    z = -1j * _factor_pinv(hops, 1 - f, x, len(values[1 - f]))    # H^+ = -i U A^+ U^H
+    zero = np.zeros(len(x))
+    sites = ((zero, x), (z, zero)) if f == 0 else ((x, zero), (zero, z))
+    u0, u0_prime = (_from_sites(*pair) for pair in sites)
+    w = chain_spectrum(hops) if eigenvalues is None else eigenvalues
+    alg = zero_cluster_size(w, sigma_max, tol)
+    return ZeroModeInfo(u0=u0, u0_prime=u0_prime, defective=(alg == 2 and geo == 1),
                         algebraic_multiplicity=alg, geometric_multiplicity=geo)
 
 
@@ -487,8 +575,11 @@ def spectral_report(H: np.ndarray) -> SpectralReport:
     clean open chain (build_real_space of some params, bit for bit) the
     eigenvalues come from chain_spectrum and the scale ||H||_2 from
     chain_norm, both on its reduced hops, which gives an exactly real
-    spectrum wherever every a_n b_n >= 0; any other H takes eigvals(H)
-    and norm(H, 2).
+    spectrum wherever every a_n b_n >= 0, and a zero cluster takes
+    zero_mode_analysis's reduced path on the same hops, with no dense solve
+    and no second build of H; any other H takes eigvals(H), norm(H, 2) and
+    the dense zero_mode_analysis. The geometric counts of repeated clusters
+    come from geometric_multiplicity on either path.
     """
     H = np.asarray(H, dtype=complex)
     params = _clean_open_chain(H)
@@ -516,7 +607,8 @@ def spectral_report(H: np.ndarray) -> SpectralReport:
         clusters.append(Cluster(value=rep, algebraic=int(counts[first]), geometric=geo))
     zero = None
     if any(abs(c.value) < thresh for c in clusters):
-        zero = zero_mode_analysis(H, tol=CLUSTER_TOL, require_chiral=False, eigenvalues=w)
+        zero = (zero_mode_analysis(H, tol=CLUSTER_TOL, require_chiral=False, eigenvalues=w)
+                if params is None else _chain_zero_mode(form, CLUSTER_TOL, w))
     band_re = [abs(c.value.real) for c in clusters if abs(c.value) >= thresh]
     return SpectralReport(
         eigenvalues=w,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nhlab import Boundary, LatticeParams
+from nhlab import Boundary, LatticeParams, ZeroModeInfo
+from nhlab.spectra import below_cut, fix_phase, zero_cluster_size
 
 
 def assert_multisets_close(a, b, tol=1e-10):
@@ -12,6 +13,25 @@ def assert_multisets_close(a, b, tol=1e-10):
         j = int(np.argmin([abs(x - y) for y in b]))
         assert abs(x - b[j]) < tol, f"unmatched eigenvalue {x}"
         b.pop(j)
+
+
+def dense_zero_mode(H, tol):
+    """zero_mode_analysis by dense solves of H alone, as it is for any H that
+    is not a clean open chain: presence and the geometric count from
+    svd(H, compute_uv=False), u0 and u0' from the full SVD, the algebraic
+    count from eigvals(H). None where no singular value is below the cut."""
+    H = np.asarray(H, dtype=complex)
+    s = np.linalg.svd(H, compute_uv=False)
+    geo = int(np.sum(below_cut(s, s[0], tol)))
+    if not geo:
+        return None
+    u, sv, vh = np.linalg.svd(H)
+    k = len(s) - geo
+    u0 = fix_phase(vh[-1].conj())
+    alg = zero_cluster_size(np.linalg.eigvals(H), s[0], tol)
+    return ZeroModeInfo(u0=u0, u0_prime=vh[:k].conj().T @ (u[:, :k].conj().T @ u0 / sv[:k]),
+                        defective=(alg == 2 and geo == 1),
+                        algebraic_multiplicity=alg, geometric_multiplicity=geo)
 
 
 @pytest.fixture

@@ -334,6 +334,27 @@ class TestSymmetries:
         assert pt_residual(H) == pytest.approx(delta, rel=1e-12)
 
 
+    @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_residuals_match_the_kron_formula(self, n, seed):
+        # The per-cell-block residuals equal the dense products of the
+        # kron operators, bit for bit, on matrices with no symmetry at all.
+        rng = np.random.default_rng(seed)
+        H = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+        G, P = chiral_operator(n), parity_operator(n)
+        assert chiral_residual(H) == float(np.abs(G @ H @ G + H).max())
+        assert pt_residual(H) == float(np.abs(P @ np.conj(H) @ P - H).max())
+        R = H.real.copy()
+        assert chiral_residual(R) == float(np.abs(G @ R @ G + R).max())
+        assert pt_residual(R) == float(np.abs(P @ np.conj(R) @ P - R).max())
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 3), (2, 4), (4,)])
+    def test_residuals_reject_other_shapes(self, shape):
+        for residual in (chiral_residual, pt_residual):
+            with pytest.raises(ValueError):
+                residual(np.zeros(shape))
+
+
 class TestDisorderConfig:
     def test_reproducible_draws(self):
         a = DisorderConfig.from_seed(DisorderTarget.HOPPING_V, 0.3, 42, 20)

@@ -19,7 +19,7 @@ from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain, chain
                            chain_null_weights, chain_singular_values, edge_side,
                            fix_phase, smallest_abs_eigenvalue, zero_mode_split)
 
-from conftest import assert_multisets_close
+from conftest import assert_multisets_close, dense_zero_mode
 
 
 def bloch_energy(v, r, gamma, k):
@@ -129,6 +129,15 @@ class TestGeometricMultiplicity:
 class TestSmallestSingularValues:
     def test_zero_matrix(self):
         assert smallest_singular_values(np.zeros((4, 4)), 2) == [0.0, 0.0]
+
+    def test_count_beyond_the_values_raises(self):
+        # A 2 x 2 matrix has two singular values; asking for five used to
+        # return two without a word.
+        assert smallest_singular_values(np.eye(2), 2) == [1.0, 1.0]
+        with pytest.raises(ValueError, match="count"):
+            smallest_singular_values(np.eye(2), 5)
+        with pytest.raises(ValueError, match="count"):
+            smallest_singular_values(np.ones((2, 3)), 3)
 
     def test_ascending(self):
         rng = np.random.default_rng(1)
@@ -754,6 +763,99 @@ class TestZeroModeAnalysis:
         assert not zm.u0_prime.any()
 
 
+class TestReducedZeroMode:
+    """zero_mode_analysis solves a clean open chain on its reduced hops; the
+    dense solve of H (conftest.dense_zero_mode) is the reference wherever
+    its verdict is clear of the cut."""
+
+    # At N = 1, ||u0'|| is about 1 / gamma: a gamma below 1e-100 would put
+    # its square, which the norms below take, beyond double range.
+    @given(st.integers(1, 12), st.floats(0.05, 2.0),
+           st.one_of(st.just(0.0), st.floats(1e-100, 2.0)),
+           st.one_of(st.sampled_from([0.5, -0.5]), st.none()), st.floats(-2.0, 2.0),
+           st.sampled_from([ZERO_MODE_TOL, 1e-3, 1e-12]))
+    @settings(max_examples=150, deadline=None)
+    @example(n=12, r=0.5, gamma=1.0, edge=0.5, v_free=0.0, tol=ZERO_MODE_TOL)
+    @example(n=12, r=0.5, gamma=1.0, edge=-0.5, v_free=0.0, tol=ZERO_MODE_TOL)
+    @example(n=1, r=0.5, gamma=0.0, edge=None, v_free=0.0, tol=ZERO_MODE_TOL)   # H = 0
+    def test_verdicts_match_dense_solve(self, n, r, gamma, edge, v_free, tol):
+        # v = +-gamma/2, the exceptional points, is drawn often.
+        p = LatticeParams(v=v_free if edge is None else edge * gamma, r=r, gamma=gamma,
+                          n_cells=n)
+        H = build_real_space(p)
+        s = np.linalg.svd(H, compute_uv=False)
+        cut = tol * s[0]
+        # Presence and the geometric count are clear: no singular value
+        # lies within a factor 100 of the cut.
+        assume(not ((s > cut / 100) & (s < 100 * cut)).any())
+        want = dense_zero_mode(H, tol)
+        try:
+            got = zero_mode_analysis(H, tol=tol)
+        except NoZeroModeError:
+            got = None
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        assert got.geometric_multiplicity == want.geometric_multiplicity
+        # So is the dense algebraic count, when it is at least the geometric
+        # one, even (the spectrum of a chiral H is symmetric about 0), and
+        # no eigenvalue but the scattered zero pair lies within a factor 10
+        # of its radius. Where eigvals scatters the pair further (as at
+        # v = -gamma/2 with r << gamma), the dense count is 0 or 1.
+        e = np.sort(np.abs(np.linalg.eigvals(H)))
+        radius = min(max(cut, 2 * e[0]), 1e-3 * s[0])
+        alg = want.algebraic_multiplicity
+        if (alg >= want.geometric_multiplicity and alg % 2 == 0
+                and not ((e > radius / 10) & (e < 10 * radius) & (e > 2.01 * e[0])).any()):
+            assert got.defective == want.defective
+        # u0 is a unit right singular vector of sigma_min; at tol <= 1e-8,
+        # sigma_min is at most 1e-10 ||H||.
+        assert np.linalg.norm(got.u0) == pytest.approx(1.0, abs=1e-14)
+        assert abs(np.linalg.norm(H @ got.u0) - s[-1]) <= 1e-12 * s[0]
+        if tol <= ZERO_MODE_TOL:
+            assert np.linalg.norm(H @ got.u0) <= 1e-10 * s[0]
+        # u0' is H^+ u0 over the singular values not below the cut.
+        lsq, *_ = np.linalg.lstsq(H, got.u0, rcond=tol)
+        kept = s[~spectra.below_cut(s, s[0], tol)]
+        cond = s[0] / kept[-1] if kept.size else 1.0
+        scale = max(np.linalg.norm(lsq), 1.0 / s[0]) if s[0] else 0.0
+        assert np.linalg.norm(got.u0_prime - lsq) <= 1e-12 * cond * scale
+        # u0 lies on one sublattice of the path: Gamma u0 = -u0 where X
+        # holds sigma_min (as at v = gamma/2), +u0 where Y does.
+        sign = 1 if chain_singular_values(chain(p), tol).null_factor else -1
+        assert np.abs(chiral_operator(n) @ got.u0 - sign * got.u0).max() <= 1e-15
+
+    def test_edge_state_gauge(self, defective_params):
+        # The largest component ties with its cell partner; beta is real
+        # positive, so the edge state is (i, 1, 0, ...) / sqrt(2).
+        zm = zero_mode_analysis(build_real_space(defective_params))
+        np.testing.assert_allclose(zm.u0, exact_zero_mode(30), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("v, r", [(0.5, 0.5), (-0.5, 0.5), (0.3, 0.5), (0.0, 1.0)])
+    def test_takes_no_dense_solve(self, monkeypatch, v, r):
+        # One N x N SVD, of the factor that holds sigma_min; the other factor
+        # is solved or, when it too has values below the cut (v = 0, where
+        # |a_n| = |b_n|), decomposed by its own SVD. At v < gamma/2 the one
+        # eigvals is of chain_spectrum's real path.
+        seen = {"svd": [], "eigvals": []}
+        svd, eigvals = np.linalg.svd, np.linalg.eigvals
+
+        def counted_svd(a, *args, **kwargs):
+            seen["svd"].append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def counted_eigvals(a):
+            seen["eigvals"].append(np.asarray(a).dtype)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        zm = zero_mode_analysis(build_real_space(LatticeParams(v=v, r=r, gamma=1.0, n_cells=40)))
+        assert zm.geometric_multiplicity == (2 if v == 0.0 else 1)
+        assert seen["svd"] == [(40, 40)] * zm.geometric_multiplicity
+        assert seen["eigvals"] == ([np.dtype(float)] if abs(v) < 0.5 else [])
+
+
 def loop_clusters(H, w):
     """Clusters of the eigenvalues w of H as spectral_report once found them.
 
@@ -861,10 +963,11 @@ class TestSpectralReport:
     @pytest.mark.parametrize("v, geometric_svds", [(1.3, 0), (0.5, 3), (0.3, 0)])
     def test_clean_open_chain_takes_no_dense_solve(self, monkeypatch, v, geometric_svds):
         # eigvals and the norm SVD of H are left out; at v < gamma/2 the one
-        # eigvals is of chain_spectrum's real path. What SVDs remain are the
-        # repeated clusters' geometric counts and, at v = gamma/2, the zero
-        # cluster's two.
-        seen = {"eigvals": [], "norm": 0, "svd": 0}
+        # eigvals is of chain_spectrum's real path. The 2N x 2N SVDs that
+        # remain are the repeated clusters' geometric counts, values only.
+        # The zero cluster, at v = gamma/2, takes one N x N SVD, of the
+        # factor X that holds sigma_min, and a triangular solve of Y.
+        seen = {"eigvals": [], "norm": 0, "svd": []}
         eigvals, norm, svd = np.linalg.eigvals, np.linalg.norm, np.linalg.svd
 
         def counted_eigvals(a):
@@ -875,9 +978,9 @@ class TestSpectralReport:
             seen["norm"] += np.ndim(x) == 2        # fix_phase takes vector norms
             return norm(x, *args, **kwargs)
 
-        def counted_svd(*args, **kwargs):
-            seen["svd"] += 1
-            return svd(*args, **kwargs)
+        def counted_svd(a, *args, compute_uv=True, **kwargs):
+            seen["svd"].append((np.shape(a), compute_uv))
+            return svd(a, *args, compute_uv=compute_uv, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
@@ -885,7 +988,9 @@ class TestSpectralReport:
         rep = spectral_report(build_real_space(LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=30)))
         assert seen["eigvals"] == ([np.dtype(float)] if v < 0.5 else [])
         assert seen["norm"] == 0
-        assert seen["svd"] == geometric_svds + 2 * (rep.zero_cluster is not None)
+        assert seen["svd"] == ([((60, 60), False)] * geometric_svds
+                               + [((30, 30), True)] * (rep.zero_cluster is not None))
+        assert (rep.zero_cluster is not None) == (v == 0.5)
 
     @staticmethod
     def _nudged(H, index):
@@ -894,15 +999,30 @@ class TestSpectralReport:
         return H
 
     def test_any_other_matrix_takes_the_dense_solve_bit_for_bit(self):
-        p = LatticeParams(v=0.7, r=0.5, gamma=1.0, n_cells=12)
-        H = build_real_space(p)
-        others = [build_real_space(replace(p, boundary=Boundary.PERIODIC))]
-        others += [build_real_space(p, disorder=DisorderConfig.from_seed(t, 0.3, 2, 12))
-                   for t in DisorderTarget]
-        # One ulp on v in one entry, or on a zero entry, is no longer a chain.
-        others += [self._nudged(H, (1, 0)), self._nudged(H, (23, 22)), self._nudged(H, (0, 5))]
-        for M in others:
-            assert spectral_report(M).eigenvalues.tobytes() == np.linalg.eigvals(M).tobytes()
+        present = 0
+        for v in (0.7, 0.5):
+            p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=12)
+            H = build_real_space(p)
+            others = [build_real_space(replace(p, boundary=Boundary.PERIODIC))]
+            others += [build_real_space(p, disorder=DisorderConfig.from_seed(t, 0.3, 2, 12))
+                       for t in DisorderTarget]
+            # One ulp on v in one entry, or on a zero entry, is no longer a chain.
+            others += [self._nudged(H, (1, 0)), self._nudged(H, (23, 22)),
+                       self._nudged(H, (0, 5))]
+            for M in others:
+                assert spectral_report(M).eigenvalues.tobytes() == np.linalg.eigvals(M).tobytes()
+                want = dense_zero_mode(M, ZERO_MODE_TOL)
+                try:
+                    got = zero_mode_analysis(M, require_chiral=False)
+                except NoZeroModeError:
+                    got = None
+                assert (got is None) == (want is None)
+                if got is not None:
+                    present += 1
+                    assert all(np.asarray(getattr(got, f.name)).tobytes()
+                               == np.asarray(getattr(want, f.name)).tobytes()
+                               for f in fields(spectra.ZeroModeInfo))
+        assert present >= 4
 
     def test_real_dtype_clean_chain_takes_the_chain_path(self, monkeypatch):
         # An N = 1 chain with gamma = 0 is real; its float copy is the same
