@@ -216,6 +216,10 @@ def chain_spectrum(form) -> np.ndarray:
     off[1::2] = r
     sign = np.sign(a) * np.sign(b)
     if (sign >= 0).all():
+        # eigvalsh_tridiagonal's driver (sterf) squares each hop, and a hop
+        # below 1.5e-154 times the largest, _golub_kahan's cut, would square
+        # to a subnormal and spoil the blocks it joins: split the path there.
+        off[np.abs(off) < 1.5e-154 * np.abs(off).max()] = 0.0
         w = scipy.linalg.eigvalsh_tridiagonal(np.zeros(len(off) + 1), off)
     else:
         lower = off.copy()
@@ -567,6 +571,25 @@ def _clean_open_chain(H: np.ndarray) -> LatticeParams | None:
     return p if build_real_space(p).tobytes() == H.tobytes() else None
 
 
+def _simple_eigenvalues(hops) -> bool:
+    """Whether the hops (a, b, r) prove that each distinct value of
+    chain_spectrum(hops) is one exact eigenvalue of geometric multiplicity 1.
+
+    Where every a_n b_n = 0 (v = +-gamma/2), the path splits into two lone
+    sites and N - 1 dimers, so its spectrum is exactly {0, 0} and the +-r_n,
+    and bit-equal values are one eigenvalue. Where every r_n and every a_n
+    (or every b_n) is nonzero, deleting the first column and the last row
+    of A - lambda I (or the last column and the first row) leaves a
+    triangular matrix with those hops on its diagonal, so its rank is at
+    least 2N - 1 for every lambda (Parlett, The Symmetric Eigenvalue
+    Problem, 1998).
+    """
+    a, b, r = hops
+    split = ((a == 0) | (b == 0)).all()
+    unreduced = r.all() and (a.all() or b.all())
+    return bool(split and unreduced)
+
+
 def spectral_report(H: np.ndarray) -> SpectralReport:
     """Full spectrum with clustered multiplicities and zero-mode data.
 
@@ -578,8 +601,13 @@ def spectral_report(H: np.ndarray) -> SpectralReport:
     spectrum wherever every a_n b_n >= 0, and a zero cluster takes
     zero_mode_analysis's reduced path on the same hops, with no dense solve
     and no second build of H; any other H takes eigvals(H), norm(H, 2) and
-    the dense zero_mode_analysis. The geometric counts of repeated clusters
-    come from geometric_multiplicity on either path.
+    the dense zero_mode_analysis.
+
+    A simple eigenvalue has geometric count 1. On the reduced path, a
+    repeated zero cluster takes the geometric count of its zero-mode
+    record, and a repeated cluster of bit-equal values takes 1 where
+    _simple_eigenvalues proves it, as at v = +-gamma/2 with gamma > 0; every
+    other repeated cluster, on either path, takes geometric_multiplicity.
     """
     H = np.asarray(H, dtype=complex)
     params = _clean_open_chain(H)
@@ -598,17 +626,25 @@ def spectral_report(H: np.ndarray) -> SpectralReport:
     lab, prev = np.arange(n), None
     while not np.array_equal(lab, prev):
         lab, prev = np.where(near, lab, n).min(axis=1), lab
-    counts = np.bincount(lab, minlength=n)
-    clusters = []
-    for first in np.flatnonzero(lab == np.arange(n)):
-        rep = complex(np.mean(ws[lab == first]))
-        # 1 <= geometric <= algebraic, so a simple eigenvalue needs no SVD.
-        geo = 1 if counts[first] == 1 else geometric_multiplicity(H, rep, tol=CLUSTER_TOL)
-        clusters.append(Cluster(value=rep, algebraic=int(counts[first]), geometric=geo))
+    groups = [ws[lab == first] for first in np.flatnonzero(lab == np.arange(n))]
+    reps = [complex(np.mean(g)) for g in groups]
     zero = None
-    if any(abs(c.value) < thresh for c in clusters):
+    if any(abs(rep) < thresh for rep in reps):
         zero = (zero_mode_analysis(H, tol=CLUSTER_TOL, require_chiral=False, eigenvalues=w)
                 if params is None else _chain_zero_mode(form, CLUSTER_TOL, w))
+    simple = params is not None and _simple_eigenvalues(form)
+    clusters = []
+    for g, rep in zip(groups, reps):
+        # 1 <= geometric <= algebraic, so a simple eigenvalue needs no SVD.
+        if len(g) == 1:
+            geo = 1
+        elif params is not None and abs(rep) < thresh:
+            geo = zero.geometric_multiplicity
+        elif simple and (g == g[0]).all():
+            geo = 1
+        else:
+            geo = geometric_multiplicity(H, rep, tol=CLUSTER_TOL)
+        clusters.append(Cluster(value=rep, algebraic=len(g), geometric=geo))
     band_re = [abs(c.value.real) for c in clusters if abs(c.value) >= thresh]
     return SpectralReport(
         eigenvalues=w,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nhlab import Boundary, LatticeParams, ZeroModeInfo
-from nhlab.spectra import below_cut, fix_phase, zero_cluster_size
+from nhlab.spectra import (CLUSTER_TOL, below_cut, fix_phase, geometric_multiplicity,
+                           zero_cluster_size)
 
 
 def assert_multisets_close(a, b, tol=1e-10):
@@ -32,6 +33,28 @@ def dense_zero_mode(H, tol):
     return ZeroModeInfo(u0=u0, u0_prime=vh[:k].conj().T @ (u[:, :k].conj().T @ u0 / sv[:k]),
                         defective=(alg == 2 and geo == 1),
                         algebraic_multiplicity=alg, geometric_multiplicity=geo)
+
+
+def loop_clusters(H, w):
+    """Clusters of the eigenvalues w of H as spectral_report once found them.
+
+    Each sorted eigenvalue joins the first cluster that holds a member closer
+    than the threshold, and each cluster's geometric multiplicity comes from
+    a dense SVD of H (geometric_multiplicity), with no rule on the hops.
+    Clusters are (value, algebraic, geometric).
+    """
+    thresh = CLUSTER_TOL * max(np.linalg.norm(H, 2), 1e-300)
+    groups = []
+    for val in w[np.lexsort((w.imag, w.real))]:
+        for g in groups:
+            if any(abs(val - x) < thresh for x in g):
+                g.append(val)
+                break
+        else:
+            groups.append([val])
+    reps = [complex(np.mean(g)) for g in groups]
+    return [(rep, len(g), geometric_multiplicity(H, rep, tol=CLUSTER_TOL))
+            for rep, g in zip(reps, groups)]
 
 
 @pytest.fixture

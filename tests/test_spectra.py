@@ -19,7 +19,7 @@ from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain, chain
                            chain_null_weights, chain_singular_values, edge_side,
                            fix_phase, smallest_abs_eigenvalue, zero_mode_split)
 
-from conftest import assert_multisets_close, dense_zero_mode
+from conftest import assert_multisets_close, dense_zero_mode, loop_clusters
 
 
 def bloch_energy(v, r, gamma, k):
@@ -382,6 +382,8 @@ class TestChainSpectrum:
            st.floats(0.0, 1.5), st.integers(0, 1000))
     # a_n b_n = -2.5e-487 underflows
     @example(0.0, 1.0, 1e-243, 1, Boundary.OPEN, None, 0.0, 0)
+    # a cell hop whose square is subnormal (see test_subnormal_hop_splits_the_path)
+    @example(1.3173911724203282e-161, 0.1875, 0.0, 3, Boundary.OPEN, None, 0.0, 0)
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_solve(self, v, r, gamma, n, boundary, target, d, seed):
         # A disordered periodic chain takes the dense fallback, tested below.
@@ -446,6 +448,13 @@ class TestChainSpectrum:
             assert seen == [(np.dtype(complex), (24, 24))]
             np.testing.assert_array_equal(
                 got, np.linalg.eigvals(build_real_space(params, disorder=dis)))
+
+    def test_subnormal_hop_splits_the_path(self):
+        # The cell hops 1.3e-161 square to a subnormal; squared inside the
+        # path, they pulled +-0.1875 to +-0.187458161.
+        p = LatticeParams(v=1.3173911724203282e-161, r=0.1875, gamma=0.0, n_cells=3)
+        w = np.sort_complex(spectra.chain_spectrum(spectra.chain(p)))
+        assert w.tolist() == [-0.1875] * 2 + [0.0] * 2 + [0.1875] * 2
 
     @pytest.mark.parametrize("n, r, gamma", [(1, 0.5, 1.0), (2, 0.65, 1.0),
                                              (30, 0.5, 1.0), (30, 1.3, 0.7)])
@@ -856,27 +865,6 @@ class TestReducedZeroMode:
         assert seen["eigvals"] == ([np.dtype(float)] if abs(v) < 0.5 else [])
 
 
-def loop_clusters(H, w):
-    """Clusters of the eigenvalues w of H as spectral_report once found them.
-
-    Each sorted eigenvalue joins the first cluster that holds a member closer
-    than the threshold, and each cluster's geometric multiplicity comes from
-    an SVD. Clusters are (value, algebraic, geometric).
-    """
-    thresh = CLUSTER_TOL * max(np.linalg.norm(H, 2), 1e-300)
-    groups = []
-    for val in w[np.lexsort((w.imag, w.real))]:
-        for g in groups:
-            if any(abs(val - x) < thresh for x in g):
-                g.append(val)
-                break
-        else:
-            groups.append([val])
-    reps = [complex(np.mean(g)) for g in groups]
-    return [(rep, len(g), geometric_multiplicity(H, rep, tol=CLUSTER_TOL))
-            for rep, g in zip(reps, groups)]
-
-
 def cluster_chains(count=40, seed=7):
     """Fixed open and periodic chains, clean and with each disorder target."""
     rng = np.random.default_rng(seed)
@@ -911,15 +899,42 @@ class TestSpectralReport:
         assert sorted(c.algebraic for c in rep.clusters) == [2, 29, 29]
         assert all(c.geometric == 1 for c in rep.clusters)
 
-    @pytest.mark.parametrize("v,calls", [(1.3, 0), (0.5, 3)])
-    def test_svd_only_for_repeated_eigenvalues(self, monkeypatch, v, calls):
+    @staticmethod
+    def _geometric_svds(monkeypatch, H):
+        """(spectral_report(H), the eigenvalues it calls geometric_multiplicity at)."""
         seen = []
         solve = spectra.geometric_multiplicity
         monkeypatch.setattr(spectra, "geometric_multiplicity",
                             lambda *a, **kw: seen.append(a[1]) or solve(*a, **kw))
+        return spectral_report(H), seen
+
+    # At v = gamma/2 the three repeated clusters, 0 and +-r, take their
+    # geometric counts from the hops (_simple_eigenvalues), with no SVD.
+    @pytest.mark.parametrize("v,calls", [(1.3, 0), (0.5, 0)])
+    def test_svd_only_for_repeated_eigenvalues(self, monkeypatch, v, calls):
         p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=30)
-        spectral_report(build_real_space(p))
+        _, seen = self._geometric_svds(monkeypatch, build_real_space(p))
         assert len(seen) == calls
+
+    def test_repeated_clusters_off_the_rule_take_the_svd(self, monkeypatch):
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
+        H = build_real_space(p)
+        # Dense path: r disorder leaves one repeated cluster, the zero pair;
+        # one ulp on one entry leaves all three.
+        r_disorder = build_real_space(p, disorder=DisorderConfig.from_seed(
+            DisorderTarget.HOPPING_R, 0.3, 2, 30))
+        for M, calls in ((r_disorder, 1), (self._nudged(H, (1, 0)), 3)):
+            rep, seen = self._geometric_svds(monkeypatch, M)
+            assert len(seen) == calls
+            assert [(c.value, c.algebraic, c.geometric) for c in rep.clusters
+                    ] == loop_clusters(M, rep.eigenvalues)
+        # Reduced path at gamma = 0: a_n = b_n = 0, so the hops prove nothing
+        # and the +-r clusters, each N - 1 dimers, take the SVD.
+        rep, seen = self._geometric_svds(monkeypatch, build_real_space(
+            LatticeParams(v=0.0, r=0.5, gamma=0.0, n_cells=30)))
+        assert sorted(seen, key=lambda z: z.real) == [-0.5, 0.5]
+        assert sorted((c.value.real, c.algebraic, c.geometric) for c in rep.clusters) == [
+            (-0.5, 29, 29), (0.0, 2, 2), (0.5, 29, 29)]
 
     def test_multiplicities_sum_to_dimension(self, defective_params):
         rep = spectral_report(build_real_space(defective_params))
@@ -960,13 +975,13 @@ class TestSpectralReport:
             H = build_real_space(LatticeParams(v=float(v), r=0.5, gamma=1.0, n_cells=n))
             assert spectral_report(H).is_real, v
 
-    @pytest.mark.parametrize("v, geometric_svds", [(1.3, 0), (0.5, 3), (0.3, 0)])
+    @pytest.mark.parametrize("v, geometric_svds", [(1.3, 0), (0.5, 0), (0.3, 0)])
     def test_clean_open_chain_takes_no_dense_solve(self, monkeypatch, v, geometric_svds):
         # eigvals and the norm SVD of H are left out; at v < gamma/2 the one
-        # eigvals is of chain_spectrum's real path. The 2N x 2N SVDs that
-        # remain are the repeated clusters' geometric counts, values only.
-        # The zero cluster, at v = gamma/2, takes one N x N SVD, of the
-        # factor X that holds sigma_min, and a triangular solve of Y.
+        # eigvals is of chain_spectrum's real path. No repeated cluster takes
+        # a 2N x 2N SVD for its geometric count. The zero cluster, at
+        # v = gamma/2, takes one N x N SVD, of the factor X that holds
+        # sigma_min, and a triangular solve of Y.
         seen = {"eigvals": [], "norm": 0, "svd": []}
         eigvals, norm, svd = np.linalg.eigvals, np.linalg.norm, np.linalg.svd
 
@@ -988,8 +1003,8 @@ class TestSpectralReport:
         rep = spectral_report(build_real_space(LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=30)))
         assert seen["eigvals"] == ([np.dtype(float)] if v < 0.5 else [])
         assert seen["norm"] == 0
-        assert seen["svd"] == ([((60, 60), False)] * geometric_svds
-                               + [((30, 30), True)] * (rep.zero_cluster is not None))
+        assert seen["svd"] == ([((30, 30), True)] * (rep.zero_cluster is not None)
+                               + [((60, 60), False)] * geometric_svds)
         assert (rep.zero_cluster is not None) == (v == 0.5)
 
     @staticmethod
@@ -1053,6 +1068,68 @@ class TestSpectralReport:
         w2 = np.linalg.eigvals(H @ H)
         assert np.sum(np.abs(w2) < 1e-8) == 2
         assert np.sum(np.abs(w2 - 0.25) < 1e-8) == 58
+
+
+class TestGeometricCountsFromHops:
+    """spectral_report's geometric counts on clean open chains at
+    v = +-gamma/2, where the hops fix them (spectra._simple_eigenvalues)."""
+
+    @pytest.mark.parametrize("gamma, r", [(0.5, 0.25), (1.0, 0.75), (3.0, 2.0), (0.5, 1.5),
+                                          (0.0, 0.5)])
+    def test_match_exact_rank(self, gamma, r):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        for n in range(1, 7):
+            for v in (gamma / 2, -gamma / 2):
+                H = build_real_space(LatticeParams(v=v, r=r, gamma=gamma, n_cells=n))
+                # Every entry is a binary fraction, which Rational takes exactly.
+                M = sympy.Matrix(2 * n, 2 * n, [sympy.Rational(z.real)
+                                                + sympy.I * sympy.Rational(z.imag)
+                                                for z in H.ravel()])
+                got = {round(c.value.real / r): c.geometric for c in spectral_report(H).clusters}
+                assert sorted(got) == ([-1, 0, 1] if n > 1 else [0])
+                for k, geo in got.items():
+                    lam = k * sympy.Rational(r)
+                    exact = 2 * n - DomainMatrix.from_Matrix(M - lam * sympy.eye(2 * n)).rank()
+                    # gamma = 0 cuts both directions: dimers, each +-r N - 1 times.
+                    assert exact == (1 if gamma else (2 if k == 0 else n - 1)), (n, v, k)
+                    assert geo == exact, (n, v, k)
+
+    @pytest.mark.parametrize("v, gamma, proved", [
+        (0.5, 1.0, True), (-0.5, 1.0, True),
+        (0.7, 1.0, False),      # no zero hop: close eigenvalues may be distinct
+        (0.0, 0.0, False),      # every hop of both directions cut: +-r are N - 1 dimers
+    ])
+    def test_rule_needs_split_and_unreduced_hops(self, v, gamma, proved):
+        p = LatticeParams(v=v, r=0.5, gamma=gamma, n_cells=6)
+        assert spectra._simple_eigenvalues(chain(p)) is proved
+        a, b, r = chain(p)
+        r[2] = 0.0          # a cut bond leaves two chains, which may share eigenvalues
+        assert not spectra._simple_eigenvalues((a, b, r))
+
+    @pytest.mark.parametrize("gamma", [0.2, 1.0, 3.0])
+    @pytest.mark.parametrize("r", [0.01, 0.05, 0.2, 0.5, 1.0, 2.0, 5.0])
+    def test_match_dense_reference(self, gamma, r):
+        for n in (2, 5, 10, 30, 60):
+            for v in (gamma / 2, -gamma / 2):
+                H = build_real_space(LatticeParams(v=v, r=r, gamma=gamma, n_cells=n))
+                rep = spectral_report(H)
+                got = [(c.value, c.algebraic, c.geometric) for c in rep.clusters]
+                assert repr(got) == repr(loop_clusters(H, rep.eigenvalues)), (n, v)
+                (zero,) = (c for c in rep.clusters if c.value == 0)
+                assert zero.geometric == rep.zero_cluster.geometric_multiplicity, (n, v)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: the zero cluster's count is a tolerance count. Y's "
+        "sigma_min, about gamma (gamma / r)^(N - 1), is below the cut, so it "
+        "reads geo 2 and not defective; the dense count does the same."))
+    def test_zero_cluster_count_is_exact_where_r_dominates(self):
+        # The exact nullity is 1: a_n = 0 makes X singular, but every b_n
+        # and r_n is nonzero, so Y is not.
+        H = build_real_space(LatticeParams(v=0.1, r=0.5, gamma=0.2, n_cells=30))
+        rep = spectral_report(H)
+        assert [c.geometric for c in rep.clusters if c.value == 0] == [1]
+        assert rep.zero_cluster.geometric_multiplicity == 1 and rep.zero_cluster.defective
 
 
 class TestGapReport:
