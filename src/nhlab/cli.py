@@ -43,17 +43,37 @@ SVG_WIDTH, SVG_HEIGHT = 640, 400
 
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """Stream {header: 1-D array} columns as CSV rows with LF endings; floats get
-    17 significant digits, so they read back bit for bit, other values str."""
-    fmt = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
-                   for col in columns.values()) + "\n"
-    rows = zip(*(col.tolist() for col in columns.values()), strict=True)
+    17 significant digits, so they read back bit for bit, other values str.
+
+    A float column whose runs of bit-equal values (0.0 and -0.0 differ) at
+    least halve its row count is formatted once per run, and each run
+    repeats its string; other columns are formatted row by row.
+    """
+    fields, values = [], []
+    for col in columns.values():
+        if col.dtype.kind == "f" and len(col) > 1:
+            bits = np.ascontiguousarray(col).view(np.uint8).reshape(len(col), -1)
+            starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+            if 2 * len(starts) <= len(col):
+                text = np.array(["%.17g" % x for x in col[starts].tolist()], dtype=object)
+                fields.append("%s")
+                values.append(np.repeat(text, np.diff(starts, append=len(col))).tolist())
+                continue
+        fields.append("%.17g" if col.dtype.kind == "f" else "%s")
+        values.append(col.tolist())
+    fmt = ",".join(fields) + "\n"
+    # Each writer unlinks an existing artifact instead of truncating it: on
+    # ext4 (auto_da_alloc), truncating a file just written forces it to disk
+    # on close, which made reruns into the same directory several times slower.
+    path.unlink(missing_ok=True)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(map(fmt.__mod__, rows))
+        fh.writelines(map(fmt.__mod__, zip(*values, strict=True)))
 
 
 def write_json(path: Path, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    path.unlink(missing_ok=True)
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
@@ -81,6 +101,7 @@ def write_svg(path: Path, xs, ys_list, labels=None) -> None:
             parts.append(f'<text x="{pad}" y="{15 + 14 * i}" font-size="12" '
                          f'fill="{colors[i % len(colors)]}">{labels[i]}</text>')
     parts.append("</svg>")
+    path.unlink(missing_ok=True)
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
@@ -352,10 +373,13 @@ def cmd_svd_scan(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
               for i, n in enumerate(_non_empty_list(cfg["n_list"], "svd-scan.n_list"))]
     sigma = np.empty((len(n_list), len(v_grid), 2))
     for n, sigma_n in zip(n_list, sigma):
+        # v sits only in the intracell entries, which no bond of an open
+        # chain touches, so H0 + v * P is build_real_space at v bit for bit.
+        params = LatticeParams(v=0.0, r=r, gamma=gamma, n_cells=n, boundary=Boundary.OPEN)
+        H0 = build_real_space(params)
+        P = build_real_space(replace(params, v=1.0)) - H0
         for v, sigma_nv in zip(v_grid, sigma_n):
-            params = LatticeParams(v=float(v), r=r, gamma=gamma, n_cells=n,
-                                   boundary=Boundary.OPEN)
-            sigma_nv[:] = spectra.smallest_singular_values(build_real_space(params), count=2)
+            sigma_nv[:] = spectra.smallest_singular_values(H0 + v * P, count=2)
     csv_path = out / "svd_scan.csv"
     write_csv(csv_path, {"N": np.repeat(n_list, len(v_grid)),
                          "v_over_gamma": np.tile(v_grid, len(n_list)),

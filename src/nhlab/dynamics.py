@@ -69,7 +69,7 @@ def evolve(H: np.ndarray, psi0: np.ndarray, t_max: float, dt: float) -> TimeSeri
     states = np.empty((n_steps + 1, H.shape[0]), dtype=complex)
     states[0] = psi0
     for m in range(n_steps):
-        states[m + 1] = U @ states[m]
+        np.dot(U, states[m], out=states[m + 1])
     pops = np.abs(states[:, 0::2]) ** 2 + np.abs(states[:, 1::2]) ** 2
     return TimeSeries(dt=dt, times=dt * np.arange(n_steps + 1),
                       states=states, cell_populations=pops)

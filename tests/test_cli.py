@@ -4,15 +4,15 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhlab import (ConfigError, DisorderConfig, DisorderTarget, LatticeParams,
                    build_real_space, chain, chain_spectrum, edge_profile)
-from nhlab import spectra
-from nhlab.cli import (TRANSITION_TOL, cmd_disorder, cmd_spectrum, cmd_svd_scan,
+from nhlab import cli, spectra
+from nhlab.cli import (TRANSITION_TOL, _grid, cmd_disorder, cmd_spectrum, cmd_svd_scan,
                        cmd_winding, disorder_transition, load_config, main, write_csv,
-                       write_json)
+                       write_json, write_svg)
 from nhlab.model import reduced_chain
 from nhlab.spectra import ZERO_MODE_TOL, fix_phase
 
@@ -116,6 +116,33 @@ def csv_columns(draw):
     return columns
 
 
+def template_write_csv(path, columns):
+    """The one-template-per-row writer that run formatting replaced; the
+    reference write_csv must match byte for byte."""
+    fmt = ",".join("%.17g" if col.dtype.kind == "f" else "%s"
+                   for col in columns.values()) + "\n"
+    rows = zip(*(col.tolist() for col in columns.values()), strict=True)
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(map(fmt.__mod__, rows))
+
+
+@st.composite
+def run_columns(draw):
+    # Each column is a sequence of runs of one drawn cell, 1 to 12 rows
+    # long, so some float columns pass the halving rule and some do not.
+    n_rows = draw(st.sampled_from([0, 1]) | st.integers(2, 60))
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_CELLS)), min_size=2, max_size=5))
+    columns = {}
+    for i, kind in enumerate(kinds):
+        cells, dtypes = CSV_CELLS[kind]
+        values = []
+        while len(values) < n_rows:
+            values += [draw(cells)] * draw(st.integers(1, 12))
+        columns[f"{kind}_{i}"] = np.array(values[:n_rows], dtype=draw(st.sampled_from(dtypes)))
+    return columns
+
+
 class TestWriteCsv:
     @given(csv_columns())
     @settings(max_examples=200, deadline=None)
@@ -124,6 +151,36 @@ class TestWriteCsv:
         write_csv(out / "columns.csv", columns)
         row_write_csv(out / "rows.csv", list(columns), zip(*columns.values()))
         assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+    @given(run_columns())
+    @example({"zero": np.array([0.0, 0.0, -0.0, -0.0, -0.0, 0.0]),
+              "side": np.array(["left"] * 6, dtype=object)})
+    @example({"edge": np.array([np.inf] * 3 + [5e-324] * 3 + [-np.inf, 2.5e-310]),
+              "cell": np.arange(8)})
+    @example({"empty": np.array([]), "side": np.array([], dtype=str)})
+    @example({"one": np.array([-0.0]), "cell": np.array([7])})
+    @settings(max_examples=300, deadline=None)
+    def test_run_formatting_matches_template_writer(self, tmp_path_factory, columns):
+        out = tmp_path_factory.mktemp("csv")
+        write_csv(out / "runs.csv", columns)
+        template_write_csv(out / "template.csv", columns)
+        assert (out / "runs.csv").read_bytes() == (out / "template.csv").read_bytes()
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_csv(path, {"x": np.zeros(3), "n": np.arange(3)}),
+        lambda path: write_json(path, {"x": 1}),
+        lambda path: write_svg(path, [0.0, 1.0], [[1.0, 2.0]]),
+    ], ids=["csv", "json", "svg"])
+    def test_writers_replace_the_file_rather_than_truncate_it(self, tmp_path, write):
+        # A hard link keeps the old file's contents only if the writer
+        # unlinks the artifact and writes a new file in its place.
+        path = tmp_path / "artifact"
+        path.write_text("old contents\n" * 100)
+        (tmp_path / "link").hardlink_to(path)
+        write(path)
+        write(tmp_path / "fresh")
+        assert (tmp_path / "link").read_text() == "old contents\n" * 100
+        assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
 
 
 class TestSpectrum:
@@ -583,6 +640,56 @@ class TestSvdScan:
         with pytest.raises(ConfigError):
             cmd_svd_scan({"n_list": [], "v_grid": [0.5], "r": 0.5, "gamma": 1.0},
                          tmp_path)
+
+    # The figure config, then signed zeros, negative and tiny v, gamma = 0
+    # and N = 1 (no bond).
+    SCANS = [
+        {"n_list": [10, 20, 30], "v_grid": {"start": 0.0, "stop": 2.0, "num": 201},
+         "r": 0.5, "gamma": 1.0},
+        {"n_list": [1, 4], "v_grid": [-0.0, 0.0, -2.5, -0.5, -1e-300, 5e-324, 0.5, 3.0],
+         "r": 0.5, "gamma": 1.0},
+        {"n_list": [1, 3], "v_grid": [-0.0, 0.0, -0.7, 0.25, 1.5], "r": 0.7, "gamma": 0.0},
+    ]
+
+    @staticmethod
+    def _points(cfg):
+        v_grid = _grid(cfg["v_grid"], "v_grid")
+        for n in cfg["n_list"]:
+            for v in v_grid:
+                yield build_real_space(LatticeParams(v=float(v), r=cfg["r"],
+                                                     gamma=cfg["gamma"], n_cells=n))
+
+    @pytest.mark.parametrize("cfg", SCANS)
+    def test_each_h_is_build_real_space_bit_for_bit(self, tmp_path, monkeypatch, cfg):
+        solved = []
+        svd = spectra.smallest_singular_values
+        monkeypatch.setattr(spectra, "smallest_singular_values",
+                            lambda H, count: solved.append(H.copy()) or svd(H, count))
+        cmd_svd_scan(cfg, tmp_path)
+        expected = list(self._points(cfg))
+        assert len(solved) == len(expected)
+        for got, want in zip(solved, expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cfg", SCANS)
+    def test_csv_matches_per_point_loop(self, tmp_path, cfg):
+        cmd_svd_scan(cfg, tmp_path)
+        v_grid = _grid(cfg["v_grid"], "v_grid")
+        sigma = np.array([spectra.smallest_singular_values(H, count=2)
+                          for H in self._points(cfg)])
+        template_write_csv(tmp_path / "loop.csv", {
+            "N": np.repeat(cfg["n_list"], len(v_grid)),
+            "v_over_gamma": np.tile(v_grid, len(cfg["n_list"])),
+            "sigma_min": sigma[:, 0], "sigma_2nd": sigma[:, 1]})
+        assert (tmp_path / "svd_scan.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    def test_two_builds_per_chain_length(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_real_space",
+                            lambda params: built.append(params) or build_real_space(params))
+        cmd_svd_scan(self.SCANS[0], tmp_path)
+        assert [(p.n_cells, p.v) for p in built] == [(n, v) for n in (10, 20, 30)
+                                                     for v in (0.0, 1.0)]
 
 
 class TestEvolve:

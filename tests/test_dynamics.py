@@ -9,6 +9,7 @@ from nhlab import (Boundary, ExceptionalPointError, LatticeParams,
                    adiabatic_sweep, band_coefficients, bloch_eigensystem, build_bloch,
                    build_real_space, count_enclosed_eps, evolve, fourier_detect,
                    propagator)
+from nhlab.cli import EVOLVE_PRESETS
 from nhlab.spectra import exact_generalized_zero_mode, exact_zero_mode
 
 
@@ -110,6 +111,22 @@ class TestEvolve:
         psi0 = alpha1_excitation(8)
         ts = evolve(build_real_space(p), psi0, 30.0, 0.05)
         np.testing.assert_allclose(np.linalg.norm(ts.states, axis=1), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("body, psi0", [
+        (EVOLVE_PRESETS["zero-mode-present"], alpha1_excitation(5)),
+        (EVOLVE_PRESETS["zero-mode-absent"], alpha1_excitation(5)),
+        ({"n_cells": 3, "v": 0.7, "r": 0.4, "gamma": 0.9, "t_max": 30.0, "dt": 0.01},
+         np.random.default_rng(3).normal(size=(6, 2)) @ [1, 1j]),
+    ], ids=["zero-mode-present", "zero-mode-absent", "random-n3"])
+    def test_states_equal_the_matmul_loop(self, body, psi0):
+        params = LatticeParams(**{k: body[k] for k in ("v", "r", "gamma", "n_cells")})
+        H = build_real_space(params)
+        ts = evolve(H, psi0, body["t_max"], body["dt"])
+        U = propagator(H, body["dt"])
+        states = [psi0]
+        for _ in range(round(body["t_max"] / body["dt"])):
+            states.append(U @ states[-1])
+        assert ts.states.tobytes() == np.array(states).tobytes()
 
     def test_jordan_chain_grows_linearly(self):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=10)
