@@ -9,8 +9,7 @@ from .errors import (ConfigError, ExceptionalPointError, GaplessTrajectoryError,
                      NhlabError, NoZeroModeError, OnBoundaryError,
                      PropagatorOverflowError, TrackingAmbiguityError)
 from .model import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
-                    build_bloch, build_real_space, chiral_operator, chiral_residual,
-                    parity_operator, pt_residual)
+                    build_bloch, build_real_space, chiral_residual, pt_residual)
 from .spectra import (ChainSingularValues, EdgeProfile, GapReport, SpectralReport,
                       ZeroModeInfo, bloch_eigensystem, chain, chain_singular_values,
                       chain_norm, chain_null_weights, chain_spectrum, edge_profile,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dynamics, spectra
 from .dynamics import SweepDirection, SweepMode, adiabatic_sweep, evolve, fourier_detect
-from .errors import ConfigError, NhlabError
+from .errors import ConfigError, NhlabError, NoZeroModeError
 from .model import Boundary, DisorderConfig, DisorderTarget, LatticeParams, build_real_space
 from .topology import DEFAULT_SAMPLES, count_enclosed_eps, track_band, winding_number
 
@@ -212,16 +212,13 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
         w[:] = np.sort_complex(spectra.chain_spectrum(form))
         entry = {"v": float(v)}
         if boundary is Boundary.OPEN:
-            # zero_mode_analysis's criteria, on the singular values of the
-            # reduced chain: present iff some singular value is below
-            # tol * sigma_max, and those values are the geometric count.
-            sv = spectra.chain_singular_values(form, tol=tol)
-            entry["zero_mode_present"] = bool(sv.smallest.size)
-            if sv.smallest.size:
-                weights = spectra.chain_null_weights(form, sv.null_factor)
-                entry["side"] = spectra.edge_side(weights)
-                alg = spectra.zero_cluster_size(w, sv.sigma_max, tol)
-                entry["defective"] = alg == 2 and sv.smallest.size == 1
+            try:
+                zm = spectra.zero_mode_analysis(form, tol, eigenvalues=w)
+            except NoZeroModeError:
+                entry["zero_mode_present"] = False
+            else:
+                entry.update(zero_mode_present=True, side=spectra.edge_profile(zm.u0).side,
+                             defective=zm.defective)
         else:
             entry["zero_mode_present"] = bool(spectra.below_cut(
                 np.abs(w).min(), spectra.chain_norm(form), tol))
@@ -434,7 +431,8 @@ def cmd_evolve(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     write_json(json_path, {
         "params": nums | {"n_cells": params.n_cells, "excite_site": site},
         "zero_peak": report.zero_peak,
-        "peak_ratio": report.peak_ratio,
+        # inf where the window's median magnitude is 0 (H = 0); JSON has no inf
+        "peak_ratio": report.peak_ratio if math.isfinite(report.peak_ratio) else None,
     })
     files = [pop_path, site_path, fourier_path, json_path]
     if svg:

@@ -1,4 +1,4 @@
-"""Lattice Hamiltonian builders and symmetry operators.
+"""Lattice Hamiltonian builders and symmetry checks.
 
 The chain has two sites per unit cell (sublattices alpha and beta) with
 gain +i*gamma/2 on alpha and loss -i*gamma/2 on beta, an intra-cell
@@ -19,7 +19,6 @@ from enum import Enum
 import numpy as np
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -207,20 +206,6 @@ def build_real_space(params: LatticeParams,
                            bond_vals.reshape(lead + (8 * len(ac),))], axis=-1)
     np.add.at(H, (..., rows, cols), vals)
     return H
-
-
-def chiral_operator(n_cells: int) -> np.ndarray:
-    """Gamma = direct sum of sigma_y over unit cells; Gamma^2 = identity."""
-    if n_cells < 1:
-        raise ValueError("n_cells must be >= 1")
-    return np.kron(np.eye(n_cells), SIGMA_Y)
-
-
-def parity_operator(n_cells: int) -> np.ndarray:
-    """P = direct sum of sigma_x over unit cells (swaps the sublattices)."""
-    if n_cells < 1:
-        raise ValueError("n_cells must be >= 1")
-    return np.kron(np.eye(n_cells), SIGMA_X)
 
 
 def chiral_residual(H: np.ndarray) -> float:

@@ -253,7 +253,6 @@ class ChainSingularValues:
 
     sigma_max: float
     smallest: np.ndarray          # every singular value below tol * sigma_max, ascending
-    null_factor: int | None       # 0 (X) or 1 (Y): the factor that holds smallest[0]
 
 
 def _golub_kahan(hops):
@@ -284,12 +283,10 @@ def chain_singular_values(hops, tol: float = ZERO_MODE_TOL) -> ChainSingularValu
     or b_n = 0) is singular, and its sigma_min is exactly 0.0. A hop below
     1.5e-154 times the largest counts as zero. `smallest` is empty when no
     singular value lies below the cut, as at tol = 0; tol > 1 takes all
-    2N, and so does H = 0. `null_factor` names the factor whose sigma_min
-    is smallest[0], X on a tie, for chain_null_weights; it is None when
-    `smallest` is empty. Any other form (see chain) raises ValueError.
+    2N, and so does H = 0. Any other form (see chain) raises ValueError.
     """
     sigma_max, values = _factor_singular_values(hops, tol)
-    return ChainSingularValues(sigma_max, np.sort(np.concatenate(values)), _null_factor(values))
+    return ChainSingularValues(sigma_max, np.sort(np.concatenate(values)))
 
 
 def _factor_singular_values(hops, tol: float):
@@ -332,7 +329,7 @@ def chain_norm(form) -> float:
     return float(np.linalg.norm(form, 2, axis=(-2, -1)).max())
 
 
-def chain_null_weights(form, factor: int | None = None) -> np.ndarray:
+def chain_null_weights(form) -> np.ndarray:
     """Per-cell weights, summing to 1, of the right singular vector of
     sigma_min of a chain's form (see chain); their edge_side is the zero
     mode's side.
@@ -340,9 +337,7 @@ def chain_null_weights(form, factor: int | None = None) -> np.ndarray:
     Hops take it from the factor (X or Y, see chain_singular_values) with
     the smaller sigma_min, bisected, or 0.0 at a zero diagonal hop; X on a
     tie, as at v = 0, where |a_n| = |b_n| and the null space of H is
-    two-dimensional. A caller that holds chain_singular_values of the hops
-    passes its null_factor (0 for X, 1 for Y) as `factor`, and nothing is
-    bisected again. The vector is _factor_null_vector's, which is u0 of
+    two-dimensional. The vector is _factor_null_vector's, which is u0 of
     zero_mode_analysis on the sites of that factor. H takes its own SVD;
     Bloch blocks raise ValueError.
     """
@@ -351,12 +346,10 @@ def chain_null_weights(form, factor: int | None = None) -> np.ndarray:
             raise ValueError("chain_null_weights takes reduced hops or H, not Bloch blocks")
         return edge_profile(np.linalg.svd(form)[2][-1]).weights
     a, b, _ = form
-    if factor is None:
-        _, gk = _golub_kahan(form)
-        sigma_x, sigma_y = (abs(_bisect(off, 2, il=len(a) + 1, iu=len(a) + 1)[0])
-                            if diag.all() else 0.0 for off, diag in zip(gk, (a, b)))
-        factor = int(sigma_y < sigma_x)
-    x = _factor_null_vector(form, factor) ** 2
+    _, gk = _golub_kahan(form)
+    sigma_x, sigma_y = (abs(_bisect(off, 2, il=len(a) + 1, iu=len(a) + 1)[0])
+                        if diag.all() else 0.0 for off, diag in zip(gk, (a, b)))
+    x = _factor_null_vector(form, int(sigma_y < sigma_x)) ** 2
     return x / np.sum(x)
 
 
@@ -461,67 +454,71 @@ def zero_cluster_size(eigenvalues: np.ndarray, sigma_max: float, tol: float) -> 
     return int(np.sum(np.abs(eigenvalues) <= radius))
 
 
-def zero_mode_analysis(H: np.ndarray, tol: float = ZERO_MODE_TOL,
-                       require_chiral: bool = True,
+def zero_mode_analysis(form, tol: float = ZERO_MODE_TOL, require_chiral: bool = True,
                        eigenvalues: np.ndarray | None = None) -> ZeroModeInfo:
-    """Eigenvector and generalized eigenvector of the E=0 cluster.
+    """Eigenvector and generalized eigenvector of the E=0 cluster of a
+    chain's form (see chain): reduced hops, or H.
 
     Presence is decided from the singular values alone: the QR eigensolver
     can scatter a defective zero pair by far more than the true splitting,
     while sigma_min = 0 iff 0 is an eigenvalue. Raises NoZeroModeError when
     sigma_min is not below tol * sigma_max (below_cut); the values below it
-    are the geometric count. u0 is the right singular vector of sigma_min
-    (unit norm, its largest component real positive as fix_phase makes
-    it), and u0_prime = H^+ u0 over the singular values not below the cut
-    is the minimum-norm least-squares solution of H u0' = u0: the
+    are the geometric count. u0 is a unit right singular vector of
+    sigma_min, and u0_prime = H^+ u0 over the singular values not below
+    the cut is the minimum-norm least-squares solution of H u0' = u0: the
     generalized eigenvector, up to multiples of u0.
 
     The algebraic count is the number of eigenvalues within a cluster
     radius widened to the observed scatter. They are `eigenvalues` when
-    given (the caller's spectrum of H), else chain_spectrum or eigvals(H).
+    given (the caller's spectrum of H), else chain_spectrum of the form.
 
-    A clean open chain (build_real_space of some params, bit for bit, as
-    spectral_report recognises it) is solved on its reduced hops, with no
-    dense solve of H: the singular values come from chain_singular_values,
-    the spectrum from chain_spectrum, u0 from the N x N SVD of the factor
-    that holds sigma_min (as chain_null_weights), and u0_prime from the
-    other factor alone, by one bidiagonal solve or, when that factor too
-    has values below the cut, by its own N x N SVD. Any other H takes
-    svd(H, compute_uv=False), and only a present mode pays for the full
-    SVD H = U S V^H and eigvals(H).
+    Hops are solved with no dense solve of H: the singular values come
+    from chain_singular_values, u0 from the N x N SVD of the factor that
+    holds sigma_min (_hop_zero_vectors), with the beta component of its
+    largest cell real positive, and u0_prime from the other factor alone.
+    An H that is a clean open chain (build_real_space of some params, bit
+    for bit) is solved on its hops (_reduced). Any other H must be chiral
+    when require_chiral is set; it takes svd(H, compute_uv=False), and only
+    a present mode pays for the full SVD H = U S V^H, with u0 rotated as
+    fix_phase rotates it. Bloch blocks raise ValueError.
     """
-    H = np.asarray(H, dtype=complex)
-    if require_chiral and chiral_residual(H) > 1e-12 * max(np.abs(H).max(), 1.0):
-        raise ValueError("zero_mode_analysis requires a chiral matrix")
-    params = _clean_open_chain(H)
-    if params is not None:
-        return _chain_zero_mode(chain(params), tol, eigenvalues)
-    s = np.linalg.svd(H, compute_uv=False)
-    geo = int(np.sum(below_cut(s, s[0], tol)))
+    if not isinstance(form, tuple):
+        form = np.asarray(form, dtype=complex)
+        if form.ndim != 2:
+            raise ValueError("zero_mode_analysis takes reduced hops or H, not Bloch blocks")
+        if require_chiral and chiral_residual(form) > 1e-12 * max(np.abs(form).max(), 1.0):
+            raise ValueError("zero_mode_analysis requires a chiral matrix")
+        form = _reduced(form)
+    if isinstance(form, tuple):
+        sigma_max, values = _factor_singular_values(form, tol)
+        geo = sum(map(len, values))
+    else:
+        s = np.linalg.svd(form, compute_uv=False)
+        sigma_max, geo = s[0], int(np.sum(below_cut(s, s[0], tol)))
     if not geo:
-        raise NoZeroModeError(f"sigma_min = {s[-1]:.3g} >= {tol * s[0]:.3g}")
-    u, sv, vh = np.linalg.svd(H)
-    k = len(s) - geo
-    u0 = fix_phase(vh[-1].conj())
-    w = np.linalg.eigvals(H) if eigenvalues is None else eigenvalues
-    alg = zero_cluster_size(w, s[0], tol)
-    return ZeroModeInfo(u0=u0, u0_prime=vh[:k].conj().T @ (u[:, :k].conj().T @ u0 / sv[:k]),
-                        defective=(alg == 2 and geo == 1),
+        raise NoZeroModeError(f"no singular value below {tol * sigma_max:.3g}")
+    if isinstance(form, tuple):
+        u0, u0_prime = _hop_zero_vectors(form, values)
+    else:
+        u, sv, vh = np.linalg.svd(form)
+        k = len(sv) - geo
+        u0 = fix_phase(vh[-1].conj())
+        u0_prime = vh[:k].conj().T @ (u[:, :k].conj().T @ u0 / sv[:k])
+    w = chain_spectrum(form) if eigenvalues is None else eigenvalues
+    alg = zero_cluster_size(w, sigma_max, tol)
+    return ZeroModeInfo(u0=u0, u0_prime=u0_prime, defective=(alg == 2 and geo == 1),
                         algebraic_multiplicity=alg, geometric_multiplicity=geo)
 
 
-def _chain_zero_mode(hops, tol: float, eigenvalues: np.ndarray | None) -> ZeroModeInfo:
-    """zero_mode_analysis of the open chain with reduced hops (a, b, r).
+def _hop_zero_vectors(hops, values) -> tuple[np.ndarray, np.ndarray]:
+    """(u0, u0_prime) of zero_mode_analysis on reduced hops (a, b, r), whose
+    factors hold `values` below the cut (_factor_singular_values).
 
     After the even/odd split, A = [[0, X], [Y, 0]]: X acts on the second
     sites and Y on the first. A null vector of X, on the second sites, is
     one of H; A^+ maps it to the first sites through Y^+, and a null vector
     of Y to the second sites through X^+.
     """
-    sigma_max, values = _factor_singular_values(hops, tol)
-    geo = sum(map(len, values))
-    if not geo:
-        raise NoZeroModeError(f"sigma_min >= {tol * sigma_max:.3g}")
     f = _null_factor(values)
     x = _factor_null_vector(hops, f)
     # Both components of cell n of u0 hold |x_n| / sqrt(2), so fix_phase's
@@ -532,10 +529,7 @@ def _chain_zero_mode(hops, tol: float, eigenvalues: np.ndarray | None) -> ZeroMo
     zero = np.zeros(len(x))
     sites = ((zero, x), (z, zero)) if f == 0 else ((x, zero), (zero, z))
     u0, u0_prime = (_from_sites(*pair) for pair in sites)
-    w = chain_spectrum(hops) if eigenvalues is None else eigenvalues
-    alg = zero_cluster_size(w, sigma_max, tol)
-    return ZeroModeInfo(u0=u0, u0_prime=u0_prime, defective=(alg == 2 and geo == 1),
-                        algebraic_multiplicity=alg, geometric_multiplicity=geo)
+    return u0, u0_prime
 
 
 @dataclass(frozen=True)
@@ -554,21 +548,24 @@ class SpectralReport:
     zero_cluster: ZeroModeInfo | None
 
 
-def _clean_open_chain(H: np.ndarray) -> LatticeParams | None:
-    """The params of a clean open chain whose build_real_space is H bit for
-    bit, else None. v, gamma and r are read off H[0, 1], H[0, 0] and
-    H[2, 0] (an N = 1 chain has no bond, and any r gives it); the builder
-    itself decides whether they give H back, so the test is exact.
+def _reduced(form):
+    """The reduced hops of a complex H that is a clean open chain, whose
+    build_real_space is H bit for bit; any other form unchanged. v, gamma
+    and r are read off H[0, 1], H[0, 0] and H[2, 0] (an N = 1 chain has no
+    bond, and any r gives it); the builder itself decides whether they give
+    H back, so the test is exact.
     """
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2 or not H.size:
-        return None
-    n = H.shape[0] // 2
+    if (isinstance(form, tuple) or form.ndim != 2 or form.shape[0] != form.shape[1]
+            or form.shape[0] % 2 or not form.size):
+        return form
+    n = form.shape[0] // 2
     try:
-        p = LatticeParams(v=float(H[0, 1].real), r=2 * float(H[2, 0].imag) if n > 1 else 1.0,
-                          gamma=2 * float(H[0, 0].imag), n_cells=n)
+        p = LatticeParams(v=float(form[0, 1].real),
+                          r=2 * float(form[2, 0].imag) if n > 1 else 1.0,
+                          gamma=2 * float(form[0, 0].imag), n_cells=n)
     except ValueError:
-        return None
-    return p if build_real_space(p).tobytes() == H.tobytes() else None
+        return form
+    return chain(p) if build_real_space(p).tobytes() == form.tobytes() else form
 
 
 def _simple_eigenvalues(hops) -> bool:
@@ -595,28 +592,23 @@ def spectral_report(H: np.ndarray) -> SpectralReport:
 
     real_gap is the distance of the non-zero-cluster spectrum from
     Re E = 0 (zero when the bands touch the imaginary axis). When H is a
-    clean open chain (build_real_space of some params, bit for bit) the
-    eigenvalues come from chain_spectrum and the scale ||H||_2 from
-    chain_norm, both on its reduced hops, which gives an exactly real
-    spectrum wherever every a_n b_n >= 0, and a zero cluster takes
-    zero_mode_analysis's reduced path on the same hops, with no dense solve
-    and no second build of H; any other H takes eigvals(H), norm(H, 2) and
+    clean open chain (build_real_space of some params, bit for bit) it is
+    solved on its reduced hops (_reduced): chain_spectrum gives an exactly
+    real spectrum wherever every a_n b_n >= 0, and nothing solves H
+    densely. Either way the eigenvalues come from chain_spectrum, the scale
+    ||H||_2 from chain_norm and a zero cluster from zero_mode_analysis, all
+    on that one form; for any other H those are eigvals(H), norm(H, 2) and
     the dense zero_mode_analysis.
 
-    A simple eigenvalue has geometric count 1. On the reduced path, a
-    repeated zero cluster takes the geometric count of its zero-mode
-    record, and a repeated cluster of bit-equal values takes 1 where
-    _simple_eigenvalues proves it, as at v = +-gamma/2 with gamma > 0; every
-    other repeated cluster, on either path, takes geometric_multiplicity.
+    A simple eigenvalue has geometric count 1. On the hops, a repeated zero
+    cluster takes the geometric count of its zero-mode record, and a
+    repeated cluster of bit-equal values takes 1 where _simple_eigenvalues
+    proves it, as at v = +-gamma/2 with gamma > 0; every other repeated
+    cluster, on either form, takes geometric_multiplicity.
     """
     H = np.asarray(H, dtype=complex)
-    params = _clean_open_chain(H)
-    if params is None:
-        scale = np.linalg.norm(H, 2)
-        w = np.linalg.eigvals(H)
-    else:
-        form = chain(params)
-        scale, w = chain_norm(form), chain_spectrum(form)
+    form = _reduced(H)
+    scale, w = chain_norm(form), chain_spectrum(form)
     thresh = CLUSTER_TOL * max(scale, 1e-300)
     ws = w[np.lexsort((w.imag, w.real))]
     # Single linkage: each eigenvalue takes the lowest sorted index it reaches
@@ -630,15 +622,14 @@ def spectral_report(H: np.ndarray) -> SpectralReport:
     reps = [complex(np.mean(g)) for g in groups]
     zero = None
     if any(abs(rep) < thresh for rep in reps):
-        zero = (zero_mode_analysis(H, tol=CLUSTER_TOL, require_chiral=False, eigenvalues=w)
-                if params is None else _chain_zero_mode(form, CLUSTER_TOL, w))
-    simple = params is not None and _simple_eigenvalues(form)
+        zero = zero_mode_analysis(form, CLUSTER_TOL, require_chiral=False, eigenvalues=w)
+    simple = isinstance(form, tuple) and _simple_eigenvalues(form)
     clusters = []
     for g, rep in zip(groups, reps):
         # 1 <= geometric <= algebraic, so a simple eigenvalue needs no SVD.
         if len(g) == 1:
             geo = 1
-        elif params is not None and abs(rep) < thresh:
+        elif isinstance(form, tuple) and abs(rep) < thresh:
             geo = zero.geometric_multiplicity
         elif simple and (g == g[0]).all():
             geo = 1

@@ -2,8 +2,23 @@ import numpy as np
 import pytest
 
 from nhlab import Boundary, LatticeParams, ZeroModeInfo
+from nhlab.model import SIGMA_X
 from nhlab.spectra import (CLUSTER_TOL, below_cut, fix_phase, geometric_multiplicity,
                            zero_cluster_size)
+
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def chiral_operator(n_cells: int) -> np.ndarray:
+    """Gamma = direct sum of sigma_y over unit cells; Gamma^2 = identity.
+    The kron reference for model.chiral_residual."""
+    return np.kron(np.eye(n_cells), SIGMA_Y)
+
+
+def parity_operator(n_cells: int) -> np.ndarray:
+    """P = direct sum of sigma_x over unit cells (swaps the sublattices).
+    The kron reference for model.pt_residual."""
+    return np.kron(np.eye(n_cells), SIGMA_X)
 
 
 def assert_multisets_close(a, b, tol=1e-10):

@@ -704,6 +704,18 @@ class TestEvolve:
         for name in ("populations.csv", "site_series.csv", "fourier.csv"):
             assert (out / name).exists()
 
+    def test_zero_hamiltonian_writes_null_peak_ratio(self, tmp_path):
+        # H = 0 holds the amplitude constant, and 1024 samples take no zero
+        # padding, so the FFT is exactly 0 off the zero bin: the window's
+        # median is 0 and peak_ratio is inf, which JSON cannot hold.
+        cfg_path = write_config(tmp_path, {"n_cells": 1, "v": 0.0, "r": 0.5, "gamma": 0.0,
+                                           "t_max": 10.23, "dt": 0.01})
+        out = tmp_path / "out"
+        assert run("evolve", cfg_path, out) == 0
+        summary = json.loads((out / "evolve_summary.json").read_text())
+        assert summary["peak_ratio"] is None
+        assert summary["zero_peak"] is True
+
     def test_unknown_preset(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"preset": "nope"})
         assert run("evolve", cfg_path, tmp_path / "out") == 2

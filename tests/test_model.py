@@ -4,13 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
-                   build_bloch, build_real_space, chiral_operator, chiral_residual,
-                   parity_operator, pt_residual)
-from nhlab.model import SIGMA_X, SIGMA_Y, SIGMA_Z, _per_cell_values, reduced_chain
+                   build_bloch, build_real_space, chiral_residual, pt_residual)
+from nhlab.model import SIGMA_X, SIGMA_Z, _per_cell_values, reduced_chain
 from nhlab.spectra import (ZERO_MODE_TOL, chain, chain_null_weights, chain_singular_values,
                            edge_profile, edge_side, fix_phase)
 
-from conftest import assert_multisets_close
+from conftest import SIGMA_Y, assert_multisets_close, chiral_operator, parity_operator
 
 params_st = st.builds(
     LatticeParams,
