@@ -338,7 +338,9 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
             present[j] = spectra.below_cut(np.abs(energies[j]).min(),
                                            spectra.chain_norm(form), zm_tol)
             if present[j]:
-                side[j] = spectra.edge_side(spectra.chain_null_weights(form))
+                zm = spectra.zero_mode_analysis(form, zm_tol, require_chiral=False,
+                                                eigenvalues=energies[j])
+                side[j] = spectra.edge_profile(zm.u0).side
         sheets.append((name, _sheet("d_over_gamma", d_grid, energies)
                        | {"zero_mode_present": np.repeat(present, params.dim),
                           "zero_mode_side": np.repeat(side, params.dim)}))

@@ -329,30 +329,6 @@ def chain_norm(form) -> float:
     return float(np.linalg.norm(form, 2, axis=(-2, -1)).max())
 
 
-def chain_null_weights(form) -> np.ndarray:
-    """Per-cell weights, summing to 1, of the right singular vector of
-    sigma_min of a chain's form (see chain); their edge_side is the zero
-    mode's side.
-
-    Hops take it from the factor (X or Y, see chain_singular_values) with
-    the smaller sigma_min, bisected, or 0.0 at a zero diagonal hop; X on a
-    tie, as at v = 0, where |a_n| = |b_n| and the null space of H is
-    two-dimensional. The vector is _factor_null_vector's, which is u0 of
-    zero_mode_analysis on the sites of that factor. H takes its own SVD;
-    Bloch blocks raise ValueError.
-    """
-    if not isinstance(form, tuple):
-        if form.ndim != 2:
-            raise ValueError("chain_null_weights takes reduced hops or H, not Bloch blocks")
-        return edge_profile(np.linalg.svd(form)[2][-1]).weights
-    a, b, _ = form
-    _, gk = _golub_kahan(form)
-    sigma_x, sigma_y = (abs(_bisect(off, 2, il=len(a) + 1, iu=len(a) + 1)[0])
-                        if diag.all() else 0.0 for off, diag in zip(gk, (a, b)))
-    x = _factor_null_vector(form, int(sigma_y < sigma_x)) ** 2
-    return x / np.sum(x)
-
-
 def _factor(hops, factor: int) -> np.ndarray:
     """The N x N bidiagonal X = -diag(a) - superdiag(r) (factor 0) or
     Y = diag(b) + subdiag(r) (factor 1) of reduced hops."""
@@ -360,13 +336,13 @@ def _factor(hops, factor: int) -> np.ndarray:
     return np.diag(b) + np.diag(r, -1) if factor else -np.diag(a) - np.diag(r, 1)
 
 
-def _factor_null_vector(hops, factor: int) -> np.ndarray:
-    """The right singular vector of the smallest singular value of X
-    (factor 0) or Y (factor 1), from a dense SVD of that N x N factor:
-    inverse iteration (dstein) can miss it for the numerically double pair
-    +-sigma_min (residual 7.6e-4 at v = -0.987, r = 1.96, gamma = 1.965,
-    N = 16)."""
-    return np.linalg.svd(_factor(hops, factor))[2][-1]
+def _matrix(form) -> np.ndarray:
+    """H itself, or for reduced hops i [[0, X], [Y, 0]], which the even/odd
+    split of the path A makes unitarily similar to H = i U A U^H."""
+    if not isinstance(form, tuple):
+        return form
+    zero = np.zeros((len(form[0]),) * 2)
+    return 1j * np.block([[zero, _factor(form, 0)], [_factor(form, 1), zero]])
 
 
 def _from_sites(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -482,17 +458,13 @@ def zero_mode_analysis(form, tol: float = ZERO_MODE_TOL, require_chiral: bool = 
     a present mode pays for the full SVD H = U S V^H, with u0 rotated as
     fix_phase rotates it. Bloch blocks raise ValueError.
     """
-    if not isinstance(form, tuple):
-        form = np.asarray(form, dtype=complex)
-        if form.ndim != 2:
-            raise ValueError("zero_mode_analysis takes reduced hops or H, not Bloch blocks")
-        if require_chiral and chiral_residual(form) > 1e-12 * max(np.abs(form).max(), 1.0):
-            raise ValueError("zero_mode_analysis requires a chiral matrix")
-        form = _reduced(form)
+    form = _reduced(form, "zero_mode_analysis")
     if isinstance(form, tuple):
         sigma_max, values = _factor_singular_values(form, tol)
         geo = sum(map(len, values))
     else:
+        if require_chiral and chiral_residual(form) > 1e-12 * max(np.abs(form).max(), 1.0):
+            raise ValueError("zero_mode_analysis requires a chiral matrix")
         s = np.linalg.svd(form, compute_uv=False)
         sigma_max, geo = s[0], int(np.sum(below_cut(s, s[0], tol)))
     if not geo:
@@ -520,7 +492,11 @@ def _hop_zero_vectors(hops, values) -> tuple[np.ndarray, np.ndarray]:
     of Y to the second sites through X^+.
     """
     f = _null_factor(values)
-    x = _factor_null_vector(hops, f)
+    # The null vector from a dense SVD of that N x N factor: inverse
+    # iteration (dstein) can miss it for the numerically double pair
+    # +-sigma_min (residual 7.6e-4 at v = -0.987, r = 1.96, gamma = 1.965,
+    # N = 16).
+    x = np.linalg.svd(_factor(hops, f))[2][-1]
     # Both components of cell n of u0 hold |x_n| / sqrt(2), so fix_phase's
     # largest component ties with its partner. The phase makes the beta one
     # real positive, as in the edge state (i, 1, 0, ...) / sqrt(2).
@@ -548,17 +524,22 @@ class SpectralReport:
     zero_cluster: ZeroModeInfo | None
 
 
-def _reduced(form):
-    """The reduced hops of a complex H that is a clean open chain, whose
-    build_real_space is H bit for bit; any other form unchanged. v, gamma
-    and r are read off H[0, 1], H[0, 0] and H[2, 0] (an N = 1 chain has no
-    bond, and any r gives it); the builder itself decides whether they give
-    H back, so the test is exact.
+def _reduced(form, caller: str):
+    """The form that caller solves: reduced hops as they are; a complex H
+    that is a clean open chain, whose build_real_space is H bit for bit, as
+    its hops; any other H as it is. v, gamma and r are read off H[0, 1],
+    H[0, 0] and H[2, 0] (an N = 1 chain has no bond, and any r gives it);
+    the builder itself decides whether they give H back, so the test is
+    exact. Bloch blocks raise ValueError.
     """
-    if (isinstance(form, tuple) or form.ndim != 2 or form.shape[0] != form.shape[1]
-            or form.shape[0] % 2 or not form.size):
+    if isinstance(form, tuple):
         return form
+    form = np.asarray(form, dtype=complex)
+    if form.ndim != 2:
+        raise ValueError(f"{caller} takes reduced hops or H, not Bloch blocks")
     n = form.shape[0] // 2
+    if not n or form.shape != (2 * n, 2 * n):
+        return form
     try:
         p = LatticeParams(v=float(form[0, 1].real),
                           r=2 * float(form[2, 0].imag) if n > 1 else 1.0,
@@ -587,29 +568,35 @@ def _simple_eigenvalues(hops) -> bool:
     return bool(split and unreduced)
 
 
-def spectral_report(H: np.ndarray) -> SpectralReport:
-    """Full spectrum with clustered multiplicities and zero-mode data.
+def spectral_report(form) -> SpectralReport:
+    """Full spectrum with clustered multiplicities and zero-mode data of a
+    chain's form (see chain): reduced hops, or H.
 
     real_gap is the distance of the non-zero-cluster spectrum from
-    Re E = 0 (zero when the bands touch the imaginary axis). When H is a
-    clean open chain (build_real_space of some params, bit for bit) it is
-    solved on its reduced hops (_reduced): chain_spectrum gives an exactly
-    real spectrum wherever every a_n b_n >= 0, and nothing solves H
-    densely. Either way the eigenvalues come from chain_spectrum, the scale
-    ||H||_2 from chain_norm and a zero cluster from zero_mode_analysis, all
-    on that one form; for any other H those are eigvals(H), norm(H, 2) and
-    the dense zero_mode_analysis.
+    Re E = 0 (zero when the bands touch the imaginary axis). The
+    eigenvalues come from chain_spectrum, the scale ||H||_2 from chain_norm
+    and a zero cluster from zero_mode_analysis, all on the one form that
+    _reduced gives: hops, clean or disordered, are solved with no dense
+    solve of H, and chain_spectrum gives an exactly real spectrum wherever
+    every a_n b_n >= 0; an H that is a clean open chain (build_real_space
+    of some params, bit for bit) is solved on its hops. Any other H takes
+    eigvals(H), norm(H, 2) and the dense zero_mode_analysis. Bloch blocks
+    raise ValueError.
 
-    A simple eigenvalue has geometric count 1. On the hops, a repeated zero
-    cluster takes the geometric count of its zero-mode record, and a
+    A simple eigenvalue has geometric count 1, and a repeated zero cluster
+    takes the geometric count of its zero-mode record. On the hops, a
     repeated cluster of bit-equal values takes 1 where _simple_eigenvalues
-    proves it, as at v = +-gamma/2 with gamma > 0; every other repeated
-    cluster, on either form, takes geometric_multiplicity.
+    proves it, as at v = +-gamma/2 with gamma > 0. Every other repeated
+    cluster takes geometric_multiplicity: of H, or for hops of
+    i [[0, X], [Y, 0]], which is unitarily similar to H = i U A U^H
+    (chain_singular_values).
     """
-    H = np.asarray(H, dtype=complex)
-    form = _reduced(H)
+    form = _reduced(form, "spectral_report")
     scale, w = chain_norm(form), chain_spectrum(form)
-    thresh = CLUSTER_TOL * max(scale, 1e-300)
+    # Positive, so that H = 0 is one cluster, and otherwise relative: a fixed
+    # floor would make +-5e-324 (||H||_2 = 5e-324) a zero cluster that the
+    # relative cut of zero_mode_analysis does not see.
+    thresh = max(CLUSTER_TOL * scale, np.finfo(float).smallest_subnormal)
     ws = w[np.lexsort((w.imag, w.real))]
     # Single linkage: each eigenvalue takes the lowest sorted index it reaches
     # through a chain of neighbours closer than thresh.
@@ -629,12 +616,12 @@ def spectral_report(H: np.ndarray) -> SpectralReport:
         # 1 <= geometric <= algebraic, so a simple eigenvalue needs no SVD.
         if len(g) == 1:
             geo = 1
-        elif isinstance(form, tuple) and abs(rep) < thresh:
+        elif abs(rep) < thresh:
             geo = zero.geometric_multiplicity
         elif simple and (g == g[0]).all():
             geo = 1
         else:
-            geo = geometric_multiplicity(H, rep, tol=CLUSTER_TOL)
+            geo = geometric_multiplicity(_matrix(form), rep, tol=CLUSTER_TOL)
         clusters.append(Cluster(value=rep, algebraic=len(g), geometric=geo))
     band_re = [abs(c.value.real) for c in clusters if abs(c.value) >= thresh]
     return SpectralReport(
@@ -703,28 +690,3 @@ def edge_profile(u: np.ndarray) -> EdgeProfile:
         raise ValueError("edge_profile expects a unit-norm vector")
     w = np.abs(u[0::2]) ** 2 + np.abs(u[1::2]) ** 2
     return EdgeProfile(side=edge_side(w), weights=w)
-
-
-def exact_zero_mode(n_cells: int) -> np.ndarray:
-    """The v = gamma/2 left edge state (i, 1, 0, ...)/sqrt(2)."""
-    u = np.zeros(2 * n_cells, dtype=complex)
-    u[0] = 1j
-    u[1] = 1.0
-    return u / np.sqrt(2.0)
-
-
-def exact_generalized_zero_mode(n_cells: int, r: float, gamma: float) -> np.ndarray:
-    """Closed-form generalized eigenvector at v = gamma/2.
-
-    Components (2/gamma, 0, -r/gamma^2, -i r/gamma^2, r^2/gamma^3,
-    i r^2/gamma^3, ...), normalized against the unnormalized edge state
-    (i, 1, 0, ...); rescale consistently when comparing.
-    """
-    u = np.zeros(2 * n_cells, dtype=complex)
-    u[0] = 2.0 / gamma
-    coef = -r / gamma ** 2
-    for c in range(1, n_cells):
-        u[2 * c] = coef
-        u[2 * c + 1] = 1j * coef
-        coef *= -r / gamma
-    return u

@@ -21,6 +21,31 @@ def parity_operator(n_cells: int) -> np.ndarray:
     return np.kron(np.eye(n_cells), SIGMA_X)
 
 
+def exact_zero_mode(n_cells: int) -> np.ndarray:
+    """The v = gamma/2 left edge state (i, 1, 0, ...)/sqrt(2)."""
+    u = np.zeros(2 * n_cells, dtype=complex)
+    u[0] = 1j
+    u[1] = 1.0
+    return u / np.sqrt(2.0)
+
+
+def exact_generalized_zero_mode(n_cells: int, r: float, gamma: float) -> np.ndarray:
+    """Closed-form generalized eigenvector at v = gamma/2.
+
+    Components (2/gamma, 0, -r/gamma^2, -i r/gamma^2, r^2/gamma^3,
+    i r^2/gamma^3, ...), normalized against the unnormalized edge state
+    (i, 1, 0, ...); rescale consistently when comparing.
+    """
+    u = np.zeros(2 * n_cells, dtype=complex)
+    u[0] = 2.0 / gamma
+    coef = -r / gamma ** 2
+    for c in range(1, n_cells):
+        u[2 * c] = coef
+        u[2 * c + 1] = 1j * coef
+        coef *= -r / gamma
+    return u
+
+
 def assert_multisets_close(a, b, tol=1e-10):
     """Match two complex eigenvalue multisets greedily within tol."""
     a = sorted(np.asarray(a, dtype=complex), key=lambda z: (z.real, z.imag))

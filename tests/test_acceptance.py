@@ -12,11 +12,10 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                    count_enclosed_eps, evolve, fourier_detect, gap_report,
                    propagator, track_band, winding_number)
 from nhlab.cli import disorder_transition
-from nhlab.spectra import (edge_profile, exact_generalized_zero_mode,
-                           exact_zero_mode, fix_phase, smallest_singular_values,
-                           spectral_report, zero_mode_analysis)
+from nhlab.spectra import (chain, chain_singular_values, edge_profile, fix_phase,
+                           smallest_singular_values, spectral_report, zero_mode_analysis)
 
-from conftest import assert_multisets_close
+from conftest import assert_multisets_close, exact_generalized_zero_mode, exact_zero_mode
 
 
 def report(num: int, label: str, ok: bool) -> None:
@@ -117,17 +116,22 @@ def test_05_gap_conditions():
 
 
 def test_06_defectiveness_scaling():
+    # Off v = gamma/2, sigma_min falls with N. At v = gamma/2 every a_n is
+    # 0, so H is exactly singular at every N: the reduced chain's sigma_min
+    # is exactly 0, and the dense one is rounding far below the cut, with no
+    # order among N.
     ok = True
-    for v in (0.45, 0.5, 0.55):
+    for v in (0.45, 0.55):
         mins = []
         for n in (10, 20, 30):
             p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n)
             mins.append(smallest_singular_values(build_real_space(p), 1)[0])
         ok &= mins[0] > mins[1] > mins[2]
-    p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
-    H = build_real_space(p)
-    s = np.linalg.svd(H, compute_uv=False)
-    ok &= bool(s[-1] < 1e-12 * s[0])
+    for n in (10, 20, 30):
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=n)
+        ok &= bool(chain_singular_values(chain(p)).smallest[0] == 0.0)
+        s = np.linalg.svd(build_real_space(p), compute_uv=False)
+        ok &= bool(s[-1] < 1e-12 * s[0])
     report(6, "singular-value scaling with N", ok)
 
 

@@ -10,7 +10,8 @@ from nhlab import (Boundary, ExceptionalPointError, LatticeParams,
                    build_real_space, count_enclosed_eps, evolve, fourier_detect,
                    propagator)
 from nhlab.cli import EVOLVE_PRESETS
-from nhlab.spectra import exact_generalized_zero_mode, exact_zero_mode
+
+from conftest import exact_generalized_zero_mode, exact_zero_mode
 
 
 def alpha1_excitation(n_cells):

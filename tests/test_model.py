@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                    build_bloch, build_real_space, chiral_residual, pt_residual)
 from nhlab.model import SIGMA_X, SIGMA_Z, _per_cell_values, reduced_chain
-from nhlab.spectra import (ZERO_MODE_TOL, chain, chain_null_weights, chain_singular_values,
-                           edge_profile, edge_side, fix_phase)
+from nhlab.spectra import (ZERO_MODE_TOL, chain, chain_singular_values, edge_profile,
+                           fix_phase, zero_mode_analysis)
 
 from conftest import SIGMA_Y, assert_multisets_close, chiral_operator, parity_operator
 
@@ -263,7 +263,7 @@ class TestReducedPath:
             assert abs(sv.sigma_max - s[0]) <= 1e-14 * s[0]
             if s[-1] < ZERO_MODE_TOL * s[0]:
                 assert sv.smallest.size
-                assert (edge_side(chain_null_weights(chain(p, dis)))
+                assert (edge_profile(zero_mode_analysis(chain(p, dis)).u0).side
                         == edge_profile(fix_phase(vh[-1].conj())).side)
 
     def test_none_where_chain_does_not_reduce(self):

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointError,
                    LatticeParams, NoZeroModeError, bloch_eigensystem, build_bloch,
-                   build_real_space, edge_profile,
-                   exact_generalized_zero_mode, exact_zero_mode, gap_report,
-                   geometric_multiplicity, smallest_singular_values, spectral_report,
-                   zero_mode_analysis)
+                   build_real_space, edge_profile, gap_report, geometric_multiplicity,
+                   smallest_singular_values, spectral_report, zero_mode_analysis)
 from nhlab import spectra
 from nhlab.model import reduced_chain
 from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain, chain_norm,
-                           chain_null_weights, chain_singular_values, edge_side,
-                           fix_phase, smallest_abs_eigenvalue, zero_mode_split)
+                           chain_singular_values, edge_side, fix_phase,
+                           smallest_abs_eigenvalue, zero_mode_split)
 
-from conftest import assert_multisets_close, chiral_operator, dense_zero_mode, loop_clusters
+from conftest import (assert_multisets_close, chiral_operator, dense_zero_mode,
+                      exact_generalized_zero_mode, exact_zero_mode, loop_clusters)
 
 
 def bloch_energy(v, r, gamma, k):
@@ -158,8 +157,15 @@ class TestSmallestSingularValues:
         vals = []
         for n in [10, 20, 30]:
             p = LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=n)
-            vals.append(smallest_singular_values(build_real_space(p), 1)[0])
-        assert vals[0] > vals[1] > vals[2]
+            H = build_real_space(p)
+            vals.append(smallest_singular_values(H, 1)[0])
+            if v == 0.5:
+                # Every a_n = 0: H is exactly singular at every N, and the
+                # dense sigma_min is rounding, with no order among N.
+                assert chain_singular_values(chain(p)).smallest[0] == 0.0
+                assert vals[-1] < 1e-12 * np.linalg.svd(H, compute_uv=False)[0]
+        if v != 0.5:
+            assert vals[0] > vals[1] > vals[2]
 
     def test_oracle_sqrt_eigs_of_gram_matrix(self):
         rng = np.random.default_rng(2)
@@ -484,7 +490,7 @@ class TestReducedPathSingularData:
                 assert abs(sv.sigma_max - s_h[0]) <= 1e-14 * s_h[0]
                 assert chain_norm(chain(p, dis)) == sv.sigma_max
                 if np.abs(np.linalg.eigvals(H)).min() < ZERO_MODE_TOL * s_h[0]:
-                    assert (edge_side(chain_null_weights(chain(p, dis)))
+                    assert (edge_profile(zero_mode_analysis(chain(p, dis)).u0).side
                             == edge_profile(fix_phase(vh_h[-1].conj())).side)
                     present += 1
         assert present >= 10
@@ -496,6 +502,13 @@ def dense_cell_weights(H):
     _, s, vh = np.linalg.svd(H)
     x = np.abs(vh[-1]) ** 2
     return x[0::2] + x[1::2], s[-1], s[-2]
+
+
+def null_weights(form, require_chiral=True):
+    """Per-cell weights of u0 of zero_mode_analysis at tol = 2, which puts
+    every singular value below the cut: u0 is then a unit right singular
+    vector of sigma_min on any chain, a zero mode or not."""
+    return edge_profile(zero_mode_analysis(form, 2.0, require_chiral).u0).weights
 
 
 # N = 1 chains with H = 0: gamma = 0 and v = 0 (open) or v = -r (periodic).
@@ -559,7 +572,7 @@ class TestChainSingularValues:
         # Where sigma_min is well separated its right vector is determined,
         # and so are its per-cell weights.
         weights, s1, s2 = dense_cell_weights(H)
-        null = chain_null_weights(chain(p, dis))
+        null = null_weights(chain(p, dis))
         assert null.shape == (n,) and abs(null.sum() - 1.0) < 1e-14
         if s2 - s1 > 1e-3 * dense[-1]:
             np.testing.assert_allclose(null, weights, rtol=0, atol=1e-9)
@@ -579,20 +592,20 @@ class TestChainSingularValues:
         assert (sv.smallest[0] == 0.0) == (v == 0.5)
         weights, s1, s2 = dense_cell_weights(H)
         assert s2 - s1 > 0.1
-        np.testing.assert_allclose(chain_null_weights(chain(p, dis)), weights, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(null_weights(chain(p, dis)), weights, rtol=0, atol=1e-14)
 
     def test_values_below_the_cut_only(self, defective_params):
         # At v = gamma/2 only X's exact zero lies below tol * sigma_max. At
-        # v = 1.3 none does; chain_null_weights bisects each factor's sigma_min.
+        # v = 1.3 none does; at tol = 2, every one does, and u0 is sigma_min's.
         sv = chain_singular_values(chain(defective_params))
         assert sv.smallest.tolist() == [0.0]
-        assert edge_side(chain_null_weights(chain(defective_params))) == "left"
+        assert edge_profile(zero_mode_analysis(chain(defective_params)).u0).side == "left"
         p = LatticeParams(v=1.3, r=0.5, gamma=1.0, n_cells=30)
         far = chain_singular_values(chain(p))
         assert far.smallest.size == 0
         weights, s1, _ = dense_cell_weights(build_real_space(p))
         assert s1 > 0.3
-        np.testing.assert_allclose(chain_null_weights(chain(p)), weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(null_weights(chain(p)), weights, rtol=0, atol=1e-12)
 
     def test_interior_zero_hop_is_exact(self):
         # a_3 = 0 splits X's Golub-Kahan matrix into two odd blocks, each
@@ -607,8 +620,9 @@ class TestChainSingularValues:
         assert sv.smallest.tolist() == [0.0]
         weights, _, s2 = dense_cell_weights(build_real_space(p, disorder=dis))
         assert s2 > 0.4
-        np.testing.assert_allclose(chain_null_weights(chain(p, dis)), weights, rtol=0, atol=1e-12)
-        assert (chain_null_weights(chain(p, dis))[4:] == 0.0).all()
+        null = edge_profile(zero_mode_analysis(chain(p, dis)).u0).weights
+        np.testing.assert_allclose(null, weights, rtol=0, atol=1e-12)
+        assert (null[4:] == 0.0).all()
 
     @pytest.mark.parametrize("n", [30, 40])
     def test_tie_takes_x(self, n):
@@ -622,13 +636,14 @@ class TestChainSingularValues:
         assert sv.smallest.size == 2 and sv.smallest[0] == sv.smallest[1]
         a, _, r = reduced_chain(p)
         vx = np.linalg.svd(-np.diag(a) - np.diag(r, 1))[2][-1]
-        np.testing.assert_allclose(chain_null_weights(chain(p)), vx ** 2, rtol=0, atol=1e-12)
-        assert edge_side(chain_null_weights(chain(p))) == "left"
+        zm = zero_mode_analysis(chain(p))
+        np.testing.assert_allclose(edge_profile(zm.u0).weights, vx ** 2, rtol=0, atol=1e-12)
+        assert edge_profile(zm.u0).side == "left"
 
     def test_zero_chain_has_every_singular_value_zero(self):
         sv = chain_singular_values(chain(ZERO_CHAINS[0]))
         assert sv.sigma_max == 0.0 and sv.smallest.tolist() == [0.0, 0.0]
-        assert chain_null_weights(chain(ZERO_CHAINS[0])).tolist() == [1.0]
+        assert null_weights(chain(ZERO_CHAINS[0])).tolist() == [pytest.approx(1.0, abs=1e-15)]
 
     @pytest.mark.parametrize("info", [-6, 1])
     def test_lapack_failure_raises(self, monkeypatch, info):
@@ -651,11 +666,13 @@ class TestChainNormAndNullWeights:
         for params, dis in non_reducing_chains(seed):
             if dis is None:     # a clean ring's form is its Bloch blocks
                 with pytest.raises(ValueError, match="Bloch blocks"):
-                    chain_null_weights(chain(params, dis))
+                    zero_mode_analysis(chain(params, dis))
                 continue
             H = build_real_space(params, disorder=dis)
             weights, _, _ = dense_cell_weights(H)
-            np.testing.assert_array_equal(chain_null_weights(chain(params, dis)), weights)
+            # u0 is the dense right vector through fix_phase, which rescales it.
+            np.testing.assert_allclose(null_weights(chain(params, dis), require_chiral=False),
+                                       weights, rtol=0, atol=1e-14)
             assert chain_norm(chain(params, dis)) == np.linalg.norm(H, 2)
 
     def test_forms_a_function_does_not_take_raise(self):
@@ -971,11 +988,12 @@ class TestSpectralReport:
     def test_repeated_clusters_off_the_rule_take_the_svd(self, monkeypatch):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
         H = build_real_space(p)
-        # Dense path: r disorder leaves one repeated cluster, the zero pair;
-        # one ulp on one entry leaves all three.
+        # Dense path: r disorder leaves one repeated cluster, the zero pair,
+        # and one ulp on one entry leaves all three. A zero cluster takes
+        # the geometric count of its zero-mode record, so only +-r take the SVD.
         r_disorder = build_real_space(p, disorder=DisorderConfig.from_seed(
             DisorderTarget.HOPPING_R, 0.3, 2, 30))
-        for M, calls in ((r_disorder, 1), (self._nudged(H, (1, 0)), 3)):
+        for M, calls in ((r_disorder, 0), (self._nudged(H, (1, 0)), 2)):
             rep, seen = self._geometric_svds(monkeypatch, M)
             assert len(seen) == calls
             assert [(c.value, c.algebraic, c.geometric) for c in rep.clusters
@@ -1120,6 +1138,87 @@ class TestSpectralReport:
         w2 = np.linalg.eigvals(H @ H)
         assert np.sum(np.abs(w2) < 1e-8) == 2
         assert np.sum(np.abs(w2 - 0.25) < 1e-8) == 58
+
+
+class TestSpectralReportForms:
+    """spectral_report takes what chain returns: the hops of an open chain
+    that reduces, disordered or not, or H."""
+
+    # At N = 1, ||u0'|| is about 1 / gamma: a gamma below 1e-100 would put
+    # its square beyond double range.
+    @given(st.integers(1, 12), st.floats(0.05, 2.0),
+           st.one_of(st.just(0.0), st.floats(1e-100, 2.0)),
+           st.one_of(st.sampled_from([0.5, -0.5]), st.none()), st.floats(-2.0, 2.0),
+           st.sampled_from([DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
+                            DisorderTarget.GAIN_LOSS]),
+           st.floats(0.0, 1.0), st.integers(0, 1000))
+    @settings(max_examples=150, deadline=None)
+    @example(n=1, r=1.0, gamma=0.0, edge=None, v_free=5e-324,
+             target=DisorderTarget.HOPPING_R, d=0.0, seed=0)     # ||H||_2 = 5e-324
+    @example(n=9, r=0.05, gamma=0.6475132650726972, edge=-0.5, v_free=0.0,
+             target=DisorderTarget.HOPPING_R, d=0.422459990324764, seed=70)
+    def test_zero_cluster_presence_matches_dense(self, n, r, gamma, edge, v_free, target, d,
+                                                 seed):
+        # v = +-gamma/2, the exceptional points, is drawn often.
+        p = LatticeParams(v=v_free if edge is None else edge * gamma, r=r, gamma=gamma,
+                          n_cells=n)
+        dis = DisorderConfig.from_seed(target, d, seed, n)
+        hops, H = chain(p, dis), build_real_space(p, disorder=dis)
+        from_hops, from_h = spectral_report(hops), spectral_report(H)
+        a, b, _ = hops
+        if not (a.all() and b.all()):
+            # A zero hop makes det H = +-prod(a_n b_n) exactly 0. eigvals(H)
+            # can scatter that zero pair far from 0, as at the second
+            # @example (r disorder at v = -gamma/2, where every b_n = 0):
+            # there the dense report finds no zero cluster at all.
+            assert from_hops.zero_cluster is not None
+            return
+        # Elsewhere presence is clear when neither form's min |E| lies
+        # within a factor 100 of its cluster radius, and the dense solve
+        # decides it when eigvals(H^T), a solve of the same spectrum, puts
+        # min |E| on the same side of the radius: near v = -gamma/2 eigvals(H)
+        # can scatter a nearly defective pair far beyond it (d = 1e-9 of
+        # gamma disorder at N = 5, r = 0.099, gamma = 1.64, v = -gamma/2).
+        for form, rep in ((hops, from_hops), (H, from_h)):
+            thresh = CLUSTER_TOL * chain_norm(form)
+            assume(not thresh / 100 <= np.abs(rep.eigenvalues).min() <= 100 * thresh)
+        thresh = CLUSTER_TOL * chain_norm(H)
+        assume((np.abs(from_h.eigenvalues).min() < thresh)
+               == (np.abs(np.linalg.eigvals(H.T)).min() < thresh))
+        assert (from_hops.zero_cluster is None) == (from_h.zero_cluster is None)
+
+    def test_disordered_exceptional_point_is_defective(self):
+        # r disorder at v = -gamma/2 keeps every b_n = 0, so H is exactly
+        # defective at 0 for every draw. The hops find the pair at every
+        # seed; spectral_report(H) takes eigvals(H), which scatters it, and
+        # finds no zero cluster at any of these 40 seeds.
+        gamma = 1.871456653696443
+        p = LatticeParams(v=-gamma / 2, r=0.05, gamma=gamma, n_cells=11)
+        for seed in range(40):
+            form = chain(p, DisorderConfig.from_seed(DisorderTarget.HOPPING_R, 0.2, seed, 11))
+            rep = spectral_report(form)
+            assert [(c.algebraic, c.geometric) for c in rep.clusters if c.value == 0] == [(2, 1)]
+            zm = rep.zero_cluster
+            assert zm.defective and zm.algebraic_multiplicity == 2
+            want = zero_mode_analysis(form)
+            for f in fields(zm):
+                assert (np.asarray(getattr(zm, f.name)).tobytes()
+                        == np.asarray(getattr(want, f.name)).tobytes()), (seed, f.name)
+
+    def test_bloch_blocks_raise(self):
+        ring = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6, boundary=Boundary.PERIODIC)
+        with pytest.raises(ValueError, match="spectral_report takes reduced hops or H"):
+            spectral_report(chain(ring))
+
+    def test_subnormal_chain_has_no_zero_cluster(self):
+        # ||H||_2 = 5e-324 and E = +-5e-324: sigma_min = sigma_max. A floor
+        # of 1e-308 on the cluster radius made the pair a zero cluster, and
+        # zero_mode_analysis, whose cut is relative, raised NoZeroModeError.
+        p = LatticeParams(v=5e-324, r=1.0, gamma=0.0, n_cells=1)
+        for form in (chain(p), build_real_space(p), 1j * build_real_space(p)):
+            rep = spectral_report(form)
+            assert rep.zero_cluster is None
+            assert [c.algebraic for c in rep.clusters] == [1, 1]
 
 
 class TestGeometricCountsFromHops:
