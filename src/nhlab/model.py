@@ -160,10 +160,13 @@ def reduced_chain(params: LatticeParams, disorder: DisorderConfig | None = None)
     X = -diag(a) - superdiag(r) and Y = diag(b) + subdiag(r), and
     det H = +-prod(a_n b_n) (Hatano & Nelson 1996; Yao & Wang 2018).
     Returns None for a periodic chain or on-site disorder, which do not
-    reduce. r has N - 1 entries; a stack of draws puts its seed axis first.
+    reduce; on-site disorder of strength 0 leaves the clean chain, whose
+    hops it returns (its H is the clean one bit for bit). r has N - 1
+    entries; a stack of draws puts its seed axis first.
     """
     if params.boundary is not Boundary.OPEN or (
-            disorder is not None and disorder.target is DisorderTarget.ON_SITE):
+            disorder is not None and disorder.target is DisorderTarget.ON_SITE
+            and disorder.strength != 0):
         return None
     rn, vn, gn, _ = _per_cell_values(params, disorder)
     return vn - 0.5 * gn, vn + 0.5 * gn, rn[..., :-1]
@@ -175,7 +178,7 @@ def build_real_space(params: LatticeParams,
 
     Bond n couples cells n and n+1 and carries the hopping value r_n
     (one value per unit cell, applied to both hopping lines of the
-    bond). Only periodic chains and on-site disorder need this matrix
+    bond). Only periodic chains and nonzero on-site disorder need this matrix
     for their spectra; every other chain reduces (reduced_chain).
     """
     n = params.n_cells

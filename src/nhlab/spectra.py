@@ -312,11 +312,13 @@ def _factor_singular_values(hops, tol: float):
     return float(scale * top), values
 
 
-def _null_factor(values) -> int | None:
-    """0 (X) or 1 (Y): the factor whose values (see _factor_singular_values)
-    hold the smallest, X on a tie; None when neither holds any."""
-    x_min, y_min = (s[0] if s.size else np.inf for s in values)
-    return int(y_min < x_min) if min(x_min, y_min) < np.inf else None
+def _null_factor(hops, values) -> int:
+    """0 (X) or 1 (Y): the factor of the hops whose values (see
+    _factor_singular_values) hold the smallest. On a tie, the factor with a
+    zero hop on its diagonal, whose sigma_min is exactly 0 where a hop far
+    below the largest only reads as 0; then X."""
+    x, y = ((s[0] if s.size else np.inf, bool(d.all())) for s, d in zip(values, hops))
+    return int(y < x)
 
 
 def chain_norm(form) -> float:
@@ -449,9 +451,11 @@ def zero_mode_analysis(form, tol: float = ZERO_MODE_TOL, require_chiral: bool = 
     given (the caller's spectrum of H), else chain_spectrum of the form.
 
     Hops are solved with no dense solve of H: the singular values come
-    from chain_singular_values, u0 from the N x N SVD of the factor that
-    holds sigma_min (_hop_zero_vectors), with the beta component of its
-    largest cell real positive, and u0_prime from the other factor alone.
+    from chain_singular_values, u0 from the factor that holds sigma_min
+    (_hop_zero_vectors), by substitution where that factor has a zero hop
+    on its diagonal and else from its N x N SVD, with the beta component
+    of its largest cell real positive, and u0_prime from the other factor
+    alone.
     An H that is a clean open chain (build_real_space of some params, bit
     for bit) is solved on its hops (_reduced). Any other H must be chiral
     when require_chiral is set; it takes svd(H, compute_uv=False), and only
@@ -489,14 +493,22 @@ def _hop_zero_vectors(hops, values) -> tuple[np.ndarray, np.ndarray]:
     After the even/odd split, A = [[0, X], [Y, 0]]: X acts on the second
     sites and Y on the first. A null vector of X, on the second sites, is
     one of H; A^+ maps it to the first sites through Y^+, and a null vector
-    of Y to the second sites through X^+.
+    of Y to the second sites through X^+. The factor that holds sigma_min
+    (_null_factor) gives its null vector by substitution from a zero on its
+    diagonal (_substituted_null_vector), exact up to a few roundings per
+    entry, as (i, 1, 0, ...) / sqrt(2) at v = gamma/2; a factor with no
+    zero there, whose sigma_min is only below the cut, takes its own
+    N x N SVD.
     """
-    f = _null_factor(values)
-    # The null vector from a dense SVD of that N x N factor: inverse
-    # iteration (dstein) can miss it for the numerically double pair
-    # +-sigma_min (residual 7.6e-4 at v = -0.987, r = 1.96, gamma = 1.965,
-    # N = 16).
-    x = np.linalg.svd(_factor(hops, f))[2][-1]
+    f = _null_factor(hops, values)
+    if hops[f].all():
+        # A quasi-zero mode: the vector of sigma_min from a dense SVD of the
+        # N x N factor. Inverse iteration (dstein) can miss it for the
+        # numerically double pair +-sigma_min (residual 7.6e-4 at
+        # v = -0.987, r = 1.96, gamma = 1.965, N = 16).
+        x = np.linalg.svd(_factor(hops, f))[2][-1]
+    else:
+        x = _substituted_null_vector(hops, f)
     # Both components of cell n of u0 hold |x_n| / sqrt(2), so fix_phase's
     # largest component ties with its partner. The phase makes the beta one
     # real positive, as in the edge state (i, 1, 0, ...) / sqrt(2).
@@ -506,6 +518,47 @@ def _hop_zero_vectors(hops, values) -> tuple[np.ndarray, np.ndarray]:
     sites = ((zero, x), (z, zero)) if f == 0 else ((x, zero), (zero, z))
     u0, u0_prime = (_from_sites(*pair) for pair in sites)
     return u0, u0_prime
+
+
+def _substituted_null_vector(hops, factor: int) -> np.ndarray:
+    """A null vector of X (factor 0) or Y (factor 1) of reduced hops that
+    have a zero on that factor's diagonal, by substitution; its largest
+    entry lies in [1/2, 1].
+
+    Row n of X x = 0 reads a_n x_n = -r_n x_{n+1}, and its last row
+    a_N x_N = 0: from the first zero a_k, x_k = 1, x_n = 0 after k, and
+    x_n = -r_n x_{n+1} / a_n before it, where no a_n is zero. Y y = 0 reads
+    b_{n+1} y_{n+1} = -r_n y_n and b_1 y_1 = 0: from the last zero b_k,
+    y_k = 1, y_n = 0 before k, and the recursion after it. Each entry is
+    carried as a signed mantissa and a binary exponent: the hops'
+    mantissas divide to a quotient in (1/2, 2) and their exponents subtract
+    exactly, so no ratio r_n / a_n over- or underflows, and each step
+    rounds twice (Parlett, The Symmetric Eigenvalue Problem, 1998).
+    """
+    a, b, r = hops
+    if factor == 0:
+        k = int(np.flatnonzero(a == 0)[0])
+        num, den = r[:k][::-1], a[:k][::-1]
+    else:
+        k = int(np.flatnonzero(b == 0)[-1])
+        num, den = r[k:], b[k + 1:]
+    (m_num, e_num), (m_den, e_den) = np.frexp(num), np.frexp(den)
+    q = -m_num / m_den
+    m, e = np.ones(len(q) + 1), np.zeros(len(q) + 1, dtype=int)
+    # A run of 1000 quotients keeps each running product of mantissas normal.
+    for s in range(0, len(q), 1000):
+        run = np.cumprod(np.concatenate([m[s:s + 1], q[s:s + 1000]]))[1:]
+        m[s + 1:s + 1 + len(run)], shift = np.frexp(run)
+        e[s + 1:s + 1 + len(run)] = e[s] + shift
+    e[1:] += np.cumsum(e_num - e_den)
+    # A zero hop r_n zeroes every entry past it; x_k = 1 is never zero.
+    walk = np.ldexp(m, e - e[m != 0].max())
+    x = np.zeros(len(a))
+    if factor == 0:
+        x[:k + 1] = walk[::-1]
+    else:
+        x[k:] = walk
+    return x
 
 
 @dataclass(frozen=True)
@@ -546,7 +599,10 @@ def _reduced(form, caller: str):
                           gamma=2 * float(form[0, 0].imag), n_cells=n)
     except ValueError:
         return form
-    return chain(p) if build_real_space(p).tobytes() == form.tobytes() else form
+    # Bit for bit: the words of both matrices, compared where they lie.
+    same = np.array_equal(build_real_space(p).view(np.uint64),
+                          np.ascontiguousarray(form).view(np.uint64))
+    return chain(p) if same else form
 
 
 def _simple_eigenvalues(hops) -> bool:
@@ -605,29 +661,37 @@ def spectral_report(form) -> SpectralReport:
     lab, prev = np.arange(n), None
     while not np.array_equal(lab, prev):
         lab, prev = np.where(near, lab, n).min(axis=1), lab
-    groups = [ws[lab == first] for first in np.flatnonzero(lab == np.arange(n))]
-    reps = [complex(np.mean(g)) for g in groups]
+    # Clusters in order of their first member; a stable sort on the labels
+    # keeps each one's members in sorted order, the order np.mean takes.
+    first = np.flatnonzero(lab == np.arange(n))
+    size = np.bincount(lab, minlength=n)[first]
+    members = ws[np.argsort(lab, kind="stable")]
+    start = np.cumsum(size) - size
+    # A singleton is its own mean; np.mean's sum starts from +0.0, which
+    # turns a -0.0 part into +0.0.
+    reps = ws[first] + 0.0
+    repeated = [(j, members[start[j]:start[j] + size[j]]) for j in np.flatnonzero(size > 1)]
+    for j, g in repeated:
+        reps[j] = np.mean(g)
+    is_zero = np.abs(reps) < thresh
     zero = None
-    if any(abs(rep) < thresh for rep in reps):
+    if is_zero.any():
         zero = zero_mode_analysis(form, CLUSTER_TOL, require_chiral=False, eigenvalues=w)
     simple = isinstance(form, tuple) and _simple_eigenvalues(form)
-    clusters = []
-    for g, rep in zip(groups, reps):
-        # 1 <= geometric <= algebraic, so a simple eigenvalue needs no SVD.
-        if len(g) == 1:
-            geo = 1
-        elif abs(rep) < thresh:
-            geo = zero.geometric_multiplicity
-        elif simple and (g == g[0]).all():
-            geo = 1
-        else:
-            geo = geometric_multiplicity(_matrix(form), rep, tol=CLUSTER_TOL)
-        clusters.append(Cluster(value=rep, algebraic=len(g), geometric=geo))
-    band_re = [abs(c.value.real) for c in clusters if abs(c.value) >= thresh]
+    # 1 <= geometric <= algebraic, so a simple eigenvalue needs no SVD.
+    geo = [1] * len(first)
+    for j, g in repeated:
+        if is_zero[j]:
+            geo[j] = zero.geometric_multiplicity
+        elif not (simple and (g == g[0]).all()):
+            geo[j] = geometric_multiplicity(_matrix(form), reps[j], tol=CLUSTER_TOL)
+    clusters = [Cluster(value=rep, algebraic=alg, geometric=k)
+                for rep, alg, k in zip(reps.tolist(), size.tolist(), geo)]
+    band_re = np.abs(reps.real[np.abs(reps) >= thresh])
     return SpectralReport(
         eigenvalues=w,
         clusters=clusters,
-        real_gap=float(min(band_re)) if band_re else 0.0,
+        real_gap=float(band_re.min()) if band_re.size else 0.0,
         is_real=bool(np.abs(w.imag).max() < REALITY_TOL * max(scale, 1e-300)),
         zero_cluster=zero,
     )

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nhlab import Boundary, LatticeParams, ZeroModeInfo
 from nhlab.model import SIGMA_X
@@ -7,6 +8,12 @@ from nhlab.spectra import (CLUSTER_TOL, below_cut, fix_phase, geometric_multipli
                            zero_cluster_size)
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+# On CI Hypothesis loads its "ci" profile, which derandomizes every test, so
+# each run replays the same draws and --hypothesis-seed has no effect.
+# "seeded" draws afresh from --hypothesis-seed and replays no stored example:
+#   pytest tests/test_spectra.py --hypothesis-profile=seeded --hypothesis-seed=25
+settings.register_profile("seeded", derandomize=False, database=None)
 
 
 def chiral_operator(n_cells: int) -> np.ndarray:

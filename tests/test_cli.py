@@ -265,13 +265,15 @@ class TestSpectrum:
         # a_n b_n = v^2 - gamma^2/4 < 0; |v| >= gamma/2 takes eigvalsh_tridiagonal.
         # The singular values come from bisection on the reduced chain's
         # bidiagonal factors; only the side of a present mode takes an SVD,
-        # of the N x N factor that holds sigma_min. Each point bisects one
-        # eigenvalue by index, sigma_max: the factor that holds sigma_min
-        # comes from the values below the cut, not from a second bisection.
+        # of the N x N factor that holds sigma_min, and not at v = 0.5,
+        # where that factor X has the zero hop a_n = 0 and gives its null
+        # vector by substitution. Each point bisects one eigenvalue by
+        # index, sigma_max: the factor that holds sigma_min comes from the
+        # values below the cut, not from a second bisection.
         present = sum(t["zero_mode_present"] for t in tracks)
-        assert present > 0
+        assert present > 1 and 0.5 in grid
         assert calls == {"eigvals": int(np.sum(np.abs(grid) < 0.5)), "lstsq": 0,
-                         "svd_values": 0, "svd_full": present, "bisect_index": len(grid)}
+                         "svd_values": 0, "svd_full": present - 1, "bisect_index": len(grid)}
 
     def test_tied_factors_take_the_left_vector(self, tmp_path):
         # At v = 0, r = 1 the factors X and Y share their singular values,
@@ -471,11 +473,10 @@ class TestDisorder:
                     sides |= {(v, side) for _, side in want if side}
         assert sides == {(0.5, "left"), (-0.5, "right")}
 
-    @pytest.mark.xfail(reason=(
-        "ROADMAP item 2: on-site disorder does not reduce, so the CSV takes "
-        "eigvals(H) even at d = 0, which scatters the right-edge zero pair "
-        "of v = -gamma/2 to 1.6e-4 ||H||_2 and reports no mode."))
     def test_onsite_flags_at_the_right_edge(self, tmp_path):
+        # At d = 0 on-site disorder leaves the clean chain, which reduces:
+        # its exact right-edge pair is present, where eigvals(H) scattered
+        # it to 1.6e-4 ||H||_2.
         params = LatticeParams(v=-0.5, r=0.5, gamma=1.0, n_cells=30)
         d_grid = [0.0, 0.05, 0.3]
         for seed in range(3):
@@ -488,10 +489,12 @@ class TestDisorder:
 
     def test_no_dense_svd_where_the_chain_reduces(self, tmp_path, monkeypatch):
         # r, v and gamma chains take sigma_max and the zero mode's side from
-        # the N x N bidiagonal factors. onsite disorder takes norm(H, 2) and,
-        # where a mode is present, zero_mode_analysis's values-only SVD of H
-        # and then its full SVD; at d = 0 the chain is clean, and
-        # zero_mode_analysis solves it on its hops.
+        # the N x N bidiagonal factors: a factor with a zero hop on its
+        # diagonal gives its null vector by substitution, any other one
+        # takes its own SVD. onsite disorder takes norm(H, 2) and, where a
+        # mode is present, zero_mode_analysis's values-only SVD of H and
+        # then its full SVD; at d = 0 the chain is clean, reduces, and has
+        # the zero hops a_n = 0, so it takes no SVD at all.
         calls = []
         svd, norm = np.linalg.svd, np.linalg.norm
 
@@ -506,48 +509,51 @@ class TestDisorder:
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
         d_grid = [0.0, 1e-9, 0.05, 0.3, 1.0]
+        params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
         for name in ("r", "v", "gamma", "onsite"):
             calls.clear()
             cmd_disorder(self._config(n_cells=30, targets=[name], d_grid=d_grid, n_seeds=0),
                          tmp_path)
             with open(tmp_path / f"disorder_{name}.csv", encoding="utf-8") as fh:
-                present = sum(r["zero_mode_present"] == "1"
-                              for r in list(csv.DictReader(fh))[::60])
+                flags = [r["zero_mode_present"] == "1" for r in list(csv.DictReader(fh))[::60]]
+            present = sum(flags)
             dense = [c for c in calls if c[1] == (60, 60)]
             assert present >= 1
             if name == "onsite":
-                assert present >= 2
-                assert sorted(dense) == sorted([("norm", (60, 60), 2)] * len(d_grid)
+                assert present >= 2 and flags[0]
+                assert sorted(dense) == sorted([("norm", (60, 60), 2)] * (len(d_grid) - 1)
                                                + [("svd", (60, 60))] * 2 * (present - 1))
-                assert [c for c in calls if c[0] == "svd" and c[1] != (60, 60)] == [
-                    ("svd", (30, 30))]
+                assert [c for c in calls if c[0] == "svd" and c[1] != (60, 60)] == []
             else:
+                # a_n = v_n - gamma_n / 2 is 0 at d = 0 and, for r, at every d.
+                quasi = [f and reduced_chain(params, DisorderConfig.from_seed(
+                    DisorderTarget(name), d, 0, 30))[0].all() for f, d in zip(flags, d_grid)]
+                assert sum(quasi) == (0 if name == "r" else present - 1)
                 assert dense == [] and [c for c in calls if c[0] == "svd"] == (
-                    [("svd", (30, 30))] * present)
+                    [("svd", (30, 30))] * sum(quasi))
 
     def test_one_form_per_grid_point(self, tmp_path, monkeypatch):
-        # onsite builds H once per grid point, and r, v and gamma reduce
-        # once per grid point; n_seeds = 0 leaves the transition search
-        # nothing to build. Where an onsite mode is present,
-        # zero_mode_analysis's exact test for a clean chain (_reduced)
-        # builds H once more.
+        # onsite builds H once per grid point past d = 0, where the chain
+        # is clean and reduces, and r, v and gamma reduce once per grid
+        # point; n_seeds = 0 leaves the transition search nothing to build.
+        # Where an onsite mode is present past d = 0, zero_mode_analysis's
+        # exact test for a clean chain (_reduced) builds H once more.
         calls = []
         for name in ("build_real_space", "reduced_chain"):
             real = getattr(spectra, name)
             monkeypatch.setattr(spectra, name, lambda *a, _f=real, _n=name, **k:
                                 calls.append(_n) or _f(*a, **k))
         d_grid = np.linspace(0.0, 2.0, 31).tolist()
-        for target, built in (("onsite", "build_real_space"), ("r", "reduced_chain"),
-                              ("v", "reduced_chain"), ("gamma", "reduced_chain")):
+        for target in ("onsite", "r", "v", "gamma"):
             calls.clear()
             cmd_disorder(self._config(n_cells=30, targets=[target], d_grid=d_grid, n_seeds=0),
                          tmp_path)
             with open(tmp_path / f"disorder_{target}.csv", encoding="utf-8") as fh:
-                present = sum(r["zero_mode_present"] == "1"
-                              for r in list(csv.DictReader(fh))[::60])
-            assert present >= 1
-            assert calls.count(built) == 31 + (present if target == "onsite" else 0)
-            assert target == "onsite" or "build_real_space" not in calls
+                flags = [r["zero_mode_present"] == "1" for r in list(csv.DictReader(fh))[::60]]
+            assert flags[0]         # the clean chain at v = gamma/2
+            assert calls.count("reduced_chain") == 31
+            assert calls.count("build_real_space") == (
+                30 + sum(flags[1:]) if target == "onsite" else 0)
 
     def test_bisects_below_the_cut_only_where_a_mode_is_present(self, tmp_path, monkeypatch):
         # The CSV reads ||H||_2 at every grid point and, where a mode is

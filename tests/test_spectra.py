@@ -1,5 +1,6 @@
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -837,18 +838,24 @@ class TestReducedZeroMode:
         # u0 lies on one sublattice of the path: Gamma u0 = -u0 where X
         # holds sigma_min (as at v = gamma/2), +u0 where Y does.
         _, values = spectra._factor_singular_values(chain(p), tol)
-        sign = 1 if spectra._null_factor(values) else -1
+        sign = 1 if spectra._null_factor(chain(p), values) else -1
         assert np.abs(chiral_operator(n) @ got.u0 - sign * got.u0).max() <= 1e-15
 
     def test_edge_state_gauge(self, defective_params):
         # The largest component ties with its cell partner; beta is real
-        # positive, so the edge state is (i, 1, 0, ...) / sqrt(2).
+        # positive, so the edge state is (i, 1, 0, ...) / sqrt(2). X has
+        # the zero hop a_1, so substitution gives it exactly: every site
+        # past the first cell is 0, and the first two lie within an ulp of
+        # 1 / sqrt(2).
         zm = zero_mode_analysis(build_real_space(defective_params))
-        np.testing.assert_allclose(zm.u0, exact_zero_mode(30), rtol=0, atol=1e-15)
+        assert not zm.u0[2:].any()
+        np.testing.assert_allclose(zm.u0, exact_zero_mode(30), rtol=0, atol=1.2e-16)
 
     @pytest.mark.parametrize("v, r", [(0.5, 0.5), (-0.5, 0.5), (0.3, 0.5), (0.0, 1.0)])
     def test_takes_no_dense_solve(self, monkeypatch, v, r):
-        # One N x N SVD, of the factor that holds sigma_min; the other factor
+        # At v = +-gamma/2 the factor that holds sigma_min has zero hops on
+        # its diagonal and gives its null vector by substitution, with no
+        # SVD. Elsewhere, one N x N SVD, of that factor; the other factor
         # is solved or, when it too has values below the cut (v = 0, where
         # |a_n| = |b_n|), decomposed by its own SVD. At v < gamma/2 the one
         # eigvals is of chain_spectrum's real path.
@@ -867,8 +874,105 @@ class TestReducedZeroMode:
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         zm = zero_mode_analysis(build_real_space(LatticeParams(v=v, r=r, gamma=1.0, n_cells=40)))
         assert zm.geometric_multiplicity == (2 if v == 0.0 else 1)
-        assert seen["svd"] == [(40, 40)] * zm.geometric_multiplicity
+        assert seen["svd"] == [(40, 40)] * (0 if abs(v) == 0.5 else zm.geometric_multiplicity)
         assert seen["eigvals"] == ([np.dtype(float)] if abs(v) < 0.5 else [])
+
+
+# Hops of the lattice's own scale, and of any size below 1e300, subnormals
+# and exact zeros included.
+HOPS = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e300, 1e300),
+                 st.sampled_from([0.0, 5e-324, -5e-324, 1e-310]))
+
+
+@st.composite
+def hops_with_a_zero_hop(draw):
+    """Reduced hops (a, b, r) whose a (X's diagonal) or b (Y's) holds at
+    least one exact zero."""
+    n = draw(st.integers(1, 8))
+    a, b = (np.array(draw(st.lists(HOPS, min_size=n, max_size=n))) for _ in range(2))
+    r = np.array(draw(st.lists(HOPS, min_size=n - 1, max_size=n - 1)))
+    diag = (a, b)[draw(st.integers(0, 1))]
+    diag[draw(st.lists(st.integers(0, n - 1), min_size=1))] = 0.0
+    return a, b, r
+
+
+def exact_residual_squared(hops, u0) -> Fraction:
+    """||H u0||^2 in exact arithmetic, H = i U A U^H of the hops. Cell n of
+    U^H u0 holds (alpha - i beta, alpha + i beta) / sqrt(2) on the sites of
+    the path A, so ||H u0||^2 = ||A w||^2 / 2 with w those two sums; A takes
+    -a_n w'_n - r_n w'_{n+1} to the first site of cell n and
+    b_n w_n + r_{n-1} w_{n-1} to the second, with w (w') on the first (second)."""
+    a, b, r = ([Fraction(x) for x in h] for h in hops)
+    al = [(Fraction(z.real), Fraction(z.imag)) for z in u0[0::2]]
+    be = [(Fraction(z.real), Fraction(z.imag)) for z in u0[1::2]]
+    first = [(x + yi, xi - y) for (x, xi), (y, yi) in zip(al, be)]     # alpha - i beta
+    second = [(x - yi, xi + y) for (x, xi), (y, yi) in zip(al, be)]    # alpha + i beta
+    total = Fraction(0)
+    for n in range(len(a)):
+        for k in range(2):
+            top = -a[n] * second[n][k] - (r[n] * second[n + 1][k] if n < len(r) else 0)
+            bottom = b[n] * first[n][k] + (r[n - 1] * first[n - 1][k] if n else 0)
+            total += top * top + bottom * bottom
+    return total / 2
+
+
+class TestSubstitutedNullVector:
+    """Where the factor that holds sigma_min has a zero hop on its diagonal,
+    zero_mode_analysis takes u0 by substitution (spectra._substituted_null_vector)."""
+
+    @given(hops_with_a_zero_hop())
+    @settings(max_examples=300, deadline=None)
+    @example((np.array([5e-324, 0.0]), np.array([5e-324, 0.0]), np.array([1.0])))
+    @example((np.array([1e-300, 1e-300, 0.0]), np.array([1.0, 1.0, 1.0]),
+              np.array([1e300, 1e300])))     # x_1 / x_3 = 1e1200, beyond double range
+    def test_null_vector_residual_is_rounding(self, hops):
+        # zero_mode_analysis' (u0, u0') on hops, without its algebraic count:
+        # chain_spectrum's eigvals need not converge on such hops. u0' =
+        # H^+ u0 has a norm of at least 1 / sigma over the singular values
+        # kept, beyond double range where those are subnormal (a = b = (0, 0),
+        # r = 5e-324), and the other factor's dense SVD can read a subnormal
+        # one as 0: u0' overflows or divides by zero there, and only u0 is
+        # checked here.
+        _, values = spectra._factor_singular_values(hops, ZERO_MODE_TOL)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u0, _ = spectra._hop_zero_vectors(hops, values)
+        n = len(hops[0])
+        M = spectra._matrix(hops)       # i [[0, X], [Y, 0]], unitarily similar to H
+        s = np.linalg.svd(M, compute_uv=False)
+        assert np.linalg.norm(u0) == pytest.approx(1.0, abs=1e-15)
+        bound = 2 * n * Fraction(np.finfo(float).eps) * Fraction(float(s[0]))
+        assert exact_residual_squared(hops, u0) <= bound ** 2
+        if s[0] and s[-2] > 1e-8 * s[0]:
+            # One-dimensional null space: u0 spans the dense null vector.
+            null = np.linalg.svd(M)[2][-1].conj()
+            w = np.concatenate([u0[0::2] - 1j * u0[1::2],
+                                u0[0::2] + 1j * u0[1::2]]) * np.sqrt(0.5)
+            assert abs(np.vdot(null, w)) >= 1 - 1e-10
+
+    def test_first_zero_of_x_and_last_of_y(self):
+        # X x = 0 is solved from the first zero a_n and Y y = 0 from the last
+        # zero b_n; sites past (before) it hold nothing.
+        a = np.array([2.0, 0.0, 3.0, 0.0])
+        b = np.array([0.0, 5.0, 0.0, 7.0])
+        r = np.array([1.0, 1.0, 1.0])
+        x = spectra._substituted_null_vector((a, b, r), 0)
+        y = spectra._substituted_null_vector((a, b, r), 1)
+        assert (x == [-0.5, 1.0, 0.0, 0.0]).all()
+        np.testing.assert_array_equal(y, [0.0, 0.0, 1.0, -1 / 7])
+
+    def test_walk_longer_than_one_run(self):
+        # a_n = 3/4, r_n = 1 and a first zero at k = 2400: x_n = (-4/3)^(k - n).
+        # The hops' mantissas divide to -2/3 at each step, whose running
+        # product would pass below double range within 1800 steps; it is
+        # renormalised between runs of 1000 quotients, and the exponent
+        # carried, so every ratio x_n / x_{n+1} is -4/3 to rounding.
+        n, k = 2500, 2400
+        a = np.full(n, 0.75)
+        a[k] = 0.0
+        x = spectra._substituted_null_vector((a, np.ones(n), np.ones(n - 1)), 0)
+        assert 0.5 <= abs(x[0]) <= 1.0
+        np.testing.assert_allclose(x[:k] / x[1:k + 1], -4 / 3, rtol=1e-15, atol=0)
+        assert x[k] and not x[k + 1:].any()
 
 
 class TestZeroModeForms:
@@ -1050,8 +1154,9 @@ class TestSpectralReport:
         # eigvals and the norm SVD of H are left out; at v < gamma/2 the one
         # eigvals is of chain_spectrum's real path. No repeated cluster takes
         # a 2N x 2N SVD for its geometric count. The zero cluster, at
-        # v = gamma/2, takes one N x N SVD, of the factor X that holds
-        # sigma_min, and a triangular solve of Y.
+        # v = gamma/2, takes no SVD: X, which holds sigma_min, has the zero
+        # hops a_n = 0 and gives its null vector by substitution, and Y
+        # takes a triangular solve.
         seen = {"eigvals": [], "norm": 0, "svd": []}
         eigvals, norm, svd = np.linalg.eigvals, np.linalg.norm, np.linalg.svd
 
@@ -1073,8 +1178,7 @@ class TestSpectralReport:
         rep = spectral_report(build_real_space(LatticeParams(v=v, r=0.5, gamma=1.0, n_cells=30)))
         assert seen["eigvals"] == ([np.dtype(float)] if v < 0.5 else [])
         assert seen["norm"] == 0
-        assert seen["svd"] == ([((30, 30), True)] * (rep.zero_cluster is not None)
-                               + [((60, 60), False)] * geometric_svds)
+        assert seen["svd"] == [((60, 60), False)] * geometric_svds
         assert (rep.zero_cluster is not None) == (v == 0.5)
 
     @staticmethod
@@ -1157,6 +1261,8 @@ class TestSpectralReportForms:
              target=DisorderTarget.HOPPING_R, d=0.0, seed=0)     # ||H||_2 = 5e-324
     @example(n=9, r=0.05, gamma=0.6475132650726972, edge=-0.5, v_free=0.0,
              target=DisorderTarget.HOPPING_R, d=0.422459990324764, seed=70)
+    @example(n=2, r=1.0, gamma=0.0, edge=None, v_free=0.0, target=DisorderTarget.HOPPING_V,
+             d=5e-324, seed=287)    # a = (5e-324, 0): -r_1 / a_1 overflows
     def test_zero_cluster_presence_matches_dense(self, n, r, gamma, edge, v_free, target, d,
                                                  seed):
         # v = +-gamma/2, the exceptional points, is drawn often.
