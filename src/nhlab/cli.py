@@ -21,7 +21,8 @@ import numpy as np
 from . import dynamics, spectra
 from .dynamics import SweepDirection, SweepMode, adiabatic_sweep, evolve, fourier_detect
 from .errors import ConfigError, NhlabError, NoZeroModeError
-from .model import Boundary, DisorderConfig, DisorderTarget, LatticeParams, build_real_space
+from .model import (Boundary, DisorderConfig, DisorderTarget, LatticeParams, build_real_space,
+                    reduced_chain)
 from .topology import DEFAULT_SAMPLES, count_enclosed_eps, track_band, winding_number
 
 SCHEMA_VERSION = 1
@@ -281,23 +282,40 @@ def disorder_transition(params: LatticeParams, target: DisorderTarget,
 
     The criterion is min |E| > tol (in gamma units); a seed whose mode
     survives the whole grid gets None. The draws of all seeds are made
-    once, as one stack; at each d, spectra.zero_mode_split decides the
-    seeds not yet split together, solving only the rows its trace bound
-    leaves open, and the search stops once none is left.
+    once, as one stack, and spectra.zero_mode_split searches the grid of
+    strengths over it: it settles every (d, seed) it can from the hops up
+    front and solves, d by d, only the seeds not yet split that are left.
     """
-    stack = DisorderConfig.from_seeds(target, 0.0, seeds, params.n_cells)
-    found = [None] * len(stack.seed)
-    live = np.arange(len(found))
-    for d in d_grid:
-        if not live.size:
-            break
-        dis = DisorderConfig(target, float(d), tuple(stack.seed[i] for i in live),
-                             stack.draws[live])
-        split = spectra.zero_mode_split(params, dis, tol)
-        for i in live[split]:
-            found[i] = float(d)
-        live = live[~split]
-    return found
+    grid = DisorderConfig.from_seeds(target, d_grid, seeds, params.n_cells)
+    split = spectra.zero_mode_split(params, grid, tol)
+    return [float(d_grid[np.argmax(col)]) if col.any() else None for col in split.T]
+
+
+# Bound on the relative error of the sigma_max that chain_norm bisects for,
+# with room to spare: dstebz at LAPACK's default tolerance stops within a few
+# ulp of ||T||, and its Sturm counts are exact for a matrix a few ulp away.
+_NORM_SLACK = 1e-12
+
+
+def _zero_mode_present(min_abs: float, form, tol: float) -> bool:
+    """below_cut(min_abs, chain_norm(form), tol), bit for bit, where hops
+    bisect for sigma_max only when bounds on it leave the flag open.
+
+    Every hop of the path is an entry of a matrix unitarily similar to H,
+    so max |hop| <= ||H||_2, and the path is the sum of its cells' 2 x 2
+    blocks and its bonds' ones, so ||H||_2 <= max(|a|, |b|) + max |r|.
+    Widened by _NORM_SLACK, each bound brackets the bisected sigma_max, and
+    rounding keeps tol times them in the same order. Hops whose largest is
+    not a normal number, H = 0 among them, bisect.
+    """
+    if isinstance(form, tuple):
+        a, b, r = (np.abs(x).max(initial=0.0) for x in form)
+        if max(a, b, r) >= np.finfo(float).tiny:
+            if spectra.below_cut(min_abs, max(a, b, r) * (1.0 - _NORM_SLACK), tol):
+                return True
+            if not spectra.below_cut(min_abs, (max(a, b) + r) * (1.0 + _NORM_SLACK), tol):
+                return False
+    return bool(spectra.below_cut(min_abs, spectra.chain_norm(form), tol))
 
 
 def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
@@ -331,12 +349,13 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
         energies = np.empty((len(d_grid), params.dim), dtype=complex)
         present = np.zeros(len(d_grid), dtype=int)
         side = np.full(len(d_grid), "", dtype=object)
-        draws = DisorderConfig.from_seed(target, 0.0, base_seed, params.n_cells)
+        draws = DisorderConfig.from_seed(target, d_grid, base_seed, params.n_cells)
+        hops = reduced_chain(params, draws)     # every d at once; None for onsite past d = 0
         for j, d in enumerate(d_grid):
-            form = spectra.chain(params, replace(draws, strength=float(d)))
+            form = (tuple(x[j] for x in hops) if hops is not None
+                    else spectra.chain(params, replace(draws, strength=float(d))))
             energies[j] = np.sort_complex(spectra.chain_spectrum(form))
-            present[j] = spectra.below_cut(np.abs(energies[j]).min(),
-                                           spectra.chain_norm(form), zm_tol)
+            present[j] = _zero_mode_present(np.abs(energies[j]).min(), form, zm_tol)
             if present[j]:
                 zm = spectra.zero_mode_analysis(form, zm_tol, require_chiral=False,
                                                 eigenvalues=energies[j])

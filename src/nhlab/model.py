@@ -75,16 +75,20 @@ class DisorderConfig:
     (from_seeds) holds one row of draws per seed, shape (S, N), and the
     tuple of its seeds; reduced_chain, build_real_space,
     spectra.smallest_abs_eigenvalue and spectra.zero_mode_split take it
-    and keep that leading axis.
+    and keep that leading axis. A grid of D strengths, a 1-D strength,
+    puts its own axis before those of the draws: (D, [S,] N).
     """
 
     target: DisorderTarget
-    strength: float
+    strength: float | np.ndarray
     seed: int | tuple[int, ...]
     draws: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.strength < np.inf:
+        if np.ndim(self.strength):
+            object.__setattr__(self, "strength", np.asarray(self.strength, dtype=float))
+        if np.ndim(self.strength) > 1 or not np.all(
+                (0.0 <= self.strength) & (self.strength < np.inf)):
             raise ValueError(f"disorder strength must be finite and >= 0, got {self.strength}")
         draws = np.asarray(self.draws, dtype=float)
         object.__setattr__(self, "draws", draws)
@@ -125,18 +129,22 @@ def build_bloch(params: LatticeParams, k: float | np.ndarray) -> np.ndarray:
 
 
 def _per_cell_values(params: LatticeParams, disorder: DisorderConfig | None):
-    """Per-cell (r_n, v_n, gamma_n, onsite_n), each of the draws' shape:
-    (N,), or (S, N) for a stack of S seeds."""
+    """Per-cell (r_n, v_n, gamma_n, onsite_n), each of shape (N,), (S, N)
+    for a stack of S seeds, and (D, N) or (D, S, N) for a grid of D
+    strengths, whose row d is the product strength[d] * draws, as one
+    strength gives it."""
     n = params.n_cells
-    shape = (n,) if disorder is None else disorder.draws.shape
-    if shape[-1] != n:
-        raise ValueError(f"disorder draws length {shape[-1]} != n_cells {n}")
+    if disorder is not None and disorder.draws.shape[-1] != n:
+        raise ValueError(f"disorder draws length {disorder.draws.shape[-1]} != n_cells {n}")
+    shape = (n,) if disorder is None else np.shape(disorder.strength) + disorder.draws.shape
     rn = np.full(shape, params.r)
     vn = np.full(shape, params.v)
     gn = np.full(shape, params.gamma)
     onsite = np.zeros(shape)
     if disorder is not None:
-        bump = disorder.strength * disorder.draws
+        strength = np.reshape(disorder.strength, np.shape(disorder.strength)
+                              + (1,) * disorder.draws.ndim)
+        bump = strength * disorder.draws
         if disorder.target is DisorderTarget.HOPPING_R:
             rn = rn + bump
         elif disorder.target is DisorderTarget.HOPPING_V:
@@ -161,12 +169,14 @@ def reduced_chain(params: LatticeParams, disorder: DisorderConfig | None = None)
     det H = +-prod(a_n b_n) (Hatano & Nelson 1996; Yao & Wang 2018).
     Returns None for a periodic chain or on-site disorder, which do not
     reduce; on-site disorder of strength 0 leaves the clean chain, whose
-    hops it returns (its H is the clean one bit for bit). r has N - 1
-    entries; a stack of draws puts its seed axis first.
+    hops it returns (its H is the clean one bit for bit), and a grid of
+    on-site strengths reduces only where every one is 0. r has N - 1
+    entries; a grid of strengths and a stack of draws put their axes
+    first, each row bit for bit what its own strength and seed give.
     """
     if params.boundary is not Boundary.OPEN or (
             disorder is not None and disorder.target is DisorderTarget.ON_SITE
-            and disorder.strength != 0):
+            and np.any(disorder.strength != 0)):
         return None
     rn, vn, gn, _ = _per_cell_values(params, disorder)
     return vn - 0.5 * gn, vn + 0.5 * gn, rn[..., :-1]

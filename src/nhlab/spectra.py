@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -51,7 +51,7 @@ def smallest_abs_eigenvalue(params: LatticeParams,
     raise ValueError.
     """
     out = _smallest_abs(params, disorder, 0.0)
-    return out if _is_stack(disorder) else float(out[0])
+    return out.reshape(_lead(disorder)) if _lead(disorder) else float(out[0])
 
 
 def zero_mode_split(params: LatticeParams, disorder: DisorderConfig | None,
@@ -59,57 +59,168 @@ def zero_mode_split(params: LatticeParams, disorder: DisorderConfig | None,
     """smallest_abs_eigenvalue(params, disorder) > tol, row for row, with
     most of its eigvals left out.
 
-    With K = Y^-1 X^-1, min |E| = 1 / sqrt(rho(K)) and the spectral radius
-    rho(K) >= |trace K| / N. Less a rounding margin 2 N^2 eps ||K||_F,
-    which covers eigvals' backward error and the summed trace, that bound
-    is below the largest |eig(K)| that eigvals returns for K, so where
-    1 / sqrt(bound) <= tol the row is certainly not split and is not
-    solved. Near a zero mode, where min |E| is far below tol, almost every
-    row settles so; the rest, and the rows that take H, are solved as in
-    smallest_abs_eigenvalue. A stack gives one bool per row.
+    A row with a zero hop has min |E| = 0, and a row that _trace_certified
+    shows has min |E| <= tol, from its hops in O(N), is not split and is
+    not solved. Near a zero mode, where min |E| is far below tol, almost
+    every row settles so; the rest, and the rows that take H, are solved
+    as in smallest_abs_eigenvalue. A stack gives one bool per row.
+
+    A grid of D strengths over a stack of S seeds asks where each seed
+    first splits. It gives (D, S) bools, each seed's column False up to
+    the first strength where it splits and True from there on. The hops
+    of the whole grid are built and settled up front (in blocks of
+    strengths of at most _GRID_HOPS hops); each strength then solves, in
+    one stacked call, the seeds not yet split that are left open, and no
+    later strength of a split seed is solved.
     """
+    if disorder is not None and np.ndim(disorder.strength):
+        return _first_splits(params, disorder, tol)
     split = _smallest_abs(params, disorder, tol) > tol
-    return split if _is_stack(disorder) else bool(split[0])
+    return split if _lead(disorder) else bool(split[0])
 
 
-def _is_stack(disorder: DisorderConfig | None) -> bool:
-    return disorder is not None and disorder.draws.ndim == 2
+def _lead(disorder: DisorderConfig | None) -> tuple[int, ...]:
+    """The leading shape of a grid of strengths and a stack of draws."""
+    return () if disorder is None else np.shape(disorder.strength) + disorder.draws.shape[:-1]
+
+
+def _hop_rows(hops, n: int):
+    """reduced_chain's hops as rows: a and b (k, N), r (k, N - 1)."""
+    a, b, r = hops
+    rows = a.size // n
+    a, b, r = a.reshape(rows, n), b.reshape(rows, n), r.reshape(rows, n - 1)
+    if not all(np.isfinite(x).all() for x in (a, b, r)):
+        raise ValueError("reduced chain hops must be finite")
+    return a, b, r
 
 
 def _smallest_abs(params: LatticeParams, disorder: DisorderConfig | None,
                   tol: float) -> np.ndarray:
-    """min |E| of each row of the draws (one row for None or a single
-    draw), as smallest_abs_eigenvalue; a row whose trace bound (see
-    zero_mode_split) shows min |E| <= tol is left unsolved at 0.0. tol = 0
-    leaves none."""
+    """min |E| of each row of the draws, flat (one row for None or a single
+    draw), as smallest_abs_eigenvalue; a row that _trace_certified shows
+    has min |E| <= tol is left unsolved at 0.0. tol = 0 leaves none."""
     n = params.n_cells
-    out = np.zeros(len(disorder.draws) if _is_stack(disorder) else 1)
+    out = np.zeros(int(np.prod(_lead(disorder))))
     dense = np.arange(len(out))                 # the rows that take H
     hops = reduced_chain(params, disorder)
     if hops is not None:
-        a, b = (x.reshape(len(out), n) for x in hops[:2])
-        r = hops[2].reshape(len(out), n - 1)
-        if not all(np.isfinite(x).all() for x in (a, b, r)):
-            raise ValueError("reduced chain hops must be finite")
-        rows = np.flatnonzero(a.all(axis=1) & b.all(axis=1))    # the others stay 0.0
+        a, b, r = _hop_rows(hops, n)
+        rows = np.flatnonzero(~_settled(a, b, r, tol))      # the others stay 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             k = _inverse_products(a[rows], b[rows], r[rows])
-            # nan or -inf where K or its norm overflows, which settles nothing
-            bound = (np.abs(np.trace(k, axis1=1, axis2=2))
-                     - 2 * n ** 2 * np.finfo(float).eps
-                     * np.sqrt(np.einsum("kij,kij->k", k, k))) / n
-        settled = bound > 0
-        settled[settled] = 1.0 / np.sqrt(bound[settled]) <= tol
-        solve = ~settled & np.isfinite(k).all(axis=(1, 2))
+        solve = np.isfinite(k).all(axis=(1, 2))
         top = np.full(len(rows), np.inf)
         top[solve] = np.abs(_eigvals(k[solve])).max(axis=-1)
         solved = (0.0 < top) & (top < np.inf)
         out[rows[solved]] = 1.0 / np.sqrt(top[solved])
-        dense = rows[~solved & ~settled]
+        dense = rows[~solved]
     if dense.size:
         H = build_real_space(params, disorder=disorder).reshape(-1, 2 * n, 2 * n)
         out[dense] = np.abs(_eigvals(H[dense])).min(axis=-1)
     return out
+
+
+# Hop entries of the grid that _first_splits builds and settles at a time
+# (at least one strength's worth), which bounds its memory for many seeds.
+_GRID_HOPS = 2 ** 18
+
+
+def _first_splits(params: LatticeParams, grid: DisorderConfig, tol: float) -> np.ndarray:
+    """zero_mode_split of a grid of strengths; see there."""
+    n, strengths = params.n_cells, grid.strength
+    draws = grid.draws.reshape(-1, n)
+    seeds = grid.seed if isinstance(grid.seed, tuple) else (grid.seed,)
+    settled = np.zeros((len(strengths), len(draws)), dtype=bool)
+    checked = np.zeros(len(strengths), dtype=bool)      # the strengths settled up front
+    step = max(1, _GRID_HOPS // max(draws.size, 1))
+    for j in range(0, len(strengths) if draws.size else 0, step):
+        hops = reduced_chain(params, replace(grid, strength=strengths[j:j + step]))
+        if hops is not None:            # on-site disorder reduces at d = 0 only
+            settled[j:j + step] = _settled(*_hop_rows(hops, n), tol).reshape(-1, len(draws))
+            checked[j:j + step] = True
+    split = np.zeros(settled.shape, dtype=bool)
+    alive = np.ones(len(draws), dtype=bool)
+    for j, d in enumerate(strengths.tolist()):
+        rows = np.flatnonzero(alive & ~settled[j])
+        if rows.size:
+            # A strength settled up front takes no second bound, as its
+            # rows' hops are the grid's bit for bit; on-site disorder past
+            # d = 0 takes H, as smallest_abs_eigenvalue does.
+            dis = DisorderConfig(grid.target, d, tuple(seeds[i] for i in rows), draws[rows])
+            rows = rows[_smallest_abs(params, dis, 0.0 if checked[j] else tol) > tol]
+            split[j:, rows] = True
+            alive[rows] = False
+    return split.reshape(_lead(grid))
+
+
+def _settled(a: np.ndarray, b: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of hops (see _hop_rows) whose min |E| <= tol needs no solve: a
+    zero in a or b, where min |E| = 0, or, for tol > 0, _trace_certified."""
+    live = a.all(axis=1) & b.all(axis=1)
+    if tol > 0:
+        live[live] = ~_trace_certified(*(np.ascontiguousarray(x[live].T) for x in (a, b, r)),
+                                       tol)
+    return ~live
+
+
+def _trace_certified(a: np.ndarray, b: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
+    """Chains of hops a, b (N, k) and r (N - 1, k), one chain per column
+    and no zero in a or b, for which the trace of K = Y^-1 X^-1 proves
+    min |E| <= tol; O(N) each, with no K formed.
+
+    min |E| = 1 / sqrt(rho(K)) and the spectral radius rho(K) >= |trace K| / N.
+    K_ii = -sum_{j <= i} prod_{k=j}^{i-1} r_k^2 / prod_{k=j}^{i} a_k b_k, so
+    trace K = -sum_i S_i / b_i with S_1 = 1/a_1 and
+    S_i = rho_{i-1} S_{i-1} + 1/a_i, rho_k = (r_k / b_k)(r_k / a_{k+1}). The
+    same recursion on absolute values gives T_abs = trace(|Y^-1| |X^-1|),
+    and two more give ||X^-1||_F^2 (rows j: R_j = 1/a_j^2 + (r_j/a_j)^2 R_{j+1})
+    and ||Y^-1||_F^2 (columns: C_j = 1/b_j^2 + (r_j/b_j)^2 C_{j+1}).
+
+    With u = eps / 2, the bound (|T| - 8 N eps T_abs - 2 N^2 eps F) / N,
+    F = ||Y^-1||_F ||X^-1||_F, never exceeds the largest |eig(K)| that
+    eigvals returns for the K that _inverse_products forms:
+    - each term of the summed T carries at most 6N roundings, so T is off
+      the exact trace by at most 6N u T_abs;
+    - each entry of a dtrtrs inverse of a bidiagonal carries at most 3N
+      roundings and the product N more, so trace K off by 7N u T_abs;
+    - eigvals returns the eigenvalues of K + E with |trace E| at most
+      2 N^2 eps ||K||_F <= 2 N^2 eps F, the margin the dense bound took;
+    - the 3N u left over covers the roundings of the bound itself, and
+      correctly rounded sqrt and division keep its order with |eig|.
+    These rounding counts hold while no entry of either inverse, nor any
+    product of two, leaves the normal range, so a row is certified only
+    where (N - 1) log2(max(1, max|h| / min|r|)) + log2(max|h|) < 500 for
+    h = a and for h = b (min over nonzero r), which keeps every such entry
+    above 2^-500, and where T, T_abs and F are finite.
+    """
+    n, k = a.shape
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        r_min = np.min(np.abs(r), axis=0, where=r != 0, initial=np.inf)
+        tame = np.ones(k, dtype=bool)
+        for h in (a, b):
+            h_max = np.abs(h).max(axis=0)
+            tame &= ((n - 1) * np.log2(np.maximum(h_max / r_min, 1.0))
+                     + np.log2(h_max)) < 500
+        # The four recursions run together, a step over all chains at a
+        # time: S and |S| forward, R and C backward on the reversed hops.
+        mult, s = np.empty((n - 1, 4, k)), np.empty((n, 4, k))
+        rb = r / b[:-1]
+        mult[:, 0] = rb * (r / a[1:])
+        mult[:, 1] = np.abs(mult[:, 0])
+        mult[::-1, 2] = (r / a[:-1]) ** 2
+        mult[::-1, 3] = rb * rb
+        s[:, 0] = 1.0 / a
+        s[:, 1] = np.abs(s[:, 0])
+        s[::-1, 2] = s[:, 1] * s[:, 1]
+        s[::-1, 3] = (1.0 / b) ** 2
+        for i in range(1, n):
+            s[i] += mult[i - 1] * s[i - 1]
+        trace = np.abs((s[:, 0] / b).sum(axis=0))
+        t_abs = (s[:, 1] / np.abs(b)).sum(axis=0)
+        f = np.sqrt(s[:, 2].sum(axis=0) * s[:, 3].sum(axis=0))
+        bound = (trace - eps * (8 * n * t_abs + 2 * n * n * f)) / n
+        return tame & (bound > 0) & (1.0 / np.sqrt(bound) <= tol)
 
 
 def _inverse_products(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -181,10 +292,11 @@ def chain(params: LatticeParams, disorder: DisorderConfig | None = None):
     """The form of build_real_space(params, disorder) that the chain_* functions
     take: a clean ring's Bloch blocks at k = 2 pi m / N, (N, 2, 2); the hops
     (a, b, r) of an open chain that model.reduced_chain reduces; else H. A
-    stack of draws raises ValueError, as its H would read as ring blocks.
+    stack of draws or a grid of strengths raises ValueError, as its H
+    would read as ring blocks.
     """
-    if disorder is not None and disorder.draws.ndim != 1:
-        raise ValueError("chain takes one chain's draws, not a stack")
+    if disorder is not None and _lead(disorder):
+        raise ValueError("chain takes one chain's draws, not a stack or a grid")
     if params.boundary is Boundary.PERIODIC and disorder is None:
         return build_bloch(params, 2 * np.pi * np.arange(params.n_cells) / params.n_cells)
     hops = reduced_chain(params, disorder)
@@ -201,9 +313,12 @@ def chain_spectrum(form) -> np.ndarray:
     t_2, ..., t_N, where t_n = sqrt|a_n b_n|, has the same spectrum. When
     every a_n b_n >= 0 it is symmetric and eigvalsh_tridiagonal returns an
     exactly real spectrum, {0, 0, +-r (N - 1 times each)} at v = gamma/2;
-    otherwise its lower cell hops take the sign of a_n b_n and it is one
-    real 2N x 2N eigvals. Both are more accurate than eigvals(H), which H
-    takes (Hatano & Nelson 1996; Yao & Wang 2018).
+    otherwise its lower cell hops take the sign of a_n b_n, and the path
+    is solved block by block between its zero hops: a block whose hops
+    have mixed signs as one real eigvals, any other as a symmetric path.
+    A path with no zero hop is one block and one call. Both are more
+    accurate than eigvals(H), which H takes (Hatano & Nelson 1996; Yao &
+    Wang 2018).
     """
     if not isinstance(form, tuple):
         if form.ndim == 2:
@@ -216,16 +331,33 @@ def chain_spectrum(form) -> np.ndarray:
     off[1::2] = r
     sign = np.sign(a) * np.sign(b)
     if (sign >= 0).all():
+        return _path_block(off, off).astype(complex)
+    lower = off.copy()
+    lower[0::2] *= sign
+    if off.all():
+        return np.linalg.eigvals(np.diag(off, 1) + np.diag(lower, -1)).astype(complex)
+    # Site blocks [start, end) between the zero hops, and one past the last site.
+    ends = np.flatnonzero(np.append(off, 0.0) == 0) + 1
+    return np.concatenate([_path_block(off[s:e - 1], lower[s:e - 1])
+                           for s, e in zip(np.r_[0, ends[:-1]], ends)]).astype(complex)
+
+
+def _path_block(off: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the zero-diagonal tridiagonal with hops off above and
+    lower below: eigvalsh_tridiagonal where they are equal, else eigvals of
+    the block scaled by a power of two to a largest hop in [1/2, 1), which
+    LAPACK carries exactly (unscaled, a block of hops 1.7e89 and 3.5 does
+    not converge). A symmetric block's tiny hops are zeroed in off itself."""
+    if not len(off):
+        return np.zeros(1)
+    if (lower == off).all():
         # eigvalsh_tridiagonal's driver (sterf) squares each hop, and a hop
         # below 1.5e-154 times the largest, _golub_kahan's cut, would square
         # to a subnormal and spoil the blocks it joins: split the path there.
         off[np.abs(off) < 1.5e-154 * np.abs(off).max()] = 0.0
-        w = scipy.linalg.eigvalsh_tridiagonal(np.zeros(len(off) + 1), off)
-    else:
-        lower = off.copy()
-        lower[0::2] *= sign
-        w = np.linalg.eigvals(np.diag(off, 1) + np.diag(lower, -1))
-    return w.astype(complex)
+        return scipy.linalg.eigvalsh_tridiagonal(np.zeros(len(off) + 1), off)
+    scale = 2.0 ** np.frexp(np.abs(off).max())[1]
+    return scale * np.linalg.eigvals(np.diag(off / scale, 1) + np.diag(lower / scale, -1))
 
 
 def _bisect(off: np.ndarray, select: int, vl=0.0, vu=0.0, il=0, iu=0, tol=_TINY_TOL):

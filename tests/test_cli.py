@@ -1,5 +1,6 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -533,15 +534,17 @@ class TestDisorder:
                     [("svd", (30, 30))] * sum(quasi))
 
     def test_one_form_per_grid_point(self, tmp_path, monkeypatch):
-        # onsite builds H once per grid point past d = 0, where the chain
-        # is clean and reduces, and r, v and gamma reduce once per grid
-        # point; n_seeds = 0 leaves the transition search nothing to build.
-        # Where an onsite mode is present past d = 0, zero_mode_analysis's
-        # exact test for a clean chain (_reduced) builds H once more.
+        # r, v and gamma reduce the whole grid in one call. onsite's grid
+        # does not reduce, so it builds H once per grid point past d = 0
+        # and reduces at d = 0, where the chain is clean; n_seeds = 0 leaves
+        # the transition search nothing to build. Where an onsite mode is
+        # present past d = 0, zero_mode_analysis's exact test for a clean
+        # chain (_reduced) builds H once more.
         calls = []
-        for name in ("build_real_space", "reduced_chain"):
-            real = getattr(spectra, name)
-            monkeypatch.setattr(spectra, name, lambda *a, _f=real, _n=name, **k:
+        for module, name in ((spectra, "build_real_space"), (spectra, "reduced_chain"),
+                             (cli, "reduced_chain")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=real, _n=name, **k:
                                 calls.append(_n) or _f(*a, **k))
         d_grid = np.linspace(0.0, 2.0, 31).tolist()
         for target in ("onsite", "r", "v", "gamma"):
@@ -551,14 +554,16 @@ class TestDisorder:
             with open(tmp_path / f"disorder_{target}.csv", encoding="utf-8") as fh:
                 flags = [r["zero_mode_present"] == "1" for r in list(csv.DictReader(fh))[::60]]
             assert flags[0]         # the clean chain at v = gamma/2
-            assert calls.count("reduced_chain") == 31
+            assert calls.count("reduced_chain") == (1 + 31 if target == "onsite" else 1)
             assert calls.count("build_real_space") == (
                 30 + sum(flags[1:]) if target == "onsite" else 0)
 
     def test_bisects_below_the_cut_only_where_a_mode_is_present(self, tmp_path, monkeypatch):
-        # The CSV reads ||H||_2 at every grid point and, where a mode is
-        # present, its side from zero_mode_analysis, which bisects each
-        # factor for its singular values below the cut (select 1).
+        # Where a mode is present, the CSV reads its side from
+        # zero_mode_analysis, which bisects for sigma_max once (select 2)
+        # and each factor for its singular values below the cut (select 1).
+        # No grid point here lies between the bounds on sigma_max that
+        # decide the flag, so the flag itself bisects nothing.
         selects, bisect = [], spectra._bisect
 
         def counted_bisect(off, select, *args, **kwargs):
@@ -576,6 +581,7 @@ class TestDisorder:
                                for r in list(csv.DictReader(fh))[::60])
         assert 0 < present < 12
         assert selects.count(1) == 2 * present
+        assert selects.count(2) == present
 
     @pytest.mark.parametrize("target", [DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
                                         DisorderTarget.GAIN_LOSS, DisorderTarget.ON_SITE])
@@ -608,7 +614,7 @@ class TestDisorder:
 
     def test_v_search_makes_one_stacked_call_per_grid_point(self, monkeypatch):
         # Each grid point visited solves the seeds not yet split that the
-        # trace bound leaves open, all in one (k, N, N) call (one seed
+        # trace certificate leaves open, all in one (k, N, N) call (one seed
         # alone as (N, N)), and a point with none makes no call; the search
         # stops at the last seed's transition.
         shapes, eigvals = [], np.linalg.eigvals
@@ -627,7 +633,8 @@ class TestDisorder:
     def test_bound_solves_fewer_rows_than_every_live_seed(self, tmp_path, monkeypatch):
         # scripts/disorder_scan.py's config at seeds 0-19. Solving every
         # seed not yet split hands eigvals 442 matrices, CSV sweep included;
-        # the trace bound leaves most of them out, with the same files.
+        # the trace certificate leaves all but 160 of them out, with the
+        # same files.
         cfg = {"n_cells": 30, "r": 0.5, "v": 0.5, "gamma": 1.0,
                "targets": ["r", "v", "gamma"],
                "d_grid": {"start": 0.05, "stop": 2.0, "num": 40}, "n_seeds": 20, "seed": 0}
@@ -640,17 +647,122 @@ class TestDisorder:
         cmd_disorder(cfg, bound)
         with_bound = sum(counts)
         counts.clear()
-        monkeypatch.setattr(spectra, "zero_mode_split", lambda params, dis, tol:
-                            spectra.smallest_abs_eigenvalue(params, dis) > tol)
+        monkeypatch.setattr(spectra, "_trace_certified", lambda a, b, r, tol:
+                            np.zeros(a.shape[1], dtype=bool))
         cmd_disorder(cfg, every)
-        assert sum(counts) == 442 and with_bound < 442
+        assert sum(counts) == 442 and with_bound <= 160
         for path in every.iterdir():
             assert (bound / path.name).read_bytes() == path.read_bytes()
 
 
+class TestDisorderGrid:
+    """The transition search builds and settles the whole grid of strengths
+    at once, and the CSV sweep bisects for ||H||_2 only where its bounds
+    leave the presence flag open."""
+
+    @given(st.sampled_from(list(DisorderTarget)), st.integers(1, 12), st.floats(-2.0, 2.0),
+           st.floats(0.05, 2.0), st.floats(0.0, 2.0),
+           st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=1, max_size=6),
+           st.integers(0, 1000), st.sampled_from([None, 1, 4]))
+    @settings(max_examples=100, deadline=None)
+    def test_grid_rows_equal_per_strength_calls(self, target, n, v, r, gamma, d_grid, seed,
+                                                stack):
+        # Each row of a grid is what its own strength gives, bit for bit:
+        # the same hops and the same H. An on-site grid reduces only where
+        # every strength is 0, as a single one does.
+        p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n)
+        seeds = seed if stack is None else range(seed, seed + stack)
+        make = DisorderConfig.from_seed if stack is None else DisorderConfig.from_seeds
+        grid = make(target, d_grid, seeds, n)
+        rows = [make(target, d, seeds, n) for d in d_grid]
+        got = reduced_chain(p, grid)
+        want = [reduced_chain(p, row) for row in rows]
+        if any(h is None for h in want):
+            assert got is None and target is DisorderTarget.ON_SITE
+        else:
+            for j, hops in enumerate(want):
+                for x, y in zip(got, hops):
+                    assert x[j].tobytes() == y.tobytes()
+        H = build_real_space(p, disorder=grid)
+        for j, row in enumerate(rows):
+            assert H[j].tobytes() == build_real_space(p, disorder=row).tobytes()
+
+    @given(st.sampled_from(list(DisorderTarget)), st.integers(1, 12), st.booleans(),
+           st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
+           st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8), st.integers(0, 1000),
+           st.integers(0, 6), st.sampled_from([1e-10, TRANSITION_TOL, 1e-3]),
+           st.sampled_from([1, spectra._GRID_HOPS]))
+    @settings(max_examples=100, deadline=None)
+    def test_transition_is_a_plain_scan(self, target, n, at_half, v, r, gamma, d_grid, seed,
+                                        count, tol, grid_hops):
+        # v = gamma/2 puts a zero mode on the clean chain, so most rows are
+        # settled from the hops and few solved. grid_hops = 1 builds and
+        # settles the grid one strength at a time.
+        p = LatticeParams(v=gamma / 2 if at_half else v, r=r, gamma=gamma, n_cells=n)
+        d_grid = sorted(d_grid)
+        want = []
+        for s in range(seed, seed + count):
+            split = [d for d in d_grid if spectra.smallest_abs_eigenvalue(
+                p, DisorderConfig.from_seed(target, d, s, n)) > tol]
+            want.append(float(split[0]) if split else None)
+        with mock.patch.object(spectra, "_GRID_HOPS", grid_hops):
+            got = disorder_transition(p, target, np.array(d_grid), range(seed, seed + count),
+                                      tol=tol)
+            split = spectra.zero_mode_split(p, DisorderConfig.from_seeds(
+                target, d_grid, range(seed, seed + count), n), tol)
+        assert got == want
+        # Each seed's column is False before its first split and True from it on.
+        first = [d_grid.index(t) if t is not None else len(d_grid) for t in want]
+        assert split.tolist() == (np.arange(len(d_grid))[:, None] >= first).tolist()
+
+    @given(st.sampled_from([DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
+                            DisorderTarget.GAIN_LOSS]),
+           st.integers(1, 12), st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
+           st.floats(0.0, 1.5), st.integers(0, 1000), st.floats(1e-12, 0.5))
+    @settings(max_examples=100, deadline=None)
+    @example(DisorderTarget.HOPPING_V, 1, 0.0, 0.5, 0.0, 0.0, 0, 1e-8)     # H = 0
+    def test_presence_flag_is_the_bisected_one(self, target, n, v, r, gamma, d, seed, tol):
+        # At min |E| one double either side of tol * chain_norm, and on it.
+        form = spectra.chain(LatticeParams(v=v, r=r, gamma=gamma, n_cells=n),
+                             DisorderConfig.from_seed(target, d, seed, n))
+        norm = spectra.chain_norm(form)
+        cut = tol * norm
+        for x in (np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf), 0.0, 1.0):
+            want = bool(spectra.below_cut(x, norm, tol))
+            assert cli._zero_mode_present(x, form, tol) is want
+
+    @pytest.mark.parametrize("name", ["v", "gamma"])
+    def test_sweep_flags_at_the_cut(self, tmp_path, name):
+        # zero_mode_tol puts one grid point's min |E| within a few doubles
+        # of the cut, on both sides of it; each CSV flag is the bisected one.
+        params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
+        form = spectra.chain(params, DisorderConfig.from_seed(DisorderTarget(name), 1.0, 0, 30))
+        x = np.abs(spectra.chain_spectrum(form)).min()
+        norm = spectra.chain_norm(form)
+        tols = [x / norm]
+        for _ in range(3):
+            tols = [np.nextafter(tols[0], 0.0), *tols, np.nextafter(tols[-1], 1.0)]
+        seen = set()
+        for t in tols:
+            cmd_disorder({"n_cells": 30, "r": 0.5, "v": 0.5, "gamma": 1.0, "targets": [name],
+                          "d_grid": [1.0], "n_seeds": 0, "zero_mode_tol": float(t)}, tmp_path)
+            with open(tmp_path / f"disorder_{name}.csv", encoding="utf-8") as fh:
+                (row,) = list(csv.DictReader(fh))[::60]
+            want = bool(spectra.below_cut(x, norm, t))
+            assert row["zero_mode_present"] == str(int(want))
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_h_zero_reads_present(self):
+        zero = (np.zeros(3), np.zeros(3), np.zeros(2))
+        assert cli._zero_mode_present(0.0, zero, 1e-8)
+
+
 def trace_bound_settles(params, target, d, seed, tol):
     """Whether |trace K| / N, less 2 N^2 eps ||K||_F, shows min |E| <= tol
-    for K = Y^-1 X^-1 of one seed's reduced chain."""
+    for K = Y^-1 X^-1 of one seed's reduced chain: the bound from K itself,
+    which settles the rows the O(N) trace certificate settles on the scan
+    config (tests/test_spectra.py::TestTraceCertificate)."""
     dis = DisorderConfig.from_seed(target, float(d), seed, params.n_cells)
     a, b, r = reduced_chain(params, dis)
     n = params.n_cells

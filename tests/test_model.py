@@ -381,6 +381,12 @@ class TestDisorderConfig:
             DisorderConfig(target=DisorderTarget.HOPPING_V, strength=0.1, seed=0,
                            draws=np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("bad", [[0.3, -0.1], [0.3, np.nan], [[0.3]]])
+    def test_rejects_a_bad_grid_of_strengths(self, bad):
+        # A grid is one axis of finite strengths >= 0.
+        with pytest.raises(ValueError, match="strength"):
+            DisorderConfig.from_seeds(DisorderTarget.HOPPING_V, bad, range(2), 4)
+
     def test_stack_rows_are_each_seeds_draws(self):
         stack = DisorderConfig.from_seeds(DisorderTarget.GAIN_LOSS, 0.3, [4, 9, 4], 6)
         assert stack.seed == (4, 9, 4) and stack.draws.shape == (3, 6)

@@ -334,7 +334,7 @@ class TestSmallestAbsEigenvalue:
     @settings(max_examples=200, deadline=None)
     def test_split_matches_solved_rows(self, target, n, v, at_half, r, gamma, d, seed, tol):
         # v = gamma/2 puts a zero mode, or one split by the disorder, on
-        # most draws: the rows the trace bound settles without eigvals.
+        # most draws: the rows the trace certificate settles without eigvals.
         p = LatticeParams(v=gamma / 2 if at_half else v, r=r, gamma=gamma, n_cells=n)
         stack = DisorderConfig.from_seeds(target, d, range(seed, seed + 5), n)
         got = zero_mode_split(p, stack, tol)
@@ -370,6 +370,93 @@ class TestSmallestAbsEigenvalue:
         oracle = mp_min_abs_energy(build_real_space(params, disorder=disorder), mp)
         got = smallest_abs_eigenvalue(params, disorder)
         assert abs(got - oracle) <= 1e-12 * oracle
+
+
+@st.composite
+def hop_rows(draw):
+    """Four rows of reduced hops (a, b, r) with N from 1 to 60: signs mixed,
+    magnitudes from 1e-3 to 1e3 in a window of its own for each of a, b
+    and r, and some exact zeros."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def hops(size, zeros):
+        lo, hi = sorted(draw(st.floats(-3.0, 3.0)) for _ in range(2))
+        x = rng.choice([-1.0, 1.0], (4, size)) * 10.0 ** rng.uniform(lo, hi, (4, size))
+        x[rng.random((4, size)) < zeros] = 0.0
+        return x
+
+    return (hops(n, draw(st.sampled_from([0.0, 0.02]))),
+            hops(n, draw(st.sampled_from([0.0, 0.02]))),
+            hops(n - 1, draw(st.sampled_from([0.0, 0.1]))))
+
+
+def solved_min_abs(a, b, r):
+    """min |E| of each row of hops by the solve smallest_abs_eigenvalue
+    makes: 0.0 with a zero in a or b, else 1 / sqrt(max |eig(K)|) for the
+    K of spectra._inverse_products; nan where that K is not finite."""
+    out = np.zeros(len(a))
+    for i in np.flatnonzero(a.all(axis=1) & b.all(axis=1)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = spectra._inverse_products(a[i:i + 1], b[i:i + 1], r[i:i + 1])[0]
+        out[i] = (1.0 / np.sqrt(np.abs(np.linalg.eigvals(k)).max())
+                  if np.isfinite(k).all() else np.nan)
+    return out
+
+
+def dense_trace_bound_settles(a, b, r, tol):
+    """The bound the trace certificate replaced: |trace K| / N less
+    2 N^2 eps ||K||_F, from K itself, shows min |E| <= tol (rows with no
+    zero in a or b)."""
+    n = a.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = spectra._inverse_products(a, b, r)
+        bound = (np.abs(np.trace(k, axis1=1, axis2=2))
+                 - 2 * n ** 2 * np.finfo(float).eps * np.sqrt(np.einsum("kij,kij->k", k, k))) / n
+        return (bound > 0) & (1.0 / np.sqrt(bound) <= tol)
+
+
+class TestTraceCertificate:
+    """spectra._settled: a zero hop, or the O(N) trace certificate, settles
+    a row of hops as not split without forming K."""
+
+    @given(hop_rows(), st.sampled_from([1e-300, 1e-6, 1e-3, 1.0, 1e3, 1e300]))
+    @settings(max_examples=300, deadline=None)
+    def test_never_settles_a_row_the_solve_splits(self, hops, tol):
+        # At each row's own min |E|, and one double below it, a verdict
+        # turns on the last bit: a settled row must read min |E| <= tol in
+        # the solve too, so the bound never exceeds the largest |eig(K)|.
+        a, b, r = hops
+        values = solved_min_abs(a, b, r)
+        own = values[values > 0]
+        for t in [tol, *own, *np.nextafter(own, 0.0)]:
+            settled = spectra._settled(a, b, r, t)
+            assert np.where(settled, False, values > t).tolist() == (values > t).tolist()
+            assert not (settled & np.isnan(values)).any()
+
+    def test_one_cell_settles_below_its_own_min_abs_e(self):
+        # N = 1: K = -1 / (a b) is its own eigenvalue, and the margin is a
+        # few roundings of it.
+        a, b, r = np.array([[0.5]]), np.array([[-3.0]]), np.empty((1, 0))
+        e = solved_min_abs(a, b, r)[0]
+        assert e == pytest.approx(np.sqrt(1.5), rel=1e-15)
+        assert not spectra._settled(a, b, r, e).any()
+        assert spectra._settled(a, b, r, e * (1 + 1e-14)).all()
+
+    @pytest.mark.parametrize("target, count", [(DisorderTarget.HOPPING_V, 102),
+                                               (DisorderTarget.GAIN_LOSS, 209)])
+    def test_settles_the_dense_bounds_rows_on_the_scan_grid(self, target, count):
+        # scripts/disorder_scan.py's chain over its d grid at seeds
+        # 26000-26019: the certificate settles exactly the rows that the
+        # bound from K itself settled.
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
+        grid = DisorderConfig.from_seeds(target, np.linspace(0.05, 2.0, 40),
+                                         range(26000, 26020), 30)
+        a, b, r = (x.reshape(800, -1) for x in reduced_chain(p, grid))
+        assert a.all() and b.all()
+        settled = spectra._settled(a, b, r, 1e-6)
+        assert settled.sum() == count
+        assert settled.tolist() == dense_trace_bound_settles(a, b, r, 1e-6).tolist()
 
 
 def mp_eigenvalues(H, mp, dps=40):
@@ -455,6 +542,35 @@ class TestChainSpectrum:
             assert seen == [(np.dtype(complex), (24, 24))]
             np.testing.assert_array_equal(
                 got, np.linalg.eigvals(build_real_space(params, disorder=dis)))
+
+    def test_mixed_path_is_solved_between_its_zero_hops(self):
+        # One cell hop of 1.7e89 among hops of 1-3.5, of mixed sign: as one
+        # 12 x 12 eigvals its path did not converge. Split at its zero hops
+        # it is five lone sites, two dimers and one three-site block, each
+        # checked against its own spectrum at 50 digits.
+        mp = pytest.importorskip("mpmath")
+        a = np.array([0.0, 0.0, 6.34094705246577e16, 0.0, 0.0, 0.0])
+        b = np.array([0.0, 0.0, -4.4967131963245495e161, 0.0, 0.0, 0.0])
+        r = np.array([0.0, 0.0, 3.5, 1.0, 1.0])
+        got = spectra.chain_spectrum((a, b, r))
+        oracle = []
+        with mp.workdps(50):
+            up = [mp.sqrt(abs(mp.mpf(x) * mp.mpf(y))) for x, y in zip(a, b)]
+            hops = [h for pair in zip(up, [mp.mpf(x) for x in r] + [None]) for h in pair][:-1]
+            down = [h if i % 2 or a[i // 2] * b[i // 2] >= 0 else -h for i, h in enumerate(hops)]
+            start = 0
+            for end in [i + 1 for i, h in enumerate(hops) if h == 0] + [len(hops) + 1]:
+                m = mp.zeros(end - start)
+                for i in range(start, end - 1):
+                    m[i - start, i + 1 - start], m[i + 1 - start, i - start] = hops[i], down[i]
+                # a lone site is 0 (mpmath's eig of a 1 x 1 returns its vectors too)
+                e = mp.eig(m, left=False, right=False) if end - start > 1 else [0]
+                oracle += [complex(x) for x in e]
+                start = end
+        assert len(oracle) == 12
+        scale = 1.7e89
+        assert_multisets_close(got, np.array(oracle), tol=10 * np.finfo(float).eps * scale)
+        assert np.sort(np.abs(got.imag))[-2:].tolist() == pytest.approx([1.6885917e89] * 2)
 
     def test_subnormal_hop_splits_the_path(self):
         # The cell hops 1.3e-161 square to a subnormal; squared inside the
@@ -678,7 +794,8 @@ class TestChainNormAndNullWeights:
 
     def test_forms_a_function_does_not_take_raise(self):
         # chain_singular_values takes hops only; chain refuses a stack of
-        # draws, whose stack of H would read as Bloch blocks.
+        # draws and a grid of strengths, whose stack of H would read as
+        # Bloch blocks.
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)
         onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, 0, 6)
         ring = replace(p, boundary=Boundary.PERIODIC)
@@ -688,6 +805,8 @@ class TestChainNormAndNullWeights:
         stack = DisorderConfig.from_seeds(DisorderTarget.ON_SITE, 0.3, [0, 1], 6)
         with pytest.raises(ValueError, match="stack"):
             chain(p, stack)
+        with pytest.raises(ValueError, match="grid"):
+            chain(p, DisorderConfig.from_seed(DisorderTarget.HOPPING_V, [0.0, 0.3], 0, 6))
 
     @pytest.mark.parametrize("n, v", [(1, 0.3), (2, -0.5), (12, 0.5), (30, 1.3)])
     def test_clean_ring_takes_the_bloch_blocks(self, n, v):
