@@ -282,13 +282,13 @@ def disorder_transition(params: LatticeParams, target: DisorderTarget,
 
     The criterion is min |E| > tol (in gamma units); a seed whose mode
     survives the whole grid gets None. The draws of all seeds are made
-    once, as one stack, and spectra.zero_mode_split searches the grid of
+    once, as one stack, and spectra.first_splits searches the grid of
     strengths over it: it settles every (d, seed) it can from the hops up
     front and solves, d by d, only the seeds not yet split that are left.
     """
     grid = DisorderConfig.from_seeds(target, d_grid, seeds, params.n_cells)
-    split = spectra.zero_mode_split(params, grid, tol)
-    return [float(d_grid[np.argmax(col)]) if col.any() else None for col in split.T]
+    first = spectra.first_splits(params, grid, tol)
+    return [float(d_grid[j]) if j < len(d_grid) else None for j in first.tolist()]
 
 
 # Bound on the relative error of the sigma_max that chain_norm bisects for,

@@ -76,7 +76,8 @@ class DisorderConfig:
     tuple of its seeds; reduced_chain, build_real_space,
     spectra.smallest_abs_eigenvalue and spectra.zero_mode_split take it
     and keep that leading axis. A grid of D strengths, a 1-D strength,
-    puts its own axis before those of the draws: (D, [S,] N).
+    puts its own axis before those of the draws: (D, [S,] N), and
+    spectra.first_splits searches one.
     """
 
     target: DisorderTarget

@@ -64,19 +64,48 @@ def zero_mode_split(params: LatticeParams, disorder: DisorderConfig | None,
     not solved. Near a zero mode, where min |E| is far below tol, almost
     every row settles so; the rest, and the rows that take H, are solved
     as in smallest_abs_eigenvalue. A stack gives one bool per row.
-
-    A grid of D strengths over a stack of S seeds asks where each seed
-    first splits. It gives (D, S) bools, each seed's column False up to
-    the first strength where it splits and True from there on. The hops
-    of the whole grid are built and settled up front (in blocks of
-    strengths of at most _GRID_HOPS hops); each strength then solves, in
-    one stacked call, the seeds not yet split that are left open, and no
-    later strength of a split seed is solved.
     """
-    if disorder is not None and np.ndim(disorder.strength):
-        return _first_splits(params, disorder, tol)
     split = _smallest_abs(params, disorder, tol) > tol
-    return split if _lead(disorder) else bool(split[0])
+    return split.reshape(_lead(disorder)) if _lead(disorder) else bool(split[0])
+
+
+def first_splits(params: LatticeParams, grid: DisorderConfig, tol: float) -> np.ndarray:
+    """For a grid of D strengths (DisorderConfig.strength a 1-D array) over
+    a stack of S seeds, the index into the grid of the first strength at
+    which each seed's zero mode has split, smallest_abs_eigenvalue > tol,
+    and D where it survives the grid: shape (S,), or () for one draw.
+
+    The hops of the whole grid are built and settled up front, as in
+    zero_mode_split (in blocks of strengths of at most _GRID_HOPS hops);
+    each strength then solves, in one stacked call, the seeds not yet
+    split that are left open, and no later strength of a split seed is
+    solved. On-site disorder past d = 0 takes H, strength by strength.
+    """
+    n, strengths = params.n_cells, grid.strength
+    draws = grid.draws.reshape(-1, n)
+    seeds = grid.seed if isinstance(grid.seed, tuple) else (grid.seed,)
+    settled = np.zeros((len(strengths), len(draws)), dtype=bool)
+    checked = np.zeros(len(strengths), dtype=bool)      # the strengths settled up front
+    step = max(1, _GRID_HOPS // max(draws.size, 1))
+    for j in range(0, len(strengths) if draws.size else 0, step):
+        hops = reduced_chain(params, replace(grid, strength=strengths[j:j + step]))
+        if hops is not None:            # on-site disorder reduces at d = 0 only
+            settled[j:j + step] = _settled(*_hop_rows(hops, n), tol).reshape(-1, len(draws))
+            checked[j:j + step] = True
+    first = np.full(len(draws), len(strengths))
+    for j, d in enumerate(strengths.tolist()):
+        rows = np.flatnonzero((first == len(strengths)) & ~settled[j])
+        if rows.size:
+            # A strength settled up front takes no second bound, as its
+            # rows' hops are the grid's bit for bit.
+            dis = DisorderConfig(grid.target, d, tuple(seeds[i] for i in rows), draws[rows])
+            first[rows[_smallest_abs(params, dis, 0.0 if checked[j] else tol) > tol]] = j
+    return first.reshape(grid.draws.shape[:-1])
+
+
+# Hop entries of the grid that first_splits builds and settles at a time
+# (at least one strength's worth), which bounds its memory for many seeds.
+_GRID_HOPS = 2 ** 18
 
 
 def _lead(disorder: DisorderConfig | None) -> tuple[int, ...]:
@@ -120,39 +149,6 @@ def _smallest_abs(params: LatticeParams, disorder: DisorderConfig | None,
     return out
 
 
-# Hop entries of the grid that _first_splits builds and settles at a time
-# (at least one strength's worth), which bounds its memory for many seeds.
-_GRID_HOPS = 2 ** 18
-
-
-def _first_splits(params: LatticeParams, grid: DisorderConfig, tol: float) -> np.ndarray:
-    """zero_mode_split of a grid of strengths; see there."""
-    n, strengths = params.n_cells, grid.strength
-    draws = grid.draws.reshape(-1, n)
-    seeds = grid.seed if isinstance(grid.seed, tuple) else (grid.seed,)
-    settled = np.zeros((len(strengths), len(draws)), dtype=bool)
-    checked = np.zeros(len(strengths), dtype=bool)      # the strengths settled up front
-    step = max(1, _GRID_HOPS // max(draws.size, 1))
-    for j in range(0, len(strengths) if draws.size else 0, step):
-        hops = reduced_chain(params, replace(grid, strength=strengths[j:j + step]))
-        if hops is not None:            # on-site disorder reduces at d = 0 only
-            settled[j:j + step] = _settled(*_hop_rows(hops, n), tol).reshape(-1, len(draws))
-            checked[j:j + step] = True
-    split = np.zeros(settled.shape, dtype=bool)
-    alive = np.ones(len(draws), dtype=bool)
-    for j, d in enumerate(strengths.tolist()):
-        rows = np.flatnonzero(alive & ~settled[j])
-        if rows.size:
-            # A strength settled up front takes no second bound, as its
-            # rows' hops are the grid's bit for bit; on-site disorder past
-            # d = 0 takes H, as smallest_abs_eigenvalue does.
-            dis = DisorderConfig(grid.target, d, tuple(seeds[i] for i in rows), draws[rows])
-            rows = rows[_smallest_abs(params, dis, 0.0 if checked[j] else tol) > tol]
-            split[j:, rows] = True
-            alive[rows] = False
-    return split.reshape(_lead(grid))
-
-
 def _settled(a: np.ndarray, b: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
     """Rows of hops (see _hop_rows) whose min |E| <= tol needs no solve: a
     zero in a or b, where min |E| = 0, or, for tol > 0, _trace_certified."""
@@ -171,27 +167,27 @@ def _trace_certified(a: np.ndarray, b: np.ndarray, r: np.ndarray, tol: float) ->
     min |E| = 1 / sqrt(rho(K)) and the spectral radius rho(K) >= |trace K| / N.
     K_ii = -sum_{j <= i} prod_{k=j}^{i-1} r_k^2 / prod_{k=j}^{i} a_k b_k, so
     trace K = -sum_i S_i / b_i with S_1 = 1/a_1 and
-    S_i = rho_{i-1} S_{i-1} + 1/a_i, rho_k = (r_k / b_k)(r_k / a_{k+1}). The
-    same recursion on absolute values gives T_abs = trace(|Y^-1| |X^-1|),
-    and two more give ||X^-1||_F^2 (rows j: R_j = 1/a_j^2 + (r_j/a_j)^2 R_{j+1})
+    S_i = rho_{i-1} S_{i-1} + 1/a_i, rho_k = (r_k / b_k)(r_k / a_{k+1}). Two
+    more recursions give ||X^-1||_F^2 (rows j: R_j = 1/a_j^2 + (r_j/a_j)^2 R_{j+1})
     and ||Y^-1||_F^2 (columns: C_j = 1/b_j^2 + (r_j/b_j)^2 C_{j+1}).
 
-    With u = eps / 2, the bound (|T| - 8 N eps T_abs - 2 N^2 eps F) / N,
-    F = ||Y^-1||_F ||X^-1||_F, never exceeds the largest |eig(K)| that
-    eigvals returns for the K that _inverse_products forms:
+    With u = eps / 2, F = ||Y^-1||_F ||X^-1||_F and
+    T_abs = trace(|Y^-1| |X^-1|) <= F (Cauchy-Schwarz), the bound
+    (|T| - (2 N^2 + 8 N) eps F) / N never exceeds the largest |eig(K)|
+    that eigvals returns for the K that _inverse_products forms:
     - each term of the summed T carries at most 6N roundings, so T is off
       the exact trace by at most 6N u T_abs;
     - each entry of a dtrtrs inverse of a bidiagonal carries at most 3N
       roundings and the product N more, so trace K off by 7N u T_abs;
     - eigvals returns the eigenvalues of K + E with |trace E| at most
       2 N^2 eps ||K||_F <= 2 N^2 eps F, the margin the dense bound took;
-    - the 3N u left over covers the roundings of the bound itself, and
+    - the 3N u F left over covers the roundings of the bound itself, and
       correctly rounded sqrt and division keep its order with |eig|.
     These rounding counts hold while no entry of either inverse, nor any
     product of two, leaves the normal range, so a row is certified only
     where (N - 1) log2(max(1, max|h| / min|r|)) + log2(max|h|) < 500 for
     h = a and for h = b (min over nonzero r), which keeps every such entry
-    above 2^-500, and where T, T_abs and F are finite.
+    above 2^-500, and where T and F are finite.
     """
     n, k = a.shape
     eps = np.finfo(float).eps
@@ -202,24 +198,21 @@ def _trace_certified(a: np.ndarray, b: np.ndarray, r: np.ndarray, tol: float) ->
             h_max = np.abs(h).max(axis=0)
             tame &= ((n - 1) * np.log2(np.maximum(h_max / r_min, 1.0))
                      + np.log2(h_max)) < 500
-        # The four recursions run together, a step over all chains at a
-        # time: S and |S| forward, R and C backward on the reversed hops.
-        mult, s = np.empty((n - 1, 4, k)), np.empty((n, 4, k))
+        # The three recursions run together, a step over all chains at a
+        # time: S forward, R and C backward on the reversed hops.
+        mult, s = np.empty((n - 1, 3, k)), np.empty((n, 3, k))
         rb = r / b[:-1]
         mult[:, 0] = rb * (r / a[1:])
-        mult[:, 1] = np.abs(mult[:, 0])
-        mult[::-1, 2] = (r / a[:-1]) ** 2
-        mult[::-1, 3] = rb * rb
+        mult[::-1, 1] = (r / a[:-1]) ** 2
+        mult[::-1, 2] = rb * rb
         s[:, 0] = 1.0 / a
-        s[:, 1] = np.abs(s[:, 0])
-        s[::-1, 2] = s[:, 1] * s[:, 1]
-        s[::-1, 3] = (1.0 / b) ** 2
+        s[::-1, 1] = s[:, 0] * s[:, 0]
+        s[::-1, 2] = (1.0 / b) ** 2
         for i in range(1, n):
             s[i] += mult[i - 1] * s[i - 1]
         trace = np.abs((s[:, 0] / b).sum(axis=0))
-        t_abs = (s[:, 1] / np.abs(b)).sum(axis=0)
-        f = np.sqrt(s[:, 2].sum(axis=0) * s[:, 3].sum(axis=0))
-        bound = (trace - eps * (8 * n * t_abs + 2 * n * n * f)) / n
+        f = np.sqrt(s[:, 1].sum(axis=0) * s[:, 2].sum(axis=0))
+        bound = (trace - (2 * n * n + 8 * n) * eps * f) / n
         return tame & (bound > 0) & (1.0 / np.sqrt(bound) <= tol)
 
 
@@ -345,9 +338,12 @@ def chain_spectrum(form) -> np.ndarray:
 def _path_block(off: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Eigenvalues of the zero-diagonal tridiagonal with hops off above and
     lower below: eigvalsh_tridiagonal where they are equal, else eigvals of
-    the block scaled by a power of two to a largest hop in [1/2, 1), which
-    LAPACK carries exactly (unscaled, a block of hops 1.7e89 and 3.5 does
-    not converge). A symmetric block's tiny hops are zeroed in off itself."""
+    the block scaled by a power of two to a largest hop in [1/2, 1)
+    (unscaled, a block of hops 1.7e89 and 3.5 does not converge). The
+    scaling is exact unless a hop falls below the normal range, and such a
+    hop lies below 2^-1021, far below eps, times the largest, so the
+    block's backward error stays eps-small. A symmetric block's tiny hops
+    are zeroed in off itself."""
     if not len(off):
         return np.zeros(1)
     if (lower == off).all():

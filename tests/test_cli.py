@@ -705,15 +705,21 @@ class TestDisorderGrid:
             split = [d for d in d_grid if spectra.smallest_abs_eigenvalue(
                 p, DisorderConfig.from_seed(target, d, s, n)) > tol]
             want.append(float(split[0]) if split else None)
+        grid = DisorderConfig.from_seeds(target, d_grid, range(seed, seed + count), n)
         with mock.patch.object(spectra, "_GRID_HOPS", grid_hops):
             got = disorder_transition(p, target, np.array(d_grid), range(seed, seed + count),
                                       tol=tol)
-            split = spectra.zero_mode_split(p, DisorderConfig.from_seeds(
-                target, d_grid, range(seed, seed + count), n), tol)
+            first = spectra.first_splits(p, grid, tol)
+            one = spectra.first_splits(p, DisorderConfig.from_seed(target, d_grid, seed, n), tol)
         assert got == want
-        # Each seed's column is False before its first split and True from it on.
-        first = [d_grid.index(t) if t is not None else len(d_grid) for t in want]
-        assert split.tolist() == (np.arange(len(d_grid))[:, None] >= first).tolist()
+        # first_splits gives each seed's index into the grid, len(d_grid)
+        # where it survives; one draw gives a 0-d array. zero_mode_split
+        # of the grid is the plain scan row for row.
+        assert first.tolist() == [d_grid.index(t) if t is not None else len(d_grid)
+                                  for t in want]
+        assert one.shape == () and one == (first[0] if count else one)
+        assert spectra.zero_mode_split(p, grid, tol).tolist() == (
+            spectra.smallest_abs_eigenvalue(p, grid) > tol).tolist()
 
     @given(st.sampled_from([DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
                             DisorderTarget.GAIN_LOSS]),
