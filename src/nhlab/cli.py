@@ -9,6 +9,7 @@ normally set gamma = 1.0; the value must still be given explicitly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -41,6 +42,10 @@ TRANSITION_TOL = 1e-6
 
 SVG_WIDTH, SVG_HEIGHT = 640, 400
 
+# Rows that write_csv formats with one %; a block, not the whole file,
+# bounds the text it holds in memory.
+_CSV_BLOCK_ROWS = 4096
+
 
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """Stream {header: 1-D array} columns as CSV rows with LF endings; floats get
@@ -48,7 +53,8 @@ def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
 
     A float column whose runs of bit-equal values (0.0 and -0.0 differ) at
     least halve its row count is formatted once per run, and each run
-    repeats its string; other columns are formatted row by row.
+    repeats its string; other columns are formatted row by row. Each block
+    of _CSV_BLOCK_ROWS rows is formatted with one %.
     """
     fields, values = [], []
     for col in columns.values():
@@ -63,13 +69,15 @@ def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
         fields.append("%.17g" if col.dtype.kind == "f" else "%s")
         values.append(col.tolist())
     fmt = ",".join(fields) + "\n"
+    rows = zip(*values, strict=True)
     # Each writer unlinks an existing artifact instead of truncating it: on
     # ext4 (auto_da_alloc), truncating a file just written forces it to disk
     # on close, which made reruns into the same directory several times slower.
     path.unlink(missing_ok=True)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(map(fmt.__mod__, zip(*values, strict=True)))
+        while block := tuple(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+            fh.write(fmt * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 def write_json(path: Path, obj) -> None:

@@ -536,11 +536,46 @@ def geometric_multiplicity(H: np.ndarray, lam: complex, tol: float | None = None
 
 def smallest_singular_values(H: np.ndarray, count: int = 1) -> list[float]:
     """The `count` smallest singular values of H, ascending. H has
-    min(H.shape) of them; a count outside 1..min(H.shape) raises ValueError."""
+    min(H.shape) of them; a count outside 1..min(H.shape) raises ValueError.
+
+    The values-only SVD runs in real arithmetic wherever a real matrix
+    with exactly H's singular values is at hand (_real_form): a real H, a
+    complex H with no imaginary part, and every finite chain without
+    on-site disorder, open or periodic, clean or r/v/gamma-disordered,
+    which an exact phase scaling makes real. Any other H, on-site
+    disorder or a non-finite entry among them, takes the complex SVD.
+    """
     if not 1 <= count <= min(np.shape(H)):
         raise ValueError(f"count must lie in 1..{min(np.shape(H))}, got {count}")
-    s = np.linalg.svd(np.asarray(H, dtype=complex), compute_uv=False)
+    s = np.linalg.svd(_real_form(np.asarray(H)), compute_uv=False)
     return [float(x) for x in s[::-1][:count]]
+
+
+def _real_form(H: np.ndarray) -> np.ndarray:
+    """A real matrix with exactly H's singular values, else H itself.
+
+    A real H is its own; a complex H with no imaginary part gives H.real.
+    Otherwise, with S = diag(1, i, 1, i, ...) on rows and columns alike,
+    R = -i S^H H S is unitarily equivalent to H, and it is real when the
+    same-sublattice entries (row and column index of equal parity) are
+    imaginary and the cross entries real, as in every chain that
+    model.build_real_space builds without on-site disorder: gain, loss
+    and same-sublattice hops are imaginary, v and the cross hops real.
+    Each entry of R is +-Re or +-Im of H's, so nothing is rounded. Any
+    other H, one with a non-finite entry or whose R is not real, comes
+    back as is.
+    """
+    if not np.iscomplexobj(H):
+        return H
+    x, y = H.real, H.imag
+    if not y.any():
+        return x
+    if x[::2, ::2].any() or x[1::2, 1::2].any() or y[::2, 1::2].any() or y[1::2, ::2].any():
+        return H
+    R = y.copy()
+    R[::2, 1::2] = x[::2, 1::2]
+    R[1::2, ::2] = -x[1::2, ::2]      # -i conj(i) = -1 on a beta row, alpha column
+    return R if np.isfinite(R).all() else H
 
 
 @dataclass(frozen=True)

@@ -63,12 +63,25 @@ def assert_multisets_close(a, b, tol=1e-10):
         b.pop(j)
 
 
+def scaled_up(H):
+    """H as a complex array times 2^e, and e: the e >= 0 that takes a
+    largest entry modulus below 1/2 into [1/2, 1), else 0, which returns
+    H bit for bit. ldexp scales each part exactly, so the singular values
+    of a subnormal H keep their digits, and tol * sigma_max does not
+    underflow to 0.0."""
+    H = np.ascontiguousarray(H, dtype=complex)
+    e = max(-int(np.frexp(np.abs(H).max())[1]), 0)
+    return np.ldexp(H.view(float), e).view(complex), e
+
+
 def dense_zero_mode(H, tol):
     """zero_mode_analysis by dense solves of H alone, as it is for any H that
     is not a clean open chain: presence and the geometric count from
     svd(H, compute_uv=False), u0 and u0' from the full SVD, the algebraic
-    count from eigvals(H). None where no singular value is below the cut."""
-    H = np.asarray(H, dtype=complex)
+    count from eigvals(H). None where no singular value is below the cut.
+    Each solve takes H scaled_up, so the cut holds for a subnormal H too,
+    and u0' = H^+ u0 is scaled back (inf beyond double range)."""
+    H, e = scaled_up(H)
     s = np.linalg.svd(H, compute_uv=False)
     geo = int(np.sum(below_cut(s, s[0], tol)))
     if not geo:
@@ -77,8 +90,10 @@ def dense_zero_mode(H, tol):
     k = len(s) - geo
     u0 = fix_phase(vh[-1].conj())
     alg = zero_cluster_size(np.linalg.eigvals(H), s[0], tol)
-    return ZeroModeInfo(u0=u0, u0_prime=vh[:k].conj().T @ (u[:, :k].conj().T @ u0 / sv[:k]),
-                        defective=(alg == 2 and geo == 1),
+    u0_prime = vh[:k].conj().T @ (u[:, :k].conj().T @ u0 / sv[:k])
+    with np.errstate(over="ignore"):
+        u0_prime = np.ldexp(u0_prime.view(float), e).view(complex)
+    return ZeroModeInfo(u0=u0, u0_prime=u0_prime, defective=(alg == 2 and geo == 1),
                         algebraic_multiplicity=alg, geometric_multiplicity=geo)
 
 

@@ -167,6 +167,26 @@ class TestWriteCsv:
         template_write_csv(out / "template.csv", columns)
         assert (out / "runs.csv").read_bytes() == (out / "template.csv").read_bytes()
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1, cli._CSV_BLOCK_ROWS + 5])
+    def test_rows_past_a_block_match_template_writer(self, tmp_path, extra):
+        # write_csv formats a block of _CSV_BLOCK_ROWS rows with one %; the
+        # rows on either side of each block boundary read as the template's.
+        n_rows = cli._CSV_BLOCK_ROWS + extra
+        rng = np.random.default_rng(n_rows)
+        columns = {"x": rng.normal(size=n_rows),
+                   "run": np.repeat(rng.normal(size=n_rows), 3)[:n_rows],
+                   "n": np.arange(n_rows),
+                   "side": np.array(["left", "right", ""] * n_rows)[:n_rows]}
+        write_csv(tmp_path / "blocks.csv", columns)
+        template_write_csv(tmp_path / "template.csv", columns)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "template.csv").read_bytes()
+
+    def test_columns_of_unequal_length_raise(self, tmp_path):
+        # The shorter column runs out past the first block.
+        n_rows = cli._CSV_BLOCK_ROWS + 1
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", {"x": np.zeros(n_rows), "n": np.arange(n_rows - 1)})
+
     @pytest.mark.parametrize("write", [
         lambda path: write_csv(path, {"x": np.zeros(3), "n": np.arange(3)}),
         lambda path: write_json(path, {"x": 1}),

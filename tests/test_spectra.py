@@ -19,7 +19,7 @@ from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain, chain
                            smallest_abs_eigenvalue, zero_mode_split)
 
 from conftest import (assert_multisets_close, chiral_operator, dense_zero_mode,
-                      exact_generalized_zero_mode, exact_zero_mode, loop_clusters)
+                      exact_generalized_zero_mode, exact_zero_mode, loop_clusters, scaled_up)
 
 
 def bloch_energy(v, r, gamma, k):
@@ -176,6 +176,102 @@ class TestSmallestSingularValues:
         np.testing.assert_allclose(s, gram, atol=1e-10)
 
 
+@contextmanager
+def linalg_calls(name):
+    """Record the (dtype, shape) of each matrix handed to np.linalg.<name>."""
+    seen, solve = [], getattr(np.linalg, name)
+
+    def counted(a, **kwargs):
+        seen.append((np.asarray(a).dtype, np.shape(a)))
+        return solve(a, **kwargs)
+
+    setattr(np.linalg, name, counted)
+    try:
+        yield seen
+    finally:
+        setattr(np.linalg, name, solve)
+
+
+@st.composite
+def phase_real_chains(draw):
+    """H of an open or periodic chain with N from 1 to 30, clean or with r,
+    v or gamma disorder: a chain without on-site disorder."""
+    n = draw(st.integers(1, 30))
+    p = LatticeParams(v=draw(st.floats(-2.0, 2.0)), r=draw(st.floats(0.05, 2.0)),
+                      gamma=draw(st.floats(0.0, 2.0)), n_cells=n,
+                      boundary=draw(st.sampled_from(Boundary)))
+    target = draw(st.sampled_from([None, DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
+                                   DisorderTarget.GAIN_LOSS]))
+    dis = None if target is None else DisorderConfig.from_seed(
+        target, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 1000)), n)
+    return build_real_space(p, disorder=dis)
+
+
+class TestRealForm:
+    """smallest_singular_values solves spectra._real_form(H): the real
+    R = -i S^H H S, S = diag(1, i, 1, i, ...), of a chain without on-site
+    disorder, a real H itself, and any other H unchanged."""
+
+    @given(phase_real_chains(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_chains_take_an_exact_real_form(self, H, data):
+        R = spectra._real_form(H)
+        assert R.dtype == np.float64
+        assert ((R == H.real) | (R == -H.real) | (R == H.imag) | (R == -H.imag)).all()
+        # Multiplying by 1, +-i or -1 rounds nothing, so R is -i S^H H S
+        # exactly, or H.real where H has no imaginary part (gamma = 0, N = 1).
+        phases = np.tile([1.0, 1.0j], len(H) // 2)
+        M = -1j * phases.conj()[:, None] * H * phases if H.imag.any() else H
+        assert not M.imag.any() and (R == M.real).all()
+        # Each SVD is backward stable, within eps sigma_max times the order
+        # of H of the exact values, so the two lie within twice that.
+        count = data.draw(st.integers(1, len(H)))
+        want = np.linalg.svd(H, compute_uv=False)
+        with linalg_calls("svd") as seen:
+            got = smallest_singular_values(H, count)
+        assert seen == [(np.dtype(float), H.shape)]
+        np.testing.assert_allclose(got, want[::-1][:count], rtol=0,
+                                   atol=2 * len(H) * np.finfo(float).eps * want[0])
+
+    @given(st.integers(1, 30), st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
+           st.sampled_from(Boundary), st.floats(1e-3, 1.0), st.integers(0, 1000))
+    @settings(max_examples=50, deadline=None)
+    def test_onsite_disorder_keeps_the_complex_svd_bit_for_bit(self, n, v, r, gamma, boundary,
+                                                                 d, seed):
+        p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n, boundary=boundary)
+        H = build_real_space(p, DisorderConfig.from_seed(DisorderTarget.ON_SITE, d, seed, n))
+        assert spectra._real_form(H) is H
+        assert (smallest_singular_values(H, 2 * n)
+                == np.linalg.svd(H, compute_uv=False)[::-1].tolist())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_general_complex_matrix_keeps_the_complex_svd_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        H = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
+        assert spectra._real_form(H) is H
+        assert smallest_singular_values(H, 6) == np.linalg.svd(H, compute_uv=False)[::-1].tolist()
+
+    @pytest.mark.parametrize("index, value", [
+        ((0, 0), complex(0.0, np.nan)), ((0, 0), complex(0.0, np.inf)),
+        ((1, 0), complex(np.nan, 0.0)), ((0, 1), complex(0.5, np.nan))])
+    def test_non_finite_entries_keep_the_complex_matrix(self, index, value):
+        # The first three put the non-finite part where R holds it, the
+        # last where R holds nothing.
+        H = build_real_space(LatticeParams(v=0.3, r=0.5, gamma=1.0, n_cells=3))
+        H[index] = value
+        assert spectra._real_form(H) is H
+
+    def test_real_input_is_not_cast_to_complex(self):
+        R = np.random.default_rng(3).normal(size=(8, 8))
+        assert spectra._real_form(R) is R
+        with linalg_calls("svd") as seen:
+            got = smallest_singular_values(R, 8)
+            # A complex H with no imaginary part is solved as its real part.
+            assert smallest_singular_values(R.astype(complex), 8) == got
+        assert got == np.linalg.svd(R, compute_uv=False)[::-1].tolist()
+        assert seen == [(np.dtype(float), (8, 8))] * 2
+
+
 def non_reducing_chains(seed):
     """(params, disorder) of N = 12 chains that reduced_chain does not reduce."""
     p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=12)
@@ -183,17 +279,6 @@ def non_reducing_chains(seed):
     onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, seed, 12)
     v_dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_V, 0.3, seed, 12)
     return [(p, onsite), (ring, None), (ring, v_dis)]
-
-
-@contextmanager
-def eigvals_calls():
-    """Record the (dtype, shape) of each matrix handed to np.linalg.eigvals."""
-    seen, solve = [], np.linalg.eigvals
-    np.linalg.eigvals = lambda a: seen.append((np.asarray(a).dtype, np.shape(a))) or solve(a)
-    try:
-        yield seen
-    finally:
-        np.linalg.eigvals = solve
 
 
 def dense_min_abs(params, disorder=None):
@@ -252,7 +337,7 @@ class TestSmallestAbsEigenvalue:
         w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
         kappa = 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
         assume(kappa.max() < 1e8)   # near-defective spectra scatter by sqrt(eps)
-        with eigvals_calls() as seen:
+        with linalg_calls("eigvals") as seen:
             got = smallest_abs_eigenvalue(p, dis)
         dense = dense_min_abs(p, dis)
         a, b, _ = reduced_chain(p, dis)
@@ -273,7 +358,7 @@ class TestSmallestAbsEigenvalue:
         # the dense solve scatters the defective zero pair by about sqrt(eps).
         r_dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_R, 0.7, 3, 30)
         for dis in (None, r_dis):
-            with eigvals_calls() as seen:
+            with linalg_calls("eigvals") as seen:
                 assert smallest_abs_eigenvalue(defective_params, dis) == 0.0
             assert seen == []
 
@@ -281,7 +366,7 @@ class TestSmallestAbsEigenvalue:
     def test_non_reducing_chains_fall_back_bit_for_bit(self, seed):
         for params, dis in non_reducing_chains(seed):
             assert reduced_chain(params, dis) is None
-            with eigvals_calls() as seen:
+            with linalg_calls("eigvals") as seen:
                 got = smallest_abs_eigenvalue(params, dis)
             assert seen == [(np.dtype(complex), (24, 24))]
             assert got == dense_min_abs(params, dis)
@@ -293,7 +378,7 @@ class TestSmallestAbsEigenvalue:
         p = LatticeParams(v=v, r=0.5, gamma=0.0, n_cells=8)
         a, b, _ = reduced_chain(p)
         assert (a == v).all() and (b == v).all()
-        with eigvals_calls() as seen:
+        with linalg_calls("eigvals") as seen:
             got = smallest_abs_eigenvalue(p)
         assert seen[-1] == (np.dtype(complex), (16, 16))
         assert np.isfinite(got) and got == dense_min_abs(p)
@@ -306,7 +391,7 @@ class TestSmallestAbsEigenvalue:
         draws = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 8))
         draws[0], draws[1] = 0.0, -1e-200
         stack = DisorderConfig(DisorderTarget.HOPPING_V, 1.0, tuple(range(5)), draws)
-        with eigvals_calls() as seen:
+        with linalg_calls("eigvals") as seen:
             got = smallest_abs_eigenvalue(p, stack)
         assert seen == [(np.dtype(float), (3, 8, 8)), (np.dtype(complex), (16, 16))]
         rows = [DisorderConfig(DisorderTarget.HOPPING_V, 1.0, seed, row)
@@ -321,7 +406,7 @@ class TestSmallestAbsEigenvalue:
     def test_onsite_stack_solves_each_dense_h(self):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)
         stack = DisorderConfig.from_seeds(DisorderTarget.ON_SITE, 0.3, range(4), 6)
-        with eigvals_calls() as seen:
+        with linalg_calls("eigvals") as seen:
             got = smallest_abs_eigenvalue(p, stack)
         assert seen == [(np.dtype(complex), (4, 12, 12))]
         assert got.tolist() == [dense_min_abs(p, DisorderConfig.from_seed(
@@ -381,7 +466,9 @@ def hop_rows(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
     def hops(size, zeros):
-        lo, hi = sorted(draw(st.floats(-3.0, 3.0)) for _ in range(2))
+        # + 0.0 turns -0.0 into 0.0: sorted keeps (0.0, -0.0) in that order,
+        # and uniform refuses a high below its low.
+        lo, hi = sorted(draw(st.floats(-3.0, 3.0)) + 0.0 for _ in range(2))
         x = rng.choice([-1.0, 1.0], (4, size)) * 10.0 ** rng.uniform(lo, hi, (4, size))
         x[rng.random((4, size)) < zeros] = 0.0
         return x
@@ -489,7 +576,7 @@ class TestChainSpectrum:
         kappa = 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
         assume(kappa.max() < 1e8)   # near-defective spectra scatter by sqrt(eps)
         dense = np.linalg.eigvals(H)
-        with eigvals_calls() as seen:
+        with linalg_calls("eigvals") as seen:
             got = spectra.chain_spectrum(spectra.chain(p, dis))
         # No complex solve: the open chain takes at most one real 2N x 2N one.
         assert seen in ([], [(np.dtype(float), (2 * n, 2 * n))])
@@ -537,7 +624,7 @@ class TestChainSpectrum:
         for params, dis in non_reducing_chains(seed):
             if dis is None:     # a clean ring takes the Bloch blocks
                 continue
-            with eigvals_calls() as seen:
+            with linalg_calls("eigvals") as seen:
                 got = spectra.chain_spectrum(spectra.chain(params, dis))
             assert seen == [(np.dtype(complex), (24, 24))]
             np.testing.assert_array_equal(
@@ -1109,10 +1196,13 @@ class TestZeroModeForms:
              tol=ZERO_MODE_TOL)     # every a_n = 0: X is singular
     @example(n=12, v=-0.5, r=0.5, gamma=1.0, target=DisorderTarget.HOPPING_R, d=0.3, seed=1,
              tol=ZERO_MODE_TOL)     # every b_n = 0: Y is singular
+    @example(n=1, v=5e-324, r=1.0, gamma=5e-324, target=DisorderTarget.GAIN_LOSS, d=5e-324,
+             seed=104, tol=ZERO_MODE_TOL)   # a = (0,), b = (1e-323,): tol * sigma_max is 0.0
     def test_disordered_hops_match_dense_solve(self, n, v, r, gamma, target, d, seed, tol):
         p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n)
         dis = DisorderConfig.from_seed(target, d, seed, n)
-        H = build_real_space(p, disorder=dis)
+        # Scaled up by a power of two, so that the cut of a subnormal H is not 0.0.
+        H, _ = scaled_up(build_real_space(p, disorder=dis))
         s = np.linalg.svd(H, compute_uv=False)
         cut = tol * s[0]
         # Presence and the geometric count are clear: no singular value
