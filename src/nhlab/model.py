@@ -73,10 +73,9 @@ class DisorderConfig:
     seeds give identical draws. For HOPPING_R the n-th draw perturbs the
     bond linking cells n and n+1, on both of its hopping lines. A stack
     (from_seeds) holds one row of draws per seed, shape (S, N), and the
-    tuple of its seeds; reduced_chain, build_real_space,
-    spectra.smallest_abs_eigenvalue and spectra.zero_mode_split take it
-    and keep that leading axis. A grid of D strengths, a 1-D strength,
-    puts its own axis before those of the draws: (D, [S,] N), and
+    tuple of its seeds; reduced_chain and build_real_space take it and
+    keep that leading axis. A grid of D strengths, a 1-D strength, puts
+    its own axis before those of the draws: (D, [S,] N), and
     spectra.first_splits searches one.
     """
 
@@ -228,31 +227,13 @@ def chiral_residual(H: np.ndarray) -> float:
     Gamma is a direct sum of sigma_y, so each 2 x 2 cell block [[p, q],
     [s, t]] of H adds sigma_y B sigma_y = [[t, -s], [-q, p]] to itself:
     the residual's entries are p + t and +-(q - s), with no product of
-    2N x 2N matrices.
+    2N x 2N matrices. Anything but a non-empty square even-dimensional
+    matrix raises ValueError.
     """
-    b = _cell_blocks(H)
-    return float(np.maximum(np.abs(b[:, 0, :, 0] + b[:, 1, :, 1]).max(),
-                            np.abs(b[:, 0, :, 1] - b[:, 1, :, 0]).max()))
-
-
-def pt_residual(H: np.ndarray) -> float:
-    """Max-entry norm of P conj(H) P - H; zero iff H is PT symmetric.
-
-    P is a direct sum of sigma_x, which swaps both indices of each cell
-    block, so the residual's entries are conj(t) - p and conj(s) - q and
-    their conjugate partners, as in chiral_residual.
-    """
-    b = _cell_blocks(H)
-    return float(np.maximum(np.abs(np.conj(b[:, 1, :, 1]) - b[:, 0, :, 0]).max(),
-                            np.abs(np.conj(b[:, 1, :, 0]) - b[:, 0, :, 1]).max()))
-
-
-def _cell_blocks(H: np.ndarray) -> np.ndarray:
-    """H as (N, 2, N, 2): [m, i, n, j] is sublattice i of cell m against
-    sublattice j of cell n. Anything but a non-empty square even-dimensional
-    matrix raises ValueError."""
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2 or not H.size:
         raise ValueError(f"expected a square even-dimensional matrix, got {H.shape}")
     n = H.shape[0] // 2
-    return H.reshape(n, 2, n, 2)
+    b = H.reshape(n, 2, n, 2)       # [m, i, n, j]: sublattice i of cell m, j of cell n
+    return float(np.maximum(np.abs(b[:, 0, :, 0] + b[:, 1, :, 1]).max(),
+                            np.abs(b[:, 0, :, 1] - b[:, 1, :, 0]).max()))

@@ -33,53 +33,21 @@ def fix_phase(u: np.ndarray) -> np.ndarray:
     return u / ph
 
 
-def smallest_abs_eigenvalue(params: LatticeParams,
-                            disorder: DisorderConfig | None = None) -> float | np.ndarray:
-    """min |E| over the eigenvalues of build_real_space(params, disorder).
-
-    Where the chain reduces (model.reduced_chain), det H = +-prod(a_n b_n),
-    so a zero hop gives exactly 0.0. Otherwise min |E|^2 is
-    1 / max |eig(Y^-1 X^-1)|, an N x N real solve for the largest
-    eigenvalue, which keeps its relative accuracy; sqrt(min |eig(X Y)|)
-    would lose half the digits of a small one. Chains that do not reduce,
-    and inverses that overflow, take min |eigvals(H)|.
-
-    A stack of draws (DisorderConfig.from_seeds) gives an array, one
-    min |E| per seed, each bit for bit what that seed gives alone: zero
-    hops settle for the whole stack at once, the rows left share one
-    stacked eigvals, and so do the rows that take H. Non-finite hops
-    raise ValueError.
-    """
-    out = _smallest_abs(params, disorder, 0.0)
-    return out.reshape(_lead(disorder)) if _lead(disorder) else float(out[0])
-
-
-def zero_mode_split(params: LatticeParams, disorder: DisorderConfig | None,
-                    tol: float) -> bool | np.ndarray:
-    """smallest_abs_eigenvalue(params, disorder) > tol, row for row, with
-    most of its eigvals left out.
-
-    A row with a zero hop has min |E| = 0, and a row that _trace_certified
-    shows has min |E| <= tol, from its hops in O(N), is not split and is
-    not solved. Near a zero mode, where min |E| is far below tol, almost
-    every row settles so; the rest, and the rows that take H, are solved
-    as in smallest_abs_eigenvalue. A stack gives one bool per row.
-    """
-    split = _smallest_abs(params, disorder, tol) > tol
-    return split.reshape(_lead(disorder)) if _lead(disorder) else bool(split[0])
-
-
 def first_splits(params: LatticeParams, grid: DisorderConfig, tol: float) -> np.ndarray:
     """For a grid of D strengths (DisorderConfig.strength a 1-D array) over
     a stack of S seeds, the index into the grid of the first strength at
-    which each seed's zero mode has split, smallest_abs_eigenvalue > tol,
+    which each seed's zero mode has split, min |E| > tol (_smallest_abs),
     and D where it survives the grid: shape (S,), or () for one draw.
 
-    The hops of the whole grid are built and settled up front, as in
-    zero_mode_split (in blocks of strengths of at most _GRID_HOPS hops);
-    each strength then solves, in one stacked call, the seeds not yet
-    split that are left open, and no later strength of a split seed is
-    solved. On-site disorder past d = 0 takes H, strength by strength.
+    The hops of the whole grid are built and settled up front (_settled,
+    in blocks of strengths of at most _GRID_HOPS hops): a row with a zero
+    hop has min |E| = 0, and a row that _trace_certified shows has
+    min |E| <= tol, in O(N) from its hops, is not split and is not solved.
+    Near a zero mode, where min |E| is far below tol, almost every row
+    settles so. Each strength then solves, in one stacked call, the seeds
+    not yet split that are left open, and no later strength of a split
+    seed is solved. On-site disorder past d = 0 takes H, strength by
+    strength.
     """
     n, strengths = params.n_cells, grid.strength
     draws = grid.draws.reshape(-1, n)
@@ -125,9 +93,20 @@ def _hop_rows(hops, n: int):
 
 def _smallest_abs(params: LatticeParams, disorder: DisorderConfig | None,
                   tol: float) -> np.ndarray:
-    """min |E| of each row of the draws, flat (one row for None or a single
-    draw), as smallest_abs_eigenvalue; a row that _trace_certified shows
-    has min |E| <= tol is left unsolved at 0.0. tol = 0 leaves none."""
+    """min |E| over the eigenvalues of build_real_space(params, disorder),
+    one per row of the draws, flat (one row for None or a single draw).
+
+    Where the chain reduces (model.reduced_chain), det H = +-prod(a_n b_n),
+    so a zero hop gives exactly 0.0. Otherwise min |E|^2 is
+    1 / max |eig(Y^-1 X^-1)|, an N x N real solve for the largest
+    eigenvalue, which keeps its relative accuracy; sqrt(min |eig(X Y)|)
+    would lose half the digits of a small one. Chains that do not reduce,
+    and inverses that overflow, take min |eigvals(H)|. Each row is bit for
+    bit what its draw gives alone: zero hops settle for the whole stack at
+    once, the rows left share one stacked eigvals, and so do the rows that
+    take H. A row that _trace_certified shows has min |E| <= tol is left
+    unsolved at 0.0; tol = 0 leaves none. Non-finite hops raise ValueError.
+    """
     n = params.n_cells
     out = np.zeros(int(np.prod(_lead(disorder))))
     dense = np.arange(len(out))                 # the rows that take H
@@ -348,8 +327,9 @@ def _path_block(off: np.ndarray, lower: np.ndarray) -> np.ndarray:
         return np.zeros(1)
     if (lower == off).all():
         # eigvalsh_tridiagonal's driver (sterf) squares each hop, and a hop
-        # below 1.5e-154 times the largest, _golub_kahan's cut, would square
-        # to a subnormal and spoil the blocks it joins: split the path there.
+        # below 1.5e-154 times the largest, _factor_singular_values' cut,
+        # would square to a subnormal and spoil the blocks it joins: split
+        # the path there.
         off[np.abs(off) < 1.5e-154 * np.abs(off).max()] = 0.0
         return scipy.linalg.eigvalsh_tridiagonal(np.zeros(len(off) + 1), off)
     scale = 2.0 ** np.frexp(np.abs(off).max())[1]
@@ -375,28 +355,9 @@ def _bisect(off: np.ndarray, select: int, vl=0.0, vu=0.0, il=0, iu=0, tol=_TINY_
     return w[:m]
 
 
-@dataclass(frozen=True)
-class ChainSingularValues:
-    """Singular values of an open chain that reduces; see chain_singular_values."""
-
-    sigma_max: float
-    smallest: np.ndarray          # every singular value below tol * sigma_max, ascending
-
-
-def _golub_kahan(hops):
-    """(scale, rows off_X and off_Y) of reduced_chain's hops; see chain_singular_values."""
-    # dstebz takes a hop below sqrt(safmin) = 1.5e-154 for zero. Scaling by
-    # a power of two, which bisection carries exactly, moves that bound
-    # to 1.5e-154 times the largest hop.
-    a, b, r = hops
-    scale = 2.0 ** np.frexp(np.abs(np.concatenate([a, b, r])).max())[1]
-    gk = np.empty((2, 2 * len(a) - 1))
-    gk[:, 0::2], gk[:, 1::2] = np.abs([a, b]) / scale, np.abs(r) / scale
-    return scale, gk
-
-
-def chain_singular_values(hops, tol: float = ZERO_MODE_TOL) -> ChainSingularValues:
-    """Singular values of the open chain with reduced hops (a, b, r), without H.
+def _factor_singular_values(hops, tol: float):
+    """(sigma_max, [X's, Y's]) of the open chain with reduced hops (a, b, r),
+    without H: each factor's singular values below tol * sigma_max, ascending.
 
     H = i U A U^H with U unitary and A the real path of the hops
     (model.reduced_chain). After an even/odd permutation A = [[0, X],
@@ -406,24 +367,19 @@ def chain_singular_values(hops, tol: float = ZERO_MODE_TOL) -> ChainSingularValu
     eigenvalues of its Golub-Kahan matrix, the zero-diagonal tridiagonal
     with off-diagonal |d_1|, |e_1|, |d_2|, ..., |d_N|, and bisection
     (dstebz) finds them: sigma_max to LAPACK's default tolerance and
-    `smallest`, every singular value below tol * sigma_max, to high
-    relative accuracy. A factor with a zero hop on its diagonal (some a_n
-    or b_n = 0) is singular, and its sigma_min is exactly 0.0. A hop below
-    1.5e-154 times the largest counts as zero. `smallest` is empty when no
-    singular value lies below the cut, as at tol = 0; tol > 1 takes all
-    2N, and so does H = 0. Any other form (see chain) raises ValueError.
+    every singular value below tol * sigma_max to high relative accuracy.
+    A factor with a zero hop on its diagonal (some a_n or b_n = 0) is
+    singular, and its sigma_min is exactly 0.0. A hop below 1.5e-154 times
+    the largest counts as zero. No value lies below the cut at tol = 0,
+    which bisects sigma_max alone; tol > 1 takes all 2N, and so does H = 0.
     """
-    sigma_max, values = _factor_singular_values(hops, tol)
-    return ChainSingularValues(sigma_max, np.sort(np.concatenate(values)))
-
-
-def _factor_singular_values(hops, tol: float):
-    """(sigma_max, [X's, Y's]) of chain_singular_values: each factor's
-    singular values below tol * sigma_max, ascending."""
-    if not isinstance(hops, tuple):
-        raise ValueError("chain_singular_values takes reduced hops (a, b, r)")
-    a, b, _ = hops
-    scale, gk = _golub_kahan(hops)
+    a, b, r = hops
+    # dstebz takes a hop below sqrt(safmin) = 1.5e-154 for zero. Scaling by
+    # a power of two, which bisection carries exactly, moves that bound
+    # to 1.5e-154 times the largest hop.
+    scale = 2.0 ** np.frexp(np.abs(np.concatenate([a, b, r])).max())[1]
+    gk = np.empty((2, 2 * len(a) - 1))
+    gk[:, 0::2], gk[:, 1::2] = np.abs([a, b]) / scale, np.abs(r) / scale
     # Both Golub-Kahan matrices as one tridiagonal, split by a zero hop.
     (top,) = _bisect(np.concatenate([gk[0], [0.0], gk[1]]), 2,
                      il=4 * len(a), iu=4 * len(a), tol=0.0)
@@ -451,11 +407,11 @@ def _null_factor(hops, values) -> int:
 
 def chain_norm(form) -> float:
     """||H||_2 of a chain's form (see chain), the scale of the zero-mode cut:
-    hops take chain_singular_values' sigma_max at tol = 0, which bisects no
-    smaller value; Bloch blocks the largest ||H_k||_2; H its own.
+    hops take _factor_singular_values' sigma_max at tol = 0, which bisects
+    no smaller value; Bloch blocks the largest ||H_k||_2; H its own.
     """
     if isinstance(form, tuple):
-        return chain_singular_values(form, tol=0.0).sigma_max
+        return _factor_singular_values(form, 0.0)[0]
     return float(np.linalg.norm(form, 2, axis=(-2, -1)).max())
 
 
@@ -518,16 +474,11 @@ def below_cut(x, sigma_max: float, tol: float):
     return (sigma_max == 0.0) | (x < tol * sigma_max)
 
 
-def geometric_multiplicity(H: np.ndarray, lam: complex, tol: float | None = None) -> int:
-    """Dimension of the (tolerance-resolved) null space of H - lam*I.
-
-    Counts singular values below tol * sigma_max; default tol is
-    dim * machine-epsilon (standard backward-stable rank decision).
-    """
+def geometric_multiplicity(H: np.ndarray, lam: complex, tol: float) -> int:
+    """Dimension of the (tolerance-resolved) null space of H - lam*I: the
+    count of its singular values below tol * sigma_max (below_cut)."""
     H = np.asarray(H, dtype=complex)
     dim = H.shape[0]
-    if tol is None:
-        tol = dim * np.finfo(float).eps
     if tol <= 0:
         raise ValueError("tol must be > 0")
     s = np.linalg.svd(H - lam * np.eye(dim), compute_uv=False)
@@ -614,7 +565,7 @@ def zero_mode_analysis(form, tol: float = ZERO_MODE_TOL, require_chiral: bool = 
     given (the caller's spectrum of H), else chain_spectrum of the form.
 
     Hops are solved with no dense solve of H: the singular values come
-    from chain_singular_values, u0 from the factor that holds sigma_min
+    from _factor_singular_values, u0 from the factor that holds sigma_min
     (_hop_zero_vectors), by substitution where that factor has a zero hop
     on its diagonal and else from its N x N SVD, with the beta component
     of its largest cell real positive, and u0_prime from the other factor
@@ -808,7 +759,7 @@ def spectral_report(form) -> SpectralReport:
     proves it, as at v = +-gamma/2 with gamma > 0. Every other repeated
     cluster takes geometric_multiplicity: of H, or for hops of
     i [[0, X], [Y, 0]], which is unitarily similar to H = i U A U^H
-    (chain_singular_values).
+    (_factor_singular_values).
     """
     form = _reduced(form, "spectral_report")
     scale, w = chain_norm(form), chain_spectrum(form)

@@ -4,8 +4,8 @@ from hypothesis import settings
 
 from nhlab import Boundary, LatticeParams, ZeroModeInfo
 from nhlab.model import SIGMA_X
-from nhlab.spectra import (CLUSTER_TOL, below_cut, fix_phase, geometric_multiplicity,
-                           zero_cluster_size)
+from nhlab.spectra import (CLUSTER_TOL, ZERO_MODE_TOL, _factor_singular_values, below_cut,
+                           fix_phase, geometric_multiplicity, zero_cluster_size)
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
@@ -23,8 +23,8 @@ def chiral_operator(n_cells: int) -> np.ndarray:
 
 
 def parity_operator(n_cells: int) -> np.ndarray:
-    """P = direct sum of sigma_x over unit cells (swaps the sublattices).
-    The kron reference for model.pt_residual."""
+    """P = direct sum of sigma_x over unit cells (swaps the sublattices):
+    H is PT symmetric iff P conj(H) P = H."""
     return np.kron(np.eye(n_cells), SIGMA_X)
 
 
@@ -61,6 +61,14 @@ def assert_multisets_close(a, b, tol=1e-10):
         j = int(np.argmin([abs(x - y) for y in b]))
         assert abs(x - b[j]) < tol, f"unmatched eigenvalue {x}"
         b.pop(j)
+
+
+def factor_values(hops, tol=ZERO_MODE_TOL):
+    """(sigma_max, every singular value below tol * sigma_max, ascending) of
+    the open chain with reduced hops: the values of both of its factors
+    from spectra._factor_singular_values, merged."""
+    sigma_max, values = _factor_singular_values(hops, tol)
+    return sigma_max, np.sort(np.concatenate(values))
 
 
 def scaled_up(H):

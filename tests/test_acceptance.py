@@ -12,10 +12,11 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                    count_enclosed_eps, evolve, fourier_detect, gap_report,
                    propagator, track_band, winding_number)
 from nhlab.cli import disorder_transition
-from nhlab.spectra import (chain, chain_singular_values, edge_profile, fix_phase,
-                           smallest_singular_values, spectral_report, zero_mode_analysis)
+from nhlab.spectra import (chain, edge_profile, fix_phase, smallest_singular_values,
+                           spectral_report, zero_mode_analysis)
 
-from conftest import assert_multisets_close, exact_generalized_zero_mode, exact_zero_mode
+from conftest import (assert_multisets_close, exact_generalized_zero_mode, exact_zero_mode,
+                      factor_values)
 
 
 def report(num: int, label: str, ok: bool) -> None:
@@ -129,7 +130,7 @@ def test_06_defectiveness_scaling():
         ok &= mins[0] > mins[1] > mins[2]
     for n in (10, 20, 30):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=n)
-        ok &= bool(chain_singular_values(chain(p)).smallest[0] == 0.0)
+        ok &= bool(factor_values(chain(p))[1][0] == 0.0)
         s = np.linalg.svd(build_real_space(p), compute_uv=False)
         ok &= bool(s[-1] < 1e-12 * s[0])
     report(6, "singular-value scaling with N", ok)

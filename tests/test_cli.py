@@ -722,8 +722,8 @@ class TestDisorderGrid:
         d_grid = sorted(d_grid)
         want = []
         for s in range(seed, seed + count):
-            split = [d for d in d_grid if spectra.smallest_abs_eigenvalue(
-                p, DisorderConfig.from_seed(target, d, s, n)) > tol]
+            split = [d for d in d_grid if spectra._smallest_abs(
+                p, DisorderConfig.from_seed(target, d, s, n), 0.0)[0] > tol]
             want.append(float(split[0]) if split else None)
         grid = DisorderConfig.from_seeds(target, d_grid, range(seed, seed + count), n)
         with mock.patch.object(spectra, "_GRID_HOPS", grid_hops):
@@ -733,13 +733,10 @@ class TestDisorderGrid:
             one = spectra.first_splits(p, DisorderConfig.from_seed(target, d_grid, seed, n), tol)
         assert got == want
         # first_splits gives each seed's index into the grid, len(d_grid)
-        # where it survives; one draw gives a 0-d array. zero_mode_split
-        # of the grid is the plain scan row for row.
+        # where it survives; one draw gives a 0-d array.
         assert first.tolist() == [d_grid.index(t) if t is not None else len(d_grid)
                                   for t in want]
         assert one.shape == () and one == (first[0] if count else one)
-        assert spectra.zero_mode_split(p, grid, tol).tolist() == (
-            spectra.smallest_abs_eigenvalue(p, grid) > tol).tolist()
 
     @given(st.sampled_from([DisorderTarget.HOPPING_R, DisorderTarget.HOPPING_V,
                             DisorderTarget.GAIN_LOSS]),

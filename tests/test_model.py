@@ -4,12 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
-                   build_bloch, build_real_space, chiral_residual, pt_residual)
+                   build_bloch, build_real_space, chiral_residual)
 from nhlab.model import SIGMA_X, SIGMA_Z, _per_cell_values, reduced_chain
-from nhlab.spectra import (ZERO_MODE_TOL, chain, chain_singular_values, edge_profile,
-                           fix_phase, zero_mode_analysis)
+from nhlab.spectra import ZERO_MODE_TOL, chain, edge_profile, fix_phase, zero_mode_analysis
 
-from conftest import SIGMA_Y, assert_multisets_close, chiral_operator, parity_operator
+from conftest import (SIGMA_Y, assert_multisets_close, chiral_operator, factor_values,
+                      parity_operator)
 
 params_st = st.builds(
     LatticeParams,
@@ -235,7 +235,7 @@ def path_matrix(a, b, r):
 
 
 class TestReducedPath:
-    # spectra.chain_singular_values rests on this path A: it takes H's
+    # spectra._factor_singular_values rests on this path A: it takes H's
     # singular values from the two bidiagonal blocks of A and the zero
     # mode's side from their singular vectors.
     @pytest.mark.parametrize("target", [None, DisorderTarget.HOPPING_R,
@@ -258,11 +258,11 @@ class TestReducedPath:
             assert (A[1::2, 0::2] == np.diag(b) + np.diag(r, -1)).all()
             assert (A[0::2, 0::2] == 0).all() and (A[1::2, 1::2] == 0).all()
             # The singular data of the factors are those of H.
-            sv = chain_singular_values(chain(p, dis))
+            sigma_max, smallest = factor_values(chain(p, dis))
             _, s, vh = np.linalg.svd(H)
-            assert abs(sv.sigma_max - s[0]) <= 1e-14 * s[0]
+            assert abs(sigma_max - s[0]) <= 1e-14 * s[0]
             if s[-1] < ZERO_MODE_TOL * s[0]:
-                assert sv.smallest.size
+                assert smallest.size
                 assert (edge_profile(zero_mode_analysis(chain(p, dis)).u0).side
                         == edge_profile(fix_phase(vh[-1].conj())).side)
 
@@ -312,12 +312,11 @@ class TestSymmetries:
         assert_multisets_close(w, -w, tol=1e-10)
 
     def test_pt_residual_clean(self):
+        P = parity_operator(8)
         for boundary in Boundary:
             p = LatticeParams(v=0.7, r=0.9, gamma=1.3, n_cells=8, boundary=boundary)
-            assert pt_residual(build_real_space(p)) < 1e-15
-
-    def test_pt_residual_zero_matrix(self):
-        assert pt_residual(np.zeros((8, 8))) == 0.0
+            H = build_real_space(p)
+            assert np.abs(P @ np.conj(H) @ P - H).max() < 1e-15
 
     def test_pt_residual_detects_broken_symmetry(self):
         # Adding i*delta to the alpha_1 diagonal mismatches exactly two
@@ -330,28 +329,24 @@ class TestSymmetries:
         R = P @ np.conj(H) @ P - H
         mismatched = np.argwhere(np.abs(R) > 1e-14)
         assert mismatched.tolist() == [[0, 0], [1, 1]]
-        assert pt_residual(H) == pytest.approx(delta, rel=1e-12)
-
+        assert np.abs(R).max() == pytest.approx(delta, rel=1e-12)
 
     @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_residuals_match_the_kron_formula(self, n, seed):
-        # The per-cell-block residuals equal the dense products of the
-        # kron operators, bit for bit, on matrices with no symmetry at all.
+        # The per-cell-block residual equals the dense product of the kron
+        # operator, bit for bit, on matrices with no symmetry at all.
         rng = np.random.default_rng(seed)
         H = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
-        G, P = chiral_operator(n), parity_operator(n)
+        G = chiral_operator(n)
         assert chiral_residual(H) == float(np.abs(G @ H @ G + H).max())
-        assert pt_residual(H) == float(np.abs(P @ np.conj(H) @ P - H).max())
         R = H.real.copy()
         assert chiral_residual(R) == float(np.abs(G @ R @ G + R).max())
-        assert pt_residual(R) == float(np.abs(P @ np.conj(R) @ P - R).max())
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 3), (2, 4), (4,)])
     def test_residuals_reject_other_shapes(self, shape):
-        for residual in (chiral_residual, pt_residual):
-            with pytest.raises(ValueError):
-                residual(np.zeros(shape))
+        with pytest.raises(ValueError):
+            chiral_residual(np.zeros(shape))
 
 
 class TestDisorderConfig:

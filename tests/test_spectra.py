@@ -15,11 +15,11 @@ from nhlab import (Boundary, DisorderConfig, DisorderTarget, ExceptionalPointErr
 from nhlab import spectra
 from nhlab.model import reduced_chain
 from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain, chain_norm,
-                           chain_singular_values, edge_side, fix_phase,
-                           smallest_abs_eigenvalue, zero_mode_split)
+                           edge_side, fix_phase)
 
 from conftest import (assert_multisets_close, chiral_operator, dense_zero_mode,
-                      exact_generalized_zero_mode, exact_zero_mode, loop_clusters, scaled_up)
+                      exact_generalized_zero_mode, exact_zero_mode, factor_values,
+                      loop_clusters, scaled_up)
 
 
 def bloch_energy(v, r, gamma, k):
@@ -106,11 +106,11 @@ class TestBlochEigensystem:
 
 class TestGeometricMultiplicity:
     def test_identity(self):
-        assert geometric_multiplicity(np.eye(5), 1.0) == 5
+        assert geometric_multiplicity(np.eye(5), 1.0, tol=CLUSTER_TOL) == 5
 
     def test_simple_defective_block(self):
         J = np.array([[2.0, 1.0], [0.0, 2.0]])
-        assert geometric_multiplicity(J, 2.0) == 1
+        assert geometric_multiplicity(J, 2.0, tol=CLUSTER_TOL) == 1
 
     def test_zero_eigenvalue_defective(self, defective_params):
         H = build_real_space(defective_params)
@@ -163,7 +163,7 @@ class TestSmallestSingularValues:
             if v == 0.5:
                 # Every a_n = 0: H is exactly singular at every N, and the
                 # dense sigma_min is rounding, with no order among N.
-                assert chain_singular_values(chain(p)).smallest[0] == 0.0
+                assert factor_values(chain(p))[1][0] == 0.0
                 assert vals[-1] < 1e-12 * np.linalg.svd(H, compute_uv=False)[0]
         if v != 0.5:
             assert vals[0] > vals[1] > vals[2]
@@ -338,7 +338,7 @@ class TestSmallestAbsEigenvalue:
         kappa = 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
         assume(kappa.max() < 1e8)   # near-defective spectra scatter by sqrt(eps)
         with linalg_calls("eigvals") as seen:
-            got = smallest_abs_eigenvalue(p, dis)
+            got = spectra._smallest_abs(p, dis, 0.0)[0]
         dense = dense_min_abs(p, dis)
         a, b, _ = reduced_chain(p, dis)
         if not (a.all() and b.all()):
@@ -359,7 +359,7 @@ class TestSmallestAbsEigenvalue:
         r_dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_R, 0.7, 3, 30)
         for dis in (None, r_dis):
             with linalg_calls("eigvals") as seen:
-                assert smallest_abs_eigenvalue(defective_params, dis) == 0.0
+                assert spectra._smallest_abs(defective_params, dis, 0.0)[0] == 0.0
             assert seen == []
 
     @pytest.mark.parametrize("seed", range(5))
@@ -367,7 +367,7 @@ class TestSmallestAbsEigenvalue:
         for params, dis in non_reducing_chains(seed):
             assert reduced_chain(params, dis) is None
             with linalg_calls("eigvals") as seen:
-                got = smallest_abs_eigenvalue(params, dis)
+                got = spectra._smallest_abs(params, dis, 0.0)[0]
             assert seen == [(np.dtype(complex), (24, 24))]
             assert got == dense_min_abs(params, dis)
 
@@ -379,7 +379,7 @@ class TestSmallestAbsEigenvalue:
         a, b, _ = reduced_chain(p)
         assert (a == v).all() and (b == v).all()
         with linalg_calls("eigvals") as seen:
-            got = smallest_abs_eigenvalue(p)
+            got = spectra._smallest_abs(p, None, 0.0)[0]
         assert seen[-1] == (np.dtype(complex), (16, 16))
         assert np.isfinite(got) and got == dense_min_abs(p)
 
@@ -392,22 +392,22 @@ class TestSmallestAbsEigenvalue:
         draws[0], draws[1] = 0.0, -1e-200
         stack = DisorderConfig(DisorderTarget.HOPPING_V, 1.0, tuple(range(5)), draws)
         with linalg_calls("eigvals") as seen:
-            got = smallest_abs_eigenvalue(p, stack)
+            got = spectra._smallest_abs(p, stack, 0.0)
         assert seen == [(np.dtype(float), (3, 8, 8)), (np.dtype(complex), (16, 16))]
         rows = [DisorderConfig(DisorderTarget.HOPPING_V, 1.0, seed, row)
                 for seed, row in enumerate(draws)]
         assert got[0] == dense_min_abs(p, rows[0]) and got[1] == 0.0
-        assert got.tolist() == [smallest_abs_eigenvalue(p, row) for row in rows]
+        assert got.tolist() == [spectra._smallest_abs(p, row, 0.0)[0] for row in rows]
 
     def test_non_finite_hops_raise(self):
         with pytest.raises(ValueError, match="finite"):
-            smallest_abs_eigenvalue(LatticeParams(v=np.nan, r=0.5, gamma=1.0, n_cells=4))
+            spectra._smallest_abs(LatticeParams(v=np.nan, r=0.5, gamma=1.0, n_cells=4), None, 0.0)
 
     def test_onsite_stack_solves_each_dense_h(self):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)
         stack = DisorderConfig.from_seeds(DisorderTarget.ON_SITE, 0.3, range(4), 6)
         with linalg_calls("eigvals") as seen:
-            got = smallest_abs_eigenvalue(p, stack)
+            got = spectra._smallest_abs(p, stack, 0.0)
         assert seen == [(np.dtype(complex), (4, 12, 12))]
         assert got.tolist() == [dense_min_abs(p, DisorderConfig.from_seed(
             DisorderTarget.ON_SITE, 0.3, seed, 6)) for seed in range(4)]
@@ -420,12 +420,14 @@ class TestSmallestAbsEigenvalue:
     def test_split_matches_solved_rows(self, target, n, v, at_half, r, gamma, d, seed, tol):
         # v = gamma/2 puts a zero mode, or one split by the disorder, on
         # most draws: the rows the trace certificate settles without eigvals.
+        # On a grid of one strength, first_splits gives 0 where a row splits.
         p = LatticeParams(v=gamma / 2 if at_half else v, r=r, gamma=gamma, n_cells=n)
-        stack = DisorderConfig.from_seeds(target, d, range(seed, seed + 5), n)
-        got = zero_mode_split(p, stack, tol)
-        assert got.dtype == bool
-        assert got.tolist() == (smallest_abs_eigenvalue(p, stack) > tol).tolist()
-        assert zero_mode_split(p, None, tol) is (smallest_abs_eigenvalue(p) > tol)
+        grid = DisorderConfig.from_seeds(target, [d], range(seed, seed + 5), n)
+        got = spectra.first_splits(p, grid, tol) == 0
+        assert got.tolist() == (spectra._smallest_abs(p, grid, 0.0) > tol).tolist()
+        # Strength 0 leaves the clean chain on every row.
+        clean = spectra.first_splits(p, replace(grid, strength=np.zeros(1)), tol) == 0
+        assert clean.tolist() == [bool(spectra._smallest_abs(p, None, 0.0)[0] > tol)] * 5
 
     @given(st.sampled_from([DisorderTarget.HOPPING_V, DisorderTarget.GAIN_LOSS]),
            st.integers(1, 30), st.floats(0.05, 2.0), st.floats(0.0, 1.5),
@@ -436,11 +438,12 @@ class TestSmallestAbsEigenvalue:
         # verdict turns on the last bit: the bound may settle it only if
         # it never exceeds the largest |eig(K)| that eigvals returns.
         p = LatticeParams(v=0.5, r=r, gamma=1.0, n_cells=n)
-        stack = DisorderConfig.from_seeds(target, d, range(seed, seed + 5), n)
-        values = smallest_abs_eigenvalue(p, stack)
+        grid = DisorderConfig.from_seeds(target, [d], range(seed, seed + 5), n)
+        values = spectra._smallest_abs(p, grid, 0.0)
         assume(values[row] > 0.0)
         for tol in (values[row], np.nextafter(values[row], 0.0)):
-            assert zero_mode_split(p, stack, tol).tolist() == (values > tol).tolist()
+            split = spectra.first_splits(p, grid, tol) == 0
+            assert split.tolist() == (values > tol).tolist()
 
     @pytest.mark.parametrize("params, disorder", [
         (LatticeParams(v=0.55, r=0.5, gamma=1.0, n_cells=40), None),
@@ -453,7 +456,7 @@ class TestSmallestAbsEigenvalue:
         # sqrt(min |eig(X Y)|) would give 2.1e-9 and 3.6e-8.
         mp = pytest.importorskip("mpmath")
         oracle = mp_min_abs_energy(build_real_space(params, disorder=disorder), mp)
-        got = smallest_abs_eigenvalue(params, disorder)
+        got = spectra._smallest_abs(params, disorder, 0.0)[0]
         assert abs(got - oracle) <= 1e-12 * oracle
 
 
@@ -479,7 +482,7 @@ def hop_rows(draw):
 
 
 def solved_min_abs(a, b, r):
-    """min |E| of each row of hops by the solve smallest_abs_eigenvalue
+    """min |E| of each row of hops by the solve spectra._smallest_abs
     makes: 0.0 with a zero in a or b, else 1 / sqrt(max |eig(K)|) for the
     K of spectra._inverse_products; nan where that K is not finite."""
     out = np.zeros(len(a))
@@ -690,9 +693,9 @@ class TestReducedPathSingularData:
                 dis = DisorderConfig.from_seed(target, d, seed, 30)
                 H = build_real_space(p, disorder=dis)
                 _, s_h, vh_h = np.linalg.svd(H)
-                sv = chain_singular_values(chain(p, dis))
-                assert abs(sv.sigma_max - s_h[0]) <= 1e-14 * s_h[0]
-                assert chain_norm(chain(p, dis)) == sv.sigma_max
+                sigma_max, _ = spectra._factor_singular_values(chain(p, dis), ZERO_MODE_TOL)
+                assert abs(sigma_max - s_h[0]) <= 1e-14 * s_h[0]
+                assert chain_norm(chain(p, dis)) == sigma_max
                 if np.abs(np.linalg.eigvals(H)).min() < ZERO_MODE_TOL * s_h[0]:
                     assert (edge_profile(zero_mode_analysis(chain(p, dis)).u0).side
                             == edge_profile(fix_phase(vh_h[-1].conj())).side)
@@ -744,12 +747,12 @@ class TestChainSingularValues:
             oracle = sorted(s for M in (X, Y) for s in mp.svd_r(M, compute_uv=False))
             exact_zeros = sum(s < mp.mpf(10) ** -70 for s in oracle)
             oracle = np.array([float(s) for s in oracle])
-        sv = chain_singular_values(chain(params, disorder), tol=2.0)   # every value below 2 sigma_max
-        assert sv.smallest.shape == (params.dim,)
-        assert abs(sv.sigma_max - oracle[-1]) <= 1e-14 * oracle[-1]
+        sigma_max, smallest = factor_values(chain(params, disorder), 2.0)   # all below 2 sigma_max
+        assert smallest.shape == (params.dim,)
+        assert abs(sigma_max - oracle[-1]) <= 1e-14 * oracle[-1]
         assert exact_zeros == (params.v == 0.5 and disorder is None)
-        assert (sv.smallest[:exact_zeros] == 0.0).all()
-        np.testing.assert_allclose(sv.smallest[exact_zeros:], oracle[exact_zeros:],
+        assert (smallest[:exact_zeros] == 0.0).all()
+        np.testing.assert_allclose(smallest[exact_zeros:], oracle[exact_zeros:],
                                    rtol=1e-14, atol=0)
 
     @given(st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.0, 2.0),
@@ -764,15 +767,15 @@ class TestChainSingularValues:
         dis = None if target is None else DisorderConfig.from_seed(target, d, seed, n)
         H = build_real_space(p, disorder=dis)
         dense = np.linalg.svd(H, compute_uv=False)[::-1]
-        sv = chain_singular_values(chain(p, dis), tol=2.0)
+        sigma_max, smallest = factor_values(chain(p, dis), 2.0)
         # The dense SVD is backward stable: each sigma_i is off by a few
         # eps * sigma_max, a relative error of eps * kappa_i with
         # kappa_i = sigma_max / sigma_i. Where kappa_i is large the dense
         # value is noise: at v = gamma = d = 3.03e-38, r = 0.05, N = 4 it
         # reads 0 and 2.5e-18 where 500-digit mpmath and
-        # chain_singular_values agree on 2.4e-147 and 4.0e-146.
-        assert abs(sv.sigma_max - dense[-1]) <= 1e-14 * dense[-1]
-        assert (np.abs(sv.smallest - dense) <= 8 * p.dim * np.finfo(float).eps * dense[-1]).all()
+        # the bisection agree on 2.4e-147 and 4.0e-146.
+        assert abs(sigma_max - dense[-1]) <= 1e-14 * dense[-1]
+        assert (np.abs(smallest - dense) <= 8 * p.dim * np.finfo(float).eps * dense[-1]).all()
         # Where sigma_min is well separated its right vector is determined,
         # and so are its per-cell weights.
         weights, s1, s2 = dense_cell_weights(H)
@@ -791,9 +794,9 @@ class TestChainSingularValues:
         dis = None if target is None else DisorderConfig.from_seed(target, 0.4, 2, n)
         H = build_real_space(p, disorder=dis)
         dense = np.linalg.svd(H, compute_uv=False)[::-1]
-        sv = chain_singular_values(chain(p, dis), tol=2.0)
-        np.testing.assert_allclose(sv.smallest, dense, rtol=0, atol=1e-15)
-        assert (sv.smallest[0] == 0.0) == (v == 0.5)
+        _, smallest = factor_values(chain(p, dis), 2.0)
+        np.testing.assert_allclose(smallest, dense, rtol=0, atol=1e-15)
+        assert (smallest[0] == 0.0) == (v == 0.5)
         weights, s1, s2 = dense_cell_weights(H)
         assert s2 - s1 > 0.1
         np.testing.assert_allclose(null_weights(chain(p, dis)), weights, rtol=0, atol=1e-14)
@@ -801,12 +804,10 @@ class TestChainSingularValues:
     def test_values_below_the_cut_only(self, defective_params):
         # At v = gamma/2 only X's exact zero lies below tol * sigma_max. At
         # v = 1.3 none does; at tol = 2, every one does, and u0 is sigma_min's.
-        sv = chain_singular_values(chain(defective_params))
-        assert sv.smallest.tolist() == [0.0]
+        assert factor_values(chain(defective_params))[1].tolist() == [0.0]
         assert edge_profile(zero_mode_analysis(chain(defective_params)).u0).side == "left"
         p = LatticeParams(v=1.3, r=0.5, gamma=1.0, n_cells=30)
-        far = chain_singular_values(chain(p))
-        assert far.smallest.size == 0
+        assert factor_values(chain(p))[1].size == 0
         weights, s1, _ = dense_cell_weights(build_real_space(p))
         assert s1 > 0.3
         np.testing.assert_allclose(null_weights(chain(p)), weights, rtol=0, atol=1e-12)
@@ -820,8 +821,7 @@ class TestChainSingularValues:
                              draws=draws)
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=8)
         assert reduced_chain(p, dis)[0][3] == 0.0
-        sv = chain_singular_values(chain(p, dis))
-        assert sv.smallest.tolist() == [0.0]
+        assert factor_values(chain(p, dis))[1].tolist() == [0.0]
         weights, _, s2 = dense_cell_weights(build_real_space(p, disorder=dis))
         assert s2 > 0.4
         null = edge_profile(zero_mode_analysis(chain(p, dis)).u0).weights
@@ -836,8 +836,8 @@ class TestChainSingularValues:
         # ("delocalized" at N = 30, "right" at N = 40); X's, at the left
         # edge, is taken.
         p = LatticeParams(v=0.0, r=1.0, gamma=1.0, n_cells=n)
-        sv = chain_singular_values(chain(p))
-        assert sv.smallest.size == 2 and sv.smallest[0] == sv.smallest[1]
+        _, smallest = factor_values(chain(p))
+        assert smallest.size == 2 and smallest[0] == smallest[1]
         a, _, r = reduced_chain(p)
         vx = np.linalg.svd(-np.diag(a) - np.diag(r, 1))[2][-1]
         zm = zero_mode_analysis(chain(p))
@@ -845,8 +845,8 @@ class TestChainSingularValues:
         assert edge_profile(zm.u0).side == "left"
 
     def test_zero_chain_has_every_singular_value_zero(self):
-        sv = chain_singular_values(chain(ZERO_CHAINS[0]))
-        assert sv.sigma_max == 0.0 and sv.smallest.tolist() == [0.0, 0.0]
+        sigma_max, smallest = factor_values(chain(ZERO_CHAINS[0]))
+        assert sigma_max == 0.0 and smallest.tolist() == [0.0, 0.0]
         assert null_weights(chain(ZERO_CHAINS[0])).tolist() == [pytest.approx(1.0, abs=1e-15)]
 
     @pytest.mark.parametrize("info", [-6, 1])
@@ -858,10 +858,7 @@ class TestChainSingularValues:
         monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
                             lambda *args: (*real(*args)[:-1], info))
         with pytest.raises(np.linalg.LinAlgError, match=f"dstebz returned info = {info}"):
-            chain_singular_values(chain(LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=4)))
-
-    def test_record_holds_only_the_values(self):
-        assert [f.name for f in fields(spectra.ChainSingularValues)] == ["sigma_max", "smallest"]
+            factor_values(chain(LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=4)))
 
 
 class TestChainNormAndNullWeights:
@@ -880,15 +877,9 @@ class TestChainNormAndNullWeights:
             assert chain_norm(chain(params, dis)) == np.linalg.norm(H, 2)
 
     def test_forms_a_function_does_not_take_raise(self):
-        # chain_singular_values takes hops only; chain refuses a stack of
-        # draws and a grid of strengths, whose stack of H would read as
-        # Bloch blocks.
+        # chain refuses a stack of draws and a grid of strengths, whose
+        # stack of H would read as Bloch blocks.
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)
-        onsite = DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, 0, 6)
-        ring = replace(p, boundary=Boundary.PERIODIC)
-        for form in (chain(p, onsite), chain(ring)):
-            with pytest.raises(ValueError, match="reduced hops"):
-                chain_singular_values(form)
         stack = DisorderConfig.from_seeds(DisorderTarget.ON_SITE, 0.3, [0, 1], 6)
         with pytest.raises(ValueError, match="stack"):
             chain(p, stack)
