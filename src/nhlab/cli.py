@@ -229,8 +229,7 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
                 entry.update(zero_mode_present=True, side=spectra.edge_profile(zm.u0).side,
                              defective=zm.defective)
         else:
-            entry["zero_mode_present"] = bool(spectra.below_cut(
-                np.abs(w).min(), spectra.chain_norm(form), tol))
+            entry["zero_mode_present"] = _zero_mode_present(np.abs(w).min(), form, tol)
         flags.append(entry)
     csv_path = out / "spectrum.csv"
     write_csv(csv_path, _sheet("v_over_gamma", v_grid, energies))

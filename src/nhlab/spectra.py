@@ -47,27 +47,24 @@ def first_splits(params: LatticeParams, grid: DisorderConfig, tol: float) -> np.
     settles so. Each strength then solves, in one stacked call, the seeds
     not yet split that are left open, and no later strength of a split
     seed is solved. On-site disorder past d = 0 takes H, strength by
-    strength.
+    strength; a block of strengths that holds such a strength settles no
+    row up front, and its rows with no zero hop are solved.
     """
     n, strengths = params.n_cells, grid.strength
     draws = grid.draws.reshape(-1, n)
     seeds = grid.seed if isinstance(grid.seed, tuple) else (grid.seed,)
     settled = np.zeros((len(strengths), len(draws)), dtype=bool)
-    checked = np.zeros(len(strengths), dtype=bool)      # the strengths settled up front
     step = max(1, _GRID_HOPS // max(draws.size, 1))
     for j in range(0, len(strengths) if draws.size else 0, step):
         hops = reduced_chain(params, replace(grid, strength=strengths[j:j + step]))
         if hops is not None:            # on-site disorder reduces at d = 0 only
             settled[j:j + step] = _settled(*_hop_rows(hops, n), tol).reshape(-1, len(draws))
-            checked[j:j + step] = True
     first = np.full(len(draws), len(strengths))
     for j, d in enumerate(strengths.tolist()):
         rows = np.flatnonzero((first == len(strengths)) & ~settled[j])
         if rows.size:
-            # A strength settled up front takes no second bound, as its
-            # rows' hops are the grid's bit for bit.
             dis = DisorderConfig(grid.target, d, tuple(seeds[i] for i in rows), draws[rows])
-            first[rows[_smallest_abs(params, dis, 0.0 if checked[j] else tol) > tol]] = j
+            first[rows[_smallest_abs(params, dis) > tol]] = j
     return first.reshape(grid.draws.shape[:-1])
 
 
@@ -91,8 +88,7 @@ def _hop_rows(hops, n: int):
     return a, b, r
 
 
-def _smallest_abs(params: LatticeParams, disorder: DisorderConfig | None,
-                  tol: float) -> np.ndarray:
+def _smallest_abs(params: LatticeParams, disorder: DisorderConfig | None) -> np.ndarray:
     """min |E| over the eigenvalues of build_real_space(params, disorder),
     one per row of the draws, flat (one row for None or a single draw).
 
@@ -104,8 +100,7 @@ def _smallest_abs(params: LatticeParams, disorder: DisorderConfig | None,
     and inverses that overflow, take min |eigvals(H)|. Each row is bit for
     bit what its draw gives alone: zero hops settle for the whole stack at
     once, the rows left share one stacked eigvals, and so do the rows that
-    take H. A row that _trace_certified shows has min |E| <= tol is left
-    unsolved at 0.0; tol = 0 leaves none. Non-finite hops raise ValueError.
+    take H. Non-finite hops raise ValueError.
     """
     n = params.n_cells
     out = np.zeros(int(np.prod(_lead(disorder))))
@@ -113,18 +108,19 @@ def _smallest_abs(params: LatticeParams, disorder: DisorderConfig | None,
     hops = reduced_chain(params, disorder)
     if hops is not None:
         a, b, r = _hop_rows(hops, n)
-        rows = np.flatnonzero(~_settled(a, b, r, tol))      # the others stay 0.0
+        rows = np.flatnonzero(a.all(axis=1) & b.all(axis=1))     # the others stay 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             k = _inverse_products(a[rows], b[rows], r[rows])
         solve = np.isfinite(k).all(axis=(1, 2))
         top = np.full(len(rows), np.inf)
-        top[solve] = np.abs(_eigvals(k[solve])).max(axis=-1)
+        if solve.any():
+            top[solve] = np.abs(np.linalg.eigvals(k[solve])).max(axis=-1)
         solved = (0.0 < top) & (top < np.inf)
         out[rows[solved]] = 1.0 / np.sqrt(top[solved])
         dense = rows[~solved]
     if dense.size:
         H = build_real_space(params, disorder=disorder).reshape(-1, 2 * n, 2 * n)
-        out[dense] = np.abs(_eigvals(H[dense])).min(axis=-1)
+        out[dense] = np.abs(np.linalg.eigvals(H[dense])).min(axis=-1)
     return out
 
 
@@ -197,19 +193,13 @@ def _trace_certified(a: np.ndarray, b: np.ndarray, r: np.ndarray, tol: float) ->
 
 def _inverse_products(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
     """K = Y^-1 X^-1 for each row of the hops a, b (S, N) and r (S, N - 1),
-    with no zero in a or b, where X = -diag(a) - superdiag(r) and
-    Y = diag(b) + subdiag(r). Every row has the same pattern of nonzeros,
-    so one pair of N x N bidiagonals takes each row's hops by index
-    assignment, and each is inverted once per row."""
-    n = a.shape[1]
-    i = np.arange(n)
-    x, y, eye = np.zeros((n, n)), np.zeros((n, n)), np.eye(n)
-    k = np.empty(a.shape + (n,))
-    for a_s, b_s, r_s, k_s in zip(a, b, r, k):
-        x[i, i], x[i[:-1], i[1:]] = -a_s, -r_s
-        y[i, i], y[i[1:], i[:-1]] = b_s, r_s
-        k_s[:] = (_triangular_inverse(y, eye, lower=True)
-                  @ _triangular_inverse(x, eye, lower=False))
+    with no zero in a or b, where X and Y are the row's factors (_factor),
+    each inverted once per row."""
+    eye = np.eye(a.shape[1])
+    k = np.empty((len(a),) + eye.shape)
+    for hops, k_s in zip(zip(a, b, r), k):
+        k_s[:] = (_triangular_inverse(_factor(hops, 1), eye, lower=True)
+                  @ _triangular_inverse(_factor(hops, 0), eye, lower=False))
     return k
 
 
@@ -221,14 +211,6 @@ def _triangular_inverse(t: np.ndarray, eye: np.ndarray, lower: bool) -> np.ndarr
     if info != 0:
         raise np.linalg.LinAlgError(f"dtrtrs returned info = {info}")
     return x
-
-
-def _eigvals(m: np.ndarray) -> np.ndarray:
-    """eigvals of each matrix of the stack m, (k, n, n), in one call; a
-    stack of one solves its matrix on its own, as a 2-D array."""
-    if len(m) == 1:
-        return np.linalg.eigvals(m[0])[None]
-    return np.linalg.eigvals(m) if len(m) else np.empty(m.shape[:2])
 
 
 def bloch_branches(params: LatticeParams, ks: np.ndarray):
@@ -288,7 +270,8 @@ def chain_spectrum(form) -> np.ndarray:
     otherwise its lower cell hops take the sign of a_n b_n, and the path
     is solved block by block between its zero hops: a block whose hops
     have mixed signs as one real eigvals, any other as a symmetric path.
-    A path with no zero hop is one block and one call. Both are more
+    A path with no zero hop is one block and one call, unscaled where that
+    converges. Both are more
     accurate than eigvals(H), which H takes (Hatano & Nelson 1996; Yao &
     Wang 2018).
     """
@@ -307,7 +290,10 @@ def chain_spectrum(form) -> np.ndarray:
     lower = off.copy()
     lower[0::2] *= sign
     if off.all():
-        return np.linalg.eigvals(np.diag(off, 1) + np.diag(lower, -1)).astype(complex)
+        try:
+            return np.linalg.eigvals(np.diag(off, 1) + np.diag(lower, -1)).astype(complex)
+        except np.linalg.LinAlgError:
+            pass        # hops across many decades: one block, scaled, below
     # Site blocks [start, end) between the zero hops, and one past the last site.
     ends = np.flatnonzero(np.append(off, 0.0) == 0) + 1
     return np.concatenate([_path_block(off[s:e - 1], lower[s:e - 1])

@@ -634,9 +634,9 @@ class TestDisorder:
 
     def test_v_search_makes_one_stacked_call_per_grid_point(self, monkeypatch):
         # Each grid point visited solves the seeds not yet split that the
-        # trace certificate leaves open, all in one (k, N, N) call (one seed
-        # alone as (N, N)), and a point with none makes no call; the search
-        # stops at the last seed's transition.
+        # trace certificate leaves open, all in one (k, N, N) call, and a
+        # point with none makes no call; the search stops at the last seed's
+        # transition.
         shapes, eigvals = [], np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
         params = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)
@@ -648,7 +648,7 @@ class TestDisorder:
                          for seed, t in enumerate(found))
                      for d in d_grid if d <= max(found)]
         assert 0 in undecided and undecided[-1] >= 1
-        assert shapes == [(k, 30, 30) if k > 1 else (30, 30) for k in undecided if k]
+        assert shapes == [(k, 30, 30) for k in undecided if k]
 
     def test_bound_solves_fewer_rows_than_every_live_seed(self, tmp_path, monkeypatch):
         # scripts/disorder_scan.py's config at seeds 0-19. Solving every
@@ -713,6 +713,10 @@ class TestDisorderGrid:
            st.integers(0, 6), st.sampled_from([1e-10, TRANSITION_TOL, 1e-3]),
            st.sampled_from([1, spectra._GRID_HOPS]))
     @settings(max_examples=100, deadline=None)
+    # An on-site grid of d = 0 and d > 0 does not reduce, so no row is
+    # settled up front and the d = 0 rows are solved; each seed splits at 0.3.
+    @example(DisorderTarget.ON_SITE, 20, False, 0.55, 0.5, 1.0, [0.0, 0.3], 0, 3,
+             TRANSITION_TOL, spectra._GRID_HOPS)
     def test_transition_is_a_plain_scan(self, target, n, at_half, v, r, gamma, d_grid, seed,
                                         count, tol, grid_hops):
         # v = gamma/2 puts a zero mode on the clean chain, so most rows are
@@ -723,7 +727,7 @@ class TestDisorderGrid:
         want = []
         for s in range(seed, seed + count):
             split = [d for d in d_grid if spectra._smallest_abs(
-                p, DisorderConfig.from_seed(target, d, s, n), 0.0)[0] > tol]
+                p, DisorderConfig.from_seed(target, d, s, n))[0] > tol]
             want.append(float(split[0]) if split else None)
         grid = DisorderConfig.from_seeds(target, d_grid, range(seed, seed + count), n)
         with mock.patch.object(spectra, "_GRID_HOPS", grid_hops):

@@ -338,16 +338,16 @@ class TestSmallestAbsEigenvalue:
         kappa = 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
         assume(kappa.max() < 1e8)   # near-defective spectra scatter by sqrt(eps)
         with linalg_calls("eigvals") as seen:
-            got = spectra._smallest_abs(p, dis, 0.0)[0]
+            got = spectra._smallest_abs(p, dis)[0]
         dense = dense_min_abs(p, dis)
         a, b, _ = reduced_chain(p, dis)
         if not (a.all() and b.all()):
             assert seen == [] and got == 0.0
-        elif seen != [(np.dtype(float), (n, n))]:
+        elif seen != [(np.dtype(float), (1, n, n))]:
             # With r <= 3.5 and N <= 8, only a hop below 1e-15 can push
             # Y^-1 X^-1 out of double range; then H itself is solved.
             assert min(np.abs(a).min(), np.abs(b).min()) < 1e-15
-            assert seen == [(np.dtype(complex), (2 * n, 2 * n))] and got == dense
+            assert seen == [(np.dtype(complex), (1, 2 * n, 2 * n))] and got == dense
         # Both solvers are backward stable: they differ by at most a few
         # eps * ||H|| per unit of eigenvalue condition number.
         tol = 20 * H.shape[0] * np.finfo(float).eps * np.linalg.norm(H, 2) * kappa.max()
@@ -359,7 +359,7 @@ class TestSmallestAbsEigenvalue:
         r_dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_R, 0.7, 3, 30)
         for dis in (None, r_dis):
             with linalg_calls("eigvals") as seen:
-                assert spectra._smallest_abs(defective_params, dis, 0.0)[0] == 0.0
+                assert spectra._smallest_abs(defective_params, dis)[0] == 0.0
             assert seen == []
 
     @pytest.mark.parametrize("seed", range(5))
@@ -367,8 +367,8 @@ class TestSmallestAbsEigenvalue:
         for params, dis in non_reducing_chains(seed):
             assert reduced_chain(params, dis) is None
             with linalg_calls("eigvals") as seen:
-                got = spectra._smallest_abs(params, dis, 0.0)[0]
-            assert seen == [(np.dtype(complex), (24, 24))]
+                got = spectra._smallest_abs(params, dis)[0]
+            assert seen == [(np.dtype(complex), (1, 24, 24))]
             assert got == dense_min_abs(params, dis)
 
     @pytest.mark.parametrize("v", [1e-200, 1e200])
@@ -379,8 +379,8 @@ class TestSmallestAbsEigenvalue:
         a, b, _ = reduced_chain(p)
         assert (a == v).all() and (b == v).all()
         with linalg_calls("eigvals") as seen:
-            got = spectra._smallest_abs(p, None, 0.0)[0]
-        assert seen[-1] == (np.dtype(complex), (16, 16))
+            got = spectra._smallest_abs(p, None)[0]
+        assert seen[-1] == (np.dtype(complex), (1, 16, 16))
         assert np.isfinite(got) and got == dense_min_abs(p)
 
     def test_stack_rows_match_single_solves_bit_for_bit(self):
@@ -392,22 +392,28 @@ class TestSmallestAbsEigenvalue:
         draws[0], draws[1] = 0.0, -1e-200
         stack = DisorderConfig(DisorderTarget.HOPPING_V, 1.0, tuple(range(5)), draws)
         with linalg_calls("eigvals") as seen:
-            got = spectra._smallest_abs(p, stack, 0.0)
-        assert seen == [(np.dtype(float), (3, 8, 8)), (np.dtype(complex), (16, 16))]
+            got = spectra._smallest_abs(p, stack)
+        assert seen == [(np.dtype(float), (3, 8, 8)), (np.dtype(complex), (1, 16, 16))]
         rows = [DisorderConfig(DisorderTarget.HOPPING_V, 1.0, seed, row)
                 for seed, row in enumerate(draws)]
         assert got[0] == dense_min_abs(p, rows[0]) and got[1] == 0.0
-        assert got.tolist() == [spectra._smallest_abs(p, row, 0.0)[0] for row in rows]
+        assert got.tolist() == [spectra._smallest_abs(p, row)[0] for row in rows]
 
     def test_non_finite_hops_raise(self):
-        with pytest.raises(ValueError, match="finite"):
-            spectra._smallest_abs(LatticeParams(v=np.nan, r=0.5, gamma=1.0, n_cells=4), None, 0.0)
+        # A NaN parameter is refused before any hop is built; finite ones
+        # whose hops overflow reach the solver's own check.
+        with pytest.raises(ValueError, match="v must be finite"):
+            spectra._smallest_abs(LatticeParams(v=np.nan, r=0.5, gamma=1.0, n_cells=4), None)
+        p = LatticeParams(v=-1.7e308, r=0.5, gamma=1.7e308, n_cells=4)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="reduced chain hops must be finite"):
+            spectra._smallest_abs(p, None)
 
     def test_onsite_stack_solves_each_dense_h(self):
         p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=6)
         stack = DisorderConfig.from_seeds(DisorderTarget.ON_SITE, 0.3, range(4), 6)
         with linalg_calls("eigvals") as seen:
-            got = spectra._smallest_abs(p, stack, 0.0)
+            got = spectra._smallest_abs(p, stack)
         assert seen == [(np.dtype(complex), (4, 12, 12))]
         assert got.tolist() == [dense_min_abs(p, DisorderConfig.from_seed(
             DisorderTarget.ON_SITE, 0.3, seed, 6)) for seed in range(4)]
@@ -424,10 +430,10 @@ class TestSmallestAbsEigenvalue:
         p = LatticeParams(v=gamma / 2 if at_half else v, r=r, gamma=gamma, n_cells=n)
         grid = DisorderConfig.from_seeds(target, [d], range(seed, seed + 5), n)
         got = spectra.first_splits(p, grid, tol) == 0
-        assert got.tolist() == (spectra._smallest_abs(p, grid, 0.0) > tol).tolist()
+        assert got.tolist() == (spectra._smallest_abs(p, grid) > tol).tolist()
         # Strength 0 leaves the clean chain on every row.
         clean = spectra.first_splits(p, replace(grid, strength=np.zeros(1)), tol) == 0
-        assert clean.tolist() == [bool(spectra._smallest_abs(p, None, 0.0)[0] > tol)] * 5
+        assert clean.tolist() == [bool(spectra._smallest_abs(p, None)[0] > tol)] * 5
 
     @given(st.sampled_from([DisorderTarget.HOPPING_V, DisorderTarget.GAIN_LOSS]),
            st.integers(1, 30), st.floats(0.05, 2.0), st.floats(0.0, 1.5),
@@ -439,7 +445,7 @@ class TestSmallestAbsEigenvalue:
         # it never exceeds the largest |eig(K)| that eigvals returns.
         p = LatticeParams(v=0.5, r=r, gamma=1.0, n_cells=n)
         grid = DisorderConfig.from_seeds(target, [d], range(seed, seed + 5), n)
-        values = spectra._smallest_abs(p, grid, 0.0)
+        values = spectra._smallest_abs(p, grid)
         assume(values[row] > 0.0)
         for tol in (values[row], np.nextafter(values[row], 0.0)):
             split = spectra.first_splits(p, grid, tol) == 0
@@ -456,7 +462,7 @@ class TestSmallestAbsEigenvalue:
         # sqrt(min |eig(X Y)|) would give 2.1e-9 and 3.6e-8.
         mp = pytest.importorskip("mpmath")
         oracle = mp_min_abs_energy(build_real_space(params, disorder=disorder), mp)
-        got = spectra._smallest_abs(params, disorder, 0.0)[0]
+        got = spectra._smallest_abs(params, disorder)[0]
         assert abs(got - oracle) <= 1e-12 * oracle
 
 
@@ -661,6 +667,23 @@ class TestChainSpectrum:
         scale = 1.7e89
         assert_multisets_close(got, np.array(oracle), tol=10 * np.finfo(float).eps * scale)
         assert np.sort(np.abs(got.imag))[-2:].tolist() == pytest.approx([1.6885917e89] * 2)
+
+    def test_wide_mixed_path_with_no_zero_hop_is_scaled(self):
+        # Mixed signs, no zero hop, hops from 5e-143 to 9e129: unscaled, the
+        # 14 x 14 eigvals of the path did not converge. It is one block,
+        # solved scaled.
+        a = np.array([2.059067686345876e+109, 6.362844525773694e+75, -1.4041753688174244e-29,
+                      9.174183454921817e+95, 3.296542503325586e+61, 5.798689060079582e+77,
+                      8.65855097467069e-70])
+        b = np.array([-1.5609115636150145e-111, -9.16983138517003e+91, -2.707801864553255e-105,
+                      5.348396562041093e-143, 4.8458229609118525e-107, -8.809661749480323e+129,
+                      -1.4266603860500442e-127])
+        r = np.array([4.947921895496937, -0.01745882695924304, -0.01649391648738858,
+                      -16.866210672196058, -8.685839021594095, -1.2006927989880332])
+        got = spectra.chain_spectrum((a, b, r))
+        assert got.shape == (14,) and np.isfinite(got).all()
+        spectra.spectral_report((a, b, r))
+        spectra.zero_mode_analysis((a, b, r), require_chiral=False)
 
     def test_subnormal_hop_splits_the_path(self):
         # The cell hops 1.3e-161 square to a subnormal; squared inside the
