@@ -39,8 +39,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "disorder.json"
         cfg_path.write_text(json.dumps(cfg))
-        rc = nhlab_main(["disorder", "--config", str(cfg_path),
-                         "--out", args.out, "--svg"])
+        rc = nhlab_main(["disorder", "--config", str(cfg_path), "--out", args.out])
     if rc == 0:
         summary = json.loads((Path(args.out) / "disorder_summary.json").read_text())
         for name, entry in summary["targets"].items():

@@ -114,6 +114,27 @@ def write_svg(path: Path, xs, ys_list, labels=None) -> None:
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
+def _write_artifacts(out: Path, artifacts: dict, svg: bool) -> list[Path]:
+    """Write {file name: content} into out in order; return the paths written.
+
+    A .csv entry holds write_csv's columns, a .json entry write_json's object
+    and a .svg entry write_svg's positional arguments, written only if svg.
+    Commands hand over their artifacts once everything is solved, so a run
+    that fails writes none. The writers are looked up at call time, so a
+    wrapper set on this module sees every write.
+    """
+    paths = [out / name for name in artifacts if svg or not name.endswith(".svg")]
+    for path in paths:
+        content = artifacts[path.name]
+        if path.suffix == ".csv":
+            write_csv(path, content)
+        elif path.suffix == ".json":
+            write_json(path, content)
+        else:
+            write_svg(path, *content)
+    return paths
+
+
 def _check_keys(cfg: dict, required: set[str], optional: set[str], where: str) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {cfg!r}")
@@ -231,24 +252,17 @@ def cmd_spectrum(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
         else:
             entry["zero_mode_present"] = _zero_mode_present(np.abs(w).min(), form, tol)
         flags.append(entry)
-    csv_path = out / "spectrum.csv"
-    write_csv(csv_path, _sheet("v_over_gamma", v_grid, energies))
-    json_path = out / "zero_modes.json"
-    write_json(json_path, {"zero_mode_tol": tol, "tracks": flags})
-    files = [csv_path, json_path]
-    if svg:
-        svg_path = out / "spectrum.svg"
-        write_svg(svg_path, v_grid, list(energies.real.T))
-        files.append(svg_path)
-    return files
+    return _write_artifacts(out, {
+        "spectrum.csv": _sheet("v_over_gamma", v_grid, energies),
+        "zero_modes.json": {"zero_mode_tol": tol, "tracks": flags},
+        "spectrum.svg": (v_grid, list(energies.real.T)),
+    }, svg)
 
 
 def cmd_winding(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     _check_keys(cfg, {"param_sets"}, {"samples"}, "winding")
     samples = _integer(cfg.get("samples", DEFAULT_SAMPLES), "winding.samples")
-    summary = []
-    trajectories = []
-    # Every set is solved before any file is written, so a failing set leaves none.
+    artifacts, summary = {}, []
     for i, ps in enumerate(_non_empty_list(cfg["param_sets"], "winding.param_sets")):
         where = f"winding.param_sets[{i}]"
         _check_keys(ps, {"v", "r", "gamma"}, {"label"}, where)
@@ -256,7 +270,10 @@ def cmd_winding(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
         params = LatticeParams(v=v, r=r, gamma=gamma, n_cells=1, boundary=Boundary.PERIODIC)
         tracked = track_band(params, samples=samples)
         res = winding_number(tracked)
-        trajectories.append((tracked.ks, *res.trajectory.T))
+        x, z = res.trajectory.T
+        artifacts[f"winding_{i}.csv"] = {"k": tracked.ks, "sigma_x_expect": x,
+                                         "sigma_z_expect": z}
+        artifacts[f"winding_{i}.svg"] = (x, [z])
         summary.append({
             "label": ps.get("label", f"set_{i}"),
             "v": ps["v"], "r": ps["r"], "gamma": ps["gamma"],
@@ -264,19 +281,8 @@ def cmd_winding(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
             "closure_period": res.closure_period,
             "eps_enclosed": count_enclosed_eps(params),
         })
-    files = []
-    for i, (ks, x, z) in enumerate(trajectories):
-        csv_path = out / f"winding_{i}.csv"
-        write_csv(csv_path, {"k": ks, "sigma_x_expect": x, "sigma_z_expect": z})
-        files.append(csv_path)
-        if svg:
-            svg_path = out / f"winding_{i}.svg"
-            write_svg(svg_path, x, [z])
-            files.append(svg_path)
-    json_path = out / "winding_summary.json"
-    write_json(json_path, {"samples": samples, "results": summary})
-    files.append(json_path)
-    return files
+    artifacts["winding_summary.json"] = {"samples": samples, "results": summary}
+    return _write_artifacts(out, artifacts, svg)
 
 
 # Disorder targets by config name; bench/workloads.py maps names through it.
@@ -347,10 +353,7 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
     trans_tol = _positive(cfg.get("transition_tol", TRANSITION_TOL), "disorder.transition_tol")
     zm_tol = _positive(cfg.get("zero_mode_tol", spectra.ZERO_MODE_TOL), "disorder.zero_mode_tol",
                        below=1.0)
-    # Every target is solved before any file is written, so a failing
-    # target (or a seed stack too large to allocate) leaves none.
-    sheets = []
-    summary = {}
+    artifacts, summary = {}, {}
     for target in targets:
         name = target.value
         energies = np.empty((len(d_grid), params.dim), dtype=complex)
@@ -367,9 +370,9 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
                 zm = spectra.zero_mode_analysis(form, zm_tol, require_chiral=False,
                                                 eigenvalues=energies[j])
                 side[j] = spectra.edge_profile(zm.u0).side
-        sheets.append((name, _sheet("d_over_gamma", d_grid, energies)
-                       | {"zero_mode_present": np.repeat(present, params.dim),
-                          "zero_mode_side": np.repeat(side, params.dim)}))
+        artifacts[f"disorder_{name}.csv"] = _sheet("d_over_gamma", d_grid, energies) | {
+            "zero_mode_present": np.repeat(present, params.dim),
+            "zero_mode_side": np.repeat(side, params.dim)}
         transitions = disorder_transition(params, target, d_grid,
                                           range(base_seed, base_seed + n_seeds), tol=trans_tol)
         finite = [t for t in transitions if t is not None]
@@ -378,16 +381,9 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
             "median_transition": float(np.median(finite)) if finite else None,
             "n_surviving_full_grid": len(transitions) - len(finite),
         }
-    files = []
-    for name, sheet in sheets:
-        csv_path = out / f"disorder_{name}.csv"
-        write_csv(csv_path, sheet)
-        files.append(csv_path)
-    json_path = out / "disorder_summary.json"
-    write_json(json_path, {"base_seed": base_seed, "n_seeds": n_seeds,
-                           "transition_tol": trans_tol, "targets": summary})
-    files.append(json_path)
-    return files
+    artifacts["disorder_summary.json"] = {"base_seed": base_seed, "n_seeds": n_seeds,
+                                          "transition_tol": trans_tol, "targets": summary}
+    return _write_artifacts(out, artifacts, svg)
 
 
 def cmd_svd_scan(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
@@ -405,17 +401,13 @@ def cmd_svd_scan(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
         P = build_real_space(replace(params, v=1.0)) - H0
         for v, sigma_nv in zip(v_grid, sigma_n):
             sigma_nv[:] = spectra.smallest_singular_values(H0 + v * P, count=2)
-    csv_path = out / "svd_scan.csv"
-    write_csv(csv_path, {"N": np.repeat(n_list, len(v_grid)),
+    return _write_artifacts(out, {
+        "svd_scan.csv": {"N": np.repeat(n_list, len(v_grid)),
                          "v_over_gamma": np.tile(v_grid, len(n_list)),
-                         "sigma_min": sigma[..., 0].ravel(), "sigma_2nd": sigma[..., 1].ravel()})
-    files = [csv_path]
-    if svg:
-        svg_path = out / "svd_scan.svg"
-        write_svg(svg_path, v_grid, list(np.log10(np.maximum(sigma[..., 0], 1e-300))),
-                  labels=[f"N={n}" for n in n_list])
-        files.append(svg_path)
-    return files
+                         "sigma_min": sigma[..., 0].ravel(), "sigma_2nd": sigma[..., 1].ravel()},
+        "svd_scan.svg": (v_grid, list(np.log10(np.maximum(sigma[..., 0], 1e-300))),
+                         [f"N={n}" for n in n_list]),
+    }, svg)
 
 
 def cmd_evolve(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
@@ -445,29 +437,21 @@ def cmd_evolve(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     psi0[site] = 1.0
     series = evolve(H, psi0, nums["t_max"], nums["dt"])
     report = fourier_detect(series, site=site, **detect)
-    pop_path = out / "populations.csv"
-    write_csv(pop_path, {"t_gamma": np.repeat(series.times, params.n_cells),
-                         "cell": np.tile(np.arange(params.n_cells), len(series.times)),
-                         "population": series.cell_populations.ravel()})
-    site_path = out / "site_series.csv"
-    write_csv(site_path, {"t_gamma": series.times, "re_amplitude": series.states[:, site].real,
-                          "im_amplitude": series.states[:, site].imag})
-    fourier_path = out / "fourier.csv"
-    write_csv(fourier_path, {"freq_over_gamma": report.frequencies,
-                             "magnitude": report.magnitudes})
-    json_path = out / "evolve_summary.json"
-    write_json(json_path, {
-        "params": nums | {"n_cells": params.n_cells, "excite_site": site},
-        "zero_peak": report.zero_peak,
-        # inf where the window's median magnitude is 0 (H = 0); JSON has no inf
-        "peak_ratio": report.peak_ratio if math.isfinite(report.peak_ratio) else None,
-    })
-    files = [pop_path, site_path, fourier_path, json_path]
-    if svg:
-        svg_path = out / "fourier.svg"
-        write_svg(svg_path, report.frequencies, [report.magnitudes])
-        files.append(svg_path)
-    return files
+    return _write_artifacts(out, {
+        "populations.csv": {"t_gamma": np.repeat(series.times, params.n_cells),
+                            "cell": np.tile(np.arange(params.n_cells), len(series.times)),
+                            "population": series.cell_populations.ravel()},
+        "site_series.csv": {"t_gamma": series.times, "re_amplitude": series.states[:, site].real,
+                            "im_amplitude": series.states[:, site].imag},
+        "fourier.csv": {"freq_over_gamma": report.frequencies, "magnitude": report.magnitudes},
+        "evolve_summary.json": {
+            "params": nums | {"n_cells": params.n_cells, "excite_site": site},
+            "zero_peak": report.zero_peak,
+            # inf where the window's median magnitude is 0 (H = 0); JSON has no inf
+            "peak_ratio": report.peak_ratio if math.isfinite(report.peak_ratio) else None,
+        },
+        "fourier.svg": (report.frequencies, [report.magnitudes]),
+    }, svg)
 
 
 def cmd_sweep_phase(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
@@ -485,16 +469,14 @@ def cmd_sweep_phase(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
             if key in cfg}
     result = adiabatic_sweep(params, k=nums["k"], direction=direction,
                              mode=mode, **opts)
-    json_path = out / "sweep_summary.json"
-    write_json(json_path, {
+    return _write_artifacts(out, {"sweep_summary.json": {
         "params": nums,
         "mode": mode.value,
         "direction": direction.value,
         "eps_enclosed": count_enclosed_eps(params),
         "initial_band": result.initial_band,
         "final_overlaps": result.final_overlaps,
-    })
-    return [json_path]
+    }}, svg)
 
 
 COMMANDS = {
@@ -518,7 +500,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's base seed (disorder only)")
     parser.add_argument("--svg", action="store_true",
-                        help="also write simple SVG line plots")
+                        help="also write SVG line plots (spectrum, winding, svd-scan, evolve)")
     args = parser.parse_args(argv)
     out = Path(args.out)
     # Directories this run creates, deepest first; a failed run that wrote

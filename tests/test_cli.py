@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1160,8 +1161,46 @@ class TestMainPlumbing:
         ("winding", {"param_sets": [FIG2C_PARAM_SETS[1]], "samples": 401}, "winding_0.svg", 1),
         ("evolve", {"preset": "zero-mode-present"}, "fourier.svg", 1),
     ], ids=["spectrum", "svd-scan", "winding", "evolve"])
-    def test_svg_flag(self, tmp_path, command, cfg, name, curves):
-        out = tmp_path / "out"
-        assert run(command, write_config(tmp_path, cfg), out, "--svg") == 0
+    def test_svg_flag(self, tmp_path, capsys, command, cfg, name, curves):
+        cfg_path = write_config(tmp_path, cfg)
+        out, plain = tmp_path / "out", tmp_path / "plain"
+        assert run(command, cfg_path, out, "--svg") == 0
         svg = (out / name).read_text()
         assert svg.startswith("<svg") and svg.count("<polyline") == curves
+        capsys.readouterr()
+        # Without --svg the run writes, and prints, every other artifact byte for byte.
+        assert run(command, cfg_path, plain) == 0
+        printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
+        files = sorted(plain.iterdir())
+        assert sorted(printed) == files
+        assert not [f for f in files if f.suffix == ".svg"]
+        assert [f.name for f in files] == sorted(f.name for f in out.iterdir()
+                                                 if f.suffix != ".svg")
+        for f in files:
+            assert f.read_bytes() == (out / f.name).read_bytes()
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("spectrum", SPECTRUM_CFG),
+        ("winding", {"param_sets": [FIG2C_PARAM_SETS[1]], "samples": 401}),
+        ("disorder", DISORDER_CFG),
+        ("svd-scan", SVD_SCAN_CFG),
+        ("evolve", {"preset": "zero-mode-present"}),
+        ("sweep-phase", SWEEP_CFG),
+    ], ids=["spectrum", "winding", "disorder", "svd-scan", "evolve", "sweep-phase"])
+    def test_writers_are_looked_up_at_call_time(self, tmp_path, capsys, monkeypatch,
+                                                command, cfg):
+        # The benchmark times the writers by swapping cli.write_csv and
+        # cli.write_json for wrappers; each artifact must pass through them.
+        calls = []
+        for suffix in (".csv", ".json", ".svg"):
+            real = getattr(cli, f"write_{suffix[1:]}")
+
+            def recording(path, *args, _real=real, _suffix=suffix):
+                calls.append((_suffix, path))
+                _real(path, *args)
+
+            monkeypatch.setattr(cli, f"write_{suffix[1:]}", recording)
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, cfg), out, "--svg") == 0
+        printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
+        assert printed and calls == [(p.suffix, p) for p in printed]
