@@ -9,7 +9,6 @@ normally set gamma = 1.0; the value must still be given explicitly.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -53,31 +52,39 @@ def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
 
     A float column whose runs of bit-equal values (0.0 and -0.0 differ) at
     least halve its row count is formatted once per run, and each run
-    repeats its string; other columns are formatted row by row. Each block
-    of _CSV_BLOCK_ROWS rows is formatted with one %.
+    repeats its string; other columns are formatted row by row. The cells
+    fill one (rows, columns) object table, where numpy turns each value
+    into the Python scalar that tolist gives, and each block of
+    _CSV_BLOCK_ROWS rows of it is formatted with one %. Columns of unequal
+    length raise ValueError before the file is touched.
     """
-    fields, values = [], []
-    for col in columns.values():
-        if col.dtype.kind == "f" and len(col) > 1:
-            bits = np.ascontiguousarray(col).view(np.uint8).reshape(len(col), -1)
+    lengths = {name: len(col) for name, col in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"{path.name}: columns of unequal length {lengths}")
+    n_rows = next(iter(lengths.values()), 0)
+    table = np.empty((n_rows, len(columns)), dtype=object)
+    fields = []
+    for j, col in enumerate(columns.values()):
+        if col.dtype.kind == "f" and n_rows > 1:
+            bits = np.ascontiguousarray(col).view(np.uint8).reshape(n_rows, -1)
             starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-            if 2 * len(starts) <= len(col):
+            if 2 * len(starts) <= n_rows:
                 text = np.array(["%.17g" % x for x in col[starts].tolist()], dtype=object)
                 fields.append("%s")
-                values.append(np.repeat(text, np.diff(starts, append=len(col))).tolist())
+                table[:, j] = np.repeat(text, np.diff(starts, append=n_rows))
                 continue
         fields.append("%.17g" if col.dtype.kind == "f" else "%s")
-        values.append(col.tolist())
+        table[:, j] = col
     fmt = ",".join(fields) + "\n"
-    rows = zip(*values, strict=True)
     # Each writer unlinks an existing artifact instead of truncating it: on
     # ext4 (auto_da_alloc), truncating a file just written forces it to disk
     # on close, which made reruns into the same directory several times slower.
     path.unlink(missing_ok=True)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        while block := tuple(itertools.islice(rows, _CSV_BLOCK_ROWS)):
-            fh.write(fmt * len(block) % tuple(itertools.chain.from_iterable(block)))
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_json(path: Path, obj) -> None:

@@ -183,10 +183,32 @@ class TestWriteCsv:
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "template.csv").read_bytes()
 
     def test_columns_of_unequal_length_raise(self, tmp_path):
-        # The shorter column runs out past the first block.
+        # The shorter column runs out past the first block, and the artifact
+        # already there is neither unlinked nor overwritten.
         n_rows = cli._CSV_BLOCK_ROWS + 1
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "t.csv", {"x": np.zeros(n_rows), "n": np.arange(n_rows - 1)})
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old contents\n")
+        with pytest.raises(ValueError, match="unequal length"):
+            write_csv(path, {"x": np.zeros(n_rows), "n": np.arange(n_rows - 1)})
+        assert path.read_bytes() == b"old contents\n"
+
+    def test_table_converts_every_dtype_as_tolist(self, tmp_path):
+        # write_csv fills one object table from the columns; each cell must
+        # be the Python scalar that tolist gives, one row past a block.
+        n_rows = cli._CSV_BLOCK_ROWS + 1
+        rng = np.random.default_rng(n_rows)
+        ints = rng.integers(-2**63, 2**63 - 1, size=n_rows, endpoint=True)
+        ints[:2] = -2**63, 2**63 - 1
+        columns = {"f32": rng.normal(size=n_rows).astype(np.float32),
+                   "i64": ints,
+                   "u8": rng.integers(0, 256, size=n_rows).astype(np.uint8),
+                   "flag": rng.random(n_rows) < 0.5,
+                   "side": np.array(["left", "right", "delocalized"] * n_rows)[:n_rows],
+                   "side_obj": np.array(["", "left"] * n_rows, dtype=object)[:n_rows],
+                   "run": np.repeat(rng.normal(size=n_rows), 4)[:n_rows]}
+        write_csv(tmp_path / "table.csv", columns)
+        template_write_csv(tmp_path / "template.csv", columns)
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "template.csv").read_bytes()
 
     @pytest.mark.parametrize("write", [
         lambda path: write_csv(path, {"x": np.zeros(3), "n": np.arange(3)}),
@@ -422,6 +444,17 @@ class TestDisorder:
         rows = list(csv.DictReader((tmp_path / f"disorder_{target}.csv").read_text().splitlines()))
         assert [(float(r["re_E_over_gamma"]), r["zero_mode_present"]) for r in rows] == \
             [(0.0, "1"), (0.0, "1")]
+
+    def test_degenerate_chain_where_index_bisection_fails(self, tmp_path, capsys):
+        # dstebz's index call for sigma_max returns info = 2 on this chain;
+        # the run takes sigma_max from all eigenvalues instead.
+        cfg = {"n_cells": 6, "r": 0.25, "v": 0, "gamma": 0, "targets": ["r"],
+               "d_grid": [2.220446049250313e-16], "n_seeds": 1}
+        assert run("disorder", write_config(tmp_path, cfg), tmp_path / "out") == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["disorder_r.csv", "disorder_summary.json"]
+        assert capsys.readouterr().out.split() == \
+            [str(tmp_path / "out" / n) for n in ("disorder_r.csv", "disorder_summary.json")]
 
     def test_r_disorder_never_splits(self, tmp_path):
         cmd_disorder(self._config(targets=["r"], d_grid=[0.5, 1.0]), tmp_path)

@@ -872,16 +872,42 @@ class TestChainSingularValues:
         assert sigma_max == 0.0 and smallest.tolist() == [0.0, 0.0]
         assert null_weights(chain(ZERO_CHAINS[0])).tolist() == [pytest.approx(1.0, abs=1e-15)]
 
-    @pytest.mark.parametrize("info", [-6, 1])
+    @pytest.mark.parametrize("info", [-6, 1, 2])
     def test_lapack_failure_raises(self, monkeypatch, info):
         # dstebz reports an illegal argument (info < 0) or a failed
         # bisection (info > 0) only in info; its output is then wrong
-        # without any other sign.
+        # without any other sign. info = 2 from every call, the fallback
+        # of the index call too, still raises.
         real = scipy.linalg.lapack.dstebz
         monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
                             lambda *args: (*real(*args)[:-1], info))
         with pytest.raises(np.linalg.LinAlgError, match=f"dstebz returned info = {info}"):
             factor_values(chain(LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=4)))
+
+    @pytest.mark.parametrize("params, disorder", [
+        (LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=4), None),
+        (LatticeParams(v=1.3, r=0.5, gamma=1.0, n_cells=20),
+         DisorderConfig.from_seed(DisorderTarget.HOPPING_V, 0.3, 4, 20)),
+    ], ids=["v0.5-N4", "v-seed4-d0.3-N20"])
+    def test_index_info_2_takes_all_eigenvalues(self, monkeypatch, params, disorder):
+        # info = 2 from the index call (select 2) alone falls back to
+        # select 0, whose largest eigenvalue is sigma_max to a few ulp (the
+        # two ranges stop bisecting at different points); the values below
+        # the cut come from the value calls and do not change.
+        real = scipy.linalg.lapack.dstebz
+        want = factor_values(chain(params, disorder))
+        calls = []
+
+        def fail_index(d, e, select, *args):
+            calls.append(select)
+            out = real(d, e, select, *args)
+            return (*out[:-1], 2) if select == 2 else out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", fail_index)
+        got = factor_values(chain(params, disorder))
+        assert calls[:2] == [2, 0]
+        assert abs(got[0] - want[0]) <= 4 * np.finfo(float).eps * want[0]
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestChainNormAndNullWeights:
@@ -898,6 +924,17 @@ class TestChainNormAndNullWeights:
             np.testing.assert_allclose(null_weights(chain(params, dis), require_chiral=False),
                                        weights, rtol=0, atol=1e-14)
             assert chain_norm(chain(params, dis)) == np.linalg.norm(H, 2)
+
+    @pytest.mark.parametrize("params, d, seed", [
+        (LatticeParams(v=0.0, r=0.25, gamma=0.0, n_cells=6), 2.220446049250313e-16, 0),
+        (LatticeParams(v=5e-9, r=1.0, gamma=1e-8, n_cells=4), 0.25, 62),
+    ], ids=["N6-v0-gamma0", "N4-v5e-9"])
+    def test_norm_where_index_bisection_fails(self, params, d, seed):
+        # dstebz's index call for sigma_max returns info = 2 on these r
+        # disorder draws; sigma_max comes from all eigenvalues instead.
+        dis = DisorderConfig.from_seed(DisorderTarget.HOPPING_R, d, seed, params.n_cells)
+        dense = np.linalg.norm(build_real_space(params, disorder=dis), 2)
+        assert abs(chain_norm(chain(params, dis)) - dense) <= 4 * np.finfo(float).eps * dense
 
     def test_forms_a_function_does_not_take_raise(self):
         # chain refuses a stack of draws and a grid of strengths, whose
@@ -1212,6 +1249,8 @@ class TestZeroModeForms:
              tol=ZERO_MODE_TOL)     # every b_n = 0: Y is singular
     @example(n=1, v=5e-324, r=1.0, gamma=5e-324, target=DisorderTarget.GAIN_LOSS, d=5e-324,
              seed=104, tol=ZERO_MODE_TOL)   # a = (0,), b = (1e-323,): tol * sigma_max is 0.0
+    @example(n=6, v=0.0, r=0.25, gamma=0.0, target=DisorderTarget.HOPPING_R,
+             d=2.220446049250313e-16, seed=0, tol=ZERO_MODE_TOL)  # dstebz index call: info 2
     def test_disordered_hops_match_dense_solve(self, n, v, r, gamma, target, d, seed, tol):
         p = LatticeParams(v=v, r=r, gamma=gamma, n_cells=n)
         dis = DisorderConfig.from_seed(target, d, seed, n)
@@ -1486,6 +1525,8 @@ class TestSpectralReportForms:
              target=DisorderTarget.HOPPING_R, d=0.422459990324764, seed=70)
     @example(n=2, r=1.0, gamma=0.0, edge=None, v_free=0.0, target=DisorderTarget.HOPPING_V,
              d=5e-324, seed=287)    # a = (5e-324, 0): -r_1 / a_1 overflows
+    @example(n=4, r=1.0, gamma=1e-08, edge=0.5, v_free=0.0, target=DisorderTarget.HOPPING_R,
+             d=0.25, seed=62)       # dstebz's index call for sigma_max returns info = 2
     def test_zero_cluster_presence_matches_dense(self, n, r, gamma, edge, v_free, target, d,
                                                  seed):
         # v = +-gamma/2, the exceptional points, is drawn often.
