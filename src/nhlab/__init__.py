@@ -10,10 +10,9 @@ from .errors import (ConfigError, ExceptionalPointError, GaplessTrajectoryError,
                      PropagatorOverflowError, TrackingAmbiguityError)
 from .model import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                     build_bloch, build_real_space, chiral_residual)
-from .spectra import (EdgeProfile, GapReport, SpectralReport, ZeroModeInfo,
-                      bloch_eigensystem, chain, chain_norm, chain_spectrum, edge_profile,
-                      gap_report, geometric_multiplicity, smallest_singular_values,
-                      spectral_report, zero_mode_analysis)
+from .spectra import (EdgeProfile, SpectralReport, ZeroModeInfo, bloch_eigensystem, chain,
+                      chain_norm, chain_spectrum, edge_profile, geometric_multiplicity,
+                      smallest_singular_values, spectral_report, zero_mode_analysis)
 from .topology import (TrackedBand, WindingResult, band_coefficients,
                        count_enclosed_eps, track_band, winding_number)
 

@@ -128,17 +128,21 @@ def _write_artifacts(out: Path, artifacts: dict, svg: bool) -> list[Path]:
     and a .svg entry write_svg's positional arguments, written only if svg.
     Commands hand over their artifacts once everything is solved, so a run
     that fails writes none. The writers are looked up at call time, so a
-    wrapper set on this module sees every write.
+    wrapper set on this module sees every write. An OSError of a writer
+    is raised as a ConfigError that names the file.
     """
     paths = [out / name for name in artifacts if svg or not name.endswith(".svg")]
     for path in paths:
         content = artifacts[path.name]
-        if path.suffix == ".csv":
-            write_csv(path, content)
-        elif path.suffix == ".json":
-            write_json(path, content)
-        else:
-            write_svg(path, *content)
+        try:
+            if path.suffix == ".csv":
+                write_csv(path, content)
+            elif path.suffix == ".json":
+                write_json(path, content)
+            else:
+                write_svg(path, *content)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     return paths
 
 
@@ -338,8 +342,7 @@ def _zero_mode_present(min_abs: float, form, tol: float) -> bool:
     return bool(spectra.below_cut(min_abs, spectra.chain_norm(form), tol))
 
 
-def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
-                 seed_override: int | None = None) -> list[Path]:
+def cmd_disorder(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
     _check_keys(cfg, {"n_cells", "r", "v", "gamma", "targets", "d_grid", "n_seeds"},
                 {"seed", "transition_tol", "zero_mode_tol"}, "disorder")
     v, r, gamma = (_number(cfg[k], f"disorder.{k}") for k in ("v", "r", "gamma"))
@@ -350,8 +353,6 @@ def cmd_disorder(cfg: dict, out: Path, svg: bool = False,
     if (d_grid < 0).any():
         raise ConfigError(f"disorder.d_grid: strengths must be >= 0, got {d_grid.min():g}")
     base_seed = _integer(cfg.get("seed", 0), "disorder.seed")
-    if seed_override is not None:
-        base_seed = seed_override
     n_seeds = _integer(cfg["n_seeds"], "disorder.n_seeds")
     if n_seeds < 0:
         raise ConfigError(f"disorder: n_seeds must be >= 0, got {n_seeds}")
@@ -504,8 +505,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config's base seed (disorder only)")
     parser.add_argument("--svg", action="store_true",
                         help="also write SVG line plots (spectrum, winding, svd-scan, evolve)")
     args = parser.parse_args(argv)
@@ -514,13 +513,13 @@ def main(argv=None) -> int:
     # nothing into them removes them again.
     created = [d for d in (out, *out.parents) if not d.exists()]
     try:
-        if args.seed is not None and args.command != "disorder":
-            raise ConfigError(f"--seed applies to disorder only, not {args.command}")
         cfg = load_config(args.config)
         del cfg["schema_version"]       # top level only; the commands reject it elsewhere
-        out.mkdir(parents=True, exist_ok=True)
-        seed = {} if args.seed is None else {"seed_override": args.seed}
-        files = COMMANDS[args.command](cfg, out, svg=args.svg, **seed)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:      # --out names a file, or a path through one
+            raise ConfigError(f"cannot create {out}: {exc}") from exc
+        files = COMMANDS[args.command](cfg, out, svg=args.svg)
     # TypeError: an ill-typed config value; MemoryError: a size no host can
     # allocate; OverflowError: a size beyond the index range (a count of 2**63).
     except (NhlabError, ValueError, TypeError, MemoryError, OverflowError) as exc:

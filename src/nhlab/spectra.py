@@ -14,10 +14,8 @@ from .model import (Boundary, DisorderConfig, LatticeParams, build_bloch, build_
 
 CLUSTER_TOL = 1e-8      # eigenvalues closer than CLUSTER_TOL * ||H||_2 share a cluster
 ZERO_MODE_TOL = 1e-8    # zero mode present iff sigma_min < ZERO_MODE_TOL * sigma_max
-REALITY_TOL = 1e-8      # real iff max |Im E| < REALITY_TOL * ||H||_2 (absolute on k grids)
+REALITY_TOL = 1e-8      # real iff max |Im E| < REALITY_TOL * ||H||_2
 EP_TOL = 1e-8           # Bloch EP iff |E| < EP_TOL * ||H_k||_2
-GAP_K_SAMPLES = 4001    # gap_report checks this many momenta in [0, 2*pi] and calls
-GAP_TOL = 1e-4          # a gap open iff min |Re E| (|Im E|) there exceeds GAP_TOL
 EDGE_WEIGHT = 0.9       # state at an edge iff the ceil(N/4) cells there hold more weight
 
 # Bisection tolerance that leaves only the relative stopping test of dstebz.
@@ -801,38 +799,6 @@ def spectral_report(form) -> SpectralReport:
         is_real=bool(np.abs(w.imag).max() < REALITY_TOL * max(scale, 1e-300)),
         zero_cluster=zero,
     )
-
-
-@dataclass(frozen=True)
-class GapReport:
-    real_gap_open: bool
-    imag_gap: bool
-    spectrum_real: bool
-    numeric_real_gap_open: bool | None = None
-    numeric_imag_gap: bool | None = None
-
-
-def gap_report(params: LatticeParams) -> GapReport:
-    """Band-gap and spectrum-reality flags.
-
-    Periodic chains: closed-form criteria (real part gapped iff
-    ||v| - r| > gamma/2, imaginary part gapped iff |v| + r < gamma/2)
-    alongside a dense-k numerical check. Open chains: spectrum_real from
-    chain_spectrum, against the scale ||H||_2 of chain_norm.
-    """
-    v, r, g = params.v, params.r, params.gamma
-    cf_real = abs(abs(v) - r) > g / 2
-    cf_imag = abs(v) + r < g / 2
-    if params.boundary is Boundary.PERIODIC:
-        E = chain_spectrum(build_bloch(params, np.linspace(0.0, 2 * np.pi, GAP_K_SAMPLES)))
-        num_real = bool(np.abs(E.real).min() > GAP_TOL)
-        num_imag = bool(np.abs(E.imag).min() > GAP_TOL)
-        spectrum_real = bool(np.abs(E.imag).max() < REALITY_TOL)
-        return GapReport(cf_real, cf_imag, spectrum_real, num_real, num_imag)
-    form = chain(params)
-    scale = max(chain_norm(form), 1e-300)
-    spectrum_real = bool(np.abs(chain_spectrum(form).imag).max() < REALITY_TOL * scale)
-    return GapReport(cf_real, cf_imag, spectrum_real)
 
 
 @dataclass(frozen=True)

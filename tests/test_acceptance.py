@@ -9,7 +9,7 @@ import pytest
 
 from nhlab import (Boundary, DisorderConfig, DisorderTarget, LatticeParams,
                    SweepMode, adiabatic_sweep, build_bloch, build_real_space,
-                   count_enclosed_eps, evolve, fourier_detect, gap_report,
+                   chain_spectrum, count_enclosed_eps, evolve, fourier_detect,
                    propagator, track_band, winding_number)
 from nhlab.cli import disorder_transition
 from nhlab.spectra import (chain, edge_profile, fix_phase, smallest_singular_values,
@@ -103,16 +103,18 @@ def test_04_reality_window():
 
 
 def test_05_gap_conditions():
+    # The Bloch bands' real parts are gapped iff ||v| - r| > gamma/2, their
+    # imaginary parts iff |v| + r < gamma/2. The bands on 4001 momenta count
+    # a gap open where min |Re E| (min |Im E|) exceeds 1e-4.
+    k = np.linspace(0.0, 2 * np.pi, 4001)
     disagreements = 0
     for v in np.linspace(0.1, 2.0, 10):
         for r in np.linspace(0.1, 2.0, 10):
             p = LatticeParams(v=float(v), r=float(r), gamma=1.0, n_cells=1,
                               boundary=Boundary.PERIODIC)
-            g = gap_report(p)
-            if g.real_gap_open != g.numeric_real_gap_open:
-                disagreements += 1
-            if g.imag_gap != g.numeric_imag_gap:
-                disagreements += 1
+            E = chain_spectrum(build_bloch(p, k))
+            disagreements += (abs(abs(v) - r) > 0.5) != (np.abs(E.real).min() > 1e-4)
+            disagreements += (abs(v) + r < 0.5) != (np.abs(E.imag).min() > 1e-4)
     report(5, "gap criteria vs dense-k numerics, 10x10 grid", disagreements == 0)
 
 

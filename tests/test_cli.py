@@ -463,13 +463,14 @@ class TestDisorder:
         assert entry["per_seed_transitions"] == [None, None, None]
         assert entry["n_surviving_full_grid"] == 3
 
-    def test_seed_override_changes_output(self, tmp_path):
+    def test_config_seed_changes_output(self, tmp_path):
         out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         for out in (out1, out2, out3):
             out.mkdir()
         cfg_path = write_config(tmp_path, self._config(d_grid=[0.3]))
         assert run("disorder", cfg_path, out1) == 0
-        assert run("disorder", cfg_path, out2, "--seed", "5") == 0
+        assert run("disorder", write_config(tmp_path, self._config(d_grid=[0.3], seed=5),
+                                            "seeded.json"), out2) == 0
         assert run("disorder", cfg_path, out3) == 0
         a = (out1 / "disorder_v.csv").read_bytes()
         b = (out2 / "disorder_v.csv").read_bytes()
@@ -1034,7 +1035,6 @@ class TestMainPlumbing:
         ("disorder", DISORDER_CFG | {"n_seeds": -3}, (), "n_seeds"),
         ("disorder", DISORDER_CFG | {"targets": "v"}, (), "targets"),
         ("disorder", DISORDER_CFG | {"targets": []}, (), "targets"),
-        ("spectrum", SPECTRUM_CFG, ("--seed", "5"), "--seed"),
         # Integer keys refuse floats and bools rather than truncating them.
         ("spectrum", SPECTRUM_CFG | {"n_cells": 2.7}, (), "spectrum.n_cells"),
         ("spectrum", SPECTRUM_CFG | {"n_cells": True}, (), "spectrum.n_cells"),
@@ -1097,7 +1097,7 @@ class TestMainPlumbing:
         ("evolve", {"preset": "zero-mode-present", "freq_window": 0}, (),
          "evolve.freq_window"),
     ], ids=["null-n_cells", "string-num", "non-object-param-set", "negative-n_seeds",
-            "string-targets", "empty-targets", "seed-outside-disorder",
+            "string-targets", "empty-targets",
             "float-n_cells", "bool-n_cells", "float-n_seeds", "float-seed", "float-samples",
             "float-excite_site", "float-num", "float-n_list", "string-r", "string-v_grid",
             "string-zero_mode_tol", "nan-threshold", "nan-zero_mode_tol",
@@ -1151,6 +1151,30 @@ class TestMainPlumbing:
         assert run("disorder", write_config(tmp_path, cfg), tmp_path / "new" / "out") == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command, cfg", [("spectrum", SPECTRUM_CFG),
+                                              ("disorder", DISORDER_CFG)],
+                             ids=["spectrum", "disorder"])
+    def test_seed_option_is_refused(self, tmp_path, capsys, command, cfg):
+        # The config key seed is the one way to set the base seed.
+        with pytest.raises(SystemExit) as exc:
+            run(command, write_config(tmp_path, cfg), tmp_path / "new" / "out", "--seed", "5")
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("out, message", [
+        ("file", "cannot create"), ("file/sub", "cannot create"),
+        ("dir", "cannot write"),        # an artifact's path is a directory
+    ], ids=["out-is-a-file", "out-under-a-file", "artifact-is-a-directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, out, message):
+        (tmp_path / "file").write_text("keep")
+        (tmp_path / "dir" / "spectrum.csv").mkdir(parents=True)
+        assert run("spectrum", write_config(tmp_path, SPECTRUM_CFG), tmp_path / out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message} ") and "Traceback" not in err
+        assert (tmp_path / "file").read_text() == "keep"
+        assert sorted(p.name for p in (tmp_path / "dir").iterdir()) == ["spectrum.csv"]
 
     def test_rejected_run_keeps_existing_directory(self, tmp_path):
         out = tmp_path / "out"

@@ -6,12 +6,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nhlab"
 
-# Public names that no program calls yet, each with the reason it stays.
-UNCALLED = {
-    "gap_report": "tier-1 acceptance test_05 checks the paper's gap conditions with it, "
-                  "and the phase diagram of ROADMAP item 4 is to emit it",
-}
-
 
 def public_definitions():
     """{name: (path, node)} for each public function, class and assigned
@@ -62,7 +56,4 @@ def referenced_names(definitions):
 def test_every_public_name_has_a_caller():
     definitions = public_definitions()
     uncalled = sorted(set(definitions) - referenced_names(definitions))
-    # A listed name that gains a caller, or goes, leaves the list too.
-    assert uncalled == sorted(UNCALLED), (
-        f"public names that only tests use: {sorted(set(uncalled) - set(UNCALLED))}; "
-        f"listed but called or gone: {sorted(set(UNCALLED) - set(uncalled))}")
+    assert not uncalled, f"public names that only tests use: {uncalled}"
