@@ -129,10 +129,11 @@ def _write_artifacts(out: Path, artifacts: dict, svg: bool) -> list[Path]:
     Commands hand over their artifacts once everything is solved, so a run
     that fails writes none. The writers are looked up at call time, so a
     wrapper set on this module sees every write. An OSError of a writer
-    is raised as a ConfigError that names the file.
+    removes the files this call has written and is raised as a ConfigError
+    that names the file.
     """
     paths = [out / name for name in artifacts if svg or not name.endswith(".svg")]
-    for path in paths:
+    for i, path in enumerate(paths):
         content = artifacts[path.name]
         try:
             if path.suffix == ".csv":
@@ -142,6 +143,8 @@ def _write_artifacts(out: Path, artifacts: dict, svg: bool) -> list[Path]:
             else:
                 write_svg(path, *content)
         except OSError as exc:
+            for written in paths[:i]:
+                written.unlink(missing_ok=True)
             raise ConfigError(f"cannot write {path}: {exc}") from exc
     return paths
 

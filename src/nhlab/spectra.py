@@ -345,7 +345,7 @@ def _bisect(off: np.ndarray, select: int, vl=0.0, vu=0.0, il=0, iu=0, tol=_TINY_
     return w[:m]
 
 
-def _factor_singular_values(hops, tol: float):
+def _factor_singular_values(hops, tol: float, bisected=None):
     """(sigma_max, [X's, Y's]) of the open chain with reduced hops (a, b, r),
     without H: each factor's singular values below tol * sigma_max, ascending.
 
@@ -356,13 +356,33 @@ def _factor_singular_values(hops, tol: float):
     Those of an upper bidiagonal (X, and Y^T) are the non-negative
     eigenvalues of its Golub-Kahan matrix, the zero-diagonal tridiagonal
     with off-diagonal |d_1|, |e_1|, |d_2|, ..., |d_N|, and bisection
-    (dstebz) finds them: sigma_max to LAPACK's default tolerance and
+    (dstebz) finds them: sigma_max to LAPACK's default tolerance
+    (_golub_kahan; bisected, when given, is its record of the hops) and
     every singular value below tol * sigma_max to high relative accuracy.
     A factor with a zero hop on its diagonal (some a_n or b_n = 0) is
     singular, and its sigma_min is exactly 0.0. A hop below 1.5e-154 times
     the largest counts as zero. No value lies below the cut at tol = 0,
     which bisects sigma_max alone; tol > 1 takes all 2N, and so does H = 0.
     """
+    sigma_max, scale, gk, top = _golub_kahan(hops) if bisected is None else bisected
+    if top == 0.0:                      # H = 0: every singular value is 0
+        return 0.0, [np.zeros(len(hops[0])), np.zeros(len(hops[0]))]
+    cut = tol * top
+    values = []
+    for off, diag in zip(gk, hops[:2]):
+        w = _bisect(off, 1, vl=-cut, vu=cut) if cut > 0 else np.empty(0)
+        s = np.sort(np.abs(w))[::2]          # each singular value gives +-sigma
+        if s.size and not diag.all():
+            s[0] = 0.0
+        values.append(scale * s[s < cut])
+    return sigma_max, values
+
+
+def _golub_kahan(hops):
+    """(sigma_max, scale, gk, top) of reduced hops (a, b, r): the two
+    Golub-Kahan off-diagonals gk (2, 2N - 1) of X and Y (see
+    _factor_singular_values) divided by scale, a power of two, and their
+    largest eigenvalue top, so that sigma_max = scale * top."""
     a, b, r = hops
     # dstebz takes a hop below sqrt(safmin) = 1.5e-154 for zero. Scaling by
     # a power of two, which bisection carries exactly, moves that bound
@@ -373,17 +393,7 @@ def _factor_singular_values(hops, tol: float):
     # Both Golub-Kahan matrices as one tridiagonal, split by a zero hop.
     (top,) = _bisect(np.concatenate([gk[0], [0.0], gk[1]]), 2,
                      il=4 * len(a), iu=4 * len(a), tol=0.0)
-    if top == 0.0:                      # H = 0: every singular value is 0
-        return 0.0, [np.zeros(len(a)), np.zeros(len(a))]
-    cut = tol * top
-    values = []
-    for off, diag in zip(gk, (a, b)):
-        w = _bisect(off, 1, vl=-cut, vu=cut) if cut > 0 else np.empty(0)
-        s = np.sort(np.abs(w))[::2]          # each singular value gives +-sigma
-        if s.size and not diag.all():
-            s[0] = 0.0
-        values.append(scale * s[s < cut])
-    return float(scale * top), values
+    return float(scale * top), scale, gk, top
 
 
 def _null_factor(hops, values) -> int:
@@ -397,11 +407,11 @@ def _null_factor(hops, values) -> int:
 
 def chain_norm(form) -> float:
     """||H||_2 of a chain's form (see chain), the scale of the zero-mode cut:
-    hops take _factor_singular_values' sigma_max at tol = 0, which bisects
-    no smaller value; Bloch blocks the largest ||H_k||_2; H its own.
+    hops take _factor_singular_values' sigma_max (_golub_kahan), which
+    bisects no smaller value; Bloch blocks the largest ||H_k||_2; H its own.
     """
     if isinstance(form, tuple):
-        return _factor_singular_values(form, 0.0)[0]
+        return _golub_kahan(form)[0]
     return float(np.linalg.norm(form, 2, axis=(-2, -1)).max())
 
 
@@ -566,9 +576,15 @@ def zero_mode_analysis(form, tol: float = ZERO_MODE_TOL, require_chiral: bool = 
     a present mode pays for the full SVD H = U S V^H, with u0 rotated as
     fix_phase rotates it. Bloch blocks raise ValueError.
     """
-    form = _reduced(form, "zero_mode_analysis")
+    return _zero_mode(_reduced(form, "zero_mode_analysis"), tol, require_chiral, eigenvalues)
+
+
+def _zero_mode(form, tol: float, require_chiral: bool, eigenvalues: np.ndarray | None,
+               bisected=None) -> ZeroModeInfo:
+    """zero_mode_analysis of a form that _reduced gives; hops take their
+    sigma_max from bisected, _golub_kahan's record of them, when given."""
     if isinstance(form, tuple):
-        sigma_max, values = _factor_singular_values(form, tol)
+        sigma_max, values = _factor_singular_values(form, tol, bisected)
         geo = sum(map(len, values))
     else:
         if require_chiral and chiral_residual(form) > 1e-12 * max(np.abs(form).max(), 1.0):
@@ -728,6 +744,52 @@ def _simple_eigenvalues(hops) -> bool:
     return bool(split and unreduced)
 
 
+def _linkage_labels(ws: np.ndarray, thresh: float) -> np.ndarray:
+    """Single linkage of the lexsorted eigenvalues ws: for each, the lowest
+    index it reaches through a chain of neighbours with |ws_i - ws_j| <
+    thresh, as label propagation over the n x n matrix of those tests
+    finds it, without the matrix.
+
+    Each run of equal values is one node. |z| >= |Re z| and |z| >= |Im z|
+    hold for the rounded difference too, so a node meets only the nodes
+    that follow it within thresh in its real part, or in its imaginary
+    part; the sweep takes whichever order leaves fewer candidates, and
+    tests each candidate pair as the matrix does. A real spectrum thus
+    tests only its consecutive gaps: O(n log n) time and O(n) memory.
+    The pairs that pass join their nodes' labels: each root points to the
+    lowest root it touches, and pointer jumping flattens the trees.
+    """
+    new = np.r_[True, ws[1:] != ws[:-1]]
+    head = np.flatnonzero(new)          # each node's first index
+    u = ws[head]
+    sweeps = []
+    for part in (u.real, u.imag):
+        order = np.argsort(part, kind="stable")
+        x = part[order]
+        # x + thresh rounds to no less than any x_j that is within thresh of x_i.
+        reach = np.searchsorted(x, x + thresh, side="right") - np.arange(len(x)) - 1
+        sweeps.append((int(reach.sum()), order, reach))
+    _, order, reach = min(sweeps, key=lambda sweep: sweep[0])
+    src, dst, live, k = [], [], np.flatnonzero(reach > 0), 1
+    while live.size:
+        i, j = order[live], order[live + k]
+        near = np.abs(u[i] - u[j]) < thresh
+        src.append(i[near])
+        dst.append(j[near])
+        k += 1
+        live = live[reach[live] >= k]
+    src, dst = (np.concatenate(e) if e else np.empty(0, dtype=int) for e in (src, dst))
+    lab = np.arange(len(u))
+    while True:
+        while (lab[lab] != lab).any():
+            lab = lab[lab]
+        lo, hi = lab[src], lab[dst]
+        if (lo == hi).all():
+            break
+        np.minimum.at(lab, np.maximum(lo, hi), np.minimum(lo, hi))
+    return head[lab][np.cumsum(new) - 1]
+
+
 def spectral_report(form) -> SpectralReport:
     """Full spectrum with clustered multiplicities and zero-mode data of a
     chain's form (see chain): reduced hops, or H.
@@ -752,21 +814,19 @@ def spectral_report(form) -> SpectralReport:
     (_factor_singular_values).
     """
     form = _reduced(form, "spectral_report")
-    scale, w = chain_norm(form), chain_spectrum(form)
+    # Hops bisect sigma_max once, for the scale and a zero cluster alike.
+    bisected = _golub_kahan(form) if isinstance(form, tuple) else None
+    scale = chain_norm(form) if bisected is None else bisected[0]
+    w = chain_spectrum(form)
     # Positive, so that H = 0 is one cluster, and otherwise relative: a fixed
     # floor would make +-5e-324 (||H||_2 = 5e-324) a zero cluster that the
     # relative cut of zero_mode_analysis does not see.
     thresh = max(CLUSTER_TOL * scale, np.finfo(float).smallest_subnormal)
     ws = w[np.lexsort((w.imag, w.real))]
-    # Single linkage: each eigenvalue takes the lowest sorted index it reaches
-    # through a chain of neighbours closer than thresh.
-    n = len(ws)
-    near = np.abs(ws[:, None] - ws[None, :]) < thresh
-    lab, prev = np.arange(n), None
-    while not np.array_equal(lab, prev):
-        lab, prev = np.where(near, lab, n).min(axis=1), lab
+    lab = _linkage_labels(ws, thresh)
     # Clusters in order of their first member; a stable sort on the labels
     # keeps each one's members in sorted order, the order np.mean takes.
+    n = len(ws)
     first = np.flatnonzero(lab == np.arange(n))
     size = np.bincount(lab, minlength=n)[first]
     members = ws[np.argsort(lab, kind="stable")]
@@ -780,7 +840,7 @@ def spectral_report(form) -> SpectralReport:
     is_zero = np.abs(reps) < thresh
     zero = None
     if is_zero.any():
-        zero = zero_mode_analysis(form, CLUSTER_TOL, require_chiral=False, eigenvalues=w)
+        zero = _zero_mode(form, CLUSTER_TOL, False, w, bisected)
     simple = isinstance(form, tuple) and _simple_eigenvalues(form)
     # 1 <= geometric <= algebraic, so a simple eigenvalue needs no SVD.
     geo = [1] * len(first)

@@ -127,6 +127,33 @@ def loop_clusters(H, w):
             for rep, g in zip(reps, groups)]
 
 
+def matrix_labels(ws, thresh):
+    """Single linkage of the lexsorted eigenvalues ws as spectral_report once
+    found it: label propagation over the n x n matrix of |ws_i - ws_j| <
+    thresh until no label changes, so that each eigenvalue takes the lowest
+    index it reaches. The reference for spectra._linkage_labels."""
+    n = len(ws)
+    near = np.abs(ws[:, None] - ws[None, :]) < thresh
+    lab, prev = np.arange(n), None
+    while not np.array_equal(lab, prev):
+        lab, prev = np.where(near, lab, n).min(axis=1), lab
+    return lab
+
+
+def matrix_clusters(w, thresh):
+    """(value, algebraic) of each cluster of the eigenvalues w that
+    matrix_labels forms, in the order of its first sorted member: a
+    singleton's value plus 0.0, else np.mean of its members in sorted order,
+    as spectral_report takes them."""
+    ws = w[np.lexsort((w.imag, w.real))]
+    lab = matrix_labels(ws, thresh)
+    clusters = []
+    for first in np.flatnonzero(lab == np.arange(len(ws))):
+        g = ws[lab == first]
+        clusters.append((complex(np.mean(g) if len(g) > 1 else g[0] + 0.0), len(g)))
+    return clusters
+
+
 @pytest.fixture
 def defective_params():
     """Open chain at the exactly solvable point v = gamma/2."""

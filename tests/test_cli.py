@@ -1166,15 +1166,20 @@ class TestMainPlumbing:
     @pytest.mark.parametrize("out, message", [
         ("file", "cannot create"), ("file/sub", "cannot create"),
         ("dir", "cannot write"),        # an artifact's path is a directory
-    ], ids=["out-is-a-file", "out-under-a-file", "artifact-is-a-directory"])
+        ("later", "cannot write"),      # so is the second one's, after the first is written
+    ], ids=["out-is-a-file", "out-under-a-file", "artifact-is-a-directory",
+            "later-artifact-is-a-directory"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, out, message):
         (tmp_path / "file").write_text("keep")
         (tmp_path / "dir" / "spectrum.csv").mkdir(parents=True)
+        (tmp_path / "later" / "zero_modes.json").mkdir(parents=True)
         assert run("spectrum", write_config(tmp_path, SPECTRUM_CFG), tmp_path / out) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message} ") and "Traceback" not in err
         assert (tmp_path / "file").read_text() == "keep"
+        # A failed run leaves no artifact behind, not even one written before the failure.
         assert sorted(p.name for p in (tmp_path / "dir").iterdir()) == ["spectrum.csv"]
+        assert sorted(p.name for p in (tmp_path / "later").iterdir()) == ["zero_modes.json"]
 
     def test_rejected_run_keeps_existing_directory(self, tmp_path):
         out = tmp_path / "out"

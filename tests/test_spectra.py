@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -19,7 +20,7 @@ from nhlab.spectra import (CLUSTER_TOL, REALITY_TOL, ZERO_MODE_TOL, chain, chain
 
 from conftest import (assert_multisets_close, chiral_operator, dense_zero_mode,
                       exact_generalized_zero_mode, exact_zero_mode, factor_values,
-                      loop_clusters, scaled_up)
+                      loop_clusters, matrix_clusters, matrix_labels, scaled_up)
 
 
 def bloch_energy(v, r, gamma, k):
@@ -222,7 +223,7 @@ class TestRealForm:
     @example((LatticeParams(v=0.421875, r=0.15625, gamma=1e-12, n_cells=4,
                             boundary=Boundary.PERIODIC),
               DisorderConfig.from_seed(DisorderTarget.HOPPING_R, 1e-12, 857, 4), 3))
-    # mp.svd_r gave up on a block of each of these (see mp_singular_values).
+    # mp.svd_r gave up on a block of each of these (see mp_singular_value_counts).
     @example((LatticeParams(v=1.5, r=0.6986803920019355, gamma=1.5036472433349108, n_cells=6,
                             boundary=Boundary.PERIODIC), None, 1))
     @example((LatticeParams(v=0.9692241484340731, r=0.9692241484340731, gamma=0.9, n_cells=19,
@@ -250,12 +251,18 @@ class TestRealForm:
         # contributes 2 m n; the bidiagonal solve (dqds, xLASQ2) deflates at
         # a relative tolerance of 100 ulp = 200 eps. So p = 2 m n + 200, for
         # the real SVD that the program runs and the complex one of H alike.
+        # The bound takes a lower bound on sigma_max within 2^-30 of it,
+        # so the check is no weaker.
         mp = pytest.importorskip("mpmath")
+        dense = np.linalg.svd(H, compute_uv=False)[::-1]
         with mp.workdps(50):
-            exact = mp_singular_values(R, mp)
-            bound = (2 * len(H) ** 2 + 200) * mp.mpf(2) ** -53 * exact[-1]
-            for values in (got, np.linalg.svd(H, compute_uv=False)[::-1][:count].tolist()):
-                assert max(abs(mp.mpf(x) - y) for x, y in zip(values, exact)) <= bound
+            below, at_most, sigma_max = mp_singular_value_counts(R, dense[-1], mp)
+            bound = (2 * len(H) ** 2 + 200) * mp.mpf(2) ** -53 * sigma_max
+            # The (k + 1)-th smallest singular value lies within bound of the
+            # k-th value of both SVDs iff it lies within bound of the larger
+            # from below and of the smaller from above.
+            for k, pair in enumerate(zip(got, dense[:count].tolist())):
+                assert below(max(pair) - bound) <= k < at_most(min(pair) + bound)
 
     @given(st.integers(1, 30), st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
            st.sampled_from(Boundary), st.floats(1e-3, 1.0), st.integers(0, 1000))
@@ -327,32 +334,75 @@ def mp_factors(H, mp):
     return X, Y
 
 
-def mp_singular_values(R, mp):
-    """Every singular value of the real 2N x 2N matrix R, ascending, at
-    mpmath's working precision.
+def mp_singular_value_counts(R, estimate, mp):
+    """(below, at_most, sigma_max) of the real 2N x 2N R at mpmath's working
+    precision: below(y) and at_most(y) count the singular values of R under
+    y and not over it, and sigma_max is a lower bound on the largest within
+    a factor 1 - 2^-30 of it, checked about `estimate`, a computed sigma_max.
 
     The cell basis (e_alpha +- e_beta) / sqrt(2), which diagonalizes sigma_x,
     splits an R that anticommutes with the direct sum of sigma_x, as the
     real form of every chain without on-site disorder does, into two N x N
     blocks, whose singular values R has together. The sums of four entries
-    (twice the blocks) are exact; any other R is solved whole. Each value
-    is the square root of an eigenvalue of a Gram matrix B^T B (mp.eigsy),
-    within about sqrt(10^-dps) sigma_max of the exact one: mp.svd_r gives
-    up on some blocks at 50 digits, as on two clean periodic chains of
+    (twice the blocks) are exact; any other R is one block. An upper or
+    lower bidiagonal block, as both of an open chain's are, is counted by
+    Sturm counts on its Golub-Kahan tridiagonal (mp_golub_kahan_below), in
+    O(N) a count. Any other block, as a ring's, takes each singular value
+    as the square root of an eigenvalue of its Gram matrix B^T B (mp.eigsy,
+    O(N^3)), within about sqrt(10^-dps) sigma_max of the exact one: mp.svd_r
+    gives up on some blocks at 50 digits, as on two clean periodic chains of
     test_chains_take_an_exact_real_form's examples.
     """
     n = len(R) // 2
     x = np.array([[mp.mpf(v) for v in row] for row in R.tolist()]).reshape(n, 2, n, 2)
     aa, ab, ba, bb = x[:, 0, :, 0], x[:, 0, :, 1], x[:, 1, :, 0], x[:, 1, :, 1]
     if any((aa + ab + ba + bb).ravel()) or any((aa - ab - ba + bb).ravel()):
-        blocks, twice = [x.reshape(2 * n, 2 * n)], 1
+        blocks = [x.reshape(2 * n, 2 * n)]
     else:
-        blocks, twice = [aa - ab + ba - bb, aa + ab - ba - bb], 2
-    values = []
+        blocks = [(aa - ab + ba - bb) / 2, (aa + ab - ba - bb) / 2]
+    counts = []         # (below, at_most) of each block
     for block in blocks:
-        B = mp.matrix(block.tolist())
-        values += [mp.sqrt(max(w, 0)) / twice for w in mp.eigsy(B.T * B, eigvals_only=True)]
-    return sorted(values)
+        m = len(block)
+        for k in (1, -1):
+            if not any(block[~(np.eye(m, dtype=bool) | np.eye(m, k=k, dtype=bool))]):
+                off = np.empty(2 * m - 1, dtype=object)
+                off[0::2], off[1::2] = np.diagonal(block), np.diagonal(block, k)
+                squares = [c * c for c in off]
+                # The Golub-Kahan eigenvalues are +-sigma: for y > 0, the m
+                # values -sigma lie below y too, and sigma > y iff -sigma < -y.
+                counts.append((
+                    lambda y, sq=squares, m=m: mp_golub_kahan_below(sq, y, mp) - m if y > 0 else 0,
+                    lambda y, sq=squares, m=m: m - mp_golub_kahan_below(sq, -y, mp) if y >= 0 else 0))
+                break
+        else:
+            B = mp.matrix(block.tolist())
+            values = [mp.sqrt(max(w, 0)) for w in mp.eigsy(B.T * B, eigvals_only=True)]
+            counts.append((lambda y, v=values: sum(s < y for s in v),
+                           lambda y, v=values: sum(s <= y for s in v)))
+
+    def below(y):
+        return sum(count(y) for count, _ in counts)
+
+    def at_most(y):
+        return sum(count(y) for _, count in counts)
+
+    lo, hi = (mp.mpf(estimate) * (1 + sign * mp.mpf(2) ** -30) for sign in (-1, 1))
+    assert below(lo) < 2 * n == at_most(hi), "sigma_max lies outside 1 +- 2^-30 of its estimate"
+    return below, at_most, lo
+
+
+def mp_golub_kahan_below(squares, z, mp):
+    """The number of eigenvalues below z of the symmetric tridiagonal T with
+    zero diagonal and the off-diagonals whose squares are `squares`: the
+    count of negative pivots of T - z I = L D L^T (Sturm). An exactly zero
+    pivot is taken as a negative one far below any hop squared."""
+    tiny = mp.mpf(2) ** -10000
+    d = shift = -z
+    negative = 0
+    for square in squares:
+        negative += d < 0
+        d = shift - square / (d or -tiny)
+    return negative + (d < 0)
 
 
 def mp_min_abs_energy(H, mp):
@@ -1388,6 +1438,69 @@ def cluster_chains(count=40, seed=7):
     return chains
 
 
+@st.composite
+def clustered_spectra(draw):
+    """(ws, thresh): lexsorted eigenvalues, real, purely imaginary or
+    complex, on a grid of a spacing near thresh about a few centres, each
+    point k-fold bit-equal, with thresh from 1 down to the subnormal floor,
+    where only equal values are closer than it."""
+    thresh = draw(st.sampled_from([1.0, 1e-8, 3e-300, np.finfo(float).smallest_subnormal]))
+    kind = draw(st.sampled_from(["real", "imaginary", "complex"]))
+    unit = thresh * draw(st.sampled_from([0.5, 0.75, 1.0, 1.5]))
+    part = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
+    step = st.integers(-3, 3)
+    w = []
+    for _ in range(draw(st.integers(1, 4))):
+        centre = complex(draw(part), draw(part))
+        for _ in range(draw(st.integers(1, 8))):
+            z = centre + complex(draw(step), draw(step)) * unit
+            if kind == "real":
+                z = complex(z.real, draw(st.sampled_from([0.0, -0.0])))
+            elif kind == "imaginary":
+                z = complex(draw(st.sampled_from([0.0, -0.0])), z.imag)
+            w += [z] * draw(st.integers(1, 3))
+    w = np.array(w)
+    return w[np.lexsort((w.imag, w.real))], thresh
+
+
+class TestSingleLinkage:
+    """spectra._linkage_labels against the n x n label propagation that
+    spectral_report ran before (conftest.matrix_labels)."""
+
+    @given(clustered_spectra())
+    @settings(max_examples=200, deadline=None)
+    def test_labels_match_the_matrix_reference(self, drawn):
+        ws, thresh = drawn
+        assert np.array_equal(spectra._linkage_labels(ws, thresh), matrix_labels(ws, thresh))
+
+    def test_defective_chain_at_n_1000(self):
+        # The n x n matrix took 96 MB here; the sweep and the zero-mode
+        # solves together stay below a third of that.
+        p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=1000)
+        form = chain(p)
+        spectral_report(form)
+        tracemalloc.start()
+        try:
+            rep = spectral_report(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(c.value, c.algebraic, c.geometric) for c in rep.clusters] == [
+            (-0.5, 999, 1), (0.0, 2, 1), (0.5, 999, 1)]
+        assert rep.zero_cluster.defective
+        assert peak < 32e6
+
+    def test_sigma_max_is_bisected_once(self, monkeypatch):
+        # chain_norm's index bisection serves the zero cluster too.
+        calls = []
+        bisect = spectra._bisect
+        monkeypatch.setattr(spectra, "_bisect",
+                            lambda off, select, **kw: calls.append(select) or bisect(off, select, **kw))
+        rep = spectral_report(chain(LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)))
+        assert rep.zero_cluster is not None
+        assert calls.count(2) == 1
+
+
 class TestSpectralReport:
     def test_clusters_match_loop_reference(self):
         for p, dis in cluster_chains():
@@ -1396,6 +1509,10 @@ class TestSpectralReport:
             got = [(c.value, c.algebraic, c.geometric) for c in rep.clusters]
             # repr round-trips each float, so equal reprs mean equal bits
             assert repr(got) == repr(loop_clusters(H, rep.eigenvalues)), (p, dis)
+            # The n x n label propagation the sweep replaced, at the report's own threshold.
+            scale = chain_norm(spectra._reduced(H, "spectral_report"))
+            thresh = max(CLUSTER_TOL * scale, np.finfo(float).smallest_subnormal)
+            assert repr([c[:2] for c in got]) == repr(matrix_clusters(rep.eigenvalues, thresh))
 
     def test_clusters_independent_of_order(self):
         # The first-match loop split the 29-fold bands into (1, 28) here.
