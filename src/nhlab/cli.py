@@ -9,6 +9,7 @@ normally set gamma = 1.0; the value must still be given explicitly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -129,8 +130,9 @@ def _write_artifacts(out: Path, artifacts: dict, svg: bool) -> list[Path]:
     Commands hand over their artifacts once everything is solved, so a run
     that fails writes none. The writers are looked up at call time, so a
     wrapper set on this module sees every write. An OSError of a writer
-    removes the files this call has written and is raised as a ConfigError
-    that names the file.
+    removes the files this call has written, the failing one's partial file
+    too, and is raised as a ConfigError that names the file; a file that
+    cannot be removed stays, and does not mask that error.
     """
     paths = [out / name for name in artifacts if svg or not name.endswith(".svg")]
     for i, path in enumerate(paths):
@@ -143,8 +145,10 @@ def _write_artifacts(out: Path, artifacts: dict, svg: bool) -> list[Path]:
             else:
                 write_svg(path, *content)
         except OSError as exc:
-            for written in paths[:i]:
-                written.unlink(missing_ok=True)
+            for written in paths[:i + 1]:
+                with contextlib.suppress(OSError):
+                    if not written.is_dir():
+                        written.unlink(missing_ok=True)
             raise ConfigError(f"cannot write {path}: {exc}") from exc
     return paths
 

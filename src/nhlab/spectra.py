@@ -345,7 +345,7 @@ def _bisect(off: np.ndarray, select: int, vl=0.0, vu=0.0, il=0, iu=0, tol=_TINY_
     return w[:m]
 
 
-def _factor_singular_values(hops, tol: float, bisected=None):
+def _factor_singular_values(hops, tol: float, bisected):
     """(sigma_max, [X's, Y's]) of the open chain with reduced hops (a, b, r),
     without H: each factor's singular values below tol * sigma_max, ascending.
 
@@ -357,14 +357,14 @@ def _factor_singular_values(hops, tol: float, bisected=None):
     eigenvalues of its Golub-Kahan matrix, the zero-diagonal tridiagonal
     with off-diagonal |d_1|, |e_1|, |d_2|, ..., |d_N|, and bisection
     (dstebz) finds them: sigma_max to LAPACK's default tolerance
-    (_golub_kahan; bisected, when given, is its record of the hops) and
+    (bisected, _golub_kahan's record of the hops) and
     every singular value below tol * sigma_max to high relative accuracy.
     A factor with a zero hop on its diagonal (some a_n or b_n = 0) is
     singular, and its sigma_min is exactly 0.0. A hop below 1.5e-154 times
     the largest counts as zero. No value lies below the cut at tol = 0,
     which bisects sigma_max alone; tol > 1 takes all 2N, and so does H = 0.
     """
-    sigma_max, scale, gk, top = _golub_kahan(hops) if bisected is None else bisected
+    sigma_max, scale, gk, top = bisected
     if top == 0.0:                      # H = 0: every singular value is 0
         return 0.0, [np.zeros(len(hops[0])), np.zeros(len(hops[0]))]
     cut = tol * top
@@ -576,13 +576,15 @@ def zero_mode_analysis(form, tol: float = ZERO_MODE_TOL, require_chiral: bool = 
     a present mode pays for the full SVD H = U S V^H, with u0 rotated as
     fix_phase rotates it. Bloch blocks raise ValueError.
     """
-    return _zero_mode(_reduced(form, "zero_mode_analysis"), tol, require_chiral, eigenvalues)
+    form = _reduced(form, "zero_mode_analysis")
+    bisected = _golub_kahan(form) if isinstance(form, tuple) else None
+    return _zero_mode(form, tol, require_chiral, eigenvalues, bisected)
 
 
 def _zero_mode(form, tol: float, require_chiral: bool, eigenvalues: np.ndarray | None,
-               bisected=None) -> ZeroModeInfo:
-    """zero_mode_analysis of a form that _reduced gives; hops take their
-    sigma_max from bisected, _golub_kahan's record of them, when given."""
+               bisected) -> ZeroModeInfo:
+    """zero_mode_analysis of a form that _reduced gives, with bisected
+    _golub_kahan's record of hops, None for H."""
     if isinstance(form, tuple):
         sigma_max, values = _factor_singular_values(form, tol, bisected)
         geo = sum(map(len, values))
@@ -750,29 +752,23 @@ def _linkage_labels(ws: np.ndarray, thresh: float) -> np.ndarray:
     thresh, as label propagation over the n x n matrix of those tests
     finds it, without the matrix.
 
-    Each run of equal values is one node. |z| >= |Re z| and |z| >= |Im z|
-    hold for the rounded difference too, so a node meets only the nodes
-    that follow it within thresh in its real part, or in its imaginary
-    part; the sweep takes whichever order leaves fewer candidates, and
-    tests each candidate pair as the matrix does. A real spectrum thus
-    tests only its consecutive gaps: O(n log n) time and O(n) memory.
-    The pairs that pass join their nodes' labels: each root points to the
-    lowest root it touches, and pointer jumping flattens the trees.
+    Each run of equal values is one node. |z| >= |Re z| holds for the
+    rounded difference too, so a node meets only the nodes that follow it
+    within thresh in the real part, and the sweep tests each such pair as
+    the matrix does. A real spectrum thus tests only its consecutive gaps:
+    O(n log n) time and O(n) memory. The pairs that pass join their nodes'
+    labels: each root points to the lowest root it touches, and pointer
+    jumping flattens the trees.
     """
     new = np.r_[True, ws[1:] != ws[:-1]]
     head = np.flatnonzero(new)          # each node's first index
     u = ws[head]
-    sweeps = []
-    for part in (u.real, u.imag):
-        order = np.argsort(part, kind="stable")
-        x = part[order]
-        # x + thresh rounds to no less than any x_j that is within thresh of x_i.
-        reach = np.searchsorted(x, x + thresh, side="right") - np.arange(len(x)) - 1
-        sweeps.append((int(reach.sum()), order, reach))
-    _, order, reach = min(sweeps, key=lambda sweep: sweep[0])
+    x = u.real                          # ascending, as ws is lexsorted
+    # x + thresh rounds to no less than any x_j that is within thresh of x_i.
+    reach = np.searchsorted(x, x + thresh, side="right") - np.arange(len(x)) - 1
     src, dst, live, k = [], [], np.flatnonzero(reach > 0), 1
     while live.size:
-        i, j = order[live], order[live + k]
+        i, j = live, live + k
         near = np.abs(u[i] - u[j]) < thresh
         src.append(i[near])
         dst.append(j[near])

@@ -4,8 +4,8 @@ from hypothesis import settings
 
 from nhlab import Boundary, LatticeParams, ZeroModeInfo
 from nhlab.model import SIGMA_X
-from nhlab.spectra import (CLUSTER_TOL, ZERO_MODE_TOL, _factor_singular_values, below_cut,
-                           fix_phase, geometric_multiplicity, zero_cluster_size)
+from nhlab.spectra import (CLUSTER_TOL, ZERO_MODE_TOL, _factor_singular_values, _golub_kahan,
+                           below_cut, fix_phase, geometric_multiplicity, zero_cluster_size)
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
@@ -67,7 +67,7 @@ def factor_values(hops, tol=ZERO_MODE_TOL):
     """(sigma_max, every singular value below tol * sigma_max, ascending) of
     the open chain with reduced hops: the values of both of its factors
     from spectra._factor_singular_values, merged."""
-    sigma_max, values = _factor_singular_values(hops, tol)
+    sigma_max, values = _factor_singular_values(hops, tol, _golub_kahan(hops))
     return sigma_max, np.sort(np.concatenate(values))
 
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 from pathlib import Path
 from unittest import mock
@@ -1180,6 +1181,56 @@ class TestMainPlumbing:
         # A failed run leaves no artifact behind, not even one written before the failure.
         assert sorted(p.name for p in (tmp_path / "dir").iterdir()) == ["spectrum.csv"]
         assert sorted(p.name for p in (tmp_path / "later").iterdir()) == ["zero_modes.json"]
+
+    def test_partial_artifact_is_removed(self, tmp_path, capsys, monkeypatch):
+        # The disk fills after spectrum.csv's header: the truncated file goes too.
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                if self.writes:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.writes += 1
+                self.fh.write(text)
+
+        def full_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return FullDisk(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(cli, "open", full_open, raising=False)
+        out = tmp_path / "out"
+        assert run("spectrum", write_config(tmp_path, SPECTRUM_CFG), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "No space left" in err
+        # The run made out, and a failed run removes it once it is empty.
+        assert not out.exists()
+
+    def test_cleanup_failure_keeps_the_write_error(self, tmp_path, capsys, monkeypatch):
+        # spectrum.csv is written, zero_modes.json is a directory, and the
+        # written file cannot be removed: the run still fails closed with the
+        # write error, and the file it could not remove stays.
+        real_unlink = Path.unlink
+
+        def unlink(path, missing_ok=False):
+            if path.name == "spectrum.csv" and path.exists():
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            real_unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        out = tmp_path / "out"
+        (out / "zero_modes.json").mkdir(parents=True)
+        assert run("spectrum", write_config(tmp_path, SPECTRUM_CFG), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'zero_modes.json'}")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["spectrum.csv", "zero_modes.json"]
 
     def test_rejected_run_keeps_existing_directory(self, tmp_path):
         out = tmp_path / "out"

@@ -264,6 +264,17 @@ class TestRealForm:
             for k, pair in enumerate(zip(got, dense[:count].tolist())):
                 assert below(max(pair) - bound) <= k < at_most(min(pair) + bound)
 
+    @pytest.mark.parametrize("squares, z, below", [
+        ([4], 0, 1),            # +-2: the first pivot is exactly zero
+        ([1, 1, 1], 0, 2),      # +-0.618, +-1.618: so are the first and third
+        ([1, 1], 0.5, 2),       # -1.414, 0, 1.414: no zero pivot
+        ([1, 1], 0, 1),         # the same at an eigenvalue: not below itself
+        ([0], 0, 0),            # 0, 0: the H = 0 block of one cell
+    ])
+    def test_sturm_count_is_strictly_below(self, squares, z, below):
+        mp = pytest.importorskip("mpmath")
+        assert mp_golub_kahan_below([mp.mpf(s) for s in squares], mp.mpf(z), mp) == below
+
     @given(st.integers(1, 30), st.floats(-2.0, 2.0), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
            st.sampled_from(Boundary), st.floats(1e-3, 1.0), st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
@@ -394,14 +405,17 @@ def mp_singular_value_counts(R, estimate, mp):
 def mp_golub_kahan_below(squares, z, mp):
     """The number of eigenvalues below z of the symmetric tridiagonal T with
     zero diagonal and the off-diagonals whose squares are `squares`: the
-    count of negative pivots of T - z I = L D L^T (Sturm). An exactly zero
-    pivot is taken as a negative one far below any hop squared."""
+    count of negative pivots of T - z I = L D L^T (Sturm). Each pivot falls
+    as z rises, so an exactly zero pivot is taken as a positive one far
+    below any hop squared: the count just below z, which an eigenvalue at
+    z does not enter."""
     tiny = mp.mpf(2) ** -10000
     d = shift = -z
     negative = 0
     for square in squares:
+        d = d or tiny
         negative += d < 0
-        d = shift - square / (d or -tiny)
+        d = shift - square / d
     return negative + (d < 0)
 
 
@@ -818,7 +832,9 @@ class TestReducedPathSingularData:
                 dis = DisorderConfig.from_seed(target, d, seed, 30)
                 H = build_real_space(p, disorder=dis)
                 _, s_h, vh_h = np.linalg.svd(H)
-                sigma_max, _ = spectra._factor_singular_values(chain(p, dis), ZERO_MODE_TOL)
+                form = chain(p, dis)
+                sigma_max, _ = spectra._factor_singular_values(form, ZERO_MODE_TOL,
+                                                               spectra._golub_kahan(form))
                 assert abs(sigma_max - s_h[0]) <= 1e-14 * s_h[0]
                 assert chain_norm(chain(p, dis)) == sigma_max
                 if np.abs(np.linalg.eigvals(H)).min() < ZERO_MODE_TOL * s_h[0]:
@@ -1214,7 +1230,7 @@ class TestReducedZeroMode:
         assert np.linalg.norm(got.u0_prime - lsq) <= 1e-12 * cond * scale
         # u0 lies on one sublattice of the path: Gamma u0 = -u0 where X
         # holds sigma_min (as at v = gamma/2), +u0 where Y does.
-        _, values = spectra._factor_singular_values(chain(p), tol)
+        _, values = spectra._factor_singular_values(chain(p), tol, spectra._golub_kahan(chain(p)))
         sign = 1 if spectra._null_factor(chain(p), values) else -1
         assert np.abs(chiral_operator(n) @ got.u0 - sign * got.u0).max() <= 1e-15
 
@@ -1310,7 +1326,8 @@ class TestSubstitutedNullVector:
         # r = 5e-324), and the other factor's dense SVD can read a subnormal
         # one as 0: u0' overflows or divides by zero there, and only u0 is
         # checked here.
-        _, values = spectra._factor_singular_values(hops, ZERO_MODE_TOL)
+        bisected = spectra._golub_kahan(hops)
+        _, values = spectra._factor_singular_values(hops, ZERO_MODE_TOL, bisected)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             u0, _ = spectra._hop_zero_vectors(hops, values)
         n = len(hops[0])
@@ -1491,11 +1508,15 @@ class TestSingleLinkage:
         assert peak < 32e6
 
     def test_sigma_max_is_bisected_once(self, monkeypatch):
-        # chain_norm's index bisection serves the zero cluster too.
+        # One index bisection of sigma_max serves the scale and the zero cluster.
         calls = []
         bisect = spectra._bisect
-        monkeypatch.setattr(spectra, "_bisect",
-                            lambda off, select, **kw: calls.append(select) or bisect(off, select, **kw))
+
+        def counted(off, select, **kw):
+            calls.append(select)
+            return bisect(off, select, **kw)
+
+        monkeypatch.setattr(spectra, "_bisect", counted)
         rep = spectral_report(chain(LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=30)))
         assert rep.zero_cluster is not None
         assert calls.count(2) == 1
