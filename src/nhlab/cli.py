@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -42,50 +43,232 @@ TRANSITION_TOL = 1e-6
 
 SVG_WIDTH, SVG_HEIGHT = 640, 400
 
-# Rows that write_csv formats with one %; a block, not the whole file,
-# bounds the text it holds in memory.
+# Rows of one CSV block: a block, not the whole file, bounds the bytes that
+# write_csv holds in memory.
 _CSV_BLOCK_ROWS = 4096
+# Below this many values of a float column to format in a block, "%.17g" % x
+# costs less than the fixed cost of the kernel's numpy calls.
+_CSV_KERNEL_MIN = 256
+# A scaled value whose fractional part lies this close to 1/2 is left to %:
+# the kernel's product is within 1e-14 of the exact one.
+_TIE_WIDTH = 1e-9
+_POW10_MIN = -270           # 10**k is tabled for k in [_POW10_MIN, 300]
+_SPLIT = 134217729.0        # 2**27 + 1, Veltkamp's splitter
+# A kernel cell is 45 bytes: '-' '0' | 17 digits | '.' '000' | 17 digits |
+# exponent right aligned in 5. Its mask keeps what %.17g prints: the integer
+# digits from the first digit field, the fraction digits from the second.
+_CELL_TEMPLATE = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17 + b"e+000", np.uint8)
 
 
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
     """Stream {header: 1-D array} columns as CSV rows with LF endings; floats get
     17 significant digits, so they read back bit for bit, other values str.
 
-    A float column whose runs of bit-equal values (0.0 and -0.0 differ) at
-    least halve its row count is formatted once per run, and each run
-    repeats its string; other columns are formatted row by row. The cells
-    fill one (rows, columns) object table, where numpy turns each value
-    into the Python scalar that tolist gives, and each block of
-    _CSV_BLOCK_ROWS rows of it is formatted with one %. Columns of unequal
-    length raise ValueError before the file is touched.
+    The bytes are those of "%.17g" % x for a float and "%s" % x for any other
+    cell x of tolist. Each block of _CSV_BLOCK_ROWS rows is assembled as one
+    uint8 array in numpy (_csv_block) and written in binary. Columns of
+    unequal length raise ValueError before the file is touched.
     """
     lengths = {name: len(col) for name, col in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"{path.name}: columns of unequal length {lengths}")
     n_rows = next(iter(lengths.values()), 0)
-    table = np.empty((n_rows, len(columns)), dtype=object)
-    fields = []
-    for j, col in enumerate(columns.values()):
-        if col.dtype.kind == "f" and n_rows > 1:
-            bits = np.ascontiguousarray(col).view(np.uint8).reshape(n_rows, -1)
-            starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-            if 2 * len(starts) <= n_rows:
-                text = np.array(["%.17g" % x for x in col[starts].tolist()], dtype=object)
-                fields.append("%s")
-                table[:, j] = np.repeat(text, np.diff(starts, append=n_rows))
-                continue
-        fields.append("%.17g" if col.dtype.kind == "f" else "%s")
-        table[:, j] = col
-    fmt = ",".join(fields) + "\n"
     # Each writer unlinks an existing artifact instead of truncating it: on
     # ext4 (auto_da_alloc), truncating a file just written forces it to disk
     # on close, which made reruns into the same directory several times slower.
     path.unlink(missing_ok=True)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
-            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_csv_block([col[start:start + _CSV_BLOCK_ROWS]
+                                 for col in columns.values()]))
+
+
+def _csv_block(columns: list[np.ndarray]) -> np.ndarray:
+    """The CSV rows of equal-length columns as uint8 bytes.
+
+    Each column gives its distinct cells as (bytes, mask) rows and the
+    cell of each row. An integer or bool column formats each distinct
+    value once; a str column, or an object column of str, each run of equal
+    values. A float16/32/64 column is widened to float64, exactly as tolist
+    does, and formatted per value, or per run of bit-equal values (0.0 and
+    -0.0 differ) where the runs at least halve its rows: by _float_cells
+    where that makes _CSV_KERNEL_MIN values or more, else by %. Any other
+    column formats each cell with %. The cells are laid side by side with
+    the separators, and the mask picks the row text out of them. The kernel
+    formats a column only when its cells are laid out, so the block holds
+    one column's kernel cells at a time.
+    """
+    n_rows = len(columns[0])
+    parts = []      # per column: (bytes and mask, or floats for the kernel; row -> cell)
+    for col in columns:
+        kind = col.dtype.kind
+        if kind == "f" and col.dtype.itemsize <= 8:
+            x = col.astype(np.float64)
+            starts, index = _runs(x.view(np.int64))
+            values, index = (x, None) if 2 * len(starts) > n_rows else (x[starts], index)
+            if len(values) >= _CSV_KERNEL_MIN:
+                parts.append((values, index))
+                continue
+            texts = ["%.17g" % v for v in values.tolist()]
+        elif kind in "biu":
+            distinct, index = np.unique(col, return_inverse=True)
+            texts = ["%s" % v for v in distinct.tolist()]
+        elif kind == "U" or kind == "O" and set(map(type, col.tolist())) == {str}:
+            starts, index = _runs(col)
+            texts = col[starts].tolist()
+        else:
+            fmt, index = "%.17g" if kind == "f" else "%s", None
+            texts = [fmt % (v,) for v in col.tolist()]
+        parts.append((_text_cells(texts), index))
+    widths = [len(_CELL_TEMPLATE) if isinstance(cells, np.ndarray) else cells[0].shape[1]
+              for cells, _ in parts]
+    ends = np.cumsum(widths) + np.arange(len(parts))   # the separator after each column
+    rows = np.empty((n_rows, ends[-1] + 1), np.uint8)
+    keep = np.empty(rows.shape, bool)
+    rows[:, ends], keep[:, ends] = ord(","), True
+    rows[:, -1] = ord("\n")
+    for (cells, index), end, width in zip(parts, ends, widths):
+        text, mask = rows[:, end - width:end], keep[:, end - width:end]
+        if isinstance(cells, np.ndarray):
+            if index is None:
+                _float_cells(cells, text, mask)     # straight into the block
+                continue
+            cells = _float_cells(cells)
+        if index is not None:
+            cells = np.take(cells[0], index, axis=0), np.take(cells[1], index, axis=0)
+        text[:], mask[:] = cells
+    return rows[keep]
+
+
+def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each run of equal values of a, and each element's run."""
+    new = np.empty(len(a), bool)
+    new[:1] = True
+    new[1:] = a[1:] != a[:-1]
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def _text_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """texts as the rows of a uint8 array, and the mask of each text's bytes."""
+    raw = [t.encode() for t in texts]
+    lengths = np.fromiter(map(len, raw), np.intp, len(raw))
+    width = lengths.max(initial=1)
+    text = np.array(raw, f"S{width}").view(np.uint8).reshape(len(raw), width)
+    return text, np.arange(width) < lengths[:, None]
+
+
+@functools.cache
+def _kernel_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The float kernel's tables, built on first use from exact Python integers.
+
+    They are: 10**k as rows (hi, hi's Veltkamp split, lo), hi + lo within
+    2**-106 of it; the two-digit strings 00..99 as uint16; the exponent
+    field of each E in [-300, 300]; and the cell mask of each (layout,
+    significant digits), the layout being E + 4 for fixed notation
+    (-4 <= E < 17), 21 for a two-digit exponent and 22 for a three-digit one.
+    """
+    ks = range(_POW10_MIN, 301)
+    hi = [float(10 ** k) if k >= 0 else 1 / 10 ** -k for k in ks]   # correctly rounded
+    lo = []
+    for k, h in zip(ks, hi):
+        a, b = h.as_integer_ratio()
+        q = 10 ** abs(k)
+        lo.append((q * b - a) / b if k >= 0 else (b - a * q) / (b * q))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    head = c - (c - hi)
+    pow10 = np.stack([hi, head, hi - head, lo], axis=1)
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    exponents = np.frombuffer(b"".join((b"e%+03d" % e).rjust(5) for e in range(-300, 301)),
+                              np.uint8).reshape(-1, 5)
+    sig, j = np.arange(18)[:, None], np.arange(17)
+    masks = np.zeros((23, 18, len(_CELL_TEMPLATE)), bool)
+    for layout, mask in enumerate(masks):
+        e = layout - 4 if layout < 21 else 0      # an exponent form prints as E = 0
+        lead = max(e + 1, 0)                      # integer digits; the fraction follows
+        mask[:, 1] = e < 0
+        mask[:, 2:19] = j < lead
+        mask[:, 19] = sig[:, 0] > lead
+        mask[:, 24 + e:23] = True                 # -E - 1 zeros after the point
+        mask[:, 23:40] = (j >= lead) & (j < sig)
+        if layout >= 21:
+            mask[:, 62 - layout:] = True
+    return pow10, pairs, exponents, masks.reshape(-1, masks.shape[2])
+
+
+def _round17(x: np.ndarray, pow10: np.ndarray):
+    """The 17 significant digits N and the exponent E of each value of x, and
+    the indices of the values that % must format instead.
+
+    E = floor(log10 |v|), and N is |v| 10**(16 - E) rounded, with N = 10**17
+    carried into E + 1. The product is p + r: Dekker's exact product of |v|
+    with 10**(16 - E)'s high part, plus |v| times its low part, within 1e-14
+    of the exact one. Left to %: |v| outside [1e-280, 1e280] (zeros and
+    non-finite values among them), where the Veltkamp splits could overflow;
+    a product outside [1e16, 1e17), where log10 misplaced E by one (1e23
+    gives p = 1e16, r < 0); and a fractional part within _TIE_WIDTH of a tie.
+    """
+    ax = np.abs(x)
+    outside = ~((ax >= 1e-280) & (ax <= 1e280))
+    ax[outside] = 1.0       # formatted by %; 1.0 keeps the kernel finite
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    hi, head, tail, lo = np.take(pow10, 16 - e - _POW10_MIN, axis=0).T
+    p = ax * hi
+    c = _SPLIT * ax
+    ah = c - (c - ax)
+    al = ax - ah
+    r = ((ah * head - p) + ah * tail + al * head) + al * tail + ax * lo
+    outside |= (p < 1e16) | (p == 1e16) & (r < 0) | (p > 1e17) | (p == 1e17) & (r >= 0)
+    whole = np.floor(r)
+    r -= whole
+    outside |= np.abs(r - 0.5) < _TIE_WIDTH
+    n = p.astype(np.int64) + whole.astype(np.int64) + (r > 0.5)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    e += carry
+    return n, e, np.flatnonzero(outside)
+
+
+def _float_cells(x: np.ndarray, text: np.ndarray | None = None,
+                 mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """"%.17g" % v of each float64 v of x, as _text_cells gives texts, in
+    45-byte cells written into text and mask if given.
+
+    _round17 gives the digits and the exponent, and C's %g layout follows:
+    fixed notation for -4 <= E < 17, else d.ddde+XX, trailing zeros cut.
+    """
+    if text is None:
+        text = np.empty((len(x), len(_CELL_TEMPLATE)), np.uint8)
+        mask = np.empty(text.shape, bool)
+    pow10, pairs, exponents, masks = _kernel_tables()
+    n, e, rest = _round17(x, pow10)
+    # Digits two at a time: N as its first digit and two blocks of 8, each
+    # block as four pairs, looked up as two bytes a pair.
+    first = n // 10 ** 16
+    n -= first * 10 ** 16
+    part = np.stack([n // 10 ** 8, n % 10 ** 8], axis=1).astype(np.uint32)
+    pair = np.empty((len(n), 2, 4), np.uint8)
+    for i in range(3, -1, -1):
+        high = part // 100
+        pair[:, :, i] = part - 100 * high
+        part = high
+    digits = np.take(pairs, pair).view(np.uint8).reshape(len(n), 16)
+    text[:] = _CELL_TEMPLATE
+    for at in (2, 23):
+        text[:, at] = first + ord("0")
+        text[:, at + 1:at + 17] = digits
+    text[:, 40:] = np.take(exponents, e + 300, axis=0)
+    sig = 17 - np.argmax(text[:, 39:22:-1] != ord("0"), axis=1)
+    layout = np.where((e >= -4) & (e < 17), e + 4, 21 + (np.abs(e) >= 100))
+    mask[:] = np.take(masks, layout * 18 + sig, axis=0)
+    mask[:, 0] = x < 0
+    if len(rest):
+        rest_text, rest_mask = _text_cells(["%.17g" % v for v in x[rest].tolist()])
+        text[rest, :rest_text.shape[1]] = rest_text
+        mask[rest] = False
+        mask[rest, :rest_mask.shape[1]] = rest_mask
+    return text, mask
 
 
 def write_json(path: Path, obj) -> None:

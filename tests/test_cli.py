@@ -227,6 +227,91 @@ class TestWriteCsv:
         assert (tmp_path / "link").read_text() == "old contents\n" * 100
         assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
 
+    @pytest.mark.parametrize("n_values", [cli._CSV_KERNEL_MIN - 1, cli._CSV_KERNEL_MIN])
+    def test_float_values_either_side_of_the_kernel_threshold(self, tmp_path, n_values):
+        # "x" makes n_values floats to format in its block: below
+        # _CSV_KERNEL_MIN they take %, from it on the kernel, whose fallback
+        # takes x's zeros, non-finite values, subnormals, extremes and ties
+        # (2**-25 has 18 significant digits). "run" is one run of a value.
+        rng = np.random.default_rng(n_values)
+        x = rng.normal(size=n_values) * 10.0 ** rng.integers(-30, 30, size=n_values)
+        x[:12] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1.7976931348623157e308,
+                  1e-300, 2.0 ** -25, -3 * 2.0 ** -25, 0.5]
+        columns = {"x": x, "run": np.full(n_values, -0.125), "n": np.arange(n_values),
+                   "side": np.array(["left", "right"] * n_values, dtype=object)[:n_values]}
+        with mock.patch.object(cli, "_float_cells", wraps=cli._float_cells) as kernel:
+            write_csv(tmp_path / "kernel.csv", columns)
+        assert kernel.call_count == (n_values >= cli._CSV_KERNEL_MIN)
+        template_write_csv(tmp_path / "template.csv", columns)
+        assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "template.csv").read_bytes()
+
+    def test_runs_and_integer_extremes_across_a_block_boundary(self, tmp_path):
+        # Runs of floats and strings that cross the first block boundary are
+        # formatted in each block; integer columns hold their dtype's extremes.
+        n_rows = cli._CSV_BLOCK_ROWS + 300
+        rng = np.random.default_rng(n_rows)
+        edge = slice(cli._CSV_BLOCK_ROWS - 150, cli._CSV_BLOCK_ROWS + 150)
+        x = rng.normal(size=n_rows)
+        x[edge] = 0.1
+        side = np.array(["left", "right", ""] * n_rows, dtype=object)[:n_rows]
+        side[edge] = "delocalized"
+        i64 = rng.integers(-2**63, 2**63 - 1, size=n_rows, endpoint=True)
+        i64[::7], i64[3::7] = -2**63, 2**63 - 1
+        u64 = rng.integers(0, 2**64 - 1, size=n_rows, dtype=np.uint64, endpoint=True)
+        u64[::5] = 2**64 - 1
+        columns = {"run": np.repeat(rng.normal(size=n_rows), 37)[:n_rows], "x": x,
+                   "i64": i64, "u64": u64, "side": side,
+                   "side_str": side.astype(str),
+                   # Equal objects that print differently are not one run, and
+                   # a tuple is one cell.
+                   "mixed": np.array([1, 1.0, True, 0.0, -0.0, "1", (1, 2), None] * n_rows,
+                                     dtype=object)[:n_rows]}
+        write_csv(tmp_path / "blocks.csv", columns)
+        template_write_csv(tmp_path / "template.csv", columns)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "template.csv").read_bytes()
+
+
+def kernel_texts(values) -> list[str]:
+    """The text cli._float_cells, the float kernel, writes for each value."""
+    text, mask = cli._float_cells(np.asarray(values, dtype=np.float64))
+    return [bytes(row[keep]).decode() for row, keep in zip(text, mask)]
+
+
+def float_of_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+DECISION_EDGES = [1e23, 9.999999999999999e16, 1e16, 1e17, 1e-5, 1e-4]
+
+
+def with_neighbours(values) -> list[float]:
+    return [float(y) for v in values
+            for y in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+
+
+class TestFloatCells:
+    @given(st.lists(st.floats() | st.integers(0, 2**64 - 1).map(float_of_bits),
+                    min_size=1, max_size=40))
+    @example(with_neighbours(DECISION_EDGES))
+    @example([-v for v in with_neighbours(DECISION_EDGES)])
+    @example([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.0])
+    @example([float(np.nextafter(1e-280, 0)), float(np.nextafter(1e-280, 1)),
+              float(np.nextafter(1e280, 0)), float(np.nextafter(1e280, np.inf))])
+    @example([2.0 ** -25, 0.5, 1.5, 2.5e-5, 1e22, 1.25e-4])
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_percent_byte_for_byte(self, values):
+        assert kernel_texts(values) == ["%.17g" % v for v in values]
+
+    def test_bulk_bit_patterns_and_powers_of_ten(self):
+        # 10**5 seeded bit patterns, every sign, exponent and payload among
+        # them, and each 10.0**k for k in [-300, 300] with both neighbours.
+        bits = np.random.default_rng(34).integers(0, 2**64 - 1, size=10**5, dtype=np.uint64,
+                                                  endpoint=True)
+        powers = 10.0 ** np.arange(-300, 301)
+        x = np.concatenate([bits.view(np.float64), powers,
+                            np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        assert kernel_texts(x) == ["%.17g" % v for v in x.tolist()]
+
 
 class TestSpectrum:
     def _config(self, boundary, v_grid):
@@ -1021,6 +1106,15 @@ DISORDER_CFG = {"n_cells": 4, "r": 0.5, "v": 0.5, "gamma": 1.0, "targets": ["v"]
                 "d_grid": [0.3], "n_seeds": 2}
 SVD_SCAN_CFG = {"n_list": [2, 3], "v_grid": [0.0, 0.5, 1.0], "r": 0.5, "gamma": 1.0}
 SWEEP_CFG = {"v": 0.3, "r": 0.3, "gamma": 1.0, "k": 0.0, "mode": "transport"}
+# One small run of each command that writes artifacts.
+SMALL_RUNS = {
+    "spectrum": SPECTRUM_CFG,
+    "winding": {"param_sets": [FIG2C_PARAM_SETS[1]], "samples": 401},
+    "disorder": DISORDER_CFG,
+    "svd-scan": SVD_SCAN_CFG,
+    "evolve": {"preset": "zero-mode-present"},
+    "sweep-phase": SWEEP_CFG,
+}
 
 
 class TestMainPlumbing:
@@ -1292,14 +1386,7 @@ class TestMainPlumbing:
         for f in files:
             assert f.read_bytes() == (out / f.name).read_bytes()
 
-    @pytest.mark.parametrize("command,cfg", [
-        ("spectrum", SPECTRUM_CFG),
-        ("winding", {"param_sets": [FIG2C_PARAM_SETS[1]], "samples": 401}),
-        ("disorder", DISORDER_CFG),
-        ("svd-scan", SVD_SCAN_CFG),
-        ("evolve", {"preset": "zero-mode-present"}),
-        ("sweep-phase", SWEEP_CFG),
-    ], ids=["spectrum", "winding", "disorder", "svd-scan", "evolve", "sweep-phase"])
+    @pytest.mark.parametrize("command,cfg", SMALL_RUNS.items(), ids=list(SMALL_RUNS))
     def test_writers_are_looked_up_at_call_time(self, tmp_path, capsys, monkeypatch,
                                                 command, cfg):
         # The benchmark times the writers by swapping cli.write_csv and
@@ -1317,3 +1404,23 @@ class TestMainPlumbing:
         assert run(command, write_config(tmp_path, cfg), out, "--svg") == 0
         printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
         assert printed and calls == [(p.suffix, p) for p in printed]
+
+    @pytest.mark.parametrize("command,cfg", SMALL_RUNS.items(), ids=list(SMALL_RUNS))
+    def test_every_csv_matches_the_template_writer(self, tmp_path, capsys, monkeypatch,
+                                                   command, cfg):
+        # Each CSV a command writes (sweep-phase writes none) is also written
+        # by the template writer, from the same columns, to the same bytes.
+        reference, written = tmp_path / "reference", []
+        reference.mkdir()
+
+        def checked(path, columns, _real=cli.write_csv):
+            _real(path, columns)
+            template_write_csv(reference / path.name, columns)
+            written.append(path)
+
+        monkeypatch.setattr(cli, "write_csv", checked)
+        assert run(command, write_config(tmp_path, cfg), tmp_path / "out") == 0
+        printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
+        assert written == [path for path in printed if path.suffix == ".csv"]
+        for path in written:
+            assert path.read_bytes() == (reference / path.name).read_bytes(), path.name
