@@ -43,6 +43,8 @@ TRANSITION_TOL = 1e-6
 
 SVG_WIDTH, SVG_HEIGHT = 640, 400
 
+# Bytes of the H stack that svd-scan solves in one call: small enough to stay in cache.
+_SVD_STACK_BYTES = 256 * 1024
 # Rows of one CSV block: a block, not the whole file, bounds the bytes that
 # write_csv holds in memory.
 _CSV_BLOCK_ROWS = 4096
@@ -597,8 +599,10 @@ def cmd_svd_scan(cfg: dict, out: Path, svg: bool = False) -> list[Path]:
         params = LatticeParams(v=0.0, r=r, gamma=gamma, n_cells=n, boundary=Boundary.OPEN)
         H0 = build_real_space(params)
         P = build_real_space(replace(params, v=1.0)) - H0
-        for v, sigma_nv in zip(v_grid, sigma_n):
-            sigma_nv[:] = spectra.smallest_singular_values(H0 + v * P, count=2)
+        step = max(1, _SVD_STACK_BYTES // H0.nbytes)
+        for s in range(0, len(v_grid), step):
+            sigma_n[s:s + step] = spectra.smallest_singular_values(
+                H0 + v_grid[s:s + step, None, None] * P, count=2)
     return _write_artifacts(out, {
         "svd_scan.csv": {"N": np.repeat(n_list, len(v_grid)),
                          "v_over_gamma": np.tile(v_grid, len(n_list)),

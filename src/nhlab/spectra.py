@@ -495,11 +495,15 @@ def smallest_singular_values(H: np.ndarray, count: int = 1) -> list[float]:
     on-site disorder, open or periodic, clean or r/v/gamma-disordered,
     which an exact phase scaling makes real. Any other H, on-site
     disorder or a non-finite entry among them, takes the complex SVD.
+    A stack (..., m, n) takes one SVD call, each matrix its own LAPACK
+    call, and gives an (..., count) array. It is real only if every matrix
+    has a real form: one matrix without takes the complex SVD for all.
     """
-    if not 1 <= count <= min(np.shape(H)):
-        raise ValueError(f"count must lie in 1..{min(np.shape(H))}, got {count}")
-    s = np.linalg.svd(_real_form(np.asarray(H)), compute_uv=False)
-    return [float(x) for x in s[::-1][:count]]
+    H = np.asarray(H)
+    if not 1 <= count <= min(H.shape[-2:]):
+        raise ValueError(f"count must lie in 1..{min(H.shape[-2:])}, got {count}")
+    s = np.linalg.svd(_real_form(H), compute_uv=False)[..., ::-1][..., :count]
+    return s if s.ndim > 1 else [float(x) for x in s]
 
 
 def _real_form(H: np.ndarray) -> np.ndarray:
@@ -514,18 +518,20 @@ def _real_form(H: np.ndarray) -> np.ndarray:
     and same-sublattice hops are imaginary, v and the cross hops real.
     Each entry of R is +-Re or +-Im of H's, so nothing is rounded. Any
     other H, one with a non-finite entry or whose R is not real, comes
-    back as is.
+    back as is. A stack (..., n, n) is tested as a whole: it is mapped
+    matrix by matrix if every matrix passes, else it comes back as is.
     """
     if not np.iscomplexobj(H):
         return H
     x, y = H.real, H.imag
     if not y.any():
         return x
-    if x[::2, ::2].any() or x[1::2, 1::2].any() or y[::2, 1::2].any() or y[1::2, ::2].any():
+    if (x[..., ::2, ::2].any() or x[..., 1::2, 1::2].any()
+            or y[..., ::2, 1::2].any() or y[..., 1::2, ::2].any()):
         return H
     R = y.copy()
-    R[::2, 1::2] = x[::2, 1::2]
-    R[1::2, ::2] = -x[1::2, ::2]      # -i conj(i) = -1 on a beta row, alpha column
+    R[..., ::2, 1::2] = x[..., ::2, 1::2]
+    R[..., 1::2, ::2] = -x[..., 1::2, ::2]      # -i conj(i) = -1 on a beta row, alpha column
     return R if np.isfinite(R).all() else H
 
 

@@ -959,13 +959,16 @@ class TestSvdScan:
                          tmp_path)
 
     # The figure config, then signed zeros, negative and tiny v, gamma = 0
-    # and N = 1 (no bond).
+    # and N = 1 (no bond), a one-point grid, and N = 100, whose H fills a
+    # stack alone.
     SCANS = [
         {"n_list": [10, 20, 30], "v_grid": {"start": 0.0, "stop": 2.0, "num": 201},
          "r": 0.5, "gamma": 1.0},
         {"n_list": [1, 4], "v_grid": [-0.0, 0.0, -2.5, -0.5, -1e-300, 5e-324, 0.5, 3.0],
          "r": 0.5, "gamma": 1.0},
         {"n_list": [1, 3], "v_grid": [-0.0, 0.0, -0.7, 0.25, 1.5], "r": 0.7, "gamma": 0.0},
+        {"n_list": [1, 7], "v_grid": [0.5], "r": 0.5, "gamma": 1.0},
+        {"n_list": [100], "v_grid": [0.5, -0.0, 1.25], "r": 0.5, "gamma": 1.0},
     ]
 
     @staticmethod
@@ -981,12 +984,29 @@ class TestSvdScan:
         solved = []
         svd = spectra.smallest_singular_values
         monkeypatch.setattr(spectra, "smallest_singular_values",
-                            lambda H, count: solved.append(H.copy()) or svd(H, count))
+                            lambda H, count: solved.extend(H.copy()) or svd(H, count))
         cmd_svd_scan(cfg, tmp_path)
         expected = list(self._points(cfg))
         assert len(solved) == len(expected)
         for got, want in zip(solved, expected):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cfg", SCANS)
+    def test_one_call_per_stack_of_the_byte_budget(self, tmp_path, monkeypatch, cfg):
+        stacks = []
+        svd = spectra.smallest_singular_values
+        monkeypatch.setattr(spectra, "smallest_singular_values",
+                            lambda H, count: stacks.append(H.shape) or svd(H, count))
+        cmd_svd_scan(cfg, tmp_path)
+        num = len(_grid(cfg["v_grid"], "v_grid"))
+        expected = []
+        for n in cfg["n_list"]:
+            step = max(1, cli._SVD_STACK_BYTES // (16 * (2 * n) ** 2))
+            expected += [(min(step, num - s), 2 * n, 2 * n) for s in range(0, num, step)]
+        assert stacks == expected
+        if cfg is self.SCANS[0]:
+            # 40, 10 and 4 matrices a stack at N = 10, 20 and 30, not 603 calls.
+            assert len(stacks) == 6 + 21 + 51
 
     @pytest.mark.parametrize("cfg", SCANS)
     def test_csv_matches_per_point_loop(self, tmp_path, cfg):

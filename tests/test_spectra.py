@@ -314,6 +314,74 @@ class TestRealForm:
         assert seen == [(np.dtype(float), (8, 8))] * 2
 
 
+class TestStackedSingularValues:
+    """smallest_singular_values of a stack (..., m, n) makes one SVD call,
+    and each of its rows is the matrix's own 2-D call, bit for bit."""
+
+    @staticmethod
+    def rows_match_own_calls(stack, count):
+        with linalg_calls("svd") as seen:
+            got = smallest_singular_values(stack, count)
+        assert len(seen) == 1 and seen[0][1] == stack.shape
+        assert got.shape == stack.shape[:-2] + (count,)
+        for H, row in zip(stack.reshape(-1, *stack.shape[-2:]), got.reshape(-1, count)):
+            assert row.tolist() == smallest_singular_values(H, count)
+        return seen[0][0]
+
+    @given(phase_real_chains())
+    @settings(max_examples=100, deadline=None)
+    def test_chain_stacks_take_the_real_form_bit_for_bit(self, chain_draw):
+        # v sits only in the cross entries, so the rows share the real form.
+        params, disorder, count = chain_draw
+        stack = np.stack([build_real_space(replace(params, v=v), disorder=disorder)
+                          for v in (params.v, 0.0, -0.5 * params.v, params.v + 1.0)])
+        assert self.rows_match_own_calls(stack, count) == np.float64
+        assert self.rows_match_own_calls(stack[:1], count) == np.float64
+        assert self.rows_match_own_calls(stack.reshape(2, 2, *stack.shape[1:]),
+                                         count) == np.float64
+
+    def test_real_stacks_bit_for_bit(self):
+        stack = np.random.default_rng(5).normal(size=(3, 8, 6))
+        assert self.rows_match_own_calls(stack, 6) == np.float64
+        assert self.rows_match_own_calls(stack[1:2], 2) == np.float64
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_onsite_disorder_stacks_keep_the_complex_svd(self, seed):
+        p = LatticeParams(v=0.4, r=0.5, gamma=1.0, n_cells=7)
+        stack = build_real_space(p, DisorderConfig.from_seeds(DisorderTarget.ON_SITE, 0.3,
+                                                              range(seed, seed + 4), 7))
+        assert spectra._real_form(stack) is stack
+        assert self.rows_match_own_calls(stack, 14) == np.complex128
+        assert (smallest_singular_values(stack, 14)
+                == np.linalg.svd(stack, compute_uv=False)[..., ::-1]).all()
+
+    def test_a_row_without_a_real_form_takes_the_complex_svd_for_all(self):
+        p = LatticeParams(v=0.4, r=0.5, gamma=1.0, n_cells=5)
+        clean = build_real_space(p)
+        stack = np.stack([clean, build_real_space(
+            p, DisorderConfig.from_seed(DisorderTarget.ON_SITE, 0.3, 2, 5))])
+        assert spectra._real_form(stack) is stack
+        with linalg_calls("svd") as seen:
+            got = smallest_singular_values(stack, 3)
+        assert seen == [(np.dtype(complex), stack.shape)]
+        for H, row in zip(stack, got):
+            assert row.tolist() == np.linalg.svd(H, compute_uv=False)[::-1][:3].tolist()
+        # The clean row alone takes its real form.
+        assert spectra._real_form(clean).dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(8, 6), (3, 8, 6), (1, 6, 8)])
+    @pytest.mark.parametrize("count", [0, 7, -1])
+    def test_count_outside_range_raises(self, shape, count):
+        H = np.ones(shape)
+        with pytest.raises(ValueError, match=rf"count must lie in 1\.\.6, got {count}"):
+            smallest_singular_values(H, count)
+
+    def test_two_d_call_returns_a_list_of_floats(self):
+        got = smallest_singular_values(build_real_space(LatticeParams(v=0.3, r=0.5, gamma=1.0,
+                                                                      n_cells=3)), 2)
+        assert type(got) is list and [type(x) for x in got] == [float, float]
+
+
 def non_reducing_chains(seed):
     """(params, disorder) of N = 12 chains that reduced_chain does not reduce."""
     p = LatticeParams(v=0.5, r=0.5, gamma=1.0, n_cells=12)
